@@ -45,7 +45,6 @@ from .geometry import (
     Hyperbox,
     Interval,
     box_vertices,
-    contains_point,
     convex_weights,
     interval_sub,
     interval_sum,
@@ -79,16 +78,12 @@ def pbar_of(problem: BrunovskyProblem) -> int:
     return min(problem.p, problem.n)
 
 
-def _c_lo_hi(problem: BrunovskyProblem):
-    return problem.dist_box.lo, problem.dist_box.hi
-
-
 def bhat(problem: BrunovskyProblem) -> list:
     """The tail-adjusted state bounds, one interval per k = 1..n."""
     n = problem.n
     pb = pbar_of(problem)
     blo, bhi = problem.box.lo, problem.box.hi
-    clo, chi = _c_lo_hi(problem)
+    clo, chi = problem.dist_box.lo, problem.dist_box.hi
     out = []
     for k in range(1, n + 1):
         # scalar empty-sum convention: sum_{i=k}^{n-pbar} is 0 when k > n-pbar
@@ -162,7 +157,7 @@ def nonempty_ineq(problem: BrunovskyProblem) -> bool:
     """
     n, p = problem.n, problem.p
     blo, bhi = problem.box.lo, problem.box.hi
-    clo, chi = _c_lo_hi(problem)
+    clo, chi = problem.dist_box.lo, problem.dist_box.hi
 
     def ssum(values, lo_1b: int, hi_1b: int) -> float:
         if lo_1b > hi_1b:
@@ -244,7 +239,7 @@ def closed_form(problem: BrunovskyProblem) -> BrunovskyInvariant:
         raise EmptyInvariantError("no nonempty controlled invariant set exists")
     n, p = problem.n, problem.p
     blo, bhi = problem.box.lo, problem.box.hi
-    clo, chi = _c_lo_hi(problem)
+    clo, chi = problem.dist_box.lo, problem.dist_box.hi
     records = []
     for k in range(2, n + 1):
         for j in range(1, k):
@@ -278,7 +273,7 @@ def membership(
     if not problem.box.contains(x, tol):
         return False
     for d in ds:
-        if not contains_point(problem.dist, d, tol):
+        if not problem.dist.contains(d, tol):
             return False
     for rec in inv.constraints:
         total = x[rec.k - 1] + sum(ds[i - 1][c - 1] for i, c in rec.dcoords)
@@ -362,7 +357,7 @@ def projection_identity(problem: BrunovskyProblem, max_iter: int = 200) -> dict:
         raise InvalidParametersError("the projection identity applies to p >= n")
     inv_n = closed_form(problem.with_preview(problem.n))
     rhs = project(to_hpolytope(inv_n), list(range(problem.n)))
-    co = collaborative(problem.system()).sys
+    co = collaborative(problem.system())
     lhs = method1(co, max_iter).result
     return {"lhs": lhs, "rhs": rhs, "equal": set_equal(lhs, rhs)}
 
@@ -416,7 +411,7 @@ def evariant_membership(
     for d in ds:
         if d.shape[0] != ebar.shape[1]:
             raise ValueError("previewed disturbance dimension mismatch")
-        if not contains_point(problem_v.dist_v, d, tol):
+        if not problem_v.dist_v.contains(d, tol):
             return False
     mapped = [ebar @ d for d in ds]
     inv = closed_form(problem_v)

@@ -32,8 +32,6 @@ from .jsonio import dumps_17g, format_float
 from .simulation import lane_keeping
 from .systems import BrunovskyProblem, augment, system_from_config
 
-logger = logging.getLogger("previewsafe")
-
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2

@@ -13,14 +13,11 @@ from .lp import EPS_LP, LPResult, LPStatus, chebyshev_center, linprog_max
 from .polytope import (
     EPS_SET,
     HPolytope,
-    contains_point,
     contains_set,
-    is_empty,
     pontryagin_diff,
     project,
     reduce_rows,
     set_equal,
-    support,
     volume,
 )
 
@@ -39,13 +36,10 @@ __all__ = [
     "chebyshev_center",
     "EPS_SET",
     "HPolytope",
-    "support",
     "pontryagin_diff",
     "project",
     "reduce_rows",
     "contains_set",
     "set_equal",
-    "is_empty",
-    "contains_point",
     "volume",
 ]

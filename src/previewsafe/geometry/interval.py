@@ -163,6 +163,9 @@ def interval_sum(items: Iterable[Interval]) -> Interval:
 class Hyperbox:
     """Axis-aligned box, one :class:`Interval` per coordinate.
 
+    Shares ``dim``, ``is_empty``, ``support``, ``contains`` and
+    ``bounding_box`` with ``HPolytope``, so set operations take either.
+
     A zero-dimensional box is nonempty by convention (it is the neutral
     element of the Cartesian product).
     """
@@ -224,6 +227,9 @@ class Hyperbox:
         if d.shape[0] != self.dim:
             raise ValueError("direction dimension mismatch")
         return float(np.sum(np.where(d >= 0, d * self.hi, d * self.lo)))
+
+    def bounding_box(self) -> "Hyperbox":
+        return self
 
     def volume(self) -> float:
         """Exact product of interval widths (1.0 for the zero-dim box)."""

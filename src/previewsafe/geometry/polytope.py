@@ -24,14 +24,11 @@ from .lp import LPResult, LPStatus, chebyshev_center, linprog_max
 __all__ = [
     "EPS_SET",
     "HPolytope",
-    "support",
     "pontryagin_diff",
     "project",
     "reduce_rows",
     "contains_set",
     "set_equal",
-    "is_empty",
-    "contains_point",
     "volume",
 ]
 
@@ -148,7 +145,7 @@ class HPolytope:
             raise EmptySetError("no feasible point in an empty polytope")
         return self._inner_point.copy()
 
-    def contains_point(self, z, tol: float = 1e-7) -> bool:
+    def contains(self, z, tol: float = 1e-7) -> bool:
         z = np.asarray(z, dtype=float).ravel()
         if z.shape[0] != self._dim:
             raise ValueError("point dimension mismatch")
@@ -186,8 +183,7 @@ class HPolytope:
 
     def cartesian(self, other) -> "HPolytope":
         """Cartesian product; ``other`` may be an HPolytope or a Hyperbox."""
-        if isinstance(other, Hyperbox):
-            other = HPolytope.from_box(other)
+        other = _as_polytope(other)
         left = np.hstack([self._H, np.zeros((self.nrows, other.dim))])
         right = np.hstack([np.zeros((other.nrows, self._dim)), other.H])
         return HPolytope(np.vstack([left, right]), np.concatenate([self._h, other.h]))
@@ -220,19 +216,6 @@ def _as_polytope(S) -> HPolytope:
     return S
 
 
-def support(P, direction) -> float:
-    """Support function of an HPolytope or Hyperbox (analytic for boxes)."""
-    if isinstance(P, Hyperbox):
-        return P.support(direction)
-    return P.support(direction)
-
-
-def _set_support(S, direction: np.ndarray) -> float:
-    if isinstance(S, Hyperbox):
-        return S.support(direction)
-    return S.support(direction)
-
-
 def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
     """Erode ``X`` by the linear image ``M S``.
 
@@ -241,15 +224,9 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
     nonempty.
     """
     M = np.asarray(M, dtype=float)
-    if isinstance(S, Hyperbox):
-        if S.is_empty:
-            raise EmptySetError("erosion by an empty set")
-        sdim = S.dim
-    else:
-        if S.is_empty:
-            raise EmptySetError("erosion by an empty set")
-        sdim = S.dim
-    if M.shape != (X.dim, sdim):
+    if S.is_empty:
+        raise EmptySetError("erosion by an empty set")
+    if M.shape != (X.dim, S.dim):
         raise ValueError("map shape must be (dim X, dim S)")
     if X.is_empty:
         return HPolytope.empty(X.dim)
@@ -259,7 +236,7 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
     offsets = np.zeros(X.nrows)
     for i in range(X.nrows):
         try:
-            offsets[i] = _set_support(S, dirs[i])
+            offsets[i] = S.support(dirs[i])
         except UnboundedError:
             return HPolytope.empty(X.dim)
     return HPolytope(X.H, X.h - offsets)
@@ -426,18 +403,6 @@ def contains_set(outer, inner, tol: float = EPS_SET) -> bool:
 def set_equal(A, B, tol: float = EPS_SET) -> bool:
     """Mutual containment within tolerance."""
     return contains_set(A, B, tol) and contains_set(B, A, tol)
-
-
-def is_empty(P) -> bool:
-    if isinstance(P, Hyperbox):
-        return P.is_empty
-    return P.is_empty
-
-
-def contains_point(P, z, tol: float = 1e-7) -> bool:
-    if isinstance(P, Hyperbox):
-        return P.contains(z, tol)
-    return P.contains_point(z, tol)
 
 
 def volume(P, seed: int = 0, samples: int = 100_000) -> float:

@@ -91,30 +91,29 @@ def safe_state_projection(sys: LinearSystem) -> HPolytope:
     return project(sys.safe, list(range(sys.n)))
 
 
+def _iterate(sys: LinearSystem, X: HPolytope, budget: int) -> IterationReport:
+    """Apply pre to ``X`` at most ``budget`` times, stopping at a fixed point
+    (mutual containment within ``EPS_SET``)."""
+    rows = [X.nrows]
+    for k in range(1, budget + 1):
+        Xn = pre(sys, X)
+        rows.append(Xn.nrows)
+        converged = set_equal(Xn, X)
+        X = Xn
+        if converged:
+            return IterationReport(X, k, True, tuple(rows))
+    return IterationReport(X, budget, False, tuple(rows))
+
+
 def method1(sys: LinearSystem, max_iter: int = 200) -> IterationReport:
     """Downward iteration from the safe-state projection to the maximal set.
 
-    Stops on a fixed point (mutual containment within ``EPS_SET``) or after
-    ``max_iter`` steps; non-convergence is reported, not raised.
+    Stops on a fixed point or after ``max_iter`` steps; non-convergence is
+    reported, not raised.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    X = safe_state_projection(sys)
-    rows = [X.nrows]
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        Xn = pre(sys, X)
-        iterations += 1
-        rows.append(Xn.nrows)
-        if set_equal(Xn, X):
-            X = Xn
-            converged = True
-            break
-        X = Xn
-    return IterationReport(
-        result=X, iterations=iterations, converged=converged, per_step_rows=tuple(rows)
-    )
+    return _iterate(sys, safe_state_projection(sys), max_iter)
 
 
 def is_invariant(sys: LinearSystem, C: HPolytope) -> bool:
@@ -139,22 +138,7 @@ def method2(sys: LinearSystem, seed: HPolytope, K: int) -> IterationReport:
         raise ValueError("iteration budget must be nonnegative")
     if not is_invariant(sys, seed):
         raise SeedNotInvariantError("seed set failed the invariance check")
-    X = seed
-    rows = [X.nrows]
-    converged = False
-    iterations = 0
-    for _ in range(K):
-        Xn = pre(sys, X)
-        iterations += 1
-        rows.append(Xn.nrows)
-        if set_equal(Xn, X):
-            X = Xn
-            converged = True
-            break
-        X = Xn
-    return IterationReport(
-        result=X, iterations=iterations, converged=converged, per_step_rows=tuple(rows)
-    )
+    return _iterate(sys, seed, K)
 
 
 def admissible_inputs(sys: LinearSystem, C: HPolytope, x) -> HPolytope:
@@ -203,7 +187,7 @@ def sandwich(
         raise ValueError("need 0 <= p_low < p")
     low_report = method1(augment(sys, p_low).aug, max_iter)
     inner = lift(low_report.result, sys.dist_set, p - p_low)
-    co_report = method1(collaborative(sys).sys, max_iter)
+    co_report = method1(collaborative(sys), max_iter)
     outer = lift(co_report.result, sys.dist_set, p)
     if not contains_set(outer, inner):
         raise NumericalError("outer preview bound lost containment of the inner bound")

@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    NumericalError,
     RiccatiDivergedError,
     ScriptExhaustedError,
 )
-from .geometry import HPolytope, Hyperbox, Interval
+from .geometry import HPolytope, Hyperbox, Interval, LPStatus, linprog_max
 from .invariance import admissible_inputs, lift, method1, method2
 from .systems import LinearSystem, PreviewSystem, augment, step, system_from_config
 
@@ -53,26 +54,6 @@ class LQRSpec:
     tol: float = 1e-12
 
 
-def _spectral_radius(M: np.ndarray, iters: int = 400) -> float:
-    """Power-iteration estimate of the spectral radius.
-
-    Uses the norm-growth rate ||M^k v||^(1/k), which settles even when the
-    dominant eigenvalues form a complex pair.
-    """
-    n = M.shape[0]
-    v = np.ones(n) + 1e-3 * np.arange(n)
-    v /= np.linalg.norm(v)
-    log_growth = 0.0
-    for _ in range(iters):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        log_growth += np.log(nw)
-        v = w / nw
-    return float(np.exp(log_growth / iters))
-
-
 def lqr_gain(sys_aug: LinearSystem, spec: LQRSpec) -> np.ndarray:
     """Gain K of the infinite-horizon regulator via Riccati fixed-point
     iteration; the closed loop A - B K is verified Schur stable.
@@ -101,14 +82,14 @@ def lqr_gain(sys_aug: LinearSystem, spec: LQRSpec) -> np.ndarray:
     else:
         raise RiccatiDivergedError("Riccati recursion did not converge")
     K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-    if _spectral_radius(A - B @ K) >= 1.0 - 1e-9:
+    if np.abs(np.linalg.eigvals(A - B @ K)).max() >= 1.0 - 1e-9:
         raise RiccatiDivergedError("closed loop is not Schur stable")
     return K
 
 
 @dataclass(frozen=True)
 class Supervisor:
-    """Safety filter: project the nominal input onto the admissible set of an
+    """Safety filter: move the nominal input into the admissible set of an
     invariant set; fall back to the plain input box when that set is empty.
 
     ``sys`` is the system whose state space the invariant lives in (base or
@@ -140,20 +121,21 @@ def _bounds_of_1d(P: HPolytope):
     return lo, hi
 
 
-def _project_onto(P: HPolytope, z: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Alternating projection onto the facets of a nonempty polytope."""
-    z = z.astype(float).copy()
-    for _ in range(10_000):
-        resid = P.H @ z - P.h
-        worst = int(np.argmax(resid))
-        if resid[worst] <= tol:
-            return z
-        z -= resid[worst] * P.H[worst]
-    return z
+def _closest_point(P: HPolytope, z: np.ndarray) -> np.ndarray:
+    """Point of the nonempty ``P`` closest to ``z`` in the infinity norm: the LP
+    over ``(u, t)`` maximizing ``-t`` s.t. ``H u <= h`` and ``+-(u - z) <= t``."""
+    m = z.shape[0]
+    eye, ones = np.eye(m), np.ones((m, 1))
+    A = np.block([[P.H, np.zeros((P.nrows, 1))], [eye, -ones], [-eye, -ones]])
+    res = linprog_max(np.append(np.zeros(m), -1.0), A, np.concatenate([P.h, z, -z]))
+    if res.status is not LPStatus.OPTIMAL:
+        raise NumericalError(f"closest admissible input LP is {res.status.value}")
+    return res.point[:m]
 
 
 def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
-    """Project ``u_nom`` onto the admissible input set at ``state``.
+    """Replace ``u_nom`` by the admissible input closest in the infinity norm
+    (for one input, the clip onto the admissible interval) at ``state``.
 
     When the admissible set is empty the nominal input is clamped to the
     fallback input box and the result is annotated ``admissible_empty``.
@@ -186,9 +168,9 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
         )
     if adm.is_empty:
         return fallback()
-    if adm.contains_point(u_nom, tol=1e-9):
+    if adm.contains(u_nom, tol=1e-9):
         return SuperviseResult(u=u_nom, supervised=False, admissible_empty=False, admissible=None)
-    z = _project_onto(adm, u_nom)
+    z = _closest_point(adm, u_nom)
     return SuperviseResult(u=z, supervised=True, admissible_empty=False, admissible=None)
 
 
@@ -300,7 +282,7 @@ def rollout(
             u, supervised, adm = res.u, res.supervised, res.admissible
         else:
             u, supervised, adm = u_nom, False, None
-        safe = sys.safe.contains_point(np.concatenate([x, u]), tol=1e-7)
+        safe = sys.safe.contains(np.concatenate([x, u]), tol=1e-7)
         trace.append(
             TraceRecord(
                 t=t, x=x.copy(), u_nominal=u_nom.copy(), u_applied=np.atleast_1d(u).copy(),

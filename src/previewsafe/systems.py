@@ -32,7 +32,6 @@ DisturbanceSet = Union[Hyperbox, HPolytope]
 __all__ = [
     "LinearSystem",
     "PreviewSystem",
-    "CollaborativeSystem",
     "BrunovskyProblem",
     "make_brunovsky",
     "augment",
@@ -100,10 +99,6 @@ def step(sys: LinearSystem, x, u, d) -> np.ndarray:
     return sys.A @ x + sys.B @ u + sys.E @ d
 
 
-def _dist_rows(dist: DisturbanceSet) -> HPolytope:
-    return _as_polytope(dist)
-
-
 @dataclass(frozen=True, eq=False)
 class PreviewSystem:
     """A base system together with its p-step preview realization.
@@ -116,10 +111,6 @@ class PreviewSystem:
     base: LinearSystem
     p: int
     aug: LinearSystem
-
-    @property
-    def aug_safe(self) -> HPolytope:
-        return self.aug.safe
 
 
 def augment(sys: LinearSystem, p: int) -> PreviewSystem:
@@ -146,7 +137,7 @@ def augment(sys: LinearSystem, p: int) -> PreviewSystem:
     Hs, hs = sys.safe.H, sys.safe.h
     rows = [np.hstack([Hs[:, :n], np.zeros((Hs.shape[0], p * l)), Hs[:, n:]])]
     rhs = [hs]
-    drows = _dist_rows(sys.dist_set)
+    drows = _as_polytope(sys.dist_set)
     for i in range(p):
         block = np.zeros((drows.nrows, dim + m))
         block[:, n + i * l : n + (i + 1) * l] = drows.H
@@ -158,23 +149,12 @@ def augment(sys: LinearSystem, p: int) -> PreviewSystem:
     return PreviewSystem(base=sys, p=p, aug=aug)
 
 
-@dataclass(frozen=True, eq=False)
-class CollaborativeSystem:
-    """The disturbance re-typed as a second input channel.
+def collaborative(sys: LinearSystem) -> LinearSystem:
+    """Re-type d as a control: inputs (u, u_d), safe set S_xu x D.
 
-    Inputs are stacked as (u, u_d) with u_d ranging over the old disturbance
-    set; the remaining disturbance is the singleton {0}.
+    The old disturbance set becomes the range of the second input block
+    u_d; the remaining disturbance is the singleton {0}.
     """
-
-    sys: LinearSystem
-
-    @property
-    def safe(self) -> HPolytope:
-        return self.sys.safe
-
-
-def collaborative(sys: LinearSystem) -> CollaborativeSystem:
-    """Re-type d as a control: inputs (u, u_d), safe set S_xu x D."""
     n, m, l = sys.n, sys.m, sys.l
     B = np.hstack([sys.B, sys.E])
     E = np.zeros((n, l))
@@ -183,14 +163,13 @@ def collaborative(sys: LinearSystem) -> CollaborativeSystem:
     Hs, hs = sys.safe.H, sys.safe.h
     top = np.hstack([Hs, np.zeros((Hs.shape[0], l))])
     if l > 0:
-        drows = _dist_rows(sys.dist_set)
+        drows = _as_polytope(sys.dist_set)
         bottom = np.hstack([np.zeros((drows.nrows, n + m)), drows.H])
         safe = HPolytope(np.vstack([top, bottom]), np.concatenate([hs, drows.h]))
     else:
         safe = HPolytope(top, hs)
 
-    inner = LinearSystem(A=sys.A, B=B, E=E, dist_set=dist, safe=safe)
-    return CollaborativeSystem(sys=inner)
+    return LinearSystem(A=sys.A, B=B, E=E, dist_set=dist, safe=safe)
 
 
 def make_brunovsky(n: int, dist: DisturbanceSet, box: Hyperbox) -> LinearSystem:
@@ -215,12 +194,6 @@ def make_brunovsky(n: int, dist: DisturbanceSet, box: Hyperbox) -> LinearSystem:
         np.hstack([box_rows.H, np.zeros((box_rows.nrows, 1))]), box_rows.h
     )
     return LinearSystem(A=A, B=B, E=E, dist_set=dist, safe=safe)
-
-
-def _smallest_enclosing_box(dist: DisturbanceSet) -> Hyperbox:
-    if isinstance(dist, Hyperbox):
-        return dist
-    return dist.bounding_box()
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +223,7 @@ class BrunovskyProblem:
             raise EmptySetError("the disturbance set must be nonempty")
         if box.is_empty:
             raise EmptySetError("the state box must be nonempty")
-        return cls(n=n, box=box, dist=dist, dist_box=_smallest_enclosing_box(dist), p=p)
+        return cls(n=n, box=box, dist=dist, dist_box=dist.bounding_box(), p=p)
 
     def system(self) -> LinearSystem:
         return make_brunovsky(self.n, self.dist, self.box)
@@ -262,17 +235,6 @@ class BrunovskyProblem:
         return BrunovskyProblem(
             n=self.n, box=self.box, dist=self.dist, dist_box=self.dist_box, p=p,
             ebar=self.ebar, dist_v=self.dist_v,
-        )
-
-    def core_fields_equal(self, other: "BrunovskyProblem") -> bool:
-        from .geometry import set_equal
-
-        return (
-            self.n == other.n
-            and self.p == other.p
-            and self.box == other.box
-            and self.dist_box == other.dist_box
-            and set_equal(_as_polytope(self.dist), _as_polytope(other.dist))
         )
 
 
@@ -367,10 +329,8 @@ def system_from_config(data: dict):
         preview = int(data.get("preview", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed system config: {exc}") from exc
-    if isinstance(safe, Hyperbox):
-        safe = HPolytope.from_box(safe)
     try:
-        sys = LinearSystem(A=A, B=B, E=E, dist_set=dist, safe=safe)
+        sys = LinearSystem(A=A, B=B, E=E, dist_set=dist, safe=_as_polytope(safe))
     except (ValueError, EmptySetError) as exc:
         raise ConfigError(f"inconsistent system config: {exc}") from exc
     return sys, preview

@@ -153,7 +153,7 @@ def test_criterion_7_preview_collaborative_gap():
         for p in (0, 1, 2):
             rep = method1(augment(sys, p).aug)
             assert rep.converged and rep.result.is_empty
-        co = method1(collaborative(sys).sys)
+        co = method1(collaborative(sys))
         target = HPolytope.from_bounds([-1.0], [1.0])
         assert contains_set(co.result, target, tol=1e-9)
         assert contains_set(target, co.result, tol=1e-9)
@@ -250,7 +250,7 @@ def test_criterion_10_property_suites():
             assert is_invariant(prob1.with_preview(2).augmented().aug, lifted)
 
             # state projection sits inside the collaborative maximal set
-            co = method1(collaborative(prob1.system()).sys).result
+            co = method1(collaborative(prob1.system())).result
             proj = project(to_hpolytope(closed_form(prob1)), [0, 1])
             assert contains_set(co, proj)
 
@@ -287,4 +287,4 @@ def test_criterion_10_property_suites():
                     continue
                 z = eroded.feasible_point()
                 for s in box_vertices(S):
-                    assert X.contains_point(z + M @ s, tol=1e-7)
+                    assert X.contains(z + M @ s, tol=1e-7)

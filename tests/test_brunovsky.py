@@ -18,7 +18,7 @@ from previewsafe.brunovsky import (
     vertex_interval,
 )
 from previewsafe.errors import EmptyInvariantError, InvalidParametersError
-from previewsafe.geometry import HPolytope, Hyperbox, contains_point, set_equal
+from previewsafe.geometry import HPolytope, Hyperbox, set_equal
 from previewsafe.invariance import admissible_inputs, is_invariant, method1
 from previewsafe.systems import BrunovskyProblem, augment, evariant, step
 
@@ -33,7 +33,7 @@ def sample_dist(rng, prob, shrink=0.999):
     """Rejection-sample from the true disturbance set (not just its box)."""
     for _ in range(1000):
         d = rng.uniform(prob.dist_box.lo, prob.dist_box.hi) * shrink
-        if contains_point(prob.dist, d, 1e-12):
+        if prob.dist.contains(d, 1e-12):
             return d
     return np.zeros(prob.n)
 
@@ -151,11 +151,11 @@ class TestToHPolytope:
             ds = [rng.uniform(prob.dist_box.lo, prob.dist_box.hi) for _ in range(p)]
             point = np.concatenate([x] + [d for d in ds]) if p else x
             m1 = membership(inv, x, ds, tol=1e-9)
-            m2 = poly.contains_point(point, tol=1e-9) and all(
-                contains_point(prob.dist, d, 1e-9) for d in ds
+            m2 = poly.contains(point, tol=1e-9) and all(
+                prob.dist.contains(d, 1e-9) for d in ds
             )
             # the H-form carries the same D rows, so these must agree
-            assert m1 == poly.contains_point(point, tol=1e-9) or m1 == m2
+            assert m1 == poly.contains(point, tol=1e-9) or m1 == m2
 
     def test_invariant_on_augmented_system(self, master_seed):
         rng = np.random.default_rng(master_seed)
@@ -372,7 +372,7 @@ class TestEVariant:
             d = rng.uniform(-0.25, 0.25, size=1)
             point = np.concatenate([x, d])
             mine = evariant_membership(prob_v, x, [d], tol=1e-9)
-            ref = rep.result.contains_point(point, tol=1e-9)
+            ref = rep.result.contains(point, tol=1e-9)
             if mine != ref:
                 # disagreement is only tolerable within a facet-tolerance
                 # shell around the boundary

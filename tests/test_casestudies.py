@@ -145,7 +145,7 @@ class TestExample4:
         for p in (0, 1, 2):
             rep = method1(augment(sys, p).aug)
             assert rep.converged and rep.result.is_empty
-        co = method1(collaborative(sys).sys)
+        co = method1(collaborative(sys))
         assert set_equal(co.result, HPolytope.from_bounds([-1], [1]), tol=1e-9)
         assert is_invariant(sys, HPolytope.empty(1))
 
@@ -173,7 +173,7 @@ class TestExample5:
         rep = method1(augment(sys5, 1).aug)
         assert rep.converged
         assert set_equal(rep.result, scalar_cmax(prob).to_hpolytope())
-        assert safe5.contains_point([0.0, 0.0])
+        assert safe5.contains([0.0, 0.0])
 
     def test_strict_growth_persists_under_transform(self):
         prob = ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1)

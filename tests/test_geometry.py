@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,18 +14,15 @@ from previewsafe.geometry import (
     Hyperbox,
     Interval,
     box_vertices,
-    contains_point,
     contains_set,
     convex_weights,
     interval_add,
     interval_sub,
     interval_sum,
-    is_empty,
     pontryagin_diff,
     project,
     reduce_rows,
     set_equal,
-    support,
     volume,
 )
 
@@ -173,7 +172,51 @@ class TestSupport:
             HPolytope([[1.0, 0.0]], [1.0]).support([0, 1])
 
     def test_dispatch_box(self):
-        assert support(Hyperbox.cube(2, 1.0), [1, 0]) == 1.0
+        assert Hyperbox.cube(2, 1.0).support([1, 0]) == 1.0
+
+
+class TestSetProtocol:
+    """A Hyperbox and its HPolytope.from_box twin answer every shared query alike."""
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            Hyperbox.from_bounds([-1.0, -0.5, 0.0], [2.0, 0.5, 3.0]),
+            Hyperbox.from_bounds([-1.0, 0.3, -2.0], [1.0, 0.3, 2.0]),
+            Hyperbox((Interval(0.0, 1.0), Interval.EMPTY, Interval(-1.0, 1.0))),
+        ],
+        ids=["full", "width_zero", "empty"],
+    )
+    def test_box_and_polytope_twins_agree(self, box):
+        poly = HPolytope.from_box(box)
+        assert (poly.dim, poly.is_empty) == (box.dim, box.is_empty)
+        rng = np.random.default_rng(5)
+        # corners of the box (of the cube [-1, 1]^3 when empty), exact and
+        # pushed out by less and by more than the tolerance
+        base = Hyperbox.cube(3, 1.0) if box.is_empty else box
+        corners = np.array(list(itertools.product(*zip(base.lo, base.hi))))
+        points = np.vstack(
+            [rng.uniform(-2.5, 3.5, (40, 3))]
+            + [corners + shift * rng.choice([-1.0, 1.0], corners.shape) for shift in (0.0, 5e-10, 1e-6)]
+        )
+        for z in points:
+            assert poly.contains(z, tol=1e-9) == box.contains(z, tol=1e-9)
+        X = HPolytope.from_bounds([-5.0] * 3, [5.0] * 3)
+        M = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, -0.3, 1.0]])
+        directions = rng.normal(size=(10, 3))
+        if box.is_empty:
+            for S in (box, poly):
+                with pytest.raises(EmptySetError):
+                    S.support(directions[0])
+                with pytest.raises(EmptySetError):
+                    pontryagin_diff(X, S, M)
+            return
+        for d in directions:
+            assert poly.support(d) == pytest.approx(box.support(d), abs=1e-9)
+        assert box.bounding_box() is box
+        assert np.allclose(poly.bounding_box().lo, box.lo, atol=1e-9)
+        assert np.allclose(poly.bounding_box().hi, box.hi, atol=1e-9)
+        assert set_equal(pontryagin_diff(X, box, M), pontryagin_diff(X, poly, M))
 
 
 class TestPontryaginDiff:
@@ -210,7 +253,7 @@ class TestPontryaginDiff:
             pts = np.vstack([pts, inside]) if inside.size else pts
             for z in pts:
                 for s in box_vertices(S):
-                    assert X.contains_point(z + M @ s, tol=1e-7)
+                    assert X.contains(z + M @ s, tol=1e-7)
 
 
 class TestProject:
@@ -257,7 +300,7 @@ class TestProject:
             pts = box.sample(rng, 200)
             inside = pts[np.all(pts @ P.H.T <= P.h + 0, axis=1)]
             for z in inside[:40]:
-                assert shadow.contains_point(z[keep], tol=1e-7)
+                assert shadow.contains(z[keep], tol=1e-7)
             for _ in range(5):
                 direction = rng.normal(size=nk)
                 res = shadow.maximize(direction)
@@ -328,13 +371,13 @@ class TestContainment:
         assert set_equal(box, rot)
 
     def test_is_empty(self):
-        assert is_empty(HPolytope([[1.0], [-1.0]], [-1.0, -1.0]))
-        assert not is_empty(HPolytope.from_bounds([0], [0]))
+        assert HPolytope([[1.0], [-1.0]], [-1.0, -1.0]).is_empty
+        assert not HPolytope.from_bounds([0], [0]).is_empty
 
     def test_contains_point(self):
         seg = HPolytope([[1, -1], [-1, 1], [1, 0], [-1, 0]], [0, 0, 1, 1])
-        assert contains_point(seg, [0.5, 0.5])
-        assert not contains_point(seg, [0.5, 0.4])
+        assert seg.contains([0.5, 0.5])
+        assert not seg.contains([0.5, 0.4])
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_partial_order(self, seed):

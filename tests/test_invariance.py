@@ -307,7 +307,7 @@ class TestCrossTheorems:
         ]
         for sys in case_systems:
             rep = method1(augment(sys, p).aug)
-            co = method1(collaborative(sys).sys).result
+            co = method1(collaborative(sys)).result
             if rep.result.is_empty:
                 continue
             proj = project(rep.result, list(range(sys.n)))

@@ -7,7 +7,7 @@ import pytest
 from previewsafe.brunovsky import closed_form, controller_g, membership
 from previewsafe.errors import RiccatiDivergedError, ScriptExhaustedError
 from previewsafe.geometry import HPolytope, Hyperbox
-from previewsafe.invariance import lift, method1
+from previewsafe.invariance import admissible_inputs, lift, method1
 from previewsafe.simulation import (
     LQRSpec,
     Supervisor,
@@ -56,14 +56,25 @@ class TestLQR:
         K = lqr_gain(sys, LQRSpec(Q=np.eye(2), R=1e-8 * np.eye(2)))
         assert np.allclose(K, np.linalg.solve(B, A), atol=1e-3)
 
-    def test_zero_cost_stable_plant(self):
+    @pytest.mark.parametrize(
+        "A, B",
+        [
+            ([[0.5]], [[1.0]]),
+            # spectral radius 0.99 in one Jordan block: a norm-growth estimate
+            # of it lands above 1 and would reject this stable loop
+            ([[0.99, 1.0], [0.0, 0.99]], [[0.0], [1.0]]),
+        ],
+        ids=["scalar", "jordan"],
+    )
+    def test_zero_cost_stable_plant(self, A, B):
+        n = len(A)
         sys = LinearSystem(
-            A=[[0.5]], B=[[1.0]], E=[[1.0]],
+            A=A, B=B, E=np.ones((n, 1)),
             dist_set=Hyperbox.from_bounds([0.0], [0.0]),
-            safe=HPolytope.universe(2),
+            safe=HPolytope.universe(n + 1),
         )
-        K = lqr_gain(sys, LQRSpec(Q=np.zeros((1, 1)), R=np.eye(1)))
-        assert K[0, 0] == pytest.approx(0.0, abs=1e-12)
+        K = lqr_gain(sys, LQRSpec(Q=np.zeros((n, n)), R=np.eye(1)))
+        assert np.abs(K).max() == pytest.approx(0.0, abs=1e-12)
 
     def test_riccati_iterates_stay_psd(self):
         # exercised internally; a diverging pair must raise instead
@@ -128,6 +139,34 @@ class TestSupervise:
         second = supervise(sup, [0.2, -0.1], first.u)
         assert second.u[0] == pytest.approx(first.u[0])
         assert not second.supervised
+
+    def make_two_input_setup(self):
+        # x+ = u with a thin wedge {|u_2| <= -tan(1e-3) u_1} as invariant set
+        sys = LinearSystem(
+            A=np.zeros((2, 2)), B=np.eye(2), E=np.zeros((2, 1)),
+            dist_set=Hyperbox.from_bounds([0.0], [0.0]),
+            safe=HPolytope.from_bounds([-1, -1], [1, 1]).cartesian(HPolytope.universe(2)),
+        )
+        s, c = np.sin(1e-3), np.cos(1e-3)
+        wedge = HPolytope([[s, c], [s, -c]], [0.0, 0.0])
+        invariant = wedge.intersect(HPolytope.from_bounds([-1, -1], [1, 1]))
+        return sys, Supervisor(sys=sys, invariant=invariant, input_box=Hyperbox.cube(2, 1.0))
+
+    def test_two_inputs_closest_admissible(self):
+        sys, sup = self.make_two_input_setup()
+        u_nom = np.array([0.9, 0.3])
+        res = supervise(sup, [0.0, 0.0], u_nom)
+        assert res.supervised and not res.admissible_empty
+        assert admissible_inputs(sys, sup.invariant, [0.0, 0.0]).contains(res.u, tol=1e-9)
+        # every point of the wedge has u_1 <= 0, so 0.9 is the least distance
+        assert np.max(np.abs(res.u - u_nom)) == pytest.approx(0.9, abs=1e-9)
+
+    def test_two_inputs_admissible_passthrough(self):
+        _, sup = self.make_two_input_setup()
+        u_nom = np.array([-0.5, 0.0001])
+        res = supervise(sup, [0.0, 0.0], u_nom)
+        assert not res.supervised and not res.admissible_empty
+        assert np.array_equal(res.u, u_nom)
 
 
 class TestRollout:
@@ -222,7 +261,7 @@ class TestSafetySoundness:
                 xi = None
                 for t in (0.0, 0.4, 0.7, 0.9):
                     cand = target + t * (center - target)
-                    if invariant.contains_point(cand, tol=-1e-9):
+                    if invariant.contains(cand, tol=-1e-9):
                         xi = cand
                         break
                 if xi is None:
@@ -246,8 +285,8 @@ class TestLaneKeeping:
     def test_gap_found_and_traces(self, lane_result):
         res = lane_result
         assert res.gap_found
-        assert not res.cmax0.contains_point(res.gap_state[:4])
-        assert res.cio.contains_point(res.gap_state, tol=1e-6)
+        assert not res.cmax0.contains(res.gap_state[:4])
+        assert res.cio.contains(res.gap_state, tol=1e-6)
 
     def test_preview_trace_safe_throughout(self, lane_result):
         assert lane_result.trace_preview.all_safe
