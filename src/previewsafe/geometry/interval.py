@@ -21,7 +21,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import DimensionTooLargeError, EmptySetError, PointOutsideBoxError
+from ..errors import (
+    DimensionTooLargeError,
+    EmptySetError,
+    PointOutsideBoxError,
+    UnboundedError,
+)
 
 __all__ = [
     "Interval",
@@ -220,13 +225,21 @@ class Hyperbox:
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
     def support(self, direction: Sequence[float]) -> float:
-        """sup over the box of ``direction @ x``; analytic, no LP."""
+        """sup over the box of ``direction @ x``; analytic, no LP.
+
+        Coordinates where ``direction`` is zero contribute nothing, even when
+        unbounded; raises :class:`UnboundedError` when the box is unbounded
+        in ``direction``.
+        """
         if self.is_empty:
             raise EmptySetError("support of an empty hyperbox")
         d = np.asarray(direction, dtype=float).ravel()
         if d.shape[0] != self.dim:
             raise ValueError("direction dimension mismatch")
-        return float(np.sum(np.where(d >= 0, d * self.hi, d * self.lo)))
+        total = float(np.sum(d * np.where(d > 0, self.hi, np.where(d < 0, self.lo, 0.0))))
+        if total == math.inf:
+            raise UnboundedError("hyperbox is unbounded in the requested direction")
+        return total
 
     def bounding_box(self) -> "Hyperbox":
         return self

@@ -9,8 +9,11 @@ empty set detected at construction collapses to the canonical marker row
 
 Projection is exact Fourier-Motzkin elimination with redundancy removal
 interleaved after every eliminated variable, which is what keeps the
-intermediate row counts under control.  All redundancy and containment
-certificates are linear programs solved by :mod:`previewsafe.geometry.lp`.
+intermediate row counts under control.  Redundancy and containment are
+certified by linear programs solved by :mod:`previewsafe.geometry.lp`; a
+cheap geometric pre-check settles a row first when it proves what the LP
+would answer (a ray from an interior point for irredundancy, a shared row for
+containment).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EmptySetError, RowBlowupError, UnboundedError
-from .interval import Hyperbox
+from .interval import Hyperbox, Interval
 from .lp import LPResult, LPStatus, chebyshev_center, linprog_max
 
 __all__ = [
@@ -38,12 +41,17 @@ EPS_SET = 1e-6
 _ZERO_TOL = 1e-9
 # LP slack above which a relaxed facet is considered irredundant
 _RED_TOL = 1e-9
+# margin by which a ray from an interior point must cross a facet before the
+# row counts as irredundant without an LP (well above _RED_TOL)
+_RAY_MARGIN = 1e-7
+# rows per block of the Gram products in the ray test (bounds its memory)
+_GRAM_BLOCK = 64
 
 _ROW_CAP = 5000
 
 
 def _clean_rows(H: np.ndarray, h: np.ndarray):
-    """Normalize rows to unit norm; resolve zero rows.
+    """Normalize rows to unit norm; drop zero rows and rows with offset +inf.
 
     A zero row with a negative offset certifies emptiness.  Returns
     ``(H, h, empty_flag)``.
@@ -52,7 +60,7 @@ def _clean_rows(H: np.ndarray, h: np.ndarray):
     zero = norms <= 1e-12
     if np.any(h[zero] < -_ZERO_TOL):
         return None, None, True
-    keep = ~zero
+    keep = ~zero & (h != np.inf)
     H = H[keep]
     h = h[keep]
     norms = norms[keep]
@@ -189,7 +197,10 @@ class HPolytope:
         return HPolytope(np.vstack([left, right]), np.concatenate([self._h, other.h]))
 
     def bounding_box(self) -> Hyperbox:
-        """Smallest enclosing hyperbox, via 2*dim support calls."""
+        """Smallest enclosing hyperbox, via 2*dim support calls; the empty
+        box for an empty set."""
+        if self.is_empty:
+            return Hyperbox((Interval.EMPTY,) * self._dim)
         lo = np.zeros(self._dim)
         hi = np.zeros(self._dim)
         for k in range(self._dim):
@@ -221,7 +232,8 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
 
     Returns ``{z : H_i z <= h_i - sup_{s in S} (H_i M) s}``; the result may be
     empty, which is a valid polytope rather than an error.  ``S`` must be
-    nonempty.
+    nonempty, so a row whose direction ``H_i M`` is zero keeps its offset
+    without a support call.
     """
     M = np.asarray(M, dtype=float)
     if S.is_empty:
@@ -235,6 +247,8 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
     dirs = X.H @ M
     offsets = np.zeros(X.nrows)
     for i in range(X.nrows):
+        if not dirs[i].any():
+            continue
         try:
             offsets[i] = S.support(dirs[i])
         except UnboundedError:
@@ -261,18 +275,48 @@ def _dedupe(H: np.ndarray, h: np.ndarray):
     return H[idx], h[idx]
 
 
-def _reduce_arrays(H: np.ndarray, h: np.ndarray):
+def _ray_certified(H: np.ndarray, h: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Rows proven irredundant by a ray from the interior point ``center``.
+
+    With slacks ``s = h - H @ center``, the point ``center + t H_i`` meets
+    every other row while ``t <= s_j / (H_j @ H_i)`` for each ``j`` with
+    ``H_j @ H_i > 0``.  When that bound exceeds ``s_i + _RAY_MARGIN``, the
+    ray leaves row ``i`` by the margin inside all the others, so the
+    redundancy LP for row ``i`` would keep it.  Only applies when ``center``
+    is strictly interior by the margin; otherwise no row is certified.
+    """
+    m = H.shape[0]
+    s = h - H @ center
+    if s.min() <= _RAY_MARGIN:
+        return np.zeros(m, dtype=bool)
+    certified = np.empty(m, dtype=bool)
+    for start in range(0, m, _GRAM_BLOCK):
+        stop = min(start + _GRAM_BLOCK, m)
+        G = H[start:stop] @ H.T
+        G[np.arange(stop - start), np.arange(start, stop)] = 0.0
+        G *= (s[start:stop] + _RAY_MARGIN)[:, None]
+        certified[start:stop] = (G < s).all(axis=1)
+    return certified
+
+
+def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
     """LP-certified irredundant subsystem of an H-system.
 
-    Returns ``None`` when an LP certifies exact infeasibility (which can
-    happen for sets the tolerance-based emptiness test calls nonempty).
+    ``center`` is a point of the set (a Chebyshev centre); rows that a ray
+    from it proves irredundant skip their LP, and every other row gets the LP
+    against the rows still kept.  Returns ``None`` when an LP certifies exact
+    infeasibility (which can happen for sets the tolerance-based emptiness
+    test calls nonempty).
     """
     H, h = _dedupe(H, h)
     m = H.shape[0]
     if m <= 1:
         return H, h
+    certified = _ray_certified(H, h, center)
     keep = np.ones(m, dtype=bool)
     for i in range(m):
+        if certified[i]:
+            continue
         idx = np.flatnonzero(keep)
         b_test = h[idx].copy()
         pos = int(np.flatnonzero(idx == i)[0])
@@ -289,11 +333,13 @@ def reduce_rows(P: HPolytope) -> HPolytope:
     """Remove every row whose deletion leaves the set unchanged.
 
     Certified row by row with an LP (maximize the facet function subject to
-    the remaining rows and a relaxed copy of the row itself).  Idempotent.
+    the remaining rows and a relaxed copy of the row itself), except rows a
+    ray from the set's feasible point already proves irredundant.
+    Idempotent.
     """
     if P.is_empty:
         return HPolytope.empty(P.dim)
-    reduced = _reduce_arrays(np.array(P.H), np.array(P.h))
+    reduced = _reduce_arrays(np.array(P.H), np.array(P.h), P.feasible_point())
     if reduced is None:
         return HPolytope.empty(P.dim)
     return HPolytope(reduced[0], reduced[1])
@@ -342,7 +388,7 @@ def project(P: HPolytope, keep, row_cap: int = _ROW_CAP) -> HPolytope:
     h = np.array(P.h)
     if not drop:
         if H.shape[0]:
-            reduced = _reduce_arrays(H, h)
+            reduced = _reduce_arrays(H, h, P.feasible_point()[keep])
             if reduced is None:
                 return HPolytope.empty(nkeep)
             H, h = reduced
@@ -364,10 +410,10 @@ def project(P: HPolytope, keep, row_cap: int = _ROW_CAP) -> HPolytope:
             return HPolytope.empty(nkeep)
         H, h = cleaned[0], cleaned[1]
         if H.shape[0]:
-            rho, _ = chebyshev_center(H, h)
+            rho, center = chebyshev_center(H, h)
             if rho < -1e-9:
                 return HPolytope.empty(nkeep)
-            reduced = _reduce_arrays(H, h)
+            reduced = _reduce_arrays(H, h, center)
             if reduced is None:
                 return HPolytope.empty(nkeep)
             H, h = reduced
@@ -382,7 +428,10 @@ def contains_set(outer, inner, tol: float = EPS_SET) -> bool:
     """True iff ``inner`` is contained in ``outer`` within tolerance.
 
     One support LP per facet of ``outer`` over ``inner``; an empty inner set
-    is contained in everything.
+    is contained in everything.  A facet ``a @ z <= b`` of ``outer`` needs no
+    LP when ``inner`` has the identical row ``a`` with an offset at most
+    ``b + tol``, since that offset bounds the support of ``inner`` along
+    ``a``.
     """
     outer = _as_polytope(outer)
     inner = _as_polytope(inner)
@@ -390,7 +439,13 @@ def contains_set(outer, inner, tol: float = EPS_SET) -> bool:
         raise ValueError("dimension mismatch in containment test")
     if inner.is_empty:
         return True
+    shared: dict = {}
+    for row, offset in zip(inner.H + 0.0, inner.h):  # + 0.0 turns -0.0 into 0.0
+        key = row.tobytes()
+        shared[key] = min(offset, shared.get(key, np.inf))
     for i in range(outer.nrows):
+        if shared.get((outer.H[i] + 0.0).tobytes(), np.inf) <= outer.h[i] + tol:
+            continue
         try:
             s = inner.support(outer.H[i])
         except UnboundedError:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from previewsafe.brunovsky import nonempty_ineq
-from previewsafe.geometry import HPolytope, Hyperbox
+from previewsafe.geometry import HPolytope, Hyperbox, lp, polytope
 from previewsafe.systems import BrunovskyProblem
 
 MASTER_SEEDS = [11, 222, 3333]
@@ -18,6 +18,21 @@ def cross_polytope(scales: np.ndarray) -> HPolytope:
     for signs in itertools.product((-1.0, 1.0), repeat=n):
         rows.append(np.asarray(signs) / scales)
     return HPolytope(np.vstack(rows), np.ones(2**n))
+
+
+def count_lps(monkeypatch) -> list:
+    """Count ``linprog_max`` calls from here on, the ones inside
+    ``chebyshev_center`` included; returns a one-item counter."""
+    calls = [0]
+    solve = lp.linprog_max
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "linprog_max", counted)
+    monkeypatch.setattr(polytope, "linprog_max", counted)
+    return calls
 
 
 def random_valid_problem(

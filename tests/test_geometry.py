@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import count_lps, cross_polytope
 
 from previewsafe.errors import (
     DimensionTooLargeError,
@@ -25,6 +26,7 @@ from previewsafe.geometry import (
     set_equal,
     volume,
 )
+from previewsafe.geometry import polytope
 
 MASTER_SEEDS = [11, 222, 3333]
 
@@ -210,6 +212,8 @@ class TestSetProtocol:
                     S.support(directions[0])
                 with pytest.raises(EmptySetError):
                     pontryagin_diff(X, S, M)
+                assert S.bounding_box().is_empty
+                assert S.bounding_box().dim == S.dim
             return
         for d in directions:
             assert poly.support(d) == pytest.approx(box.support(d), abs=1e-9)
@@ -217,6 +221,20 @@ class TestSetProtocol:
         assert np.allclose(poly.bounding_box().lo, box.lo, atol=1e-9)
         assert np.allclose(poly.bounding_box().hi, box.hi, atol=1e-9)
         assert set_equal(pontryagin_diff(X, box, M), pontryagin_diff(X, poly, M))
+
+    def test_twins_with_infinite_bounds_agree(self):
+        box = Hyperbox.from_bounds([-1.0, -np.inf], [1.0, np.inf])
+        poly = HPolytope.from_box(box)
+        assert poly.nrows == 2  # the +inf offsets constrain nothing
+        X = HPolytope.from_bounds([-2.0, -2.0], [2.0, 2.0])
+        for S in (box, poly):
+            assert S.support([1.0, 0.0]) == 1.0
+            assert S.support([-2.0, 0.0]) == 2.0
+            with pytest.raises(UnboundedError):
+                S.support([0.0, 1.0])
+            with pytest.raises(UnboundedError):
+                S.support([0.5, -1.0])
+            assert pontryagin_diff(X, S, np.eye(2)).is_empty
 
 
 class TestPontryaginDiff:
@@ -235,6 +253,32 @@ class TestPontryaginDiff:
         S = Hyperbox.cube(2, 0.2)
         out = pontryagin_diff(X, S, np.zeros((2, 2)))
         assert set_equal(out, X)
+
+    def test_zero_directions_skip_support(self):
+        # E touches only the first coordinate, as the freshest preview block
+        # does in an augmented system: the other rows keep their offsets
+        X = HPolytope(
+            np.vstack([np.eye(3), -np.eye(3), [[0.0, 1.0, 1.0], [1.0, -1.0, 0.0]]]),
+            np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 4.0, 2.5]),
+        )
+        M = np.array([[0.5, 0.25], [0.0, 0.0], [0.0, 0.0]])
+        dirs = X.H @ M
+        assert (~dirs.any(axis=1)).sum() == 5
+        box = Hyperbox.from_bounds([-0.1, -0.2], [0.3, 0.2])
+        for S in (box, HPolytope.from_box(box), cross_polytope(np.array([0.2, 0.1]))):
+            out = pontryagin_diff(X, S, M)
+            expected = [h - S.support(d) if d.any() else h for h, d in zip(X.h, dirs)]
+            assert np.allclose(out.H, X.H, atol=1e-15, rtol=0)
+            assert np.allclose(out.h, expected, atol=1e-12, rtol=0)
+        assert set_equal(pontryagin_diff(X, box, M), pontryagin_diff(X, HPolytope.from_box(box), M))
+
+    def test_zero_directions_ignore_unbounded_coordinates(self):
+        X = HPolytope.from_bounds([-1.0, -1.0], [1.0, 1.0])
+        S = Hyperbox.from_bounds([-0.25, -np.inf], [0.25, np.inf])
+        M = np.array([[1.0, 0.0], [0.0, 0.0]])
+        expected = HPolytope.from_bounds([-0.75, -1.0], [0.75, 1.0])
+        for twin in (S, HPolytope.from_box(S)):
+            assert set_equal(pontryagin_diff(X, twin, M), expected)
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_reinflation_never_escapes(self, seed):
@@ -357,7 +401,100 @@ class TestReduce:
             assert set_equal(R, P)
 
 
+def reference_reduce(H, h, monkeypatch):
+    """``_reduce_arrays`` with the ray test off: one LP for every row."""
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "_ray_certified", lambda H, h, c: np.zeros(H.shape[0], dtype=bool))
+        return polytope._reduce_arrays(H, h, np.zeros(H.shape[1]))
+
+
+class TestRayShotReduction:
+    """The ray test only skips LPs whose answer it proves: the reduced rows
+    and their order match an LP for every row."""
+
+    def assert_same_reduction(self, P, monkeypatch, center=None):
+        H, h = np.array(P.H), np.array(P.h)
+        center = P.feasible_point() if center is None else center
+        expected = reference_reduce(H, h, monkeypatch)
+        got = polytope._reduce_arrays(H, h, center)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+        return polytope._ray_certified(*polytope._dedupe(H, h), center)
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_random_polytopes_match_lp_only(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        certified = 0
+        for _ in range(12):
+            d = int(rng.integers(2, 5))
+            A = rng.normal(size=(6 * d, d))
+            P = HPolytope(A, rng.random(6 * d) + 0.5)
+            # redundant rows: convex combinations with slack
+            lam = rng.random((4, P.nrows)) / P.nrows
+            extra_A = [lam @ P.H]
+            extra_b = [lam @ P.h + rng.random(4) * 0.1]
+            # near-parallel rows: tilted copies at nearly the same offset
+            pick = rng.integers(0, P.nrows, 4)
+            extra_A.append(P.H[pick] + rng.normal(scale=1e-6, size=(4, d)))
+            extra_b.append(P.h[pick] + rng.normal(scale=1e-7, size=4))
+            Q = HPolytope(np.vstack([P.H] + extra_A), np.concatenate([P.h] + extra_b))
+            if Q.is_empty:
+                continue
+            certified += int(self.assert_same_reduction(Q, monkeypatch).sum())
+        assert certified > 0  # the check fired, so the comparison means something
+
+    def test_measure_zero_set_turns_check_off(self, monkeypatch):
+        # a square flattened to the segment x0 = 0 by an equality pair
+        P = HPolytope(
+            np.vstack([np.eye(2), -np.eye(2), [[1.0, 0.0], [-1.0, 0.0]]]),
+            np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]),
+        )
+        assert not self.assert_same_reduction(P, monkeypatch).any()
+
+    def test_row_irredundant_by_less_than_margin_reaches_lp(self, monkeypatch):
+        # the diagonal row cuts the corner (1, 1) off by 5e-8: irredundant,
+        # but by less than the ray margin
+        diag = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
+        P = HPolytope(
+            np.vstack([np.eye(2), -np.eye(2), diag]),
+            np.array([1.0, 1.0, 1.0, 1.0, np.sqrt(2.0) - 5e-8]),
+        )
+        certified = self.assert_same_reduction(P, monkeypatch, center=np.zeros(2))
+        assert not certified[4] and certified[:4].all()
+        calls = count_lps(monkeypatch)
+        H, _ = polytope._reduce_arrays(np.array(P.H), np.array(P.h), np.zeros(2))
+        assert calls[0] == 1 and H.shape[0] == 5
+
+    def test_reduce_rows_and_project_keep_lp_results(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(30, 4))
+        P = HPolytope(A, rng.random(30) + 0.3)
+        for got, H in ((reduce_rows(P), P.H), (project(P, [2, 0, 3, 1]), P.H[:, [2, 0, 3, 1]])):
+            expected = HPolytope(*reference_reduce(np.array(H), np.array(P.h), monkeypatch))
+            assert np.array_equal(got.H, expected.H) and np.array_equal(got.h, expected.h)
+
+
 class TestContainment:
+    def test_shared_row_with_larger_offset_is_not_contained(self):
+        outer = HPolytope.from_bounds([-1.0, -1.0], [1.0, 1.0])
+        inner = HPolytope.from_bounds([-1.0, -1.0], [1.5, 1.0])
+        assert not contains_set(outer, inner)
+        assert contains_set(inner, outer)
+
+    def test_shared_row_certifies_unbounded_inner(self, monkeypatch):
+        outer = HPolytope([[1.0, 0.0]], [1.0])
+        # unbounded in y; shares outer's row, with -0.0 where outer has 0.0
+        inner = HPolytope([[1.0, -0.0], [0.0, -1.0]], [0.5, 0.0])
+        assert not inner.is_empty
+        calls = count_lps(monkeypatch)
+        assert contains_set(outer, inner)
+        assert calls[0] == 0
+        assert not contains_set(inner, outer)
+
+    def test_shared_row_within_tolerance(self):
+        outer = HPolytope.from_bounds([-1.0], [1.0])
+        assert contains_set(outer, HPolytope.from_bounds([-1.0], [1.0 + 5e-7]))
+        assert not contains_set(outer, HPolytope.from_bounds([-1.0], [1.0 + 2e-6]))
+
     def test_basic(self):
         assert contains_set(HPolytope.from_bounds([-1], [1]), HPolytope.from_bounds([-0.8], [0.8]))
         assert not contains_set(HPolytope.from_bounds([-0.5], [0.5]), HPolytope.from_bounds([-0.8], [0.8]))

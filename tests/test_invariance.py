@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import count_lps, cross_polytope
 
 from previewsafe.brunovsky import closed_form, to_hpolytope
 from previewsafe.casestudies import (
@@ -126,6 +127,25 @@ class TestMethod1:
             Xn = pre(sys, X)
             assert contains_set(X, Xn)
             X = Xn
+
+
+class TestMethod1LPBudget:
+    """Method 1 on a preview-augmented shift register (n=4, p=3) stays within
+    an LP budget: 314 and 744 LPs when every row of every reduction,
+    containment and erosion got its own LP, 78 and 154 with the geometric
+    pre-checks."""
+
+    @pytest.mark.parametrize(
+        "dist, budget",
+        [(Hyperbox.cube(4, 0.1), 125), (cross_polytope(np.full(4, 0.1)), 300)],
+        ids=["box", "cross_polytope"],
+    )
+    def test_lp_count(self, dist, budget, monkeypatch):
+        sys = BrunovskyProblem.create(4, Hyperbox.cube(4, 1.0), dist, 3).augmented().aug
+        calls = count_lps(monkeypatch)
+        rep = method1(sys)
+        assert rep.converged
+        assert calls[0] <= budget
 
 
 class TestMethod2:
