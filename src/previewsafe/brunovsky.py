@@ -140,48 +140,42 @@ def vertex_interval(problem: BrunovskyProblem, v: np.ndarray) -> Interval:
     return out
 
 
-def nonempty_vertex(problem: BrunovskyProblem, cap: int = 20) -> bool:
+def nonempty_vertex(problem: BrunovskyProblem) -> bool:
     """Vertex form of the nonemptiness test: I(v) nonempty at every vertex of
-    the tail box.  Raises DimensionTooLarge for pbar above the cap."""
-    for v in box_vertices(tail_box(problem), cap=cap):
+    the tail box.  Raises DimensionTooLarge for pbar above the vertex cap."""
+    for v in box_vertices(tail_box(problem)):
         if vertex_interval(problem, v).is_empty:
             return False
     return True
 
 
-def nonempty_ineq(problem: BrunovskyProblem) -> bool:
-    """Equivalent n^2-inequality nonemptiness test (three index cases).
+def _ssum(values, lo_1b: int, hi_1b: int) -> float:
+    """Scalar sum of values[lo..hi], 1-based inclusive; 0 when empty."""
+    if lo_1b > hi_1b:
+        return 0.0
+    return float(np.sum(values[lo_1b - 1 : hi_1b]))
 
-    Evaluated exactly as printed, with every empty scalar sum equal to zero;
-    uses p itself (not pbar), which makes the test p-independent once p >= n.
-    """
+
+def _ineq_rhs(n: int, p: int, clo, chi, j: int, k: int) -> float:
+    """Right-hand side of the (j, k) inequality b_{j,1} - b_{k,2} <= rhs,
+    in the three index cases exactly as printed; uses p itself (not pbar),
+    which makes the test p-independent once p >= n."""
+    rhs = _ssum(clo, j, n - p) - _ssum(chi, k, n - p)
+    if j < k:
+        return rhs + _ssum(clo, max(j, n - p + 1), max(k - 1, n - p))
+    if j > k:
+        return rhs - _ssum(chi, max(k, n - p + 1), max(j - 1, n - p))
+    return rhs
+
+
+def nonempty_ineq(problem: BrunovskyProblem) -> bool:
+    """Equivalent n^2-inequality nonemptiness test."""
     n, p = problem.n, problem.p
     blo, bhi = problem.box.lo, problem.box.hi
     clo, chi = problem.dist_box.lo, problem.dist_box.hi
-
-    def ssum(values, lo_1b: int, hi_1b: int) -> float:
-        if lo_1b > hi_1b:
-            return 0.0
-        return float(np.sum(values[lo_1b - 1 : hi_1b]))
-
     for j in range(1, n + 1):
         for k in range(1, n + 1):
-            lhs = blo[j - 1] - bhi[k - 1]
-            if j == k:
-                rhs = ssum(clo, k, n - p) - ssum(chi, k, n - p)
-            elif j < k:
-                rhs = (
-                    ssum(clo, j, n - p)
-                    - ssum(chi, k, n - p)
-                    + ssum(clo, max(j, n - p + 1), max(k - 1, n - p))
-                )
-            else:
-                rhs = (
-                    ssum(clo, j, n - p)
-                    - ssum(chi, k, n - p)
-                    - ssum(chi, max(k, n - p + 1), max(j - 1, n - p))
-                )
-            if lhs > rhs + 1e-12:
+            if blo[j - 1] - bhi[k - 1] > _ineq_rhs(n, p, clo, chi, j, k) + 1e-12:
                 return False
     return True
 
@@ -362,39 +356,30 @@ def projection_identity(problem: BrunovskyProblem, max_iter: int = 200) -> dict:
     return {"lhs": lhs, "rhs": rhs, "equal": set_equal(lhs, rhs)}
 
 
-def largest_c(n: int, p: int, box: Hyperbox, tol: float = 1e-9) -> float:
+def largest_c(n: int, p: int, box: Hyperbox) -> float:
     """Supremum of c such that D = [-c, c]^n still admits a nonempty
-    invariant set, by bisection on the n^2-inequality test.
+    invariant set.
 
-    Returns ``inf`` when every bound is feasible (possible for n = 1 with
-    preview, where the input cancels the disturbance exactly).
+    With D = [-c, c]^n the (j, k) inequality reads
+    b_{j,1} - b_{k,2} <= -count_jk * c, so the supremum is the least
+    (b_{k,2} - b_{j,1}) / count_jk over count_jk > 0.  Returns 0 when c = 0
+    already fails, and ``inf`` when every count is 0 (n = 1 with preview,
+    where the input cancels the disturbance exactly).
     """
     if box.dim != n or box.is_empty:
         raise InvalidParametersError("state box must be a nonempty n-dim box")
-
-    def feasible(c: float) -> bool:
-        prob = BrunovskyProblem.create(n, box, Hyperbox.cube(n, c), p)
-        return nonempty_ineq(prob)
-
-    if not feasible(0.0):
-        return 0.0
-    hi = float(np.max(np.abs(np.concatenate([box.lo, box.hi])))) + 1.0
-    # the nominal bracket can be feasible (n = 1, or wide boxes with p >= n);
-    # expand geometrically before declaring the supremum unbounded
-    expansions = 0
-    while feasible(hi):
-        hi *= 2.0
-        expansions += 1
-        if expansions > 60:
-            return float("inf")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    blo, bhi = box.lo, box.hi
+    clo, chi = -np.ones(n), np.ones(n)
+    best = float("inf")
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            slack = float(bhi[k - 1] - blo[j - 1])
+            if slack < -1e-12:
+                return 0.0
+            count = -_ineq_rhs(n, p, clo, chi, j, k)
+            if count > 0:
+                best = min(best, slack / count)
+    return max(0.0, best)
 
 
 def evariant_membership(

@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import brunovsky as bk
 from . import casestudies as cs
-from .errors import ConfigError, PreviewSafeError
+from .errors import ConfigError, DimensionTooLargeError, PreviewSafeError
 from .geometry import HPolytope, Hyperbox
 from .invariance import lift, method1, method2, preview_gain
 from .jsonio import dumps_17g, format_float
@@ -64,7 +64,7 @@ def _load_json(path: str) -> dict:
 
 def _emit_flat(data: dict, args) -> None:
     """Write a flat result dict as JSON (default) or two-column CSV."""
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         lines = ["key,value"]
         for key, val in data.items():
             if isinstance(val, bool):
@@ -126,10 +126,11 @@ def cmd_check(args) -> int:
     problem = _brunovsky_problem_from_args(args)
     ineq = bk.nonempty_ineq(problem)
     verdict = {"nonempty": ineq, "n": problem.n, "p": problem.p, "test": "inequality"}
-    if min(problem.p, problem.n) <= args.vertex_cap:
-        vert = bk.nonempty_vertex(problem, cap=args.vertex_cap)
-        verdict["vertex_test"] = vert
-        verdict["agreement"] = vert == ineq
+    try:
+        vert = bk.nonempty_vertex(problem)
+        verdict.update(vertex_test=vert, agreement=vert == ineq)
+    except DimensionTooLargeError:  # pbar above the vertex cap
+        pass
     _emit_flat(verdict, args)
     return EXIT_OK if ineq else EXIT_EMPTY
 
@@ -157,8 +158,6 @@ def cmd_invariant(args) -> int:
 
     if args.closed_form:
         raise ConfigError("--closed-form applies to shift-register configs only")
-    if args.format == "csv":
-        raise ConfigError("invariant emits nested JSON; csv is not available")
 
     aug = augment(sys_, preview).aug
     if args.method == 2:
@@ -180,7 +179,7 @@ def cmd_sweep_c(args) -> int:
     box = Hyperbox.cube(n, float(args.box_halfwidth))
     lines = ["p,largest_c"]
     for p in range(int(args.p_max) + 1):
-        c = bk.largest_c(n, p, box, tol=args.tol)
+        c = bk.largest_c(n, p, box)
         lines.append(f"{p},{format_float(c)}")
     _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -243,6 +242,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if res.gap_found else EXIT_EMPTY
 
 
+# Shared flag specs; each subcommand declares only the flags it reads.
+_FLAGS = {
+    "--case": {"help": "canned case name (example1/2/4/5, lane_keeping)"},
+    "--system": {"help": "system or problem config file (JSON)"},
+    "--preview": {"type": int, "help": "preview time p"},
+    "--max-iter": {"type": int, "default": 200},
+    "--seed": {"type": int, "default": 0},
+    "--out": {"help": "output path (default stdout)"},
+    "--format": {"choices": ["json", "csv"], "default": "json"},
+    "--box-halfwidth": {"type": float, "default": 1.0},
+    "--K": {"type": int, "default": 10, "help": "method 2 iteration budget"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="previewsafe",
@@ -250,54 +263,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_case: bool = True) -> None:
-        if with_case:
-            p.add_argument("--case", help="canned case name (example1/2/4/5, lane_keeping)")
-            p.add_argument("--system", help="system or problem config file (JSON)")
-        p.add_argument("--preview", type=int, default=None, help="preview time p")
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=200)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    def command(name, func, summary, *flags):
+        # exact flag names only, so that --seed is not read as --seed-set
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p_check = sub.add_parser("check", help="nonemptiness verdict (shift-register form)")
-    common(p_check)
-    p_check.add_argument("--n", type=int, help="state dimension for --c parametrization")
-    p_check.add_argument("--c", type=float, help="symmetric disturbance halfwidth")
-    p_check.add_argument("--box-halfwidth", type=float, default=1.0)
-    p_check.add_argument("--vertex-cap", dest="vertex_cap", type=int, default=20)
-    p_check.set_defaults(func=cmd_check)
+    p = command("check", cmd_check, "nonemptiness verdict (shift-register form)",
+                "--system", "--preview", "--out", "--format", "--box-halfwidth")
+    p.add_argument("--n", type=int, help="state dimension for --c parametrization")
+    p.add_argument("--c", type=float, help="symmetric disturbance halfwidth")
 
-    p_inv = sub.add_parser("invariant", help="compute an invariant set")
-    common(p_inv)
-    p_inv.add_argument("--method", type=int, choices=[1, 2], default=1)
-    p_inv.add_argument("--closed-form", dest="closed_form", action="store_true")
-    p_inv.add_argument("--K", type=int, default=10, help="method 2 iteration budget")
-    p_inv.add_argument("--seed-set", dest="seed_set", help="method 2 seed polytope (JSON)")
-    p_inv.add_argument("--n", type=int)
-    p_inv.add_argument("--c", type=float)
-    p_inv.add_argument("--box-halfwidth", type=float, default=1.0)
-    p_inv.set_defaults(func=cmd_invariant)
+    p = command("invariant", cmd_invariant, "compute an invariant set",
+                "--case", "--system", "--preview", "--max-iter", "--out", "--K")
+    p.add_argument("--method", type=int, choices=[1, 2], default=1)
+    p.add_argument("--closed-form", action="store_true")
+    p.add_argument("--seed-set", help="method 2 seed polytope (JSON)")
 
-    p_sweep = sub.add_parser("sweep-c", help="largest disturbance bound per preview time")
-    common(p_sweep, with_case=False)
-    p_sweep.add_argument("--n", type=int, required=True)
-    p_sweep.add_argument("--p-max", dest="p_max", type=int, required=True)
-    p_sweep.add_argument("--box-halfwidth", type=float, default=1.0)
-    p_sweep.set_defaults(func=cmd_sweep_c)
+    p = command("sweep-c", cmd_sweep_c, "largest disturbance bound per preview time",
+                "--out", "--box-halfwidth")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p-max", type=int, required=True)
 
-    p_bounds = sub.add_parser("bounds", help="inner/outer preview volume bounds")
-    common(p_bounds)
-    p_bounds.add_argument("--p-low", dest="p_low", type=int, required=True)
-    p_bounds.add_argument("--samples", type=int, default=200_000)
-    p_bounds.set_defaults(func=cmd_bounds)
+    p = command("bounds", cmd_bounds, "inner/outer preview volume bounds",
+                "--case", "--system", "--preview", "--max-iter", "--seed", "--out", "--format")
+    p.add_argument("--p-low", type=int, required=True)
+    p.add_argument("--samples", type=int, default=200_000)
 
-    p_sim = sub.add_parser("simulate", help="supervised rollouts with/without preview")
-    common(p_sim)
-    p_sim.add_argument("--T", type=int, default=100)
-    p_sim.add_argument("--K", type=int, default=10)
-    p_sim.set_defaults(func=cmd_simulate)
+    p = command("simulate", cmd_simulate, "supervised rollouts with/without preview",
+                "--case", "--system", "--preview", "--max-iter", "--seed", "--out", "--K")
+    p.add_argument("--T", type=int, default=100)
 
     return parser
 

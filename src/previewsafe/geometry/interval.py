@@ -38,6 +38,9 @@ __all__ = [
     "convex_weights",
 ]
 
+# Largest dimension whose 2^dim box vertices are enumerated.
+_VERTEX_CAP = 20
+
 
 @dataclass(frozen=True, eq=False)
 class Interval:
@@ -87,14 +90,6 @@ class Interval:
             return Interval.EMPTY
         return Interval(self.lo + c, self.hi + c)
 
-    def scale(self, alpha: float) -> "Interval":
-        """Scaling ``alpha * [lo, hi]`` for ``alpha >= 0``."""
-        if alpha < 0:
-            raise ValueError("interval scaling is defined for nonnegative factors")
-        if self.is_empty:
-            return Interval.EMPTY
-        return Interval(alpha * self.lo, alpha * self.hi)
-
     def intersect(self, other: "Interval") -> "Interval":
         """Set intersection (not part of the endpoint-wise algebra)."""
         if self.is_empty or other.is_empty:
@@ -104,12 +99,6 @@ class Interval:
         if lo > hi:
             return Interval.EMPTY
         return Interval(lo, hi)
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return interval_add(self, other)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return interval_sub(self, other)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Interval):
@@ -195,11 +184,6 @@ class Hyperbox:
     def cube(cls, dim: int, halfwidth: float) -> "Hyperbox":
         return cls(tuple(Interval(-halfwidth, halfwidth) for _ in range(dim)))
 
-    @classmethod
-    def singleton(cls, point: Sequence[float]) -> "Hyperbox":
-        point = np.asarray(point, dtype=float).ravel()
-        return cls(tuple(Interval(x, x) for x in point))
-
     @property
     def dim(self) -> int:
         return len(self.intervals)
@@ -284,7 +268,7 @@ class Hyperbox:
         return f"Hyperbox({list(self.intervals)!r})"
 
 
-def box_vertices(box: Hyperbox, cap: int = 20) -> list:
+def box_vertices(box: Hyperbox) -> list:
     """All corner points of ``box`` in lexicographic order (lo before hi).
 
     Degenerate coordinates (``lo == hi``) contribute a single choice, so the
@@ -293,9 +277,9 @@ def box_vertices(box: Hyperbox, cap: int = 20) -> list:
     """
     if box.is_empty:
         raise EmptySetError("vertices of an empty hyperbox")
-    if box.dim > cap:
+    if box.dim > _VERTEX_CAP:
         raise DimensionTooLargeError(
-            f"vertex enumeration in dimension {box.dim} exceeds cap {cap}"
+            f"vertex enumeration in dimension {box.dim} exceeds cap {_VERTEX_CAP}"
         )
     choices = [
         (iv.lo,) if iv.lo == iv.hi else (iv.lo, iv.hi) for iv in box.intervals
@@ -303,7 +287,7 @@ def box_vertices(box: Hyperbox, cap: int = 20) -> list:
     return [np.array(v, dtype=float) for v in itertools.product(*choices)]
 
 
-def convex_weights(box: Hyperbox, point: Sequence[float], cap: int = 20) -> list:
+def convex_weights(box: Hyperbox, point: Sequence[float]) -> list:
     """Multilinear barycentric weights of ``point`` over ``box_vertices(box)``.
 
     Coordinate k contributes factor ``(hi-v)/(hi-lo)`` when the vertex sits at
@@ -313,9 +297,9 @@ def convex_weights(box: Hyperbox, point: Sequence[float], cap: int = 20) -> list
     """
     if box.is_empty:
         raise EmptySetError("weights over an empty hyperbox")
-    if box.dim > cap:
+    if box.dim > _VERTEX_CAP:
         raise DimensionTooLargeError(
-            f"vertex enumeration in dimension {box.dim} exceeds cap {cap}"
+            f"vertex enumeration in dimension {box.dim} exceeds cap {_VERTEX_CAP}"
         )
     v = np.asarray(point, dtype=float).ravel()
     if v.shape[0] != box.dim:

@@ -192,9 +192,6 @@ class Trace:
 
     records: list = field(default_factory=list)
 
-    def append(self, rec: TraceRecord) -> None:
-        self.records.append(rec)
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -283,7 +280,7 @@ def rollout(
         else:
             u, supervised, adm = u_nom, False, None
         safe = sys.safe.contains(np.concatenate([x, u]), tol=1e-7)
-        trace.append(
+        trace.records.append(
             TraceRecord(
                 t=t, x=x.copy(), u_nominal=u_nom.copy(), u_applied=np.atleast_1d(u).copy(),
                 d_applied=script[t].copy(), admissible=adm,

@@ -23,6 +23,7 @@ from .errors import (
     ImageNotExactError,
     InvalidParametersError,
     RowBlowupError,
+    UnboundedError,
 )
 from .geometry import HPolytope, Hyperbox, project
 from .geometry.polytope import _as_polytope
@@ -281,11 +282,9 @@ def evariant(
         raise EmptySetError("the disturbance image is empty")
     # soundness of the projection requires a bounded input set
     try:
-        image.bounding_box()
-    except Exception as exc:  # noqa: BLE001 - any unboundedness is fatal here
+        problem = BrunovskyProblem.create(n, box, image, p)
+    except UnboundedError as exc:
         raise ImageNotExactError("the disturbance image is not a polytope") from exc
-
-    problem = BrunovskyProblem.create(n, box, image, p)
     object.__setattr__(problem, "ebar", _frozen(ebar))
     object.__setattr__(problem, "dist_v", dist_v)
     return problem

@@ -260,13 +260,19 @@ class TestProjectionIdentity:
         assert projection_identity(prob)["equal"]
 
 
+def sweep_feasible(n, p, box, c):
+    return nonempty_ineq(BrunovskyProblem.create(n, box, Hyperbox.cube(n, c), p))
+
+
 class TestLargestC:
     def test_frozen_values(self):
+        # the paper's sweep at n = 10, exactly: 1/(10-p) up to 1/5, then 2/9
         box = Hyperbox.cube(10, 1.0)
-        assert largest_c(10, 0, box) == pytest.approx(0.1, abs=1e-6)
-        assert largest_c(10, 5, box) == pytest.approx(0.2, abs=1e-6)
-        for p in (6, 9, 12):
-            assert largest_c(10, p, box) == pytest.approx(2 / 9, abs=1e-6)
+        for p in range(5):
+            assert largest_c(10, p, box) == 1 / (10 - p)
+        assert largest_c(10, 5, box) == 1 / 5
+        for p in range(6, 13):
+            assert largest_c(10, p, box) == 2 / 9
 
     def test_monotone_and_plateau(self):
         box = Hyperbox.cube(4, 1.0)
@@ -283,6 +289,32 @@ class TestLargestC:
         # n=2, p>=n, box [-2,2]^2: the supremum is 4, above halfwidth+1
         assert largest_c(2, 2, Hyperbox.cube(2, 2.0)) == pytest.approx(4.0, abs=1e-6)
 
+    def test_zero_when_no_disturbance_is_tolerated(self):
+        box = Hyperbox.from_bounds([5.0, 0.0], [6.0, 1.0])
+        assert largest_c(2, 1, box) == 0.0
+        assert not sweep_feasible(2, 1, box, 0.0)
+
+    def test_supremum_of_the_inequality_test(self, master_seed):
+        rng = np.random.default_rng(master_seed)
+        boxes = [Hyperbox.from_bounds([5.0, 0.0], [6.0, 1.0]), Hyperbox.cube(1, 1.0)]
+        for _ in range(20):
+            n = int(rng.integers(1, 11))
+            lo = rng.uniform(-2.0, 0.0, n)
+            boxes.append(Hyperbox.from_bounds(lo, lo + rng.uniform(0.1, 3.0, n)))
+        for box in boxes:
+            n = box.dim
+            for p in range(13):
+                c = largest_c(n, p, box)
+                if c == np.inf:
+                    assert sweep_feasible(n, p, box, 1e9)
+                    continue
+                if sweep_feasible(n, p, box, 0.0):
+                    assert sweep_feasible(n, p, box, c)
+                    assert sweep_feasible(n, p, box, max(c - 1e-9, 0.0))
+                else:
+                    assert c == 0.0
+                assert not sweep_feasible(n, p, box, c + 1e-9)
+
 
 class TestCriticalPreviewTime:
     def test_vertex_cap_error(self):
@@ -290,7 +322,7 @@ class TestCriticalPreviewTime:
 
         prob = cube_problem(25, 0.01, 25)
         with pytest.raises(DimensionTooLargeError):
-            nonempty_vertex(prob, cap=20)
+            nonempty_vertex(prob)
         assert nonempty_ineq(prob)  # the n^2 form has no such cap
 
     def test_admissible_interval_stops_growing_after_n_plus_1(self, master_seed):

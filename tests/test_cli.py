@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import previewsafe
-from previewsafe.cli import main
+from previewsafe.cli import EXIT_USAGE, build_parser, main
 from previewsafe.geometry import HPolytope, set_equal
 from previewsafe.jsonio import dumps_17g
 from previewsafe.systems import system_to_config
@@ -111,6 +111,68 @@ class TestSweep:
         assert rows[0] == "p,largest_c"
         values = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_paper_sweep_golden(self, capsys):
+        assert run(["sweep-c", "--n", "10", "--p-max", "12"]) == 0
+        assert capsys.readouterr().out == (
+            "p,largest_c\n"
+            "0,0.10000000000000001\n"
+            "1,0.1111111111111111\n"
+            "2,0.125\n"
+            "3,0.14285714285714285\n"
+            "4,0.16666666666666666\n"
+            "5,0.20000000000000001\n"
+            "6,0.22222222222222221\n"
+            "7,0.22222222222222221\n"
+            "8,0.22222222222222221\n"
+            "9,0.22222222222222221\n"
+            "10,0.22222222222222221\n"
+            "11,0.22222222222222221\n"
+            "12,0.22222222222222221\n"
+        )
+
+
+# Flags that no command reads; each must be refused as a usage error.
+UNREAD_FLAGS = [
+    ("check", "--case", "example2"),
+    ("check", "--max-iter", "5"),
+    ("check", "--tol", "1e-9"),
+    ("check", "--seed", "0"),
+    ("check", "--vertex-cap", "20"),
+    ("invariant", "--tol", "1e-9"),
+    ("invariant", "--seed", "0"),
+    ("invariant", "--format", "json"),
+    ("invariant", "--n", "2"),
+    ("invariant", "--c", "0.1"),
+    ("invariant", "--box-halfwidth", "1"),
+    ("sweep-c", "--tol", "1e-9"),
+    ("sweep-c", "--preview", "2"),
+    ("sweep-c", "--max-iter", "5"),
+    ("sweep-c", "--seed", "0"),
+    ("sweep-c", "--format", "json"),
+    ("bounds", "--tol", "1e-9"),
+    ("simulate", "--tol", "1e-9"),
+    ("simulate", "--format", "json"),
+]
+VALID_ARGS = {
+    "check": ["--n", "4", "--c", "0.1"],
+    "invariant": ["--case", "example2"],
+    "sweep-c": ["--n", "2", "--p-max", "1"],
+    "bounds": ["--case", "example2", "--p-low", "0"],
+    "simulate": ["--case", "lane_keeping"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag,value", UNREAD_FLAGS, ids=[f"{c}{f}" for c, f, _ in UNREAD_FLAGS]
+)
+def test_unread_flag_is_a_usage_error(command, flag, value, capsys):
+    parser = build_parser()
+    parser.parse_args([command, *VALID_ARGS[command]])
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, *VALID_ARGS[command], flag, value])
+    assert exc.value.code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 class TestBounds:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from previewsafe.errors import ConfigError, ImageNotExactError
+from previewsafe.errors import ConfigError, ImageNotExactError, NumericalError
 from previewsafe.geometry import HPolytope, Hyperbox, set_equal
 from previewsafe.geometry.polytope import _as_polytope
 from previewsafe.systems import (
@@ -203,6 +203,15 @@ class TestEvariant:
         half = HPolytope([[1.0]], [1.0])  # unbounded input set
         with pytest.raises(ImageNotExactError):
             evariant(2, np.array([[1.0], [1.0]]), half, Hyperbox.cube(2, 2.0), 0)
+
+    def test_solver_failure_is_not_called_unbounded(self, monkeypatch):
+        # only unboundedness makes the image "not a polytope"
+        def failing_bounding_box(self):
+            raise NumericalError("support LP did not finish")
+
+        monkeypatch.setattr(HPolytope, "bounding_box", failing_bounding_box)
+        with pytest.raises(NumericalError):
+            evariant(2, np.array([[1.0], [1.0]]), Hyperbox.cube(1, 1.0), Hyperbox.cube(2, 2.0), 0)
 
 
 class TestConfigRoundtrip:
