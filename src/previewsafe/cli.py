@@ -186,7 +186,9 @@ def cmd_sweep_c(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    preview = int(args.preview or 1)
+    preview = 1 if args.preview is None else args.preview
+    if not 0 <= args.p_low < preview:
+        raise ConfigError(f"bounds needs 0 <= --p-low < --preview (got {args.p_low}, {preview})")
     if args.case:
         sys_, _ = _case_system(args.case, preview)
     elif args.system:

@@ -45,6 +45,7 @@ __all__ = [
     "method2",
     "is_invariant",
     "admissible_inputs",
+    "input_constraints",
     "lift",
     "sandwich",
     "preview_gain",
@@ -141,6 +142,31 @@ def method2(sys: LinearSystem, seed: HPolytope, K: int) -> IterationReport:
     return _iterate(sys, seed, K)
 
 
+def input_constraints(sys: LinearSystem, C: HPolytope):
+    """The state-independent part of :func:`admissible_inputs`: ``(G_u, g)``
+    with the inputs admissible at ``x`` equal to ``{u : G_u u <= g(x)}``, or
+    ``None`` when ``C`` or its erosion by ``E D`` is empty.  The erosion does
+    not depend on the state, so a caller that keeps ``C`` erodes it once.
+    """
+    if sys.m == 0:
+        raise ValueError("admissible input set requires an input channel")
+    if C.is_empty:
+        return None
+    eroded = pontryagin_diff(C, sys.dist_set, sys.E)
+    if eroded.is_empty:
+        return None
+    n = sys.n
+    G_u = np.vstack([eroded.H @ sys.B, sys.safe.H[:, n:]])
+
+    def g(x: np.ndarray) -> np.ndarray:
+        return np.concatenate([
+            eroded.h - eroded.H @ (sys.A @ x),
+            sys.safe.h - sys.safe.H[:, :n] @ x,
+        ])
+
+    return G_u, g
+
+
 def admissible_inputs(sys: LinearSystem, C: HPolytope, x) -> HPolytope:
     """Inputs keeping ``(x, u)`` safe and the successor inside ``C`` robustly.
 
@@ -149,18 +175,11 @@ def admissible_inputs(sys: LinearSystem, C: HPolytope, x) -> HPolytope:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != sys.n:
         raise ValueError("state dimension mismatch")
-    if sys.m == 0:
-        raise ValueError("admissible input set requires an input channel")
-    if C.is_empty:
+    rows = input_constraints(sys, C)
+    if rows is None:
         return HPolytope.empty(sys.m)
-    eroded = pontryagin_diff(C, sys.dist_set, sys.E)
-    if eroded.is_empty:
-        return HPolytope.empty(sys.m)
-    H_dyn = eroded.H @ sys.B
-    h_dyn = eroded.h - eroded.H @ (sys.A @ x)
-    H_safe = sys.safe.H[:, sys.n :]
-    h_safe = sys.safe.h - sys.safe.H[:, : sys.n] @ x
-    return HPolytope(np.vstack([H_dyn, H_safe]), np.concatenate([h_dyn, h_safe]))
+    G_u, g = rows
+    return HPolytope(G_u, g(x))
 
 
 def lift(C: HPolytope, D: Union[Hyperbox, HPolytope], extra: int) -> HPolytope:

@@ -24,7 +24,8 @@ from .errors import (
     ScriptExhaustedError,
 )
 from .geometry import HPolytope, Hyperbox, Interval, LPStatus, linprog_max
-from .invariance import admissible_inputs, lift, method1, method2
+from .geometry.polytope import _clean_rows
+from .invariance import input_constraints, lift, method1, method2
 from .systems import LinearSystem, PreviewSystem, augment, step, system_from_config
 
 __all__ = [
@@ -94,11 +95,19 @@ class Supervisor:
 
     ``sys`` is the system whose state space the invariant lives in (base or
     augmented), so the rollout can hand over the matching state vector.
+
+    The invariant is eroded by ``E D``, and the erosion tested for emptiness,
+    once, when the supervisor is built (``invariance.input_constraints``); a
+    step only evaluates the right-hand side ``g(x)``.
     """
 
     sys: LinearSystem
     invariant: HPolytope
     input_box: Hyperbox
+    _rows: Optional[tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", input_constraints(self.sys, self.invariant))
 
 
 @dataclass(frozen=True)
@@ -109,16 +118,16 @@ class SuperviseResult:
     admissible: Optional[Interval]  # scalar-input interval; None for m > 1
 
 
-def _bounds_of_1d(P: HPolytope):
-    lo, hi = -np.inf, np.inf
-    for a, b in zip(P.H[:, 0], P.h):
-        if a > 0.5:
-            hi = min(hi, b / a)
-        elif a < -0.5:
-            lo = max(lo, b / a)
-        elif b < -1e-9:  # zero row with negative offset: infeasible marker
-            return np.inf, -np.inf
-    return lo, hi
+def _interval_of(G_u: np.ndarray, g: np.ndarray):
+    """Bounds ``(lo, hi)`` of ``{u in R : G_u u <= g}``, from the rows exactly
+    as :class:`HPolytope` normalizes them, so that they match the interval of
+    that polytope bit for bit; ``lo > hi`` when the set is empty."""
+    H, h, empty = _clean_rows(G_u, g)
+    if empty:
+        return np.inf, -np.inf
+    a = H[:, 0]
+    b = h / a
+    return b[a < -0.5].max(initial=-np.inf), b[a > 0.5].min(initial=np.inf)
 
 
 def _closest_point(P: HPolytope, z: np.ndarray) -> np.ndarray:
@@ -137,11 +146,16 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
     """Replace ``u_nom`` by the admissible input closest in the infinity norm
     (for one input, the clip onto the admissible interval) at ``state``.
 
+    A one-input step is a matrix-vector product and a clip, with no LP; a
+    step with two or more inputs still solves LPs (emptiness, and the closest
+    point when ``u_nom`` is not admissible), since those depend on the state.
     When the admissible set is empty the nominal input is clamped to the
     fallback input box and the result is annotated ``admissible_empty``.
     """
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
-    adm = admissible_inputs(sup.sys, sup.invariant, state)
+    state = np.asarray(state, dtype=float).ravel()
+    if state.shape[0] != sup.sys.n:
+        raise ValueError("state dimension mismatch")
     m = sup.sys.m
 
     def fallback() -> SuperviseResult:
@@ -151,8 +165,12 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
             admissible=Interval.EMPTY if m == 1 else None,
         )
 
+    if sup._rows is None:
+        return fallback()
+    G_u, g = sup._rows
+    rhs = g(state)
     if m == 1:
-        lo, hi = _bounds_of_1d(adm)
+        lo, hi = _interval_of(G_u, rhs)
         if lo > hi:
             # width-zero sets can cross by rounding noise; snap to the point
             if lo - hi <= 1e-7:
@@ -166,6 +184,7 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
             admissible_empty=False,
             admissible=Interval(lo, hi),
         )
+    adm = HPolytope(G_u, rhs)
     if adm.is_empty:
         return fallback()
     if adm.contains(u_nom, tol=1e-9):

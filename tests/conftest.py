@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from previewsafe import simulation
 from previewsafe.brunovsky import nonempty_ineq
 from previewsafe.geometry import HPolytope, Hyperbox, lp, polytope
 from previewsafe.systems import BrunovskyProblem
@@ -22,7 +23,8 @@ def cross_polytope(scales: np.ndarray) -> HPolytope:
 
 def count_lps(monkeypatch) -> list:
     """Count ``linprog_max`` calls from here on, the ones inside
-    ``chebyshev_center`` included; returns a one-item counter."""
+    ``chebyshev_center`` and the safety filter's closest-point LP included;
+    returns a one-item counter."""
     calls = [0]
     solve = lp.linprog_max
 
@@ -32,6 +34,7 @@ def count_lps(monkeypatch) -> list:
 
     monkeypatch.setattr(lp, "linprog_max", counted)
     monkeypatch.setattr(polytope, "linprog_max", counted)
+    monkeypatch.setattr(simulation, "linprog_max", counted)
     return calls
 
 

@@ -197,6 +197,25 @@ class TestBounds:
         assert data["inner_vol"] == 0.0
         assert data["outer_vol"] > 0.0
 
+    @pytest.mark.parametrize("p_low,preview", [("0", "0"), ("1", "1"), ("-1", "1"), ("0", "-2")])
+    def test_p_low_outside_preview_exit_two(self, p_low, preview, tmp_path, capsys):
+        # --preview 0 used to be read as 1 and print the p = 1 result
+        out = tmp_path / "bounds.json"
+        code = run([
+            "bounds", "--case", "example2", "--p-low", p_low, "--preview", preview,
+            "--samples", "2000", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert "--p-low" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_preview_means_one(self, capsys):
+        args = ["bounds", "--case", "example2", "--p-low", "0", "--samples", "2000"]
+        assert run(args) == 0
+        implicit = capsys.readouterr().out
+        assert run([*args, "--preview", "1"]) == 0
+        assert capsys.readouterr().out == implicit
+
 
 class TestSimulate:
     def test_lane_keeping_outputs(self, tmp_path):

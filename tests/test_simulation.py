@@ -4,14 +4,18 @@ import json
 import numpy as np
 import pytest
 
+from conftest import count_lps
 from previewsafe.brunovsky import closed_form, controller_g, membership
 from previewsafe.errors import RiccatiDivergedError, ScriptExhaustedError
-from previewsafe.geometry import HPolytope, Hyperbox
-from previewsafe.invariance import admissible_inputs, lift, method1
+from previewsafe.geometry import HPolytope, Hyperbox, Interval
+from previewsafe.invariance import admissible_inputs, lift, method1, method2
 from previewsafe.simulation import (
     LQRSpec,
     Supervisor,
+    _closest_point,
+    _input_box_of,
     lane_keeping,
+    load_simulation_config,
     lqr_gain,
     rollout,
     supervise,
@@ -161,12 +165,187 @@ class TestSupervise:
         # every point of the wedge has u_1 <= 0, so 0.9 is the least distance
         assert np.max(np.abs(res.u - u_nom)) == pytest.approx(0.9, abs=1e-9)
 
+    def test_two_inputs_lps_per_step(self, monkeypatch):
+        # after the build, a step solves the emptiness LP, plus the
+        # closest-point LP when the nominal input is not admissible
+        _, sup = self.make_two_input_setup()
+        calls = count_lps(monkeypatch)
+        supervise(sup, [0.0, 0.0], [-0.5, 0.0001])
+        assert calls[0] == 1
+        supervise(sup, [0.0, 0.0], [0.9, 0.3])
+        assert calls[0] == 3
+
     def test_two_inputs_admissible_passthrough(self):
         _, sup = self.make_two_input_setup()
         u_nom = np.array([-0.5, 0.0001])
         res = supervise(sup, [0.0, 0.0], u_nom)
         assert not res.supervised and not res.admissible_empty
         assert np.array_equal(res.u, u_nom)
+
+
+def reference_filter(sup, x, u_nom):
+    """The safety filter from its definition: a fresh ``admissible_inputs``
+    polytope at ``x``, its interval read row by row (m = 1) with the 1e-7
+    snap, the input box when it is empty.  Returns ``(u, supervised,
+    admissible_empty, admissible)``."""
+    u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
+    adm = admissible_inputs(sup.sys, sup.invariant, x)
+    clamped = np.minimum(np.maximum(u_nom, sup.input_box.lo), sup.input_box.hi)
+    if sup.sys.m > 1:
+        if adm.is_empty:
+            return clamped, True, True, None
+        if adm.contains(u_nom, tol=1e-9):
+            return u_nom, False, False, None
+        return _closest_point(adm, u_nom), True, False, None
+    lo, hi = -np.inf, np.inf
+    for a, b in zip(adm.H[:, 0], adm.h):
+        if a > 0.5:
+            hi = min(hi, b / a)
+        elif a < -0.5:
+            lo = max(lo, b / a)
+        elif b < -1e-9:
+            lo, hi = np.inf, -np.inf
+            break
+    if lo > hi:
+        if lo - hi > 1e-7:
+            return clamped, True, True, Interval.EMPTY
+        lo = hi = 0.5 * (lo + hi)
+    u = float(np.clip(u_nom[0], lo, hi))
+    return np.array([u]), abs(u - u_nom[0]) > 0.0, False, Interval(lo, hi)
+
+
+def bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def assert_same_as_reference(sup, x, u_nom):
+    """``supervise`` matches :func:`reference_filter` bit for bit; returns
+    the result."""
+    res = supervise(sup, x, u_nom)
+    u, supervised, empty, adm = reference_filter(sup, x, u_nom)
+    assert bits(*res.u) == bits(*u)
+    assert (res.supervised, res.admissible_empty) == (supervised, empty)
+    assert bits(res.admissible.lo, res.admissible.hi) == bits(adm.lo, adm.hi)
+    return res
+
+
+@pytest.fixture(scope="module")
+def lane_supervisors():
+    """The lane-keeping model and its supervisors augmented at p = 2 and
+    p = 5, each over the lifted no-preview set grown by Method 2."""
+    sys, _ = load_simulation_config(lane_config())
+    cmax0 = method1(sys).result
+    sups = {}
+    for p in (2, 5):
+        aug = augment(sys, p).aug
+        grown = method2(aug, lift(cmax0, sys.dist_set, p), 10).result
+        sups[p] = Supervisor(sys=aug, invariant=grown, input_box=_input_box_of(sys))
+    return sys, sups
+
+
+class TestHoistedFilter:
+    """The supervisor erodes its invariant once; every step must still give
+    what a fresh ``admissible_inputs`` polytope gives."""
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_lane_keeping_bitwise(self, p, lane_supervisors, master_seed):
+        sup = lane_supervisors[1][p]
+        rng = np.random.default_rng(master_seed)
+        center = sup.invariant.feasible_point()
+        box = sup.invariant.bounding_box()
+        steer = sup.input_box.hi[0]
+        outcomes = set()
+        for _ in range(200):
+            # inside the invariant, on its edge, and beyond it
+            t = rng.choice([0.3, 0.0, -2.0])
+            x = rng.uniform(box.lo, box.hi)
+            x = x + t * (center - x)
+            # nominal inputs around the admissible interval, when there is one
+            adm = reference_filter(sup, x, [0.0])[3]
+            lo, hi = (-steer, steer) if adm.is_empty else (adm.lo, adm.hi)
+            u_nom = rng.uniform(2 * lo - hi, 2 * hi - lo, size=1)
+            res = assert_same_as_reference(sup, x, u_nom)
+            outcomes.add((res.supervised, res.admissible_empty))
+        # passthrough, clip and fallback all occur
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+    def test_states_outside_the_safe_set_fall_back(self, lane_supervisors):
+        sup = lane_supervisors[1][2]
+        x = 10.0 * np.abs(sup.invariant.bounding_box().hi)
+        assert not sup.sys.safe.contains(np.append(x, 0.0))
+        res = assert_same_as_reference(sup, x, [0.01])
+        assert res.admissible_empty and res.admissible.is_empty
+        assert res.u[0] == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("invariant", [
+        HPolytope.from_bounds([-0.1], [0.1]),  # narrower than the disturbance
+        HPolytope.empty(1),
+    ], ids=["eroded_empty", "invariant_empty"])
+    def test_empty_erosion_falls_back(self, invariant):
+        sys = LinearSystem(
+            A=[[1.0]], B=[[1.0]], E=[[1.0]],
+            dist_set=Hyperbox.from_bounds([-0.5], [0.5]),
+            safe=HPolytope.universe(2),
+        )
+        sup = Supervisor(sys=sys, invariant=invariant, input_box=Hyperbox.cube(1, 2.0))
+        for x, u_nom in [(0.0, 0.3), (0.05, -3.0), (4.0, 5.0)]:
+            res = assert_same_as_reference(sup, [x], [u_nom])
+            assert res.admissible_empty
+            assert res.u[0] == np.clip(u_nom, -2.0, 2.0)
+        with pytest.raises(ValueError, match="state dimension"):
+            supervise(sup, [0.0, 0.0], [0.0])
+
+    def test_width_zero_interval_snaps(self):
+        # the invariant {0.1 + 0.2 <= z <= 0.3} is a point whose bounds cross
+        # by one rounding step, so every admissible interval crosses too
+        sys = LinearSystem(
+            A=[[0.0]], B=[[1.0]], E=[[1.0]],
+            dist_set=Hyperbox.from_bounds([0.0], [0.0]),
+            safe=HPolytope.universe(2),
+        )
+        invariant = HPolytope([[1.0], [-1.0]], [0.3, -(0.1 + 0.2)])
+        sup = Supervisor(sys=sys, invariant=invariant, input_box=Hyperbox.cube(1, 2.0))
+        for u_nom in (0.3, -1.0, 1.0):
+            res = assert_same_as_reference(sup, [0.7], [u_nom])
+            assert not res.admissible_empty
+            assert res.admissible.width == 0.0
+            assert 0.3 <= res.u[0] <= 0.1 + 0.2
+        # bounds crossing by more than 1e-7 are empty, not snapped
+        wide = HPolytope([[1.0], [-1.0]], [0.3, -0.3 - 2e-7])
+        sup = Supervisor(sys=sys, invariant=wide, input_box=Hyperbox.cube(1, 2.0))
+        assert assert_same_as_reference(sup, [0.7], [0.3]).admissible_empty
+
+    def test_two_inputs_match(self, master_seed):
+        rng = np.random.default_rng(master_seed)
+        sys = LinearSystem(
+            A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.5, 0.0], [0.1, 1.0]], E=np.eye(2),
+            dist_set=Hyperbox.cube(2, 0.05),
+            safe=HPolytope.from_bounds([-1, -1, -0.5, -0.5], [1, 1, 0.5, 0.5]),
+        )
+        sup = Supervisor(sys=sys, invariant=method1(sys).result, input_box=Hyperbox.cube(2, 0.5))
+        outcomes = set()
+        for _ in range(60):
+            x = rng.uniform(-1.3, 1.3, size=2)
+            u_nom = rng.uniform(-1.0, 1.0, size=2)
+            res = supervise(sup, x, u_nom)
+            u, supervised, empty, _ = reference_filter(sup, x, u_nom)
+            assert np.max(np.abs(res.u - u)) <= 1e-9
+            assert (res.supervised, res.admissible_empty) == (supervised, empty)
+            assert res.admissible is None
+            outcomes.add((supervised, empty))
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+    def test_one_input_rollout_solves_no_lp(self, lane_supervisors, monkeypatch):
+        sys, sups = lane_supervisors
+        p, sup = 5, sups[5]
+        xi = sup.invariant.feasible_point()
+        rng = np.random.default_rng(5)
+        rest = rng.uniform(sys.dist_set.lo, sys.dist_set.hi, size=(50, sys.l))
+        script = np.vstack([xi[sys.n :].reshape(p, sys.l), rest])
+        calls = count_lps(monkeypatch)
+        trace = rollout(sys, p, lambda t, x, w: np.array([0.3]), sup, xi[: sys.n], script, 50)
+        assert len(trace) == 50 and trace.supervision_count() > 0
+        assert calls[0] == 0
 
 
 class TestRollout:
