@@ -16,6 +16,16 @@ many halfspaces pile up during projections.  The optimal primal point is
 recovered from the dual multipliers (the phase-two reduced costs of the
 artificial columns).  Dantzig pricing is used until the objective stalls,
 after which Bland's rule takes over, which rules out cycling.
+
+The data must be finite: :func:`linprog_max` raises ``ValueError`` on a NaN
+or infinite entry of ``c``, ``A`` or ``b``.  Rows with offset ``+inf`` (no
+constraint) or ``-inf`` (empty set) are settled before any LP, as
+:class:`~previewsafe.geometry.polytope.HPolytope` does at construction.
+
+On tableaux of a few rows by ~100 columns numpy call overhead outweighs the
+arithmetic, so a pivot makes few calls and allocates little: prices and
+right-hand side are views into the tableau, and the ratio test writes into
+buffers made once per solve.
 """
 
 from __future__ import annotations
@@ -61,14 +71,14 @@ class _DualOutcome(Enum):
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    piv = T[row, col]
-    T[row] /= piv
+    prow = T[row]
+    prow /= prow[col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * prow
     # keep the pivot column numerically clean
     T[:, col] = 0.0
-    T[row, col] = 1.0
+    prow[col] = 1.0
 
 
 def _run_simplex(
@@ -87,28 +97,33 @@ def _run_simplex(
     stall = 0
     best = T[cost_row, -1]
     max_iter = 500 + 50 * (ncols + nrows)
+    # views into T: every pivot updates T in place, so they stay current
+    costs = T[cost_row, :ncols]
+    last = T[:nrows, -1]
+    rhs = np.empty(nrows)
+    ratios = np.empty(nrows)
+    ok = np.empty(nrows, dtype=bool)
     for _ in range(max_iter):
-        costs = T[cost_row, :ncols]
         if bland:
-            neg = np.flatnonzero(costs < -tol)
+            neg = (costs < -tol).nonzero()[0]
             if neg.size == 0:
                 return _DualOutcome.OPTIMAL
             col = int(neg[0])
         else:
-            col = int(np.argmin(costs))
+            col = int(costs.argmin())
             if costs[col] >= -tol:
                 return _DualOutcome.OPTIMAL
         column = T[:nrows, col]
-        rhs = np.maximum(T[:nrows, -1], 0.0)
-        ok = column > tol
-        if not np.any(ok):
+        np.greater(column, tol, out=ok)
+        np.maximum(last, 0.0, out=rhs)
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=ok)
+        rmin = np.minimum.reduce(ratios)
+        if rmin == np.inf and not ok.any():
             return _DualOutcome.UNBOUNDED
-        ratios = np.full(nrows, np.inf)
-        ratios[ok] = rhs[ok] / column[ok]
-        rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + 1e-12)
+        ties = (ratios <= rmin + 1e-12).nonzero()[0]
         # smallest basis label on ties; deterministic and anti-cycling friendly
-        row = int(ties[np.argmin(basis[ties])])
+        row = int(ties[0]) if ties.size == 1 else int(ties[basis[ties].argmin()])
         _pivot(T, row, col)
         basis[row] = col
         if T[cost_row, -1] > best + 1e-12:
@@ -130,18 +145,19 @@ def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, tol: float):
     """
     d, m = M.shape
     sign = np.where(rhs < 0.0, -1.0, 1.0)
-    M = M * sign[:, None]
     rhs = rhs * sign
 
     # columns: m originals | d artificials | rhs; rows: d constraints,
     # phase-2 cost, phase-1 cost
     T = np.zeros((d + 2, m + d + 1))
-    T[:d, :m] = M
+    np.multiply(M, sign[:, None], out=T[:d, :m])
     T[:d, m : m + d] = np.eye(d)
     T[:d, -1] = rhs
     T[d, :m] = g
-    # phase-1 reduced costs after pricing out the artificial basis
-    T[d + 1, :m] = -M.sum(axis=0)
+    # phase-1 reduced costs after pricing out the artificial basis; summed
+    # from the C-ordered tableau, so the order of the additions does not
+    # depend on the memory layout of M
+    T[d + 1, :m] = -T[:d, :m].sum(axis=0)
     T[d + 1, -1] = -rhs.sum()
     basis = np.arange(m, m + d)
 
@@ -170,7 +186,11 @@ def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, tol: float):
 def linprog_max(
     c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float = EPS_LP
 ) -> LPResult:
-    """Maximize ``c @ x`` subject to ``A @ x <= b`` with ``x`` free."""
+    """Maximize ``c @ x`` subject to ``A @ x <= b`` with ``x`` free.
+
+    Raises ``ValueError`` when ``c``, ``A`` or ``b`` has a NaN or infinite
+    entry.
+    """
     c = np.asarray(c, dtype=float).ravel()
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -179,20 +199,22 @@ def linprog_max(
     m, d = A.shape
     if c.shape[0] != d or b.shape[0] != m:
         raise ValueError("inconsistent LP shapes")
+    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("LP data must be finite")
 
     if m == 0:
         if np.all(np.abs(c) <= tol):
             return LPResult(LPStatus.OPTIMAL, 0.0, np.zeros(d))
         return LPResult(LPStatus.UNBOUNDED, np.inf, None)
 
-    outcome, objective, point = _solve_dual(A.T.copy(), c.copy(), b.copy(), tol)
+    outcome, objective, point = _solve_dual(A.T, c, b, tol)
     if outcome is _DualOutcome.OPTIMAL:
         return LPResult(LPStatus.OPTIMAL, objective, point)
     if outcome is _DualOutcome.UNBOUNDED:
         # dual unbounded below means the primal is infeasible
         return LPResult(LPStatus.INFEASIBLE, -np.inf, None)
     # dual infeasible: the primal is unbounded if feasible, empty otherwise
-    probe, _, _ = _solve_dual(A.T.copy(), np.zeros(d), b.copy(), tol)
+    probe, _, _ = _solve_dual(A.T, np.zeros(d), b, tol)
     if probe is _DualOutcome.UNBOUNDED:
         return LPResult(LPStatus.INFEASIBLE, -np.inf, None)
     return LPResult(LPStatus.UNBOUNDED, np.inf, None)

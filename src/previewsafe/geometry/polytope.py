@@ -75,7 +75,8 @@ class HPolytope:
 
     Immutable after construction; rows are unit-normalized and trivial rows
     are dropped.  ``HPolytope(np.zeros((0, d)), np.zeros(0))`` is the whole
-    space.
+    space.  ``H`` must be finite and ``h`` free of NaN (``ValueError``); an
+    offset of ``+inf`` drops its row and one of ``-inf`` makes the set empty.
     """
 
     __slots__ = ("_H", "_h", "_dim", "_empty", "_inner_point")
@@ -87,9 +88,11 @@ class HPolytope:
             raise ValueError("row count of H must match length of h")
         if H.shape[0] == 0 and H.shape[1] == 0:
             raise ValueError("ambient dimension must be positive")
+        if not np.isfinite(H).all() or np.isnan(h).any():
+            raise ValueError("H must be finite and h must not be NaN")
         self._dim = H.shape[1]
         cleaned = _clean_rows(H, h)
-        if cleaned[2]:
+        if cleaned[2] or (h == -np.inf).any():
             self._H = np.zeros((1, self._dim))
             self._h = np.array([-1.0])
             self._empty = True
@@ -257,21 +260,21 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
 
 
 def _dedupe(H: np.ndarray, h: np.ndarray):
-    """Drop exact-duplicate rows and dominated rows with equal normals."""
+    """Drop exact-duplicate rows and dominated rows with equal normals.
+
+    Rows match when they agree after rounding to 10 decimals; ``+ 0.0``
+    folds ``-0.0`` into ``0.0`` so that the byte keys compare as the values do.
+    """
     if H.shape[0] <= 1:
         return H, h
+    keys = np.round(H, 10) + 0.0
     best: dict = {}
-    order: list = []
     for i in range(H.shape[0]):
-        key = tuple(np.round(H[i], 10))
-        if key in best:
-            j = best[key]
-            if h[i] < h[j]:
-                best[key] = i
-        else:
+        key = keys[i].tobytes()
+        j = best.get(key)
+        if j is None or h[i] < h[j]:
             best[key] = i
-            order.append(key)
-    idx = [best[key] for key in order]
+    idx = list(best.values())
     return H[idx], h[idx]
 
 

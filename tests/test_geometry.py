@@ -405,6 +405,37 @@ def reference_reduce(H, h, monkeypatch):
         return polytope._reduce_arrays(H, h, np.zeros(H.shape[1]))
 
 
+def reference_dedupe(H, h):
+    """``_dedupe`` keyed on tuples of rounded scalars, one row at a time."""
+    best, order = {}, []
+    for i in range(H.shape[0]):
+        key = tuple(np.round(H[i], 10))
+        if key in best:
+            if h[i] < h[best[key]]:
+                best[key] = i
+        else:
+            best[key] = i
+            order.append(key)
+    idx = [best[key] for key in order]
+    return H[idx], h[idx]
+
+
+@pytest.mark.parametrize("seed", MASTER_SEEDS)
+def test_dedupe_matches_tuple_keys(seed):
+    # copies, copies moved below the rounding, signed zeros and offsets that
+    # tie, on the rows _reduce_arrays hands it
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        d = int(rng.integers(1, 5))
+        H = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(int(rng.integers(2, 25)), d))
+        H[rng.random(H.shape) < 0.2] = -0.0
+        pick = rng.integers(0, H.shape[0], size=H.shape[0])
+        H = np.vstack([H, H[pick] + rng.choice([0.0, 1e-12, 1e-6], size=(pick.size, 1))])
+        h = rng.choice([0.0, 1.0, 2.0], size=H.shape[0])
+        mine, ref = polytope._dedupe(H, h), reference_dedupe(H, h)
+        assert mine[0].tobytes() == ref[0].tobytes() and mine[1].tobytes() == ref[1].tobytes()
+
+
 class TestRayShotReduction:
     """The ray test only skips LPs whose answer it proves: the reduced rows
     and their order match an LP for every row."""
@@ -526,6 +557,24 @@ class TestContainment:
             assert contains_set(B, A) and contains_set(C, B) and contains_set(C, A)  # transitive chain
             if contains_set(A, B):
                 assert set_equal(A, B)  # antisymmetry under set_equal
+
+
+class TestNonFiniteData:
+    def test_minus_inf_offset_is_empty(self):
+        # used to report nonempty
+        P = HPolytope([[1.0], [-1.0]], [1.0, -np.inf])
+        assert P.is_empty
+        assert P.nrows == 1 and not P.H.any() and P.h[0] == -1.0
+
+    def test_nan_offset_raises(self):
+        # used to report nonempty while its support raised EmptySetError
+        with pytest.raises(ValueError):
+            HPolytope([[1.0], [-1.0]], [1.0, np.nan])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_normal_raises(self, bad):
+        with pytest.raises(ValueError):
+            HPolytope([[1.0, bad], [-1.0, 0.0]], [1.0, 1.0])
 
 
 class TestVolume:
