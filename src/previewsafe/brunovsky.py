@@ -15,13 +15,18 @@ b_{k,2}] and disturbance set D whose smallest enclosing box is prod_k
 
 Index conventions (the single most error-prone detail in here, so it is kept
 in one place): all math indices below are 1-based as in the derivation and
-converted to 0-based only when slicing arrays.
+converted to 0-based only when slicing arrays.  Every bound is a float
+endpoint minus a scalar float sum of disturbance-box endpoints over the
+never-previewed tail; an empty sum is 0.
 
 * pbar = min(p, n).
 * bhat_k = [b_{k,1} - sum_{i=k}^{n-pbar} c_{i,1},
-            b_{k,2} - sum_{i=k}^{n-pbar} c_{i,2}]  for k = 1..n, with empty
-  scalar sums equal to zero.  (The subtracted tail covers the never-previewed
-  steps.)
+            b_{k,2} - sum_{i=k}^{n-pbar} c_{i,2}]  for k = 1..n, empty
+  where the endpoints cross.
+* Constraint (k, j), 1 <= j < k <= n, bounds x_k + sum_{i=1}^{min(k-j, p)}
+  d_{i, k-i} by [b_{j,1} - sum_{i=p+1}^{k-j} c_{k-i,1},
+  b_{j,2} - sum_{i=p+1}^{k-j} c_{k-i,2}], summed in that order (from
+  c_{k-p-1} down to c_j).
 * The tail box B_{d,pbar} = prod_{k=n-pbar+1}^{n} [c_{k,1}, c_{k,2}]; its
   j-th coordinate (j = 1..pbar) is original coordinate n - pbar + j.
 * The preview stack v has v_j = d_{pbar-j+1, n-pbar+j}, i.e. the freshest
@@ -46,8 +51,6 @@ from .geometry import (
     Interval,
     box_vertices,
     convex_weights,
-    interval_sub,
-    interval_sum,
     project,
     set_equal,
 )
@@ -78,20 +81,23 @@ def pbar_of(problem: BrunovskyProblem) -> int:
     return min(problem.p, problem.n)
 
 
+def _ssum(values, lo_1b: int, hi_1b: int) -> float:
+    """Scalar sum of values[lo..hi], 1-based inclusive; 0 when empty."""
+    if lo_1b > hi_1b:
+        return 0.0
+    return float(np.sum(values[lo_1b - 1 : hi_1b]))
+
+
 def bhat(problem: BrunovskyProblem) -> list:
     """The tail-adjusted state bounds, one interval per k = 1..n."""
-    n = problem.n
-    pb = pbar_of(problem)
+    n, pb = problem.n, pbar_of(problem)
     blo, bhi = problem.box.lo, problem.box.hi
     clo, chi = problem.dist_box.lo, problem.dist_box.hi
     out = []
     for k in range(1, n + 1):
-        # scalar empty-sum convention: sum_{i=k}^{n-pbar} is 0 when k > n-pbar
-        lo = blo[k - 1] - float(np.sum(clo[k - 1 : n - pb]))
-        hi = bhi[k - 1] - float(np.sum(chi[k - 1 : n - pb]))
-        if lo > hi:
-            return out + [Interval.EMPTY] + [None] * (n - k)
-        out.append(Interval(lo, hi))
+        lo = blo[k - 1] - _ssum(clo, k, n - pb)
+        hi = bhi[k - 1] - _ssum(chi, k, n - pb)
+        out.append(Interval.EMPTY if lo > hi else Interval(lo, hi))
     return out
 
 
@@ -131,7 +137,7 @@ def vertex_interval(problem: BrunovskyProblem, v: np.ndarray) -> Interval:
     out = None
     for k in range(1, problem.n + 1):
         iv = bh[k - 1]
-        if iv is None or iv.is_empty:
+        if iv.is_empty:
             return Interval.EMPTY
         shifted = iv.shift(-_stack_shift(problem, v, k))
         out = shifted if out is None else out.intersect(shifted)
@@ -147,13 +153,6 @@ def nonempty_vertex(problem: BrunovskyProblem) -> bool:
         if vertex_interval(problem, v).is_empty:
             return False
     return True
-
-
-def _ssum(values, lo_1b: int, hi_1b: int) -> float:
-    """Scalar sum of values[lo..hi], 1-based inclusive; 0 when empty."""
-    if lo_1b > hi_1b:
-        return 0.0
-    return float(np.sum(values[lo_1b - 1 : hi_1b]))
 
 
 def _ineq_rhs(n: int, p: int, clo, chi, j: int, k: int) -> float:
@@ -187,7 +186,8 @@ class InvariantConstraint:
         x_k + sum_{(i, c) in dcoords} d_{i, c}  in  bound,
 
     where dcoords = [(i, k - i) for i = 1..min(k - j, p)] and bound is
-    [b_{j,1}, b_{j,2}] minus (endpoint-wise) the never-previewed tail sums.
+    [b_{j,1}, b_{j,2}] minus the never-previewed tail sums, endpoint by
+    endpoint (see the module docstring).
     """
 
     k: int
@@ -238,16 +238,17 @@ def closed_form(problem: BrunovskyProblem) -> BrunovskyInvariant:
     for k in range(2, n + 1):
         for j in range(1, k):
             dcoords = tuple((i, k - i) for i in range(1, min(k - j, p) + 1))
-            # interval empty-sum convention: no tail terms once p+1 > k-j
-            tail = interval_sum(
-                Interval(clo[k - i - 1], chi[k - i - 1]) for i in range(p + 1, k - j + 1)
-            )
-            bound = interval_sub(Interval(blo[j - 1], bhi[j - 1]), tail)
-            if bound.is_empty:
+            # tail i = p+1..k-j, summed from c_{k-p-1} down to c_j
+            tail_lo = tail_hi = 0.0
+            for c in range(k - p - 1, j - 1, -1):
+                tail_lo += clo[c - 1]
+                tail_hi += chi[c - 1]
+            lo, hi = blo[j - 1] - tail_lo, bhi[j - 1] - tail_hi
+            if lo > hi:
                 raise EmptyInvariantError(
                     "constraint bound collapsed despite the nonemptiness test"
                 )
-            records.append(InvariantConstraint(k=k, j=j, dcoords=dcoords, bound=bound))
+            records.append(InvariantConstraint(k=k, j=j, dcoords=dcoords, bound=Interval(lo, hi)))
     return BrunovskyInvariant(problem=problem, constraints=tuple(records))
 
 
@@ -388,16 +389,14 @@ def evariant_membership(
     """Membership for the matrix-disturbance variant: each previewed step is
     checked against the original set and mapped through Ebar before the
     shift-register test."""
-    if problem_v.ebar is None:
-        inv = closed_form(problem_v)
-        return membership(inv, x, d_list, tol)
+    ds = d_list
     ebar = problem_v.ebar
-    ds = [np.asarray(d, dtype=float).ravel() for d in d_list]
-    for d in ds:
-        if d.shape[0] != ebar.shape[1]:
-            raise ValueError("previewed disturbance dimension mismatch")
-        if not problem_v.dist_v.contains(d, tol):
-            return False
-    mapped = [ebar @ d for d in ds]
-    inv = closed_form(problem_v)
-    return membership(inv, x, mapped, tol)
+    if ebar is not None:
+        ds = [np.asarray(d, dtype=float).ravel() for d in d_list]
+        for d in ds:
+            if d.shape[0] != ebar.shape[1]:
+                raise ValueError("previewed disturbance dimension mismatch")
+            if not problem_v.dist_v.contains(d, tol):
+                return False
+        ds = [ebar @ d for d in ds]
+    return membership(closed_form(problem_v), x, ds, tol)

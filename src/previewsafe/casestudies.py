@@ -14,7 +14,7 @@ fixed-point machinery throughout the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -74,7 +74,7 @@ class ScalarPreviewProblem:
         )
 
     def with_preview(self, p: int) -> "ScalarPreviewProblem":
-        return ScalarPreviewProblem(self.a, self.beta, self.gamma, self.r, p)
+        return replace(self, p=p)
 
 
 def default_scalar_problem(p: int = 1) -> ScalarPreviewProblem:

@@ -98,32 +98,32 @@ def _case_system(name: str, preview: int):
     raise ConfigError(f"unknown case {name!r} (try example1/example2/example4/example5)")
 
 
-def _brunovsky_problem_from_args(args) -> BrunovskyProblem:
-    if args.system:
-        data = _load_json(args.system)
-        if "n" in data and "box" in data:
-            n = int(data["n"])
-            box = Hyperbox.from_json(data["box"])
-            dist_data = data.get("disturbance")
-            if dist_data is None:
-                raise ConfigError("brunovsky config needs a disturbance set")
-            if "H" in dist_data:
-                dist = HPolytope.from_json(dist_data)
-            else:
-                dist = Hyperbox.from_json(dist_data)
-            p = int(args.preview if args.preview is not None else data.get("preview", 0))
-            return BrunovskyProblem.create(n, box, dist, p)
-        raise ConfigError("check expects a shift-register config with n/box/disturbance")
-    if args.n is None or args.c is None:
-        raise ConfigError("check needs either --system FILE or --n and --c")
-    n = int(args.n)
-    p = int(args.preview or 0)
-    box = Hyperbox.cube(n, float(args.box_halfwidth))
-    return BrunovskyProblem.create(n, box, Hyperbox.cube(n, float(args.c)), p)
+def _brunovsky_problem(data: dict, preview) -> BrunovskyProblem:
+    """The problem of a parsed shift-register config; ``preview``, unless None,
+    overrides the config's own."""
+    n = int(data["n"])
+    box = Hyperbox.from_json(data["box"])
+    dist_data = data.get("disturbance")
+    if dist_data is None:
+        raise ConfigError("brunovsky config needs a disturbance set")
+    dist = HPolytope.from_json(dist_data) if "H" in dist_data else Hyperbox.from_json(dist_data)
+    p = int(preview if preview is not None else data.get("preview", 0))
+    return BrunovskyProblem.create(n, box, dist, p)
 
 
 def cmd_check(args) -> int:
-    problem = _brunovsky_problem_from_args(args)
+    if args.system:
+        data = _load_json(args.system)
+        if "n" not in data or "box" not in data:
+            raise ConfigError("check expects a shift-register config with n/box/disturbance")
+        problem = _brunovsky_problem(data, args.preview)
+    elif args.n is None or args.c is None:
+        raise ConfigError("check needs either --system FILE or --n and --c")
+    else:
+        n = int(args.n)
+        p = int(args.preview or 0)
+        box = Hyperbox.cube(n, float(args.box_halfwidth))
+        problem = BrunovskyProblem.create(n, box, Hyperbox.cube(n, float(args.c)), p)
     ineq = bk.nonempty_ineq(problem)
     verdict = {"nonempty": ineq, "n": problem.n, "p": problem.p, "test": "inequality"}
     try:
@@ -143,7 +143,7 @@ def cmd_invariant(args) -> int:
     elif args.system:
         data = _load_json(args.system)
         if "n" in data and "box" in data and "A" not in data:
-            problem = _brunovsky_problem_from_args(args)
+            problem = _brunovsky_problem(data, args.preview)
             sys_ = problem.system()
             if args.closed_form:
                 inv = bk.closed_form(problem)

@@ -1,14 +1,6 @@
 """Polyhedral and interval kernel: intervals, hyperboxes, H-polytopes, LPs."""
 
-from .interval import (
-    Hyperbox,
-    Interval,
-    box_vertices,
-    convex_weights,
-    interval_add,
-    interval_sub,
-    interval_sum,
-)
+from .interval import Hyperbox, Interval, box_vertices, convex_weights
 from .lp import EPS_LP, LPResult, LPStatus, chebyshev_center, linprog_max
 from .polytope import (
     EPS_SET,
@@ -24,9 +16,6 @@ from .polytope import (
 __all__ = [
     "Interval",
     "Hyperbox",
-    "interval_add",
-    "interval_sub",
-    "interval_sum",
     "box_vertices",
     "convex_weights",
     "EPS_LP",

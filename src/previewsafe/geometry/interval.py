@@ -1,15 +1,8 @@
-"""Intervals and hyperboxes with the endpoint-wise calculus used in this package.
+"""Closed intervals and axis-aligned hyperboxes.
 
-The arithmetic here is endpoint-wise, not Minkowski:
-
-    [a, b] + [c, d] = [a + c, b + d]
-    [a, b] - [c, d] = [a - c, b - d]
-
-An empty sum of intervals is the distinguished empty interval, and the empty
-interval is absorbed by subtraction, ``I - EMPTY = I``.  An empty sum of
-scalars is plainly ``0``; plain ``sum()`` already does the right thing there.
-These conventions are load-bearing for the closed-form invariant-set
-constraints, so they are implemented exactly and tested directly.
+An interval is a pair of float endpoints with one distinguished empty value;
+bounds built from sums of endpoints are plain float sums, where an empty sum
+is ``0``.
 """
 
 from __future__ import annotations
@@ -17,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,9 +24,6 @@ from ..errors import (
 __all__ = [
     "Interval",
     "Hyperbox",
-    "interval_add",
-    "interval_sub",
-    "interval_sum",
     "box_vertices",
     "convex_weights",
 ]
@@ -91,7 +81,7 @@ class Interval:
         return Interval(self.lo + c, self.hi + c)
 
     def intersect(self, other: "Interval") -> "Interval":
-        """Set intersection (not part of the endpoint-wise algebra)."""
+        """Set intersection."""
         if self.is_empty or other.is_empty:
             return Interval.EMPTY
         lo = max(self.lo, other.lo)
@@ -117,40 +107,6 @@ class Interval:
 
 
 Interval.EMPTY = Interval(math.nan, math.nan)
-
-
-def interval_add(a: Interval, b: Interval) -> Interval:
-    """Endpoint-wise sum; the empty interval is absorbing."""
-    if a.is_empty or b.is_empty:
-        return Interval.EMPTY
-    return Interval(a.lo + b.lo, a.hi + b.hi)
-
-
-def interval_sub(a: Interval, b: Interval) -> Interval:
-    """Endpoint-wise difference ``[a.lo - b.lo, a.hi - b.hi]``.
-
-    Subtracting the empty interval returns ``a`` unchanged; an endpoint
-    crossing (``lo > hi``) yields the empty interval.
-    """
-    if a.is_empty:
-        return Interval.EMPTY
-    if b.is_empty:
-        return a
-    lo = a.lo - b.lo
-    hi = a.hi - b.hi
-    if lo > hi:
-        return Interval.EMPTY
-    return Interval(lo, hi)
-
-
-def interval_sum(items: Iterable[Interval]) -> Interval:
-    """Endpoint-wise sum of a sequence; an empty sequence sums to EMPTY."""
-    total = None
-    for item in items:
-        total = item if total is None else interval_add(total, item)
-    if total is None:
-        return Interval.EMPTY
-    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,9 +195,6 @@ class Hyperbox:
             raise EmptySetError("cannot sample an empty hyperbox")
         u = rng.random((count, self.dim))
         return self.lo + u * (self.hi - self.lo)
-
-    def cartesian(self, other: "Hyperbox") -> "Hyperbox":
-        return Hyperbox(self.intervals + other.intervals)
 
     def to_json(self) -> dict:
         if self.is_empty:

@@ -444,7 +444,9 @@ def _find_gap_state(seed: HPolytope, grown: HPolytope, slack_tol: float = 1e-4):
     """LP search of grown \\ seed: maximize each seed facet over the grown set
     and keep the deepest violation, backed off toward the interior of the
     grown set (a boundary vertex would start the rollout with degenerate
-    admissible sets)."""
+    admissible sets).  A later facet replaces an earlier one only when its
+    violation is deeper by more than 1e-9, so last-bit changes in the model
+    do not switch facets."""
     best_slack = -np.inf
     best_point = None
     best_row = None
@@ -453,7 +455,7 @@ def _find_gap_state(seed: HPolytope, grown: HPolytope, slack_tol: float = 1e-4):
         if res.point is None:
             continue
         slack = res.objective - seed.h[i]
-        if slack > best_slack:
+        if slack > best_slack + 1e-9:
             best_slack, best_point, best_row = slack, res.point, i
     if best_point is None or best_slack <= slack_tol:
         return None, None

@@ -12,7 +12,7 @@ projections treat them as genuinely free variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -233,10 +233,7 @@ class BrunovskyProblem:
         return augment(self.system(), self.p)
 
     def with_preview(self, p: int) -> "BrunovskyProblem":
-        return BrunovskyProblem(
-            n=self.n, box=self.box, dist=self.dist, dist_box=self.dist_box, p=p,
-            ebar=self.ebar, dist_v=self.dist_v,
-        )
+        return replace(self, p=p)
 
 
 def evariant(
@@ -285,9 +282,7 @@ def evariant(
         problem = BrunovskyProblem.create(n, box, image, p)
     except UnboundedError as exc:
         raise ImageNotExactError("the disturbance image is not a polytope") from exc
-    object.__setattr__(problem, "ebar", _frozen(ebar))
-    object.__setattr__(problem, "dist_v", dist_v)
-    return problem
+    return replace(problem, ebar=_frozen(ebar), dist_v=dist_v)
 
 
 def _set_to_config(S) -> dict:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_valid_problem
+from conftest import cross_polytope, random_valid_problem
 from previewsafe.brunovsky import (
+    BrunovskyInvariant,
+    InvariantConstraint,
+    _stack_shift,
+    bhat,
     closed_form,
     collapse,
     controller_g,
@@ -14,11 +18,19 @@ from previewsafe.brunovsky import (
     preview_stack,
     projection_identity,
     safe_input_interval,
+    tail_box,
     to_hpolytope,
     vertex_interval,
 )
 from previewsafe.errors import EmptyInvariantError, InvalidParametersError
-from previewsafe.geometry import HPolytope, Hyperbox, set_equal
+from previewsafe.geometry import (
+    HPolytope,
+    Hyperbox,
+    Interval,
+    box_vertices,
+    convex_weights,
+    set_equal,
+)
 from previewsafe.invariance import admissible_inputs, is_invariant, method1
 from previewsafe.systems import BrunovskyProblem, augment, evariant, step
 
@@ -410,3 +422,167 @@ class TestEVariant:
                 # shell around the boundary
                 slack = np.max(rep.result.H @ point - rep.result.h)
                 assert abs(slack) < 1e-6
+
+
+# References: closed_form, bhat and the controller as they were computed on
+# an endpoint-wise interval algebra (an empty interval sum is EMPTY, and
+# subtracting EMPTY is the identity).  The float endpoint sums that replaced
+# them must reproduce every bit.
+
+
+def _ref_interval_add(a, b):
+    if a.is_empty or b.is_empty:
+        return Interval.EMPTY
+    return Interval(a.lo + b.lo, a.hi + b.hi)
+
+
+def _ref_interval_sub(a, b):
+    if a.is_empty:
+        return Interval.EMPTY
+    if b.is_empty:
+        return a
+    lo = a.lo - b.lo
+    hi = a.hi - b.hi
+    if lo > hi:
+        return Interval.EMPTY
+    return Interval(lo, hi)
+
+
+def _ref_interval_sum(items):
+    total = None
+    for item in items:
+        total = item if total is None else _ref_interval_add(total, item)
+    if total is None:
+        return Interval.EMPTY
+    return total
+
+
+def reference_bhat(problem):
+    n = problem.n
+    pb = min(problem.p, problem.n)
+    blo, bhi = problem.box.lo, problem.box.hi
+    clo, chi = problem.dist_box.lo, problem.dist_box.hi
+    out = []
+    for k in range(1, n + 1):
+        lo = blo[k - 1] - float(np.sum(clo[k - 1 : n - pb]))
+        hi = bhi[k - 1] - float(np.sum(chi[k - 1 : n - pb]))
+        if lo > hi:
+            return out + [Interval.EMPTY] + [None] * (n - k)
+        out.append(Interval(lo, hi))
+    return out
+
+
+def reference_vertex_interval(problem, v):
+    bh = reference_bhat(problem)
+    out = None
+    for k in range(1, problem.n + 1):
+        iv = bh[k - 1]
+        if iv is None or iv.is_empty:
+            return Interval.EMPTY
+        shifted = iv.shift(-_stack_shift(problem, v, k))
+        out = shifted if out is None else out.intersect(shifted)
+        if out.is_empty:
+            return Interval.EMPTY
+    return out
+
+
+def reference_closed_form(problem):
+    if not nonempty_ineq(problem):
+        raise EmptyInvariantError("no nonempty controlled invariant set exists")
+    n, p = problem.n, problem.p
+    blo, bhi = problem.box.lo, problem.box.hi
+    clo, chi = problem.dist_box.lo, problem.dist_box.hi
+    records = []
+    for k in range(2, n + 1):
+        for j in range(1, k):
+            dcoords = tuple((i, k - i) for i in range(1, min(k - j, p) + 1))
+            tail = _ref_interval_sum(
+                Interval(clo[k - i - 1], chi[k - i - 1]) for i in range(p + 1, k - j + 1)
+            )
+            bound = _ref_interval_sub(Interval(blo[j - 1], bhi[j - 1]), tail)
+            if bound.is_empty:
+                raise EmptyInvariantError(
+                    "constraint bound collapsed despite the nonemptiness test"
+                )
+            records.append(InvariantConstraint(k=k, j=j, dcoords=dcoords, bound=bound))
+    return BrunovskyInvariant(problem=problem, constraints=tuple(records))
+
+
+def reference_controller_g(problem, d_list):
+    v = preview_stack(problem, d_list)
+    box = tail_box(problem)
+    mids = {}
+    for e in box_vertices(box):
+        iv = reference_vertex_interval(problem, e)
+        if iv.is_empty:
+            raise EmptyInvariantError("a tail-vertex safe-input interval is empty")
+        mids[tuple(e)] = iv.mid
+    u = 0.0
+    for vertex, weight in convex_weights(box, v):
+        u += weight * mids[tuple(vertex)]
+    return float(u)
+
+
+def reference_problems(seed, per_n, n_max=12):
+    """Seeded problems with n = 1..n_max and p = 0..n+1: asymmetric boxes and
+    disturbance boxes (cross-polytopes for n <= 6), from tiny disturbances
+    (long nonempty tails) to ones too large for any invariant set."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, n_max + 1):
+        for t in range(per_n):
+            p = t % (n + 2)
+            box = Hyperbox.from_bounds(-(0.5 + rng.random(n)), 0.5 + rng.random(n))
+            width = [0.3 / n, 1.0 / n, 0.5][t % 3]
+            if n <= 6 and t % 4 == 1:
+                dist = cross_polytope(0.01 + width * rng.random(n))
+            else:
+                dist = Hyperbox.from_bounds(-width * rng.random(n), width * rng.random(n))
+            yield BrunovskyProblem.create(n, box, dist, p)
+
+
+def _bits(iv):
+    return "EMPTY" if iv.is_empty else (iv.lo.hex(), iv.hi.hex())
+
+
+def _records_or_error(build, problem):
+    try:
+        inv = build(problem)
+    except EmptyInvariantError as exc:
+        return str(exc)
+    return [(r.k, r.j, r.dcoords, _bits(r.bound)) for r in inv.constraints]
+
+
+class TestFloatSumsMatchIntervalAlgebra:
+    def test_closed_form_records_bitwise(self):
+        longest, empty, total = 0, 0, 0
+        for prob in reference_problems(91, per_n=14):
+            got = _records_or_error(closed_form, prob)
+            assert got == _records_or_error(reference_closed_form, prob)
+            if isinstance(got, str):
+                empty += 1
+            else:
+                total += len(got)
+                longest = max([longest] + [k - j - prob.p for k, j, _, _ in got])
+        # tails long enough that np.sum's pairwise order would show, and
+        # empty cases on both paths
+        assert longest >= 8 and empty >= 10 and total >= 1000
+
+    def test_bhat_bitwise(self):
+        for prob in reference_problems(92, per_n=14):
+            got, ref = bhat(prob), reference_bhat(prob)
+            assert len(got) == prob.n and all(isinstance(iv, Interval) for iv in got)
+            cut = next((k + 1 for k, iv in enumerate(ref) if iv.is_empty), prob.n)
+            assert [_bits(iv) for iv in got[:cut]] == [_bits(iv) for iv in ref[:cut]]
+
+    def test_controller_g_bitwise(self):
+        rng = np.random.default_rng(93)
+        calls = 0
+        for prob in reference_problems(94, per_n=7, n_max=5):
+            if not nonempty_ineq(prob):
+                continue
+            for _ in range(2):
+                d_list = [rng.uniform(prob.dist_box.lo, prob.dist_box.hi) for _ in range(prob.p)]
+                got = controller_g(prob, d_list)
+                assert got.hex() == reference_controller_g(prob, d_list).hex()
+                calls += 1
+        assert calls >= 40

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import previewsafe
+from previewsafe import cli
 from previewsafe.cli import EXIT_USAGE, build_parser, main
 from previewsafe.geometry import HPolytope, set_equal
 from previewsafe.jsonio import dumps_17g
@@ -98,6 +99,28 @@ class TestInvariant:
         assert run(["invariant", "--system", str(mat_cfg), "--out", str(rep_out)]) == 0
         result = HPolytope.from_json(json.loads(rep_out.read_text())["result"])
         assert set_equal(result, to_hpolytope(cf(prob)))
+
+
+    def test_closed_form_reads_the_config_once(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(dumps_17g({
+            "n": 2,
+            "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+            "disturbance": {"lo": [-0.2, -0.2], "hi": [0.2, 0.2]},
+            "preview": 1,
+        }))
+        paths = []
+        load = cli._load_json
+
+        def counted(path):
+            paths.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli, "_load_json", counted)
+        out = tmp_path / "closed.json"
+        assert run(["invariant", "--system", str(cfg), "--closed-form", "--out", str(out)]) == 0
+        assert paths == [str(cfg)]
+        assert json.loads(out.read_text())["p"] == 1
 
 
 class TestSweep:

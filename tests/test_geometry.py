@@ -17,9 +17,6 @@ from previewsafe.geometry import (
     box_vertices,
     contains_set,
     convex_weights,
-    interval_add,
-    interval_sub,
-    interval_sum,
     pontryagin_diff,
     project,
     reduce_rows,
@@ -32,41 +29,9 @@ MASTER_SEEDS = [11, 222, 3333]
 
 
 class TestInterval:
-    def test_add(self):
-        assert interval_add(Interval(1, 2), Interval(3, 4)) == Interval(4, 6)
-        assert interval_add(Interval(0, 0), Interval(-1, 1)) == Interval(-1, 1)
-
-    def test_empty_sum_convention(self):
-        assert interval_sum([]).is_empty
-        assert interval_sum([Interval(1, 2), Interval(-1, 0)]) == Interval(0, 2)
-
-    def test_sub_endpointwise(self):
-        assert interval_sub(Interval(-1, 1), Interval(-0.2, 0.2)) == Interval(-0.8, 0.8)
-        assert interval_sub(Interval(0, 1), Interval(0, 1)) == Interval(0, 0)
-
-    def test_sub_empty_is_identity(self):
-        assert interval_sub(Interval(-1, 1), Interval.EMPTY) == Interval(-1, 1)
-
-    def test_sub_crossing_returns_empty(self):
-        assert interval_sub(Interval(0, 1), Interval(-2, 2)).is_empty
-
-    def test_empty_absorbs_add(self):
-        assert interval_add(Interval.EMPTY, Interval(0, 1)).is_empty
-
     def test_invalid_constructor(self):
         with pytest.raises(ValueError):
             Interval(1.0, 0.0)
-
-    def test_group_action(self):
-        # (a + b) - b = a for nonempty intervals
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            lo1, lo2 = rng.normal(size=2)
-            a = Interval(lo1, lo1 + rng.random())
-            b = Interval(lo2, lo2 + rng.random())
-            back = interval_sub(interval_add(a, b), b)
-            assert back.lo == pytest.approx(a.lo, abs=1e-12)
-            assert back.hi == pytest.approx(a.hi, abs=1e-12)
 
     def test_scale_and_shift(self):
         assert Interval(-1, 2).shift(1.0) == Interval(0, 3)

@@ -13,6 +13,7 @@ from previewsafe.simulation import (
     LQRSpec,
     Supervisor,
     _closest_point,
+    _find_gap_state,
     _input_box_of,
     lane_keeping,
     load_simulation_config,
@@ -458,6 +459,25 @@ class TestSafetySoundness:
                 )
                 if not emptied:
                     assert trace.all_safe
+
+
+class TestGapState:
+    # grown = [-2, 2]^2; facets x <= 1 and y <= h1 have slacks 1 and 2 - h1,
+    # the other two none
+    @staticmethod
+    def gap_normal(h1):
+        seed = HPolytope([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, h1, 2.0, 2.0])
+        grown = HPolytope.from_bounds([-2.0, -2.0], [2.0, 2.0])
+        point, normal = _find_gap_state(seed, grown)
+        assert not seed.contains(point) and grown.contains(point)
+        return normal.tolist()
+
+    def test_near_tie_keeps_the_earlier_facet(self):
+        # the later facet is deeper by ~1e-15, a last-bit difference
+        assert self.gap_normal(1.0 - 1e-15) == [1.0, 0.0]
+
+    def test_clearly_deeper_later_facet_wins(self):
+        assert self.gap_normal(1.0 - 1e-6) == [0.0, 1.0]
 
 
 class TestLaneKeeping:
