@@ -244,17 +244,31 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if res.gap_found else EXIT_EMPTY
 
 
+def _at_least(low, kind):
+    """An argparse ``type`` that parses a ``kind`` number and rejects one
+    below ``low`` (NaN included), so that a bad flag exits 2 at parse time."""
+
+    def parse(text):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 # Shared flag specs; each subcommand declares only the flags it reads.
 _FLAGS = {
     "--case": {"help": "canned case name (example1/2/4/5, lane_keeping)"},
     "--system": {"help": "system or problem config file (JSON)"},
-    "--preview": {"type": int, "help": "preview time p"},
-    "--max-iter": {"type": int, "default": 200},
+    "--preview": {"type": _at_least(0, int), "help": "preview time p"},
+    "--max-iter": {"type": _at_least(1, int), "default": 200},
     "--seed": {"type": int, "default": 0},
     "--out": {"help": "output path (default stdout)"},
     "--format": {"choices": ["json", "csv"], "default": "json"},
-    "--box-halfwidth": {"type": float, "default": 1.0},
-    "--K": {"type": int, "default": 10, "help": "method 2 iteration budget"},
+    "--box-halfwidth": {"type": _at_least(0.0, float), "default": 1.0},
+    "--K": {"type": _at_least(0, int), "default": 10, "help": "method 2 iteration budget"},
 }
 
 
@@ -275,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("check", cmd_check, "nonemptiness verdict (shift-register form)",
                 "--system", "--preview", "--out", "--format", "--box-halfwidth")
-    p.add_argument("--n", type=int, help="state dimension for --c parametrization")
-    p.add_argument("--c", type=float, help="symmetric disturbance halfwidth")
+    p.add_argument("--n", type=_at_least(1, int), help="state dimension for --c parametrization")
+    p.add_argument("--c", type=_at_least(0.0, float), help="symmetric disturbance halfwidth")
 
     p = command("invariant", cmd_invariant, "compute an invariant set",
                 "--case", "--system", "--preview", "--max-iter", "--out", "--K")
@@ -286,17 +300,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sweep-c", cmd_sweep_c, "largest disturbance bound per preview time",
                 "--out", "--box-halfwidth")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p-max", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1, int), required=True)
+    p.add_argument("--p-max", type=_at_least(0, int), required=True)
 
     p = command("bounds", cmd_bounds, "inner/outer preview volume bounds",
                 "--case", "--system", "--preview", "--max-iter", "--seed", "--out", "--format")
     p.add_argument("--p-low", type=int, required=True)
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--samples", type=_at_least(1, int), default=200_000)
 
     p = command("simulate", cmd_simulate, "supervised rollouts with/without preview",
                 "--case", "--system", "--preview", "--max-iter", "--seed", "--out", "--K")
-    p.add_argument("--T", type=int, default=100)
+    p.add_argument("--T", type=_at_least(0, int), default=100)
 
     return parser
 
@@ -304,7 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors (2) and --help (0) as exit codes
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -13,7 +13,8 @@ intermediate row counts under control.  Redundancy and containment are
 certified by linear programs solved by :mod:`previewsafe.geometry.lp`; a
 cheap geometric pre-check settles a row first when it proves what the LP
 would answer (a ray from an interior point for irredundancy, a shared row for
-containment).
+containment).  A row whose support over the box of the kept axis-aligned
+rows is at most its offset is dropped as redundant without an LP.
 """
 
 from __future__ import annotations
@@ -185,7 +186,9 @@ class HPolytope:
         direction = np.asarray(direction, dtype=float).ravel()
         return linprog_max(direction, self._H, self._h)
 
-    def intersect(self, other: "HPolytope") -> "HPolytope":
+    def intersect(self, other) -> "HPolytope":
+        """Intersection; ``other`` may be an HPolytope or a Hyperbox."""
+        other = _as_polytope(other)
         if other.dim != self._dim:
             raise ValueError("dimension mismatch in intersection")
         return HPolytope(
@@ -278,20 +281,17 @@ def _dedupe(H: np.ndarray, h: np.ndarray):
     return H[idx], h[idx]
 
 
-def _ray_certified(H: np.ndarray, h: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Rows proven irredundant by a ray from the interior point ``center``.
+def _ray_certified(H: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows proven irredundant by a ray from an interior point.
 
-    With slacks ``s = h - H @ center``, the point ``center + t H_i`` meets
-    every other row while ``t <= s_j / (H_j @ H_i)`` for each ``j`` with
-    ``H_j @ H_i > 0``.  When that bound exceeds ``s_i + _RAY_MARGIN``, the
-    ray leaves row ``i`` by the margin inside all the others, so the
-    redundancy LP for row ``i`` would keep it.  Only applies when ``center``
-    is strictly interior by the margin; otherwise no row is certified.
+    ``s`` holds the slacks ``h - H @ center`` of a point interior by more
+    than ``_RAY_MARGIN``.  The point ``center + t H_i`` meets every other row
+    while ``t <= s_j / (H_j @ H_i)`` for each ``j`` with ``H_j @ H_i > 0``.
+    When that bound exceeds ``s_i + _RAY_MARGIN``, the ray leaves row ``i``
+    by the margin inside all the others, so the redundancy LP for row ``i``
+    would keep it.
     """
     m = H.shape[0]
-    s = h - H @ center
-    if s.min() <= _RAY_MARGIN:
-        return np.zeros(m, dtype=bool)
     certified = np.empty(m, dtype=bool)
     for start in range(0, m, _GRAM_BLOCK):
         stop = min(start + _GRAM_BLOCK, m)
@@ -302,23 +302,94 @@ def _ray_certified(H: np.ndarray, h: np.ndarray, center: np.ndarray) -> np.ndarr
     return certified
 
 
+class _AxisBox:
+    """Box cut out by the kept axis-aligned rows, a redundancy certificate.
+
+    A row is axis-aligned when exactly one entry ``H_jk`` is nonzero; it
+    bounds ``x_k`` (``H_jk > 0``) or ``-x_k`` (``H_jk < 0``) from above by
+    ``h_j / |H_jk|``.  Row ``i`` is redundant when its support over the box of
+    the other kept axis rows, ``sum_k |a_k| u_k`` over the nonzero ``a_k``
+    (``u_k`` the bound on ``sign(a_k) x_k``), is at most ``h_i``: the
+    redundancy LP sees those rows too, so its optimum is no larger and it
+    would drop the row.  A missing bound is ``+inf``, so a needed one gives
+    no certificate, and summing the nonzero ``a_k`` only never forms
+    ``0 * inf``.
+    """
+
+    def __init__(self, H: np.ndarray, h: np.ndarray):
+        self._H = H
+        self._h = h
+        m, d = H.shape
+        rows = np.flatnonzero(np.count_nonzero(H, axis=1) == 1)
+        self._axis = np.full(m, -1)
+        self._axis[rows] = np.arange(rows.size)
+        col = np.argmax(H[rows] != 0.0, axis=1)
+        coef = H[rows, col]
+        # bound slot k holds the bound on x_k, slot d + k the one on -x_k
+        self._slot = col + d * (coef < 0.0)
+        self._scale = np.abs(coef)
+        self._bound = h[rows] / self._scale
+        self._alive = np.ones(rows.size, dtype=bool)
+        self._ub = np.full(2 * d, np.inf)
+        np.minimum.at(self._ub, self._slot, self._bound)
+
+    def _tightest(self, slot: int, skip: int = -1) -> float:
+        """Tightest bound in ``slot`` from the kept axis rows other than
+        axis row ``skip``."""
+        mask = self._alive & (self._slot == slot)
+        if skip >= 0:
+            mask[skip] = False
+        return self._bound[mask].min() if mask.any() else np.inf
+
+    def implies(self, i: int) -> bool:
+        """True when the box proves row ``i`` redundant."""
+        k = self._axis[i]
+        if k >= 0:
+            return bool(self._scale[k] * self._tightest(self._slot[k], skip=k) <= self._h[i])
+        nz = np.flatnonzero(self._H[i])
+        coef = self._H[i, nz]
+        slots = nz + self._H.shape[1] * (coef < 0.0)
+        return bool(np.abs(coef) @ self._ub[slots] <= self._h[i])
+
+    def drop(self, i: int) -> None:
+        """Row ``i`` left the system; rebuild the bound it may have set."""
+        k = self._axis[i]
+        if k >= 0:
+            self._alive[k] = False
+            self._ub[self._slot[k]] = self._tightest(self._slot[k])
+
+
 def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
     """LP-certified irredundant subsystem of an H-system.
 
-    ``center`` is a point of the set (a Chebyshev centre); rows that a ray
-    from it proves irredundant skip their LP, and every other row gets the LP
-    against the rows still kept.  Returns ``None`` when an LP certifies exact
-    infeasibility (which can happen for sets the tolerance-based emptiness
-    test calls nonempty).
+    Rows have unit norm, as ``HPolytope`` and ``_clean_rows`` leave them
+    (the ray test measures distances along them).  ``center`` is a point of
+    the set (a Chebyshev centre).  When it is interior by ``_RAY_MARGIN``,
+    rows that a ray from it proves irredundant are kept and rows that the
+    box of the kept axis-aligned rows proves redundant are dropped, each
+    without an LP; every other row gets the LP against the rows still kept.
+    Returns ``None`` when an LP certifies exact infeasibility (which can
+    happen for sets the tolerance-based emptiness test calls nonempty, and
+    never with an interior centre).
     """
     H, h = _dedupe(H, h)
     m = H.shape[0]
     if m <= 1:
         return H, h
-    certified = _ray_certified(H, h, center)
+    s = h - H @ center
+    if s.min() > _RAY_MARGIN:
+        certified = _ray_certified(H, s)
+        box = _AxisBox(H, h)
+    else:
+        certified = np.zeros(m, dtype=bool)
+        box = None
     keep = np.ones(m, dtype=bool)
     for i in range(m):
         if certified[i]:
+            continue
+        if box is not None and box.implies(i):
+            keep[i] = False
+            box.drop(i)
             continue
         idx = np.flatnonzero(keep)
         b_test = h[idx].copy()
@@ -327,6 +398,8 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
         res = linprog_max(H[i], H[idx], b_test)
         if res.status is LPStatus.OPTIMAL and res.objective <= h[i] + _RED_TOL:
             keep[i] = False
+            if box is not None:
+                box.drop(i)
         elif res.status is LPStatus.INFEASIBLE:
             return None
     return H[keep], h[keep]
@@ -468,8 +541,10 @@ def volume(P, seed: int = 0, samples: int = 100_000) -> float:
 
     The Monte Carlo estimate samples uniformly inside the bounding box and is
     deterministic for a given ``seed``.  Unbounded sets raise
-    :class:`UnboundedError`.
+    :class:`UnboundedError`, and ``samples < 1`` raises ``ValueError``.
     """
+    if samples < 1:
+        raise ValueError("volume needs at least one sample")
     if isinstance(P, Hyperbox):
         if P.is_empty:
             return 0.0

@@ -198,6 +198,42 @@ def test_unread_flag_is_a_usage_error(command, flag, value, capsys):
     assert flag in capsys.readouterr().err
 
 
+OUT_OF_RANGE = [
+    ("check", "--c", ["--n", "4", "--c", "-0.1"]),
+    ("check", "--c", ["--n", "2", "--c", "nan"]),
+    ("check", "--n", ["--n", "0", "--c", "0.1"]),
+    ("check", "--box-halfwidth", ["--n", "2", "--c", "0.1", "--box-halfwidth", "-1"]),
+    ("check", "--preview", ["--n", "2", "--c", "0.1", "--preview", "-1"]),
+    ("invariant", "--max-iter", ["--case", "example2", "--max-iter", "0"]),
+    ("invariant", "--K", ["--case", "example2", "--method", "2", "--K", "-1"]),
+    ("invariant", "--preview", ["--case", "example2", "--preview", "-1"]),
+    ("sweep-c", "--p-max", ["--n", "2", "--p-max", "-1"]),
+    ("sweep-c", "--n", ["--n", "0", "--p-max", "2"]),
+    ("sweep-c", "--box-halfwidth", ["--n", "2", "--p-max", "2", "--box-halfwidth", "-1"]),
+    ("bounds", "--samples", ["--case", "example2", "--p-low", "0", "--preview", "2", "--samples", "-5"]),
+    ("bounds", "--samples", ["--case", "example2", "--p-low", "0", "--preview", "2", "--samples", "0"]),
+    ("bounds", "--max-iter", ["--case", "example2", "--p-low", "0", "--preview", "2", "--max-iter", "0"]),
+    ("simulate", "--preview", ["--preview", "-1", "--T", "5"]),
+    ("simulate", "--T", ["--T", "-1"]),
+    ("simulate", "--max-iter", ["--max-iter", "0", "--T", "5"]),
+    ("simulate", "--K", ["--K", "-1", "--T", "5"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,args", OUT_OF_RANGE,
+    ids=[f"{c}{f}={a[a.index(f) + 1]}" for c, f, a in OUT_OF_RANGE],
+)
+def test_out_of_range_number_is_a_usage_error(command, flag, args, tmp_path, capsys):
+    # these used to end in a traceback, a "numerical failure" or a silent
+    # exit 0 with a meaningless result
+    out = tmp_path / "out"
+    assert run([command, *args, "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be at least" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 class TestBounds:
     def test_example2_gap(self, tmp_path):
         out = tmp_path / "bounds.json"

@@ -184,6 +184,23 @@ class TestSetProtocol:
         assert np.allclose(poly.bounding_box().hi, box.hi, atol=1e-9)
         assert set_equal(pontryagin_diff(X, box, M), pontryagin_diff(X, poly, M))
 
+    @pytest.mark.parametrize(
+        "box",
+        [
+            Hyperbox.from_bounds([-1.0, -0.5, 0.0], [2.0, 0.5, 3.0]),
+            Hyperbox.from_bounds([-1.0, -np.inf, -2.0], [1.0, np.inf, 2.0]),
+            Hyperbox((Interval(0.0, 1.0), Interval.EMPTY, Interval(-1.0, 1.0))),
+        ],
+        ids=["full", "infinite", "empty"],
+    )
+    def test_intersect_takes_either_twin(self, box):
+        P = HPolytope([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 1.0, 1.0]], [1.0, 1.0, 2.0])
+        mine, twin = P.intersect(box), P.intersect(HPolytope.from_box(box))
+        assert mine.H.tobytes() == twin.H.tobytes() and mine.h.tobytes() == twin.h.tobytes()
+        assert mine.is_empty == box.is_empty
+        with pytest.raises(ValueError):
+            P.intersect(Hyperbox.cube(2, 1.0))
+
     def test_twins_with_infinite_bounds_agree(self):
         box = Hyperbox.from_bounds([-1.0, -np.inf], [1.0, np.inf])
         poly = HPolytope.from_box(box)
@@ -364,9 +381,11 @@ class TestReduce:
 
 
 def reference_reduce(H, h, monkeypatch):
-    """``_reduce_arrays`` with the ray test off: one LP for every row."""
+    """``_reduce_arrays`` with the ray test and the box certificate off: one
+    LP for every row."""
     with monkeypatch.context() as patch:
-        patch.setattr(polytope, "_ray_certified", lambda H, h, c: np.zeros(H.shape[0], dtype=bool))
+        patch.setattr(polytope, "_ray_certified", lambda H, s: np.zeros(H.shape[0], dtype=bool))
+        patch.setattr(polytope._AxisBox, "implies", lambda self, i: False)
         return polytope._reduce_arrays(H, h, np.zeros(H.shape[1]))
 
 
@@ -411,7 +430,8 @@ class TestRayShotReduction:
         expected = reference_reduce(H, h, monkeypatch)
         got = polytope._reduce_arrays(H, h, center)
         assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
-        return polytope._ray_certified(*polytope._dedupe(H, h), center)
+        H, h = polytope._dedupe(H, h)
+        return polytope._ray_certified(H, h - H @ center)
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_random_polytopes_match_lp_only(self, seed, monkeypatch):
@@ -441,7 +461,10 @@ class TestRayShotReduction:
             np.vstack([np.eye(2), -np.eye(2), [[1.0, 0.0], [-1.0, 0.0]]]),
             np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]),
         )
-        assert not self.assert_same_reduction(P, monkeypatch).any()
+        self.assert_same_reduction(P, monkeypatch)
+        calls = count_lps(monkeypatch)
+        polytope._reduce_arrays(np.array(P.H), np.array(P.h), P.feasible_point())
+        assert calls[0] == polytope._dedupe(P.H, P.h)[0].shape[0]  # every row got its LP
 
     def test_row_irredundant_by_less_than_margin_reaches_lp(self, monkeypatch):
         # the diagonal row cuts the corner (1, 1) off by 5e-8: irredundant,
@@ -464,6 +487,159 @@ class TestRayShotReduction:
         for got, H in ((reduce_rows(P), P.H), (project(P, [2, 0, 3, 1]), P.H[:, [2, 0, 3, 1]])):
             expected = HPolytope(*reference_reduce(np.array(H), np.array(P.h), monkeypatch))
             assert np.array_equal(got.H, expected.H) and np.array_equal(got.h, expected.h)
+
+
+def unit_rows(H, h):
+    """The unit-norm rows that ``HPolytope`` hands to the reduction."""
+    P = HPolytope(np.array(H, dtype=float), np.array(h, dtype=float))
+    return np.array(P.H), np.array(P.h)
+
+
+def box_heavy_system(rng, d):
+    """Unit-norm rows, as ``HPolytope`` hands them to the reduction: axis rows
+    around the origin with some sides missing, plus rows whose offsets sit
+    at, just above, below or well above their support over the full box.
+    The origin is interior."""
+    lo, hi = -(0.5 + rng.random(d)), 0.5 + rng.random(d)
+    rows, rhs = [], []
+    for k in range(d):
+        for sign, end in ((1.0, hi[k]), (-1.0, -lo[k])):
+            if rng.random() < 0.15:
+                continue  # one-sided: an infinite end
+            row = np.zeros(d)
+            row[k] = sign
+            rows.append(row)
+            rhs.append(end + rng.choice([0.0, 0.0, 0.1]))
+    for _ in range(3 * d):
+        a = rng.normal(size=d)
+        a[rng.random(d) < 0.3] = 0.0
+        if np.count_nonzero(a) < 2:
+            continue
+        a /= np.linalg.norm(a)
+        support = np.sum(np.where(a > 0, a * hi, a * lo))
+        rows.append(a)
+        rhs.append(support + rng.choice([-0.1, 0.0, 1e-10, 0.05, 0.3]) * support)
+    order = rng.permutation(len(rows))
+    return np.array(rows)[order], np.array(rhs)[order]
+
+
+class TestBoxReduction:
+    """The box certificate only skips LPs whose answer it proves: the reduced
+    rows, their order and their bits match an LP for every row."""
+
+    def box_only(self, H, h, center, monkeypatch):
+        """Reduce with the ray test off; returns the result and the LP count."""
+        with monkeypatch.context() as patch:
+            patch.setattr(polytope, "_ray_certified", lambda H, s: np.zeros(H.shape[0], dtype=bool))
+            calls = count_lps(patch)
+            return polytope._reduce_arrays(H, h, center), calls[0]
+
+    def assert_same_reduction(self, H, h, center, monkeypatch):
+        """Both certificates and the box alone agree with the all-LP run;
+        returns the number of rows the box settled."""
+        expected = reference_reduce(H, h, monkeypatch)
+        boxed, lps = self.box_only(H, h, center, monkeypatch)
+        for got in (boxed, polytope._reduce_arrays(H, h, center)):
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
+        return polytope._dedupe(H, h)[0].shape[0] - lps
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_random_axis_systems_match_lp_only(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        settled = 0
+        for _ in range(25):
+            d = int(rng.integers(1, 5))
+            H, h = box_heavy_system(rng, d)
+            if h.size > 1:
+                settled += self.assert_same_reduction(H, h, np.zeros(d), monkeypatch)
+        assert settled > 0  # the certificate fired, so the comparison means something
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_reduce_rows_and_project_match_lp_only(self, seed, monkeypatch):
+        # random rows cut into a box; FM passes the box rows through unchanged
+        def run(patch):
+            rng = np.random.default_rng(seed)
+            P = HPolytope(rng.normal(size=(12, 4)), rng.random(12) + 1.0)
+            P = P.intersect(HPolytope.from_box(Hyperbox.cube(4, 1.0)))
+            calls = count_lps(patch)
+            return reduce_rows(P), project(P, [2, 0]), calls[0]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(polytope._AxisBox, "implies", lambda self, i: False)
+            *expected, lps_without_box = run(patch)
+        with monkeypatch.context() as patch:
+            *got, lps = run(patch)
+        for mine, ref in zip(got, expected):
+            assert mine.H.tobytes() == ref.H.tobytes() and mine.h.tobytes() == ref.h.tobytes()
+        assert lps < lps_without_box
+
+    def test_axis_row_does_not_certify_itself(self, monkeypatch):
+        # x0 <= 1 is irredundant (it cuts the corner (1.01, -1) off the tilted
+        # row x0 + 0.01 x1 <= 1), and no other row bounds x0 from above; the
+        # tilted row also stops the ray along e0, so the box is asked
+        H, h = unit_rows([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 0.01]], [1, 1, 1, 1, 1])
+        assert not polytope._ray_certified(H, h)[0]
+        assert self.assert_same_reduction(H, h, np.zeros(2), monkeypatch) == 0
+        assert polytope._reduce_arrays(H, h, np.zeros(2))[0].shape[0] == 5
+
+    def test_dropped_axis_row_bound_is_not_used(self, monkeypatch):
+        # 2 x0 <= 2 proves x0 <= 1 redundant; once x0 <= 1 is gone, nothing
+        # else bounds x0 from above, so 2 x0 <= 2 needs its LP and stays.
+        # Two rows on one side of a coordinate survive deduplication only at
+        # different scales, which the ray test (unit-norm rows) does not
+        # take, so the box runs alone here
+        H = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        h = np.array([1.0, 2.0, 1.0, 1.0, 1.0])
+        expected = reference_reduce(H, h, monkeypatch)
+        (got, got_h), lps = self.box_only(H, h, np.zeros(2), monkeypatch)
+        assert got.tobytes() == expected[0].tobytes() and got_h.tobytes() == expected[1].tobytes()
+        assert lps == 4 and got.tolist() == H[1:].tolist()
+
+    def test_axis_row_dropped_by_its_lp_leaves_the_box(self, monkeypatch):
+        # the tilted row x0 + 4e-10 x1 <= 1 + 4e-10 touches the corner (1, 1)
+        # and allows x0 <= 1 + 8e-10 at x1 = -1, so the LP drops x0 <= 1
+        # within its 1e-9; the tilted row is then the only bound on x0, and a
+        # box that still held x0 <= 1 would drop it too
+        eps = 4e-10
+        H, h = unit_rows([[1, 0], [-1, 0], [0, 1], [0, -1], [1, eps]], [1, 1, 1, 1, 1 + eps])
+        self.assert_same_reduction(H, h, np.zeros(2), monkeypatch)
+        assert polytope._reduce_arrays(H, h, np.zeros(2))[0].tolist() == H[1:].tolist()
+
+    def test_one_sided_bounds_need_their_finite_end(self, monkeypatch):
+        # x0 is bounded only from above: x0 + x1 <= 3 has the ends it needs
+        # and drops, -x0 + x1 <= 3 needs the missing lower end and gets its
+        # LP, and x1 + x2 <= 3 has a zero on x0 and drops
+        H, h = unit_rows(
+            [[1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 0], [-1, 1, 0], [0, 1, 1]],
+            [1, 1, 1, 1, 1, 3, 3, 3],
+        )
+        assert self.assert_same_reduction(H, h, np.zeros(3), monkeypatch) == 2
+        assert polytope._reduce_arrays(H, h, np.zeros(3))[0].tolist() == H[[0, 1, 2, 3, 4, 6]].tolist()
+
+    def test_row_implied_within_the_lp_tolerance_reaches_lp(self, monkeypatch):
+        # the diagonal row's support over the square exceeds its offset by
+        # 1e-10: the LP drops it (within 1e-9), the box does not settle it
+        H, h = unit_rows([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], [1, 1, 1, 1, 2 - 1e-10])
+        assert self.assert_same_reduction(H, h, np.zeros(2), monkeypatch) == 0
+        calls = count_lps(monkeypatch)
+        assert polytope._reduce_arrays(H, h, np.zeros(2))[0].shape[0] == 4
+        assert calls[0] == 1
+        # the same for an axis row proven by another one at another scale
+        H = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        h = np.array([1.0, 2.0 + 1e-10, 1.0, 1.0, 1.0])
+        (got, _), lps = self.box_only(H, h, np.zeros(2), monkeypatch)
+        assert got.tobytes() == reference_reduce(H, h, monkeypatch)[0].tobytes()
+        assert lps == 5 and got.shape[0] == 4
+
+    def test_measure_zero_set_gets_no_certificate(self, monkeypatch):
+        # the segment x0 = 0 inside a square with a box-implied diagonal row:
+        # no centre is interior, so every row gets its LP
+        H, h = unit_rows([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [0, 0, 1, 1, 3])
+        assert self.assert_same_reduction(H, h, np.zeros(2), monkeypatch) == 0
+        calls = count_lps(monkeypatch)
+        assert polytope._reduce_arrays(H, h, np.zeros(2))[0].shape[0] == 4
+        assert calls[0] == 5
 
 
 class TestContainment:
@@ -561,6 +737,13 @@ class TestVolume:
     def test_unbounded_raises(self):
         with pytest.raises(UnboundedError):
             volume(HPolytope([[1.0, 0.0]], [1.0]), seed=0, samples=100)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_raise(self, samples):
+        # 0 used to divide by zero and -5 to return -0.0
+        tri = HPolytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
+        with pytest.raises(ValueError):
+            volume(tri, seed=0, samples=samples)
 
     def test_deterministic(self):
         tri = HPolytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])

@@ -1,3 +1,6 @@
+import importlib.resources
+import json
+
 import numpy as np
 import pytest
 from conftest import count_lps, cross_polytope
@@ -28,6 +31,7 @@ from previewsafe.invariance import (
     safe_state_projection,
     sandwich,
 )
+from previewsafe.simulation import load_simulation_config
 from previewsafe.systems import BrunovskyProblem, LinearSystem, augment, collaborative, make_brunovsky
 
 
@@ -146,6 +150,32 @@ class TestMethod1LPBudget:
         rep = method1(sys)
         assert rep.converged
         assert calls[0] <= budget
+
+
+class TestLaneKeepingLPBudget:
+    """Method 1 on the bundled bicycle model and Method 2 at p = 5 from its
+    lifted result stay within an LP budget: 208 and 405 LPs before the box
+    certificate settled the rows that the state and preview bounds imply,
+    66 and 125 with it."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        ref = importlib.resources.files("previewsafe") / "configs" / "lane_keeping.json"
+        sys, _ = load_simulation_config(json.loads(ref.read_text(encoding="utf-8")))
+        return sys, method1(sys).result
+
+    def test_method1(self, model, monkeypatch):
+        sys, _ = model
+        calls = count_lps(monkeypatch)
+        assert method1(sys).converged
+        assert calls[0] <= 120
+
+    def test_method2_at_preview_5(self, model, monkeypatch):
+        sys, cmax0 = model
+        seed_set = lift(cmax0, sys.dist_set, 5)
+        calls = count_lps(monkeypatch)
+        method2(augment(sys, 5).aug, seed_set, 10)
+        assert calls[0] <= 200
 
 
 class TestMethod2:
