@@ -14,10 +14,19 @@ certified by linear programs solved by :mod:`previewsafe.geometry.lp`; a
 cheap geometric pre-check settles a row first when it proves what the LP
 would answer (a ray from an interior point for irredundancy, a shared row for
 containment).  A row whose support over the box of the kept axis-aligned
-rows is at most its offset is dropped as redundant without an LP.
+rows is at most its offset is dropped as redundant without an LP.  A row the
+ray and the box leave open is kept without an LP when a witness point
+violates it by ``2 _RAY_MARGIN`` while every other kept row holds with slack
+above ``_RAY_MARGIN``: the point starts on the ray along the row's normal
+and, when another row blocks it, is deflected off the worst-violated row
+(at most ``_WITNESS_DEFLECTIONS`` times).  Support values are memoized per
+set, and a projection's emptiness is decided by the Chebyshev test after its
+elimination steps, so neither is solved twice.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 
@@ -48,7 +57,12 @@ _RAY_MARGIN = 1e-7
 # rows per block of the Gram products in the ray test (bounds its memory)
 _GRAM_BLOCK = 64
 
+# retries of the witness point in reduction, each deflected off one row
+_WITNESS_DEFLECTIONS = 4
+
 _ROW_CAP = 5000
+
+_log = logging.getLogger("previewsafe.geometry")
 
 
 def _clean_rows(H: np.ndarray, h: np.ndarray):
@@ -80,7 +94,7 @@ class HPolytope:
     offset of ``+inf`` drops its row and one of ``-inf`` makes the set empty.
     """
 
-    __slots__ = ("_H", "_h", "_dim", "_empty", "_inner_point")
+    __slots__ = ("_H", "_h", "_dim", "_empty", "_inner_point", "_supports")
 
     def __init__(self, H, h):
         H = np.array(H, dtype=float, ndmin=2)
@@ -103,6 +117,7 @@ class HPolytope:
             self._h = cleaned[1]
             self._empty = None
             self._inner_point = None
+        self._supports: dict = {}
         self._H.setflags(write=False)
         self._h.setflags(write=False)
 
@@ -152,9 +167,12 @@ class HPolytope:
         return self._empty
 
     def feasible_point(self) -> np.ndarray:
-        """Some point of the set (the inflation-LP witness)."""
+        """Some point of the set (the inflation-LP witness), solved for on
+        first use when the verdict came without it."""
         if self.is_empty:
             raise EmptySetError("no feasible point in an empty polytope")
+        if self._inner_point is None:
+            self._inner_point = chebyshev_center(self._H, self._h)[1]
         return self._inner_point.copy()
 
     def contains(self, z, tol: float = 1e-7) -> bool:
@@ -170,16 +188,22 @@ class HPolytope:
 
         Raises :class:`EmptySetError` on an empty set and
         :class:`UnboundedError` when the set is unbounded in ``direction``.
+        Finite values are memoized per set, keyed on the direction's bytes:
+        the set is immutable and the same LP input gives the same bits.
         """
         direction = np.asarray(direction, dtype=float).ravel()
         if direction.shape[0] != self._dim:
             raise ValueError("direction dimension mismatch")
-        res = linprog_max(direction, self._H, self._h)
-        if res.status is LPStatus.INFEASIBLE:
-            raise EmptySetError("support of an empty set")
-        if res.status is LPStatus.UNBOUNDED:
-            raise UnboundedError("set is unbounded in the requested direction")
-        return float(res.objective)
+        key = direction.tobytes()
+        value = self._supports.get(key)
+        if value is None:
+            res = linprog_max(direction, self._H, self._h)
+            if res.status is LPStatus.INFEASIBLE:
+                raise EmptySetError("support of an empty set")
+            if res.status is LPStatus.UNBOUNDED:
+                raise UnboundedError("set is unbounded in the requested direction")
+            value = self._supports[key] = float(res.objective)
+        return value
 
     def maximize(self, direction) -> LPResult:
         """Raw LP access: maximize ``direction @ z`` over the set."""
@@ -359,50 +383,102 @@ class _AxisBox:
             self._ub[self._slot[k]] = self._tightest(self._slot[k])
 
 
+def _witnessed(H, h, center, s, keep, i) -> bool:
+    """True when a point proves row ``i`` irredundant against the kept rows.
+
+    Rows have unit norm and ``center`` is interior by more than
+    ``_RAY_MARGIN`` (``s`` its slacks).  The point ``z = center + t d`` with
+    ``t = (s_i + 2 _RAY_MARGIN) / (H_i @ d)`` violates row ``i`` by
+    ``2 _RAY_MARGIN > _RED_TOL``; when every other kept row has slack above
+    ``_RAY_MARGIN`` at ``z``, the redundancy LP (which sees exactly those
+    rows) has ``z`` feasible and keeps row ``i``.  The first ``d`` is
+    ``H_i``; each retry deflects it off the worst-violated row ``j``,
+    ``d <- d - (H_j @ d) H_j``, so that the next point meets row ``j`` with
+    the centre's slack.
+    """
+    blocked = np.where(keep, 0.0, np.inf)
+    blocked[i] = np.inf
+    d = H[i]
+    for _ in range(_WITNESS_DEFLECTIONS + 1):
+        gain = H[i] @ d
+        if gain <= _ZERO_TOL:
+            return False
+        slack = h - H @ (center + ((s[i] + 2.0 * _RAY_MARGIN) / gain) * d) + blocked
+        j = int(np.argmin(slack))
+        if slack[j] > _RAY_MARGIN:
+            return True
+        d = d - (H[j] @ d) * H[j]
+    return False
+
+
 def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
     """LP-certified irredundant subsystem of an H-system.
 
     Rows have unit norm, as ``HPolytope`` and ``_clean_rows`` leave them
-    (the ray test measures distances along them).  ``center`` is a point of
-    the set (a Chebyshev centre).  When it is interior by ``_RAY_MARGIN``,
-    rows that a ray from it proves irredundant are kept and rows that the
-    box of the kept axis-aligned rows proves redundant are dropped, each
-    without an LP; every other row gets the LP against the rows still kept.
-    Returns ``None`` when an LP certifies exact infeasibility (which can
-    happen for sets the tolerance-based emptiness test calls nonempty, and
-    never with an interior centre).
+    (the ray test, the box and the witness measure distances along them).
+    ``center`` is a point of the set (a Chebyshev centre).  When it is
+    interior by ``_RAY_MARGIN``, rows that a ray from it proves irredundant
+    are kept, rows that the box of the kept axis-aligned rows proves
+    redundant are dropped, and rows that a (deflected) witness point proves
+    irredundant are kept, each without an LP; every other row gets the LP
+    against the rows still kept.  Returns ``None`` when an LP certifies
+    exact infeasibility (which can happen for sets the tolerance-based
+    emptiness test calls nonempty, and never with an interior centre).
+    Logs one DEBUG record per call with the rows each check settled.
     """
+    rows_in = H.shape[0]
     H, h = _dedupe(H, h)
     m = H.shape[0]
     if m <= 1:
+        _log_reduction(rows_in, m, 0, 0, 0, 0, m)
         return H, h
     s = h - H @ center
-    if s.min() > _RAY_MARGIN:
+    interior = s.min() > _RAY_MARGIN
+    if interior:
         certified = _ray_certified(H, s)
         box = _AxisBox(H, h)
     else:
         certified = np.zeros(m, dtype=bool)
         box = None
     keep = np.ones(m, dtype=bool)
+    boxed = witnessed = lps = 0
     for i in range(m):
         if certified[i]:
             continue
         if box is not None and box.implies(i):
             keep[i] = False
             box.drop(i)
+            boxed += 1
+            continue
+        if interior and _witnessed(H, h, center, s, keep, i):
+            witnessed += 1
             continue
         idx = np.flatnonzero(keep)
         b_test = h[idx].copy()
         pos = int(np.flatnonzero(idx == i)[0])
         b_test[pos] += 1.0
         res = linprog_max(H[i], H[idx], b_test)
+        lps += 1
         if res.status is LPStatus.OPTIMAL and res.objective <= h[i] + _RED_TOL:
             keep[i] = False
             if box is not None:
                 box.drop(i)
         elif res.status is LPStatus.INFEASIBLE:
+            _log_reduction(rows_in, m, certified, boxed, witnessed, lps, 0)
             return None
+    _log_reduction(rows_in, m, certified, boxed, witnessed, lps, int(keep.sum()))
     return H[keep], h[keep]
+
+
+def _log_reduction(rows_in, deduped, certified, boxed, witnessed, lps, rows_out) -> None:
+    """One DEBUG record per reduction: the rows each check settled
+    (``certified`` is the ray test's mask, or 0)."""
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "reduce: %d rows in, %d after dedupe; settled by ray %d, box %d, "
+            "witness %d, LP %d; %d rows out",
+            rows_in, deduped, int(np.sum(certified)), boxed, witnessed, lps, rows_out,
+        )
 
 
 def reduce_rows(P: HPolytope) -> HPolytope:
@@ -447,7 +523,10 @@ def project(P: HPolytope, keep, row_cap: int = _ROW_CAP) -> HPolytope:
     Fourier-Motzkin elimination of the dropped coordinates (cheapest-fill
     first) with interleaved redundancy removal; raises
     :class:`RowBlowupError` if an intermediate iterate exceeds ``row_cap``
-    rows after reduction.
+    rows after reduction.  FM keeps emptiness, so when a coordinate is
+    eliminated the Chebyshev test after each step decides it and ``P`` gets
+    no emptiness LP of its own.  The result is marked nonempty; its feasible
+    point is solved for on first use.
     """
     keep = list(keep)
     if len(set(keep)) != len(keep):
@@ -457,9 +536,9 @@ def project(P: HPolytope, keep, row_cap: int = _ROW_CAP) -> HPolytope:
     nkeep = len(keep)
     if nkeep == 0:
         raise ValueError("cannot project onto zero coordinates")
-    if P.is_empty:
-        return HPolytope.empty(nkeep)
     drop = [j for j in range(P.dim) if j not in keep]
+    if P._empty or (not drop and P.is_empty):
+        return HPolytope.empty(nkeep)
     H = np.array(P.H[:, keep + drop])
     h = np.array(P.h)
     if not drop:
@@ -468,7 +547,7 @@ def project(P: HPolytope, keep, row_cap: int = _ROW_CAP) -> HPolytope:
             if reduced is None:
                 return HPolytope.empty(nkeep)
             H, h = reduced
-        return HPolytope(H, h)
+        return _nonempty(H, h)
 
     while H.shape[1] > nkeep:
         # cheapest-fill heuristic over the remaining eliminable columns
@@ -497,7 +576,16 @@ def project(P: HPolytope, keep, row_cap: int = _ROW_CAP) -> HPolytope:
             raise RowBlowupError(
                 f"projection iterate has {H.shape[0]} rows (cap {row_cap})"
             )
-    return HPolytope(H, h)
+    return _nonempty(H, h)
+
+
+def _nonempty(H: np.ndarray, h: np.ndarray) -> HPolytope:
+    """``HPolytope(H, h)`` for rows whose set already passed an emptiness
+    test (reduction keeps the set), marked nonempty without another LP."""
+    P = HPolytope(H, h)
+    if P._empty is None:
+        P._empty = False
+    return P
 
 
 def contains_set(outer, inner, tol: float = EPS_SET) -> bool:

@@ -78,9 +78,8 @@ def pre(sys: LinearSystem, X: HPolytope) -> HPolytope:
         raise ValueError("target set must live in the state space")
     if X.is_empty:
         return HPolytope.empty(n)
+    # project's Chebyshev test decides whether the erosion left anything
     eroded = pontryagin_diff(X, sys.dist_set, sys.E)
-    if eroded.is_empty:
-        return HPolytope.empty(n)
     pulled_H = np.hstack([eroded.H @ sys.A, eroded.H @ sys.B])
     H = np.vstack([pulled_H, sys.safe.H])
     h = np.concatenate([eroded.h, sys.safe.h])

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from previewsafe.geometry import (
     set_equal,
     volume,
 )
-from previewsafe.geometry import polytope
+from previewsafe.geometry import lp, polytope
 
 MASTER_SEEDS = [11, 222, 3333]
 
@@ -137,6 +138,25 @@ class TestSupport:
 
     def test_dispatch_box(self):
         assert Hyperbox.cube(2, 1.0).support([1, 0]) == 1.0
+
+    def test_repeated_direction_costs_one_lp(self, monkeypatch):
+        P = cross_polytope(np.array([0.3, 0.2]))
+        calls = count_lps(monkeypatch)
+        first = P.support(np.array([1.0, 0.5]))
+        assert P.support([1.0, 0.5]) == first and calls[0] == 1
+        P.support([0.5, 1.0])
+        assert calls[0] == 2
+        # the memo belongs to the set: a rebuilt set solves again
+        assert HPolytope(P.H, P.h).support([1.0, 0.5]) == pytest.approx(first, abs=1e-12)
+        assert calls[0] == 3
+
+    def test_failed_supports_are_not_memoized(self, monkeypatch):
+        P = HPolytope([[1.0, 0.0]], [1.0])
+        calls = count_lps(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(UnboundedError):
+                P.support([0, 1])
+        assert calls[0] == 2
 
 
 class TestSetProtocol:
@@ -297,6 +317,33 @@ class TestProject:
     def test_empty_in_empty_out(self):
         assert project(HPolytope.empty(3), [0, 1]).is_empty
 
+    def test_elimination_decides_emptiness_without_an_lp_on_the_input(self):
+        # |x| <= 1 and 0 <= u <= -0.1: empty through u only; the FM step
+        # finds it, and the input's own verdict is never asked for
+        P = HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, -0.1, 0])
+        assert project(P, [0]).is_empty
+        assert P._empty is None
+
+    def test_result_is_nonempty_without_an_lp(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        P = HPolytope(rng.normal(size=(16, 4)), rng.random(16) + 0.5)
+        # one eliminated coordinate or more, and none
+        for keep in ([0, 2, 3], [0, 2], [3, 1, 0, 2]):
+            R = project(P, keep)
+            calls = count_lps(monkeypatch)
+            assert not R.is_empty and calls[0] == 0
+
+    def test_lazy_feasible_point_is_the_chebyshev_centre(self, monkeypatch):
+        # the point an eager emptiness test on the result would have kept
+        rng = np.random.default_rng(6)
+        P = HPolytope(rng.normal(size=(16, 4)), rng.random(16) + 0.5)
+        R = project(P, [1, 3])
+        calls = count_lps(monkeypatch)
+        point = R.feasible_point()
+        assert calls[0] == 1
+        assert R.feasible_point().tobytes() == point.tobytes() and calls[0] == 1
+        assert point.tobytes() == lp.chebyshev_center(R.H, R.h)[1].tobytes()
+
     def test_projection_with_free_variable(self):
         # u unconstrained: the x-shadow of {|x|<=1} x R is [-1,1]
         P = HPolytope([[1, 0], [-1, 0]], [1, 1])
@@ -380,12 +427,18 @@ class TestReduce:
             assert set_equal(R, P)
 
 
+def no_witness(patch):
+    """Switch the witness certificate off."""
+    patch.setattr(polytope, "_witnessed", lambda *args: False)
+
+
 def reference_reduce(H, h, monkeypatch):
-    """``_reduce_arrays`` with the ray test and the box certificate off: one
-    LP for every row."""
+    """``_reduce_arrays`` with the ray test, the box certificate and the
+    witness off: one LP for every row."""
     with monkeypatch.context() as patch:
         patch.setattr(polytope, "_ray_certified", lambda H, s: np.zeros(H.shape[0], dtype=bool))
         patch.setattr(polytope._AxisBox, "implies", lambda self, i: False)
+        no_witness(patch)
         return polytope._reduce_arrays(H, h, np.zeros(H.shape[1]))
 
 
@@ -528,9 +581,11 @@ class TestBoxReduction:
     rows, their order and their bits match an LP for every row."""
 
     def box_only(self, H, h, center, monkeypatch):
-        """Reduce with the ray test off; returns the result and the LP count."""
+        """Reduce with the ray test and the witness off; returns the result
+        and the LP count."""
         with monkeypatch.context() as patch:
             patch.setattr(polytope, "_ray_certified", lambda H, s: np.zeros(H.shape[0], dtype=bool))
+            no_witness(patch)
             calls = count_lps(patch)
             return polytope._reduce_arrays(H, h, center), calls[0]
 
@@ -640,6 +695,100 @@ class TestBoxReduction:
         calls = count_lps(monkeypatch)
         assert polytope._reduce_arrays(H, h, np.zeros(2))[0].shape[0] == 4
         assert calls[0] == 5
+
+
+def random_tilted_polytope(rng):
+    """A random polytope with redundant rows and tilted copies of its rows:
+    the copies block the ray test, so rows reach the witness."""
+    d = int(rng.integers(2, 5))
+    P = HPolytope(rng.normal(size=(6 * d, d)), rng.random(6 * d) + 0.5)
+    lam = rng.random((4, P.nrows)) / P.nrows
+    pick = rng.integers(0, P.nrows, 4)
+    H = np.vstack([P.H, lam @ P.H, P.H[pick] + rng.normal(scale=1e-3, size=(4, d))])
+    h = np.concatenate([P.h, lam @ P.h + rng.random(4) * 0.1, P.h[pick] + rng.normal(scale=1e-3, size=4)])
+    return HPolytope(H, h)
+
+
+# x0 <= 1 is irredundant (at x1 = -2 the diagonal allows x0 <= 3), but the
+# diagonal x0 + x1 <= 1 meets the ray along e0 where x0 <= 1 does; deflected
+# off the diagonal, the witness point runs along it to (1, -1) + 2e-7 (1, -1)
+ONE_DEFLECTION = ([[1, 0], [1, 1], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 0.6, 2])
+
+
+class TestWitnessReduction:
+    """The witness only skips LPs that would keep their row: the reduced
+    rows, their order and their bits match an LP for every row."""
+
+    def witness_results(self, patch) -> list:
+        """Record what every witness search returns."""
+        results = []
+        witnessed = polytope._witnessed
+
+        def recorded(*args):
+            results.append(witnessed(*args))
+            return results[-1]
+
+        patch.setattr(polytope, "_witnessed", recorded)
+        return results
+
+    def assert_same(self, got, expected):
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_random_polytopes_match_lp_only(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        fired = 0
+        for _ in range(12):
+            Q = random_tilted_polytope(rng)
+            if Q.is_empty:
+                continue
+            H, h = np.array(Q.H), np.array(Q.h)
+            expected = reference_reduce(H, h, monkeypatch)
+            with monkeypatch.context() as patch:
+                results = self.witness_results(patch)
+                self.assert_same(polytope._reduce_arrays(H, h, Q.feasible_point()), expected)
+            fired += sum(results)
+        assert fired > 0  # the witness fired, so the comparison means something
+
+    def test_row_needing_one_deflection(self, monkeypatch):
+        H, h = unit_rows(*ONE_DEFLECTION)
+        certified = polytope._ray_certified(H, h)  # the centre is the origin
+        assert not certified[0] and certified[1:].all()
+        expected = reference_reduce(H, h, monkeypatch)
+        assert expected[0].shape[0] == 5
+        for deflections, lps in ((0, 1), (1, 0)):
+            with monkeypatch.context() as patch:
+                patch.setattr(polytope, "_WITNESS_DEFLECTIONS", deflections)
+                calls = count_lps(patch)
+                self.assert_same(polytope._reduce_arrays(H, h, np.zeros(2)), expected)
+                assert calls[0] == lps
+
+    def test_measure_zero_set_runs_no_witness(self, monkeypatch):
+        # the example flattened to the segment x0 = 0: no centre is interior
+        H, h = unit_rows(ONE_DEFLECTION[0], [0, 1, 0, 0.6, 2])
+        expected = reference_reduce(H, h, monkeypatch)
+        results = self.witness_results(monkeypatch)
+        calls = count_lps(monkeypatch)
+        self.assert_same(polytope._reduce_arrays(H, h, np.zeros(2)), expected)
+        assert results == [] and calls[0] == 5
+
+
+def test_reduction_logs_one_debug_record_per_call(caplog):
+    # the one-deflection example plus a row the box drops and a row that
+    # only an LP drops (0.5 x0 + x1 <= 0.8 holds on the set)
+    H, h = unit_rows(ONE_DEFLECTION[0] + [[1, -1], [0.5, 1]], ONE_DEFLECTION[1] + [5, 0.9])
+    with caplog.at_level(logging.DEBUG, logger="previewsafe.geometry"):
+        polytope._reduce_arrays(H, h, np.zeros(2))
+    [record] = caplog.records
+    assert record.name == "previewsafe.geometry" and record.levelno == logging.DEBUG
+    assert record.getMessage() == (
+        "reduce: 7 rows in, 7 after dedupe; settled by ray 4, box 1, witness 1, LP 1; 5 rows out"
+    )
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="previewsafe.geometry"):
+        polytope._reduce_arrays(H, h, np.zeros(2))
+    assert caplog.records == []
 
 
 class TestContainment:

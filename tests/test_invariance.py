@@ -10,6 +10,7 @@ from previewsafe.casestudies import (
     ScalarPreviewProblem,
     example1_config,
     example4_config,
+    example5_config,
     scalar_cmax,
 )
 from previewsafe.errors import SeedNotInvariantError
@@ -17,7 +18,9 @@ from previewsafe.geometry import (
     HPolytope,
     Hyperbox,
     contains_set,
+    polytope,
     project,
+    reduce_rows,
     set_equal,
 )
 from previewsafe.invariance import (
@@ -93,6 +96,94 @@ class TestPre:
             assert contains_set(p_out, p_in)
 
 
+class TestPreLPs:
+    """``pre`` pays for no emptiness LP that ``project`` settles and for no
+    erosion support it already solved."""
+
+    def test_pinned_lp_count(self, monkeypatch):
+        # a shift register with a cross-polytope disturbance at preview 2:
+        # 17 and 19 LPs when X, the erosion and the lifted set each had their
+        # own emptiness LP and every erosion row its own support LP
+        box = Hyperbox.from_bounds([-1.0, -1.2, -0.9], [1.1, 1.0, 1.0])
+        dist = cross_polytope(np.array([0.2, 0.15, 0.1]))
+        sys = augment(make_brunovsky(3, dist, box), 2).aug
+        X = safe_state_projection(sys)
+        calls = count_lps(monkeypatch)
+        X1 = pre(sys, X)
+        assert calls[0] == 12
+        pre(sys, X1)
+        assert calls[0] == 12 + 7
+
+    def scalar(self, gamma, gain=1.0):
+        """x+ = gain u + d with |x|, |u| <= 1 and |d| <= gamma."""
+        return LinearSystem(
+            A=[[0.0]],
+            B=[[gain]],
+            E=[[1.0]],
+            dist_set=Hyperbox.from_bounds([-gamma], [gamma]),
+            safe=HPolytope.from_bounds([-1.0, -1.0], [1.0, 1.0]),
+        )
+
+    def test_erosion_empty_within_tolerance(self):
+        # |d| <= 1 + 3e-10 erodes [-1, 1] to [3e-10, -3e-10]: empty by less
+        # than the 1e-9 tolerance, so nonempty, and pre keeps every state
+        X = HPolytope.from_bounds([-1.0], [1.0])
+        out = pre(self.scalar(1.0 + 3e-10), X)
+        assert not out.is_empty
+        assert out.H.tolist() == [[1.0], [-1.0]] and out.h.tolist() == [1.0, 1.0]
+        # empty by 2e-8, beyond the tolerance
+        assert pre(self.scalar(1.0 + 1e-8), X).is_empty
+
+    def test_emptiness_is_judged_on_the_lifted_rows(self):
+        # the erosion [5e-9, -5e-9] is empty by more than the tolerance, but
+        # pulled back through the input gain 100 the gap in u is 1e-10, below
+        # it: the verdict is the lifted set's, nonempty, and u = 0 takes
+        # every state to within 5e-9 of X, far inside EPS_SET
+        X = HPolytope.from_bounds([-1.0], [1.0])
+        assert pre(self.scalar(1.0 + 5e-9, gain=100.0), X).h.tolist() == [1.0, 1.0]
+
+
+class TestReductionPrecondition:
+    """``_reduce_arrays`` and ``_dedupe`` take unit-norm rows (the ray test,
+    the box and the witness measure distances along them, and ``_dedupe``
+    merges copies of a halfspace only at one scale): every caller, through
+    every path, hands them unit rows."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for name in ("_reduce_arrays", "_dedupe"):
+
+            def checked(H, h, *rest, fn=getattr(polytope, name), name=name):
+                assert np.all(np.abs(np.linalg.norm(H, axis=1) - 1.0) <= 1e-12), name
+                seen.append(name)
+                return fn(H, h, *rest)
+
+            monkeypatch.setattr(polytope, name, checked)
+        return seen
+
+    def polytope4(self):
+        rng = np.random.default_rng(8)
+        return HPolytope(rng.normal(size=(20, 4)), rng.random(20) + 0.5)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda P: reduce_rows(P),
+            lambda P: project(P, [3, 1, 0, 2]),
+            lambda P: project(P, [0, 2]),
+            lambda P: method1(augment(scalar_sys(), 2).aug),
+            lambda P: method1(augment(example5_config(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1))[0], 1).aug),
+            lambda P: method2(augment(example1_config(2)[0], 2).aug, example1_config(2)[1], 5),
+        ],
+        ids=["reduce_rows", "project_no_elimination", "project_fm", "method1_example2",
+             "method1_example5", "method2_example1"],
+    )
+    def test_call_sites_pass_unit_rows(self, run, calls):
+        run(self.polytope4())
+        assert calls.count("_reduce_arrays") > 0 and calls.count("_dedupe") > 0
+
+
 class TestMethod1:
     def test_scalar_p1_closed_form_and_grid(self):
         a, beta, gamma, r = 2.0, 1.0, 1.0, 2.0
@@ -136,8 +227,9 @@ class TestMethod1:
 class TestMethod1LPBudget:
     """Method 1 on a preview-augmented shift register (n=4, p=3) stays within
     an LP budget: 314 and 744 LPs when every row of every reduction,
-    containment and erosion got its own LP, 78 and 154 with the geometric
-    pre-checks."""
+    containment and erosion got its own LP, 74 and 154 with the geometric
+    pre-checks, 60 and 72 once supports were memoized, emptiness LPs that
+    projection settles dropped and the witness added."""
 
     @pytest.mark.parametrize(
         "dist, budget",
@@ -156,7 +248,8 @@ class TestLaneKeepingLPBudget:
     """Method 1 on the bundled bicycle model and Method 2 at p = 5 from its
     lifted result stay within an LP budget: 208 and 405 LPs before the box
     certificate settled the rows that the state and preview bounds imply,
-    66 and 125 with it."""
+    66 and 125 with it, 48 and 94 with the witness and without the emptiness
+    LPs that projection settles."""
 
     @pytest.fixture(scope="class")
     def model(self):
