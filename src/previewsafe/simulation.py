@@ -12,8 +12,9 @@ stays safe, no-preview trace does not) rather than trajectory comparisons.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -24,9 +25,9 @@ from .errors import (
     ScriptExhaustedError,
 )
 from .geometry import HPolytope, Hyperbox, Interval, LPStatus, linprog_max
-from .geometry.polytope import _clean_rows
+from .geometry.polytope import _ZERO_TOL
 from .invariance import input_constraints, lift, method1, method2
-from .systems import LinearSystem, PreviewSystem, augment, step, system_from_config
+from .systems import LinearSystem, PreviewSystem, augment, system_from_config
 
 __all__ = [
     "LQRSpec",
@@ -43,6 +44,8 @@ __all__ = [
     "load_simulation_config",
     "zoh_discretize",
 ]
+
+_log = logging.getLogger("previewsafe.simulation")
 
 
 @dataclass(frozen=True)
@@ -88,26 +91,63 @@ def lqr_gain(sys_aug: LinearSystem, spec: LQRSpec) -> np.ndarray:
     return K
 
 
+class _BoundRows(NamedTuple):
+    """The rows ``G_u`` of a one-input filter, normalized as ``HPolytope``
+    normalizes them, so that the interval matches that of ``HPolytope(G_u,
+    g(x))`` bit for bit: the masks of the zero rows and of the kept ones, the
+    kept rows' norms and unit coefficients ``a``, and the masks of the kept
+    rows that bound the input from below (``a < -0.5``) and above
+    (``a > 0.5``).  A row with offset ``+inf``, which ``HPolytope`` drops,
+    gives a bound of ``-inf`` below or ``+inf`` above, which moves neither
+    the largest lower nor the smallest upper bound."""
+
+    zero: np.ndarray
+    kept: np.ndarray
+    norms: np.ndarray
+    a: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
 @dataclass(frozen=True)
 class Supervisor:
     """Safety filter: move the nominal input into the admissible set of an
     invariant set; fall back to the plain input box when that set is empty.
 
     ``sys`` is the system whose state space the invariant lives in (base or
-    augmented), so the rollout can hand over the matching state vector.
+    augmented), so the rollout can hand over the matching state vector; the
+    invariant must have ``sys.n`` coordinates and the input box ``sys.m``
+    (``ValueError`` otherwise).
 
     The invariant is eroded by ``E D``, and the erosion tested for emptiness,
     once, when the supervisor is built (``invariance.input_constraints``); a
-    step only evaluates the right-hand side ``g(x)``.
+    step only evaluates the right-hand side ``g(x)``.  For one input the
+    constant rows ``G_u`` are also normalized once, as :class:`HPolytope`
+    normalizes them: their norms, which rows are zero, and which bound the
+    input from below or above.
     """
 
     sys: LinearSystem
     invariant: HPolytope
     input_box: Hyperbox
     _rows: Optional[tuple] = field(init=False, repr=False, compare=False)
+    _bounds: Optional[_BoundRows] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_rows", input_constraints(self.sys, self.invariant))
+        if self.input_box.dim != self.sys.m:
+            raise ValueError("input box dimension must match the system's inputs")
+        if self.invariant.dim != self.sys.n:
+            raise ValueError("invariant dimension must match the system's states")
+        rows = input_constraints(self.sys, self.invariant)
+        object.__setattr__(self, "_rows", rows)
+        bounds = None
+        if rows is not None and self.sys.m == 1:
+            norms = np.linalg.norm(rows[0], axis=1)
+            zero = norms <= 1e-12
+            kept = ~zero
+            a = rows[0][kept, 0] / norms[kept]
+            bounds = _BoundRows(zero, kept, norms[kept], a, a < -0.5, a > 0.5)
+        object.__setattr__(self, "_bounds", bounds)
 
 
 @dataclass(frozen=True)
@@ -116,18 +156,6 @@ class SuperviseResult:
     supervised: bool
     admissible_empty: bool
     admissible: Optional[Interval]  # scalar-input interval; None for m > 1
-
-
-def _interval_of(G_u: np.ndarray, g: np.ndarray):
-    """Bounds ``(lo, hi)`` of ``{u in R : G_u u <= g}``, from the rows exactly
-    as :class:`HPolytope` normalizes them, so that they match the interval of
-    that polytope bit for bit; ``lo > hi`` when the set is empty."""
-    H, h, empty = _clean_rows(G_u, g)
-    if empty:
-        return np.inf, -np.inf
-    a = H[:, 0]
-    b = h / a
-    return b[a < -0.5].max(initial=-np.inf), b[a > 0.5].min(initial=np.inf)
 
 
 def _closest_point(P: HPolytope, z: np.ndarray) -> np.ndarray:
@@ -146,17 +174,25 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
     """Replace ``u_nom`` by the admissible input closest in the infinity norm
     (for one input, the clip onto the admissible interval) at ``state``.
 
-    A one-input step is a matrix-vector product and a clip, with no LP; a
-    step with two or more inputs still solves LPs (emptiness, and the closest
-    point when ``u_nom`` is not admissible), since those depend on the state.
-    When the admissible set is empty the nominal input is clamped to the
-    fallback input box and the result is annotated ``admissible_empty``.
+    ``state`` needs ``sup.sys.n`` entries and ``u_nom`` ``sup.sys.m``, all
+    finite (``ValueError`` otherwise).  A one-input step evaluates ``g(x)``
+    and divides it by the row norms and coefficients stored at build time;
+    the interval is the largest lower and the smallest upper bound, and the
+    result the clip onto it, with no LP.  A step with two or more inputs
+    still solves LPs (emptiness, and the closest point when ``u_nom`` is not
+    admissible), since those depend on the state.  When the admissible set
+    is empty the nominal input is clamped to the fallback input box and the
+    result is annotated ``admissible_empty``.
     """
-    u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
+    u_nom = np.asarray(u_nom, dtype=float).ravel()
     state = np.asarray(state, dtype=float).ravel()
+    m = sup.sys.m
     if state.shape[0] != sup.sys.n:
         raise ValueError("state dimension mismatch")
-    m = sup.sys.m
+    if u_nom.shape[0] != m:
+        raise ValueError(f"nominal input has {u_nom.shape[0]} entries, the system {m} inputs")
+    if not (np.isfinite(state).all() and np.isfinite(u_nom).all()):
+        raise ValueError("state and nominal input must be finite")
 
     def fallback() -> SuperviseResult:
         clamped = np.minimum(np.maximum(u_nom, sup.input_box.lo), sup.input_box.hi)
@@ -169,18 +205,26 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
         return fallback()
     G_u, g = sup._rows
     rhs = g(state)
-    if m == 1:
-        lo, hi = _interval_of(G_u, rhs)
-        if lo > hi:
-            # width-zero sets can cross by rounding noise; snap to the point
+    rows = sup._bounds
+    if rows is not None:
+        # a zero row with a negative offset certifies emptiness
+        if (rhs[rows.zero] < -_ZERO_TOL).any():
+            return fallback()
+        b = rhs[rows.kept] / rows.norms / rows.a
+        lo = b[rows.lower].max(initial=-np.inf)
+        hi = b[rows.upper].min(initial=np.inf)
+        if not lo <= hi:
+            # width-zero sets can cross by rounding noise; snap to the point.
+            # A NaN bound (g(x) overflowed) falls back, so the clip never sees one
             if lo - hi <= 1e-7:
                 lo = hi = 0.5 * (lo + hi)
             else:
                 return fallback()
-        u = float(np.clip(u_nom[0], lo, hi))
+        u0 = float(u_nom[0])
+        u = min(max(u0, lo), hi)
         return SuperviseResult(
-            u=np.array([u]),
-            supervised=bool(abs(u - u_nom[0]) > 0.0),
+            u=np.array([u], dtype=float),
+            supervised=bool(abs(u - u0) > 0.0),
             admissible_empty=False,
             admissible=Interval(lo, hi),
         )
@@ -276,37 +320,59 @@ def rollout(
 
     At each t the controller observes (x(t), d_script[t .. t+p-1]) and the
     dynamics consume d_script[t]; the script therefore needs at least T + p
-    entries (:class:`ScriptExhaustedError` otherwise).
+    entries (:class:`ScriptExhaustedError` otherwise).  ``T`` must be
+    nonnegative, ``x0`` must have ``sys.n`` entries, the supervisor's state
+    space must be that of ``sys`` or of its p-step preview realization, and
+    the controller must return ``sys.m`` inputs (``ValueError`` otherwise).
+
+    Each step where the filter changed the input writes one DEBUG record on
+    the ``previewsafe.simulation`` logger: ``t``, the nominal and applied
+    inputs, and the admissible interval or ``fallback``.
     """
+    if T < 0:
+        raise ValueError("horizon T must be nonnegative")
     x = np.asarray(x0, dtype=float).ravel().copy()
+    if x.shape[0] != sys.n:
+        raise ValueError(f"initial state has {x.shape[0]} entries, the system {sys.n} states")
     script = np.asarray(d_script, dtype=float).reshape(-1, sys.l)
     if script.shape[0] < T + p:
         raise ScriptExhaustedError(
             f"script holds {script.shape[0]} steps, need {T + p}"
         )
+    lifted = False
+    if supervisor is not None:
+        lifted = supervisor.sys.n == sys.n + p * sys.l
+        if not lifted and supervisor.sys.n != sys.n:
+            raise ValueError("supervisor state space matches neither the system nor its preview")
+    A, B, E, m = sys.A, sys.B, sys.E, sys.m
+    H_safe, h_safe = sys.safe.H, sys.safe.h + 1e-7
+    debug = _log.isEnabledFor(logging.DEBUG)
     trace = Trace()
     for t in range(T):
         window = script[t : t + p]
-        u_nom = np.atleast_1d(np.asarray(controller(t, x, window), dtype=float))
+        u_nom = np.asarray(controller(t, x, window), dtype=float).ravel()
+        if u_nom.shape[0] != m:
+            raise ValueError(f"controller returned {u_nom.shape[0]} inputs, the system has {m}")
         if supervisor is not None:
-            state_for_sup = (
-                np.concatenate([x, window.ravel()])
-                if supervisor.sys.n == sys.n + p * sys.l
-                else x
-            )
-            res = supervise(supervisor, state_for_sup, u_nom)
+            res = supervise(supervisor, np.concatenate([x, window.ravel()]) if lifted else x, u_nom)
             u, supervised, adm = res.u, res.supervised, res.admissible
+            if debug and supervised:
+                _log.debug(
+                    "supervise: t=%d u_nom=%s u=%s admissible=%s", t, u_nom.tolist(), u.tolist(),
+                    "fallback" if res.admissible_empty else adm,
+                )
         else:
             u, supervised, adm = u_nom, False, None
-        safe = sys.safe.contains(np.concatenate([x, u]), tol=1e-7)
+        safe = (H_safe @ np.concatenate([x, u]) <= h_safe).all()
+        d = script[t]
         trace.records.append(
             TraceRecord(
-                t=t, x=x.copy(), u_nominal=u_nom.copy(), u_applied=np.atleast_1d(u).copy(),
-                d_applied=script[t].copy(), admissible=adm,
+                t=t, x=x.copy(), u_nominal=u_nom.copy(), u_applied=u.copy(),
+                d_applied=d.copy(), admissible=adm,
                 supervised=bool(supervised), safe=bool(safe),
             )
         )
-        x = step(sys, x, u, script[t])
+        x = A @ x + B @ u + E @ d
     return trace
 
 

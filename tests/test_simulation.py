@@ -1,13 +1,15 @@
 import importlib.resources
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from conftest import count_lps
+from previewsafe import simulation
 from previewsafe.brunovsky import closed_form, controller_g, membership
 from previewsafe.errors import RiccatiDivergedError, ScriptExhaustedError
-from previewsafe.geometry import HPolytope, Hyperbox, Interval
+from previewsafe.geometry import HPolytope, Hyperbox, Interval, polytope
 from previewsafe.invariance import admissible_inputs, lift, method1, method2
 from previewsafe.simulation import (
     LQRSpec,
@@ -22,7 +24,7 @@ from previewsafe.simulation import (
     supervise,
     zoh_discretize,
 )
-from previewsafe.systems import BrunovskyProblem, LinearSystem, augment
+from previewsafe.systems import BrunovskyProblem, LinearSystem, augment, step
 
 
 def lane_config() -> dict:
@@ -183,6 +185,52 @@ class TestSupervise:
         assert not res.supervised and not res.admissible_empty
         assert np.array_equal(res.u, u_nom)
 
+    @pytest.mark.parametrize("state, u_nom", [
+        ([0.0, 0.0], [np.nan]),
+        ([0.0, 0.0], [np.inf]),
+        ([np.nan, 0.0], [0.1]),
+        ([0.0, -np.inf], [0.1]),
+    ], ids=["nan_input", "inf_input", "nan_state", "inf_state"])
+    def test_non_finite_arguments_raise(self, state, u_nom):
+        _, _, sup = self.make_setup()
+        with pytest.raises(ValueError, match="finite"):
+            supervise(sup, state, u_nom)
+
+    @pytest.mark.parametrize("u_nom", [[0.3, 5.0], []], ids=["two", "none"])
+    def test_wrong_input_length_raises(self, u_nom):
+        _, _, sup = self.make_setup()
+        with pytest.raises(ValueError, match="nominal input has"):
+            supervise(sup, [0.0, 0.0], u_nom)
+
+    def test_two_inputs_wrong_length_raises(self):
+        _, sup = self.make_two_input_setup()
+        with pytest.raises(ValueError, match="nominal input has 1 entries"):
+            supervise(sup, [0.0, 0.0], [0.1])
+
+    def test_overflowing_state_falls_back(self):
+        # A x overflows, so g(x) and both bounds are NaN; they must not
+        # reach the clip, which would return u = NaN as admissible
+        sys = LinearSystem(
+            A=2.0 * np.eye(2), B=[[1.0], [0.0]], E=np.zeros((2, 1)),
+            dist_set=Hyperbox.from_bounds([0.0], [0.0]),
+            safe=HPolytope.universe(3),
+        )
+        sup = Supervisor(sys=sys, invariant=HPolytope.from_bounds([-1.0, -1.0], [1.0, 1.0]),
+                         input_box=Hyperbox.cube(1, 2.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = supervise(sup, [1e308, -1e308], [0.1])
+        assert res.admissible_empty and res.admissible.is_empty
+        assert res.u[0] == 0.1
+
+    def test_build_checks_dimensions(self):
+        sys, c0, _ = self.make_setup()
+        # a 2-D box on a one-input system would make the fallback a 2-vector
+        with pytest.raises(ValueError, match="input box"):
+            Supervisor(sys=sys, invariant=c0, input_box=Hyperbox.cube(2, 2.0))
+        with pytest.raises(ValueError, match="invariant"):
+            Supervisor(sys=sys, invariant=HPolytope.from_bounds([-1.0] * 3, [1.0] * 3),
+                       input_box=Hyperbox.cube(1, 2.0))
+
 
 def reference_filter(sup, x, u_nom):
     """The safety filter from its definition: a fresh ``admissible_inputs``
@@ -232,11 +280,12 @@ def assert_same_as_reference(sup, x, u_nom):
 
 @pytest.fixture(scope="module")
 def lane_supervisors():
-    """The lane-keeping model and its supervisors augmented at p = 2 and
-    p = 5, each over the lifted no-preview set grown by Method 2."""
+    """The lane-keeping model, its no-preview supervisor (p = 0) and its
+    supervisors augmented at p = 2 and p = 5, each over the lifted
+    no-preview set grown by Method 2."""
     sys, _ = load_simulation_config(lane_config())
     cmax0 = method1(sys).result
-    sups = {}
+    sups = {0: Supervisor(sys=sys, invariant=cmax0, input_box=_input_box_of(sys))}
     for p in (2, 5):
         aug = augment(sys, p).aug
         grown = method2(aug, lift(cmax0, sys.dist_set, p), 10).result
@@ -344,9 +393,169 @@ class TestHoistedFilter:
         rest = rng.uniform(sys.dist_set.lo, sys.dist_set.hi, size=(50, sys.l))
         script = np.vstack([xi[sys.n :].reshape(p, sys.l), rest])
         calls = count_lps(monkeypatch)
+        # nor does it build a polytope or normalize rows
+        built, cleaned = [0], [0]
+        init, clean = HPolytope.__init__, polytope._clean_rows
+
+        def counted_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        def counted_clean(*args):
+            cleaned[0] += 1
+            return clean(*args)
+
+        monkeypatch.setattr(HPolytope, "__init__", counted_init)
+        monkeypatch.setattr(polytope, "_clean_rows", counted_clean)
+        monkeypatch.setattr(simulation, "_clean_rows", counted_clean, raising=False)
         trace = rollout(sys, p, lambda t, x, w: np.array([0.3]), sup, xi[: sys.n], script, 50)
         assert len(trace) == 50 and trace.supervision_count() > 0
-        assert calls[0] == 0
+        assert calls[0] == 0 and built[0] == 0 and cleaned[0] == 0
+
+
+def reference_rollout(sys, p, controller, supervisor, x0, d_script, T):
+    """``rollout`` before its loop invariants were hoisted, body verbatim:
+    ``step`` and ``contains`` run, with their checks, at every step."""
+    x = np.asarray(x0, dtype=float).ravel().copy()
+    script = np.asarray(d_script, dtype=float).reshape(-1, sys.l)
+    if script.shape[0] < T + p:
+        raise ScriptExhaustedError(
+            f"script holds {script.shape[0]} steps, need {T + p}"
+        )
+    trace = simulation.Trace()
+    for t in range(T):
+        window = script[t : t + p]
+        u_nom = np.atleast_1d(np.asarray(controller(t, x, window), dtype=float))
+        if supervisor is not None:
+            state_for_sup = (
+                np.concatenate([x, window.ravel()])
+                if supervisor.sys.n == sys.n + p * sys.l
+                else x
+            )
+            res = supervise(supervisor, state_for_sup, u_nom)
+            u, supervised, adm = res.u, res.supervised, res.admissible
+        else:
+            u, supervised, adm = u_nom, False, None
+        safe = sys.safe.contains(np.concatenate([x, u]), tol=1e-7)
+        trace.records.append(
+            simulation.TraceRecord(
+                t=t, x=x.copy(), u_nominal=u_nom.copy(), u_applied=np.atleast_1d(u).copy(),
+                d_applied=script[t].copy(), admissible=adm,
+                supervised=bool(supervised), safe=bool(safe),
+            )
+        )
+        x = step(sys, x, u, script[t])
+    return trace
+
+
+def assert_same_records(trace, ref):
+    """Every field of every record bitwise equal; returns the outcome of each
+    step: ``"fallback"``, ``"clip"`` or ``"pass"``."""
+    assert len(trace) == len(ref)
+    outcomes = []
+    for r, q in zip(trace.records, ref.records):
+        assert r.t == q.t
+        for field in ("x", "u_nominal", "u_applied", "d_applied"):
+            a, b = getattr(r, field), getattr(q, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        assert (r.admissible is None) == (q.admissible is None)
+        if r.admissible is not None:
+            assert bits(r.admissible.lo, r.admissible.hi) == bits(q.admissible.lo, q.admissible.hi)
+        assert (r.supervised, r.safe) == (q.supervised, q.safe)
+        if r.admissible is not None and r.admissible.is_empty:
+            outcomes.append("fallback")
+        else:
+            outcomes.append("clip" if r.supervised else "pass")
+    return outcomes
+
+
+def lane_runs(sys, p, sup, rng, runs=6, T=30):
+    """Seeded rollout arguments on the lane-keeping model: starts inside the
+    supervisor's invariant and beyond it, vertex then uniform disturbance
+    scripts, and nominal steering drawn up to 1.5 times the steering bound."""
+    center = sup.invariant.feasible_point()
+    box = sup.invariant.bounding_box()
+    steer = sup.input_box.hi[0]
+    lo, hi = sys.dist_set.lo, sys.dist_set.hi
+    for k in range(runs):
+        z = rng.uniform(box.lo, box.hi)
+        z = z + (0.6 if k % 2 == 0 else -0.5) * (center - z)
+        preview = z[sys.n :].reshape(p, sys.l)
+        if k < runs // 2:
+            rest = np.where(rng.integers(0, 2, size=(T, sys.l)) == 1, hi, lo)
+        else:
+            rest = rng.uniform(lo, hi, size=(T, sys.l))
+        nominal = rng.uniform(-1.5, 1.5, size=T) * steer
+
+        def controller(t, x, window, nominal=nominal):
+            return np.array([nominal[t]])
+
+        yield controller, z[: sys.n], np.vstack([preview, rest]), T
+
+
+class TestHoistedRollout:
+    """``rollout`` lifts its loop invariants; every record must still be the
+    one the per-step checks gave."""
+
+    @pytest.mark.parametrize("p", [0, 2, 5])
+    def test_lane_keeping_bitwise(self, p, lane_supervisors, master_seed):
+        sys, sups = lane_supervisors
+        rng = np.random.default_rng(master_seed)
+        outcomes = set()
+        for controller, x0, script, T in lane_runs(sys, p, sups[p], rng):
+            trace = rollout(sys, p, controller, sups[p], x0, script, T)
+            ref = reference_rollout(sys, p, controller, sups[p], x0, script, T)
+            outcomes.update(assert_same_records(trace, ref))
+        assert outcomes == {"fallback", "clip", "pass"}
+
+    def test_unsupervised_bitwise(self, lane_supervisors, master_seed):
+        sys, sups = lane_supervisors
+        rng = np.random.default_rng(master_seed)
+        for controller, x0, script, T in lane_runs(sys, 2, sups[2], rng, runs=2):
+            trace = rollout(sys, 2, controller, None, x0, script, T)
+            assert assert_same_records(trace, reference_rollout(sys, 2, controller, None, x0, script, T))
+
+    def test_changed_steps_log_one_debug_record_each(self, lane_supervisors, caplog):
+        sys, sups = lane_supervisors
+        runs = list(lane_runs(sys, 2, sups[2], np.random.default_rng(4), runs=2))
+        with caplog.at_level(logging.DEBUG, logger="previewsafe.simulation"):
+            traces = [rollout(sys, 2, c, sups[2], x0, s, T) for c, x0, s, T in runs]
+        changed = [r for trace in traces for r in trace.records if r.supervised]
+        assert {r.admissible.is_empty for r in changed} == {True, False}
+        assert len(caplog.records) == len(changed)
+        for rec, r in zip(caplog.records, changed):
+            assert rec.name == "previewsafe.simulation" and rec.levelno == logging.DEBUG
+            t, u_nom, u, adm = rec.args
+            assert (t, u_nom, u) == (r.t, r.u_nominal.tolist(), r.u_applied.tolist())
+            assert adm == "fallback" if r.admissible.is_empty else adm is r.admissible
+            assert rec.getMessage().startswith(f"supervise: t={r.t} u_nom=")
+        # the log does not touch the trace, and above DEBUG nothing is written
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="previewsafe.simulation"):
+            quiet = [rollout(sys, 2, c, sups[2], x0, s, T) for c, x0, s, T in runs]
+        assert caplog.records == []
+        for a, b in zip(traces, quiet):
+            assert a.to_csv() == b.to_csv()
+
+    def test_rejects_bad_arguments(self):
+        prob = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.2), 0)
+        sys = prob.system()
+        sup = Supervisor(sys=sys, invariant=method1(sys).result, input_box=Hyperbox.cube(1, 2.0))
+        zero = lambda t, x, w: np.array([0.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            rollout(sys, 0, zero, None, [0.0, 0.0], np.zeros((3, 2)), -1)
+        with pytest.raises(ValueError, match="initial state"):
+            rollout(sys, 0, zero, sup, [0.0, 0.0, 0.0], np.zeros((3, 2)), 2)
+        # the same error with or without a supervisor
+        two = lambda t, x, w: np.array([0.0, 1.0])
+        for supervisor in (None, sup):
+            with pytest.raises(ValueError, match="controller returned 2 inputs, the system has 1"):
+                rollout(sys, 0, two, supervisor, [0.0, 0.0], np.zeros((3, 2)), 2)
+        aug = augment(sys, 1).aug
+        lifted = Supervisor(sys=aug, invariant=lift(method1(sys).result, sys.dist_set, 1),
+                            input_box=Hyperbox.cube(1, 2.0))
+        with pytest.raises(ValueError, match="supervisor state space"):
+            rollout(sys, 2, zero, lifted, [0.0, 0.0], np.zeros((5, 2)), 2)
 
 
 class TestRollout:
