@@ -103,9 +103,8 @@ def bhat(problem: BrunovskyProblem) -> list:
 
 def tail_box(problem: BrunovskyProblem) -> Hyperbox:
     """B_{d,pbar}: the box of never-previewed disturbance coordinates."""
-    pb = pbar_of(problem)
-    n = problem.n
-    return Hyperbox(tuple(problem.dist_box.intervals[n - pb : n]))
+    tail = slice(problem.n - pbar_of(problem), problem.n)
+    return Hyperbox(problem.dist_box.lo[tail], problem.dist_box.hi[tail])
 
 
 def preview_stack(problem: BrunovskyProblem, d_list: Sequence) -> np.ndarray:
@@ -310,7 +309,7 @@ def safe_input_interval(problem: BrunovskyProblem, d_list: Sequence) -> Interval
 
 def controller_g(problem: BrunovskyProblem, d_list: Sequence) -> float:
     """Preview-only safe controller: barycentric combination over the tail
-    box of the midpoints of the per-vertex safe-input intervals.
+    box of the midpoint of each tail vertex's safe-input interval.
 
     Raises :class:`EmptyInvariantError` if any vertex interval is empty
     (equivalently, if the nonemptiness condition fails).

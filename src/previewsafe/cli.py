@@ -25,7 +25,13 @@ from typing import Optional
 
 from . import brunovsky as bk
 from . import casestudies as cs
-from .errors import ConfigError, DimensionTooLargeError, PreviewSafeError
+from .errors import (
+    ConfigError,
+    DimensionTooLargeError,
+    EmptySetError,
+    InvalidParametersError,
+    PreviewSafeError,
+)
 from .geometry import HPolytope, Hyperbox
 from .invariance import lift, method1, method2, preview_gain
 from .jsonio import dumps_17g, format_float
@@ -101,22 +107,20 @@ def _case_system(name: str, preview: int):
 def _brunovsky_problem(data: dict, preview) -> BrunovskyProblem:
     """The problem of a parsed shift-register config; ``preview``, unless None,
     overrides the config's own."""
-    n = int(data["n"])
-    box = Hyperbox.from_json(data["box"])
-    dist_data = data.get("disturbance")
-    if dist_data is None:
-        raise ConfigError("brunovsky config needs a disturbance set")
-    dist = HPolytope.from_json(dist_data) if "H" in dist_data else Hyperbox.from_json(dist_data)
-    p = int(preview if preview is not None else data.get("preview", 0))
-    return BrunovskyProblem.create(n, box, dist, p)
+    try:
+        n = int(data["n"])
+        box = Hyperbox.from_json(data["box"])
+        dist_data = data["disturbance"]
+        dist = HPolytope.from_json(dist_data) if "H" in dist_data else Hyperbox.from_json(dist_data)
+        p = int(preview if preview is not None else data.get("preview", 0))
+        return BrunovskyProblem.create(n, box, dist, p)
+    except (KeyError, TypeError, ValueError, InvalidParametersError, EmptySetError) as exc:
+        raise ConfigError(f"bad shift-register config (n, box, disturbance): {exc!r}") from exc
 
 
 def cmd_check(args) -> int:
     if args.system:
-        data = _load_json(args.system)
-        if "n" not in data or "box" not in data:
-            raise ConfigError("check expects a shift-register config with n/box/disturbance")
-        problem = _brunovsky_problem(data, args.preview)
+        problem = _brunovsky_problem(_load_json(args.system), args.preview)
     elif args.n is None or args.c is None:
         raise ConfigError("check needs either --system FILE or --n and --c")
     else:

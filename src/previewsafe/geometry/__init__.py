@@ -1,4 +1,4 @@
-"""Polyhedral and interval kernel: intervals, hyperboxes, H-polytopes, LPs."""
+"""Polyhedral kernel: hyperboxes, H-polytopes, LPs, and the scalar interval."""
 
 from .interval import Hyperbox, Interval, box_vertices, convex_weights
 from .lp import EPS_LP, LPResult, LPStatus, chebyshev_center, linprog_max

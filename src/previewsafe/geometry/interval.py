@@ -1,8 +1,9 @@
-"""Closed intervals and axis-aligned hyperboxes.
+"""Closed scalar interval and axis-aligned hyperbox types.
 
 An interval is a pair of float endpoints with one distinguished empty value;
-bounds built from sums of endpoints are plain float sums, where an empty sum
-is ``0``.
+it is the scalar result type of the closed form and the supervisor.  A
+hyperbox holds its endpoints as two read-only float arrays.  Bounds built
+from sums of endpoints are plain float sums, where an empty sum is ``0``.
 """
 
 from __future__ import annotations
@@ -111,50 +112,54 @@ Interval.EMPTY = Interval(math.nan, math.nan)
 
 @dataclass(frozen=True, eq=False)
 class Hyperbox:
-    """Axis-aligned box, one :class:`Interval` per coordinate.
+    """Axis-aligned box ``prod_k [lo_k, hi_k]`` held as two read-only arrays.
 
-    Shares ``dim``, ``is_empty``, ``support``, ``contains`` and
-    ``bounding_box`` with ``HPolytope``, so set operations take either.
+    Endpoints may be infinite.  The empty box has every endpoint NaN
+    (:meth:`empty`); a NaN pair in any coordinate makes the whole box that
+    one empty form.  Shares ``dim``, ``is_empty``, ``support``, ``contains``
+    and ``bounding_box`` with ``HPolytope``, so set operations take either.
 
     A zero-dimensional box is nonempty by convention (it is the neutral
     element of the Cartesian product).
     """
 
-    intervals: tuple
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        for iv in self.intervals:
-            if not isinstance(iv, Interval):
-                raise TypeError("Hyperbox expects Interval coordinates")
+        lo, hi = (np.array(a, dtype=float).ravel() for a in (self.lo, self.hi))
+        if lo.shape != hi.shape:
+            raise ValueError("lo/hi length mismatch")
+        if (np.isnan(lo) != np.isnan(hi)).any() or (lo > hi).any():
+            raise ValueError(f"invalid box endpoints {lo.tolist()}, {hi.tolist()}")
+        if np.isnan(lo).any():
+            lo, hi = np.full(lo.shape, math.nan), np.full(lo.shape, math.nan)
+        for name, ends in (("lo", lo), ("hi", hi)):
+            ends.setflags(write=False)
+            object.__setattr__(self, name, ends)
 
     @classmethod
     def from_bounds(cls, lo: Sequence[float], hi: Sequence[float]) -> "Hyperbox":
-        lo = np.asarray(lo, dtype=float).ravel()
-        hi = np.asarray(hi, dtype=float).ravel()
-        if lo.shape != hi.shape:
-            raise ValueError("lo/hi length mismatch")
-        return cls(tuple(Interval(a, b) for a, b in zip(lo, hi)))
+        return cls(lo, hi)
 
     @classmethod
     def cube(cls, dim: int, halfwidth: float) -> "Hyperbox":
-        return cls(tuple(Interval(-halfwidth, halfwidth) for _ in range(dim)))
+        return cls(np.full(dim, -halfwidth), np.full(dim, halfwidth))
+
+    @classmethod
+    def empty(cls, dim: int) -> "Hyperbox":
+        """The empty box of dimension ``dim >= 1``."""
+        if dim < 1:
+            raise ValueError("a zero-dimensional box is never empty")
+        return cls(np.full(dim, math.nan), np.full(dim, math.nan))
 
     @property
     def dim(self) -> int:
-        return len(self.intervals)
+        return self.lo.shape[0]
 
     @property
     def is_empty(self) -> bool:
-        return any(iv.is_empty for iv in self.intervals)
-
-    @property
-    def lo(self) -> np.ndarray:
-        return np.array([iv.lo for iv in self.intervals], dtype=float)
-
-    @property
-    def hi(self) -> np.ndarray:
-        return np.array([iv.hi for iv in self.intervals], dtype=float)
+        return self.dim > 0 and math.isnan(self.lo[0])
 
     def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
         if self.is_empty:
@@ -185,10 +190,13 @@ class Hyperbox:
         return self
 
     def volume(self) -> float:
-        """Exact product of interval widths (1.0 for the zero-dim box)."""
+        """Exact product of the widths (1.0 for the zero-dim box); raises
+        :class:`UnboundedError` for an infinite endpoint."""
         if self.is_empty:
             return 0.0
-        return float(np.prod([iv.width for iv in self.intervals])) if self.dim else 1.0
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise UnboundedError("volume of an unbounded hyperbox")
+        return float(np.prod(self.hi - self.lo))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if self.is_empty:
@@ -204,21 +212,30 @@ class Hyperbox:
     @classmethod
     def from_json(cls, data: dict) -> "Hyperbox":
         if data.get("empty"):
-            dim = int(data.get("dim", 1))
-            box = [Interval.EMPTY] + [Interval(0.0, 0.0)] * (dim - 1)
-            return cls(tuple(box))
-        return cls.from_bounds(data["lo"], data["hi"])
+            return cls.empty(int(data.get("dim", 1)))
+        return cls(data["lo"], data["hi"])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hyperbox):
             return NotImplemented
-        return self.intervals == other.intervals
+        same_lo = np.array_equal(self.lo, other.lo, equal_nan=True)
+        return same_lo and np.array_equal(self.hi, other.hi, equal_nan=True)
 
     def __hash__(self) -> int:
-        return hash(self.intervals)
+        # + 0.0 turns -0.0 into 0.0; the empty box has one NaN bit pattern
+        return hash((self.lo + 0.0).tobytes() + (self.hi + 0.0).tobytes())
 
     def __repr__(self) -> str:
-        return f"Hyperbox({list(self.intervals)!r})"
+        return f"Hyperbox(lo={self.lo.tolist()!r}, hi={self.hi.tolist()!r})"
+
+
+def _check_enumerable(box: Hyperbox, what: str) -> None:
+    if box.is_empty:
+        raise EmptySetError(f"{what} of an empty hyperbox")
+    if box.dim > _VERTEX_CAP:
+        raise DimensionTooLargeError(
+            f"vertex enumeration in dimension {box.dim} exceeds cap {_VERTEX_CAP}"
+        )
 
 
 def box_vertices(box: Hyperbox) -> list:
@@ -228,14 +245,9 @@ def box_vertices(box: Hyperbox) -> list:
     returned vertices are already deduplicated.  The zero-dimensional box has
     exactly one vertex, the empty tuple of coordinates.
     """
-    if box.is_empty:
-        raise EmptySetError("vertices of an empty hyperbox")
-    if box.dim > _VERTEX_CAP:
-        raise DimensionTooLargeError(
-            f"vertex enumeration in dimension {box.dim} exceeds cap {_VERTEX_CAP}"
-        )
+    _check_enumerable(box, "vertices")
     choices = [
-        (iv.lo,) if iv.lo == iv.hi else (iv.lo, iv.hi) for iv in box.intervals
+        (lo,) if lo == hi else (lo, hi) for lo, hi in zip(box.lo.tolist(), box.hi.tolist())
     ]
     return [np.array(v, dtype=float) for v in itertools.product(*choices)]
 
@@ -248,12 +260,7 @@ def convex_weights(box: Hyperbox, point: Sequence[float]) -> list:
     coordinates contribute factor 1.  The weights are nonnegative, sum to one
     and reproduce ``point`` exactly.
     """
-    if box.is_empty:
-        raise EmptySetError("weights over an empty hyperbox")
-    if box.dim > _VERTEX_CAP:
-        raise DimensionTooLargeError(
-            f"vertex enumeration in dimension {box.dim} exceeds cap {_VERTEX_CAP}"
-        )
+    _check_enumerable(box, "weights")
     v = np.asarray(point, dtype=float).ravel()
     if v.shape[0] != box.dim:
         raise ValueError("point dimension mismatch")
@@ -262,18 +269,15 @@ def convex_weights(box: Hyperbox, point: Sequence[float]) -> list:
     v = np.minimum(np.maximum(v, box.lo), box.hi)
 
     per_coord = []
-    for k, iv in enumerate(box.intervals):
-        if iv.lo == iv.hi:
-            per_coord.append(((iv.lo, 1.0),))
+    for vk, lo, hi in zip(v, box.lo.tolist(), box.hi.tolist()):
+        if lo == hi:
+            per_coord.append(((lo, 1.0),))
         else:
-            t = (v[k] - iv.lo) / (iv.hi - iv.lo)
-            per_coord.append(((iv.lo, 1.0 - t), (iv.hi, t)))
+            t = (vk - lo) / (hi - lo)
+            per_coord.append(((lo, 1.0 - t), (hi, t)))
 
     out = []
     for combo in itertools.product(*per_coord):
         vertex = np.array([c[0] for c in combo], dtype=float)
-        weight = 1.0
-        for c in combo:
-            weight *= c[1]
-        out.append((vertex, float(weight)))
+        out.append((vertex, float(math.prod(c[1] for c in combo))))
     return out

@@ -44,6 +44,9 @@ EPS_LP = 1e-9
 # pivots with no objective progress before switching to Bland's rule
 _STALL_LIMIT = 100
 
+# largest inflation radius chebyshev_center reports (a fat unbounded set)
+_CHEBYSHEV_CAP = 1e6
+
 
 class LPStatus(Enum):
     OPTIMAL = "optimal"
@@ -183,10 +186,9 @@ def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, tol: float):
     return _DualOutcome.OPTIMAL, float(objective), multipliers
 
 
-def linprog_max(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float = EPS_LP
-) -> LPResult:
-    """Maximize ``c @ x`` subject to ``A @ x <= b`` with ``x`` free.
+def linprog_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LPResult:
+    """Maximize ``c @ x`` subject to ``A @ x <= b`` with ``x`` free, to the
+    absolute tolerance ``EPS_LP``.
 
     Raises ``ValueError`` when ``c``, ``A`` or ``b`` has a NaN or infinite
     entry.
@@ -203,31 +205,30 @@ def linprog_max(
         raise ValueError("LP data must be finite")
 
     if m == 0:
-        if np.all(np.abs(c) <= tol):
+        if np.all(np.abs(c) <= EPS_LP):
             return LPResult(LPStatus.OPTIMAL, 0.0, np.zeros(d))
         return LPResult(LPStatus.UNBOUNDED, np.inf, None)
 
-    outcome, objective, point = _solve_dual(A.T, c, b, tol)
+    outcome, objective, point = _solve_dual(A.T, c, b, EPS_LP)
     if outcome is _DualOutcome.OPTIMAL:
         return LPResult(LPStatus.OPTIMAL, objective, point)
     if outcome is _DualOutcome.UNBOUNDED:
         # dual unbounded below means the primal is infeasible
         return LPResult(LPStatus.INFEASIBLE, -np.inf, None)
     # dual infeasible: the primal is unbounded if feasible, empty otherwise
-    probe, _, _ = _solve_dual(A.T, np.zeros(d), b, tol)
+    probe, _, _ = _solve_dual(A.T, np.zeros(d), b, EPS_LP)
     if probe is _DualOutcome.UNBOUNDED:
         return LPResult(LPStatus.INFEASIBLE, -np.inf, None)
     return LPResult(LPStatus.UNBOUNDED, np.inf, None)
 
 
-def chebyshev_center(
-    A: np.ndarray, b: np.ndarray, cap: float = 1e6, tol: float = EPS_LP
-):
+def chebyshev_center(A: np.ndarray, b: np.ndarray):
     """Largest inflation radius and a witness point for ``A @ x <= b``.
 
-    Solves max rho s.t. ``A x + rho * ||A_i|| <= b`` and ``rho <= cap``.
-    Returns ``(rho, x)``; ``rho < 0`` certifies infeasibility of the original
-    system within tolerance, ``rho == cap`` indicates a fat unbounded set.
+    Solves max rho s.t. ``A x + rho * ||A_i|| <= b`` and ``rho <= cap`` with
+    ``cap = _CHEBYSHEV_CAP``.  Returns ``(rho, x)``; ``rho < 0`` certifies
+    infeasibility of the original system within tolerance, ``rho == cap``
+    indicates a fat unbounded set.
     Returns ``(-inf, None)`` when even the inflated system is infeasible
     (possible only through trivially false rows such as ``0 <= -1``).
     """
@@ -235,16 +236,16 @@ def chebyshev_center(
     b = np.asarray(b, dtype=float).ravel()
     m, d = A.shape
     if m == 0:
-        return cap, np.zeros(d)
+        return _CHEBYSHEV_CAP, np.zeros(d)
     norms = np.linalg.norm(A, axis=1)
     A_ext = np.hstack([A, norms[:, None]])
     cap_row = np.zeros((1, d + 1))
     cap_row[0, -1] = 1.0
     A_ext = np.vstack([A_ext, cap_row])
-    b_ext = np.concatenate([b, [cap]])
+    b_ext = np.concatenate([b, [_CHEBYSHEV_CAP]])
     c = np.zeros(d + 1)
     c[-1] = 1.0
-    res = linprog_max(c, A_ext, b_ext, tol)
+    res = linprog_max(c, A_ext, b_ext)
     if res.status is LPStatus.INFEASIBLE:
         return -np.inf, None
     if res.status is not LPStatus.OPTIMAL:

@@ -31,7 +31,7 @@ import logging
 import numpy as np
 
 from ..errors import EmptySetError, RowBlowupError, UnboundedError
-from .interval import Hyperbox, Interval
+from .interval import Hyperbox
 from .lp import LPResult, LPStatus, chebyshev_center, linprog_max
 
 __all__ = [
@@ -60,6 +60,7 @@ _GRAM_BLOCK = 64
 # retries of the witness point in reduction, each deflected off one row
 _WITNESS_DEFLECTIONS = 4
 
+# most rows a projection iterate may keep; read at call time
 _ROW_CAP = 5000
 
 _log = logging.getLogger("previewsafe.geometry")
@@ -133,10 +134,8 @@ class HPolytope:
     def from_box(cls, box: Hyperbox) -> "HPolytope":
         if box.is_empty:
             return cls.empty(box.dim)
-        d = box.dim
-        H = np.vstack([np.eye(d), -np.eye(d)])
-        h = np.concatenate([box.hi, -box.lo])
-        return cls(H, h)
+        eye = np.eye(box.dim)
+        return cls(np.vstack([eye, -eye]), np.concatenate([box.hi, -box.lo]))
 
     @classmethod
     def from_bounds(cls, lo, hi) -> "HPolytope":
@@ -230,15 +229,10 @@ class HPolytope:
         """Smallest enclosing hyperbox, via 2*dim support calls; the empty
         box for an empty set."""
         if self.is_empty:
-            return Hyperbox((Interval.EMPTY,) * self._dim)
-        lo = np.zeros(self._dim)
-        hi = np.zeros(self._dim)
-        for k in range(self._dim):
-            e = np.zeros(self._dim)
-            e[k] = 1.0
-            hi[k] = self.support(e)
-            lo[k] = -self.support(-e)
-        return Hyperbox.from_bounds(lo, hi)
+            return Hyperbox.empty(self._dim)
+        eye = np.eye(self._dim)
+        hi = [self.support(e) for e in eye]
+        return Hyperbox([-self.support(-e) for e in eye], hi)
 
     def to_json(self) -> dict:
         return {"H": self._H.tolist(), "h": self._h.tolist()}
@@ -517,12 +511,12 @@ def _fm_eliminate(H: np.ndarray, h: np.ndarray, col: int):
     return np.vstack(blocks), np.concatenate(rhs)
 
 
-def project(P: HPolytope, keep, row_cap: int = _ROW_CAP) -> HPolytope:
+def project(P: HPolytope, keep) -> HPolytope:
     """Exact shadow of ``P`` onto the coordinates in ``keep``.
 
     Fourier-Motzkin elimination of the dropped coordinates (cheapest-fill
     first) with interleaved redundancy removal; raises
-    :class:`RowBlowupError` if an intermediate iterate exceeds ``row_cap``
+    :class:`RowBlowupError` if an intermediate iterate exceeds ``_ROW_CAP``
     rows after reduction.  FM keeps emptiness, so when a coordinate is
     eliminated the Chebyshev test after each step decides it and ``P`` gets
     no emptiness LP of its own.  The result is marked nonempty; its feasible
@@ -572,9 +566,9 @@ def project(P: HPolytope, keep, row_cap: int = _ROW_CAP) -> HPolytope:
             if reduced is None:
                 return HPolytope.empty(nkeep)
             H, h = reduced
-        if H.shape[0] > row_cap:
+        if H.shape[0] > _ROW_CAP:
             raise RowBlowupError(
-                f"projection iterate has {H.shape[0]} rows (cap {row_cap})"
+                f"projection iterate has {H.shape[0]} rows (cap {_ROW_CAP})"
             )
     return _nonempty(H, h)
 
@@ -634,10 +628,6 @@ def volume(P, seed: int = 0, samples: int = 100_000) -> float:
     if samples < 1:
         raise ValueError("volume needs at least one sample")
     if isinstance(P, Hyperbox):
-        if P.is_empty:
-            return 0.0
-        if np.any(~np.isfinite(P.lo)) or np.any(~np.isfinite(P.hi)):
-            raise UnboundedError("volume of an unbounded hyperbox")
         return P.volume()
     if P.is_empty:
         return 0.0

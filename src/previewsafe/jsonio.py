@@ -14,6 +14,8 @@ from typing import Any
 
 __all__ = ["dumps_17g", "format_float"]
 
+_INDENT = 2
+
 
 def format_float(value: float) -> str:
     if math.isnan(value):
@@ -23,9 +25,9 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write(obj: Any, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _write(obj: Any, out: list, level: int) -> None:
+    pad = " " * (_INDENT * (level + 1))
+    close_pad = " " * (_INDENT * level)
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -47,7 +49,7 @@ def _write(obj: Any, out: list, indent: int, level: int) -> None:
             out.append(pad)
             out.append(json.dumps(str(key)))
             out.append(": ")
-            _write(val, out, indent, level + 1)
+            _write(val, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -65,7 +67,7 @@ def _write(obj: Any, out: list, indent: int, level: int) -> None:
         out.append("[\n")
         for i, val in enumerate(items):
             out.append(pad)
-            _write(val, out, indent, level + 1)
+            _write(val, out, level + 1)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(close_pad + "]")
     else:
@@ -75,8 +77,8 @@ def _write(obj: Any, out: list, indent: int, level: int) -> None:
             raise TypeError(f"cannot serialize {type(obj)!r}") from exc
 
 
-def dumps_17g(obj: Any, indent: int = 2) -> str:
+def dumps_17g(obj: Any) -> str:
     out: list = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     out.append("\n")
     return "".join(out)

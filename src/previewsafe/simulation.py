@@ -47,6 +47,11 @@ __all__ = [
 
 _log = logging.getLogger("previewsafe.simulation")
 
+# the ZOH series stops at the first term below this (max-abs entry)
+_ZOH_TOL = 1e-12
+# least seed-facet violation that counts as a state of grown \ seed
+_GAP_SLACK = 1e-4
+
 
 @dataclass(frozen=True)
 class LQRSpec:
@@ -323,7 +328,8 @@ def rollout(
     entries (:class:`ScriptExhaustedError` otherwise).  ``T`` must be
     nonnegative, ``x0`` must have ``sys.n`` entries, the supervisor's state
     space must be that of ``sys`` or of its p-step preview realization, and
-    the controller must return ``sys.m`` inputs (``ValueError`` otherwise).
+    the controller must return ``sys.m`` finite inputs (``ValueError``
+    otherwise).
 
     Each step where the filter changed the input writes one DEBUG record on
     the ``previewsafe.simulation`` logger: ``t``, the nominal and applied
@@ -361,6 +367,8 @@ def rollout(
                     "supervise: t=%d u_nom=%s u=%s admissible=%s", t, u_nom.tolist(), u.tolist(),
                     "fallback" if res.admissible_empty else adm,
                 )
+        elif not np.isfinite(u_nom).all():
+            raise ValueError("nominal input must be finite")
         else:
             u, supervised, adm = u_nom, False, None
         safe = (H_safe @ np.concatenate([x, u]) <= h_safe).all()
@@ -376,32 +384,24 @@ def rollout(
     return trace
 
 
-def zoh_discretize(Ac: np.ndarray, Bc: np.ndarray, Ec: np.ndarray, dt: float, tol: float = 1e-12):
-    """Zero-order-hold discretization by truncated matrix-exponential series."""
-    n = Ac.shape[0]
-    Ad = np.eye(n)
-    term = np.eye(n)
+def zoh_discretize(Ac: np.ndarray, Bc: np.ndarray, Ec: np.ndarray, dt: float):
+    """Zero-order-hold discretization (Van Loan): the top block row of
+    ``exp([[Ac, Bc, Ec], [0, 0, 0]] dt)`` is ``[Ad, Bd, Ed]``, summed as one
+    truncated series until a term falls below ``_ZOH_TOL``."""
+    n, m = Ac.shape[0], Bc.shape[1]
+    M = np.hstack([Ac, Bc, Ec]) * dt
+    # the block matrix has zero rows below its first n, so the top block row
+    # of its k-th power over k! is term_k = (Ac dt)^(k-1) M / k!
+    term = M
+    total = np.eye(n, M.shape[1]) + term
     k = 1
-    while True:
-        term = term @ (Ac * dt) / k
-        Ad = Ad + term
-        if float(np.max(np.abs(term))) < tol:
-            break
+    while float(np.max(np.abs(term))) >= _ZOH_TOL:
         k += 1
         if k > 400:
             raise RiccatiDivergedError("matrix exponential series did not settle")
-    S = np.eye(n) * dt
-    term = np.eye(n) * dt
-    k = 1
-    while True:
-        term = term @ (Ac * dt) / (k + 1)
-        S = S + term
-        if float(np.max(np.abs(term))) < tol:
-            break
-        k += 1
-        if k > 400:
-            raise RiccatiDivergedError("matrix exponential series did not settle")
-    return Ad, S @ Bc, S @ Ec
+        term = M[:, :n] @ term / k
+        total = total + term
+    return total[:, :n], total[:, n : n + m], total[:, n + m :]
 
 
 def bicycle_system(model: dict, bounds: dict) -> LinearSystem:
@@ -506,7 +506,7 @@ def _augmented_lqr(preview: PreviewSystem, lqr_opts: dict) -> np.ndarray:
     return lqr_gain(aug, LQRSpec(Q=Q, R=R))
 
 
-def _find_gap_state(seed: HPolytope, grown: HPolytope, slack_tol: float = 1e-4):
+def _find_gap_state(seed: HPolytope, grown: HPolytope):
     """LP search of grown \\ seed: maximize each seed facet over the grown set
     and keep the deepest violation, backed off toward the interior of the
     grown set (a boundary vertex would start the rollout with degenerate
@@ -523,7 +523,7 @@ def _find_gap_state(seed: HPolytope, grown: HPolytope, slack_tol: float = 1e-4):
         slack = res.objective - seed.h[i]
         if slack > best_slack + 1e-9:
             best_slack, best_point, best_row = slack, res.point, i
-    if best_point is None or best_slack <= slack_tol:
+    if best_point is None or best_slack <= _GAP_SLACK:
         return None, None
     normal = seed.H[best_row]
     center = grown.feasible_point()

@@ -38,10 +38,23 @@ class TestCheck:
         assert code == 3
         assert json.loads(out.read_text())["nonempty"] is False
 
-    def test_malformed_config_exit_two(self, tmp_path):
+    def test_malformed_config_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"n\": 3}")
         assert run(["check", "--system", str(bad)]) == 2
+        dist = {"lo": [-0.1, -0.1], "hi": [0.1, 0.1]}
+        configs = {
+            "crossed_box": {"n": 2, "box": {"lo": [1.0, -1.0], "hi": [-1.0, 1.0]}, "disturbance": dist},
+            "box_without_hi": {"n": 2, "box": {"lo": [-1.0, -1.0]}, "disturbance": dist},
+            "n_not_a_number": {"n": "two", "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+                               "disturbance": dist},
+            "box_of_wrong_dim": {"n": 2, "box": {"lo": [-1.0], "hi": [1.0]}, "disturbance": dist},
+        }
+        for name, config in configs.items():
+            bad.write_text(json.dumps(config))
+            for command in ("check", "invariant"):
+                assert run([command, "--system", str(bad)]) == 2, (name, command)
+                assert capsys.readouterr().err.startswith("error: "), (name, command)
 
     def test_missing_flags_exit_two(self):
         assert run(["check"]) == 2

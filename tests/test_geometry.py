@@ -50,19 +50,53 @@ class TestHyperbox:
         assert Hyperbox.cube(n, c).support(np.ones(n)) == pytest.approx(n * c)
 
     def test_empty(self):
-        box = Hyperbox((Interval.EMPTY, Interval(0, 1)))
+        box = Hyperbox.from_bounds([np.nan, 0], [np.nan, 1])
         assert box.is_empty
         with pytest.raises(EmptySetError):
             box.support([1, 0])
 
     def test_zero_dim_box_is_nonempty(self):
-        box = Hyperbox(())
+        box = Hyperbox.from_bounds([], [])
         assert not box.is_empty
         assert box.volume() == 1.0
         assert box.support(np.zeros(0)) == 0.0
 
     def test_volume_exact(self):
         assert Hyperbox.cube(3, 1.0).volume() == 8.0
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [([1.0], [0.0]), ([np.nan], [1.0]), ([0.0, 0.0], [1.0, np.nan]), ([0.0], [1.0, 2.0])],
+        ids=["crossed", "nan_lo", "nan_hi", "length"],
+    )
+    def test_invalid_endpoints_raise(self, lo, hi):
+        with pytest.raises(ValueError):
+            Hyperbox.from_bounds(lo, hi)
+
+    def test_one_empty_form(self):
+        a = Hyperbox.from_bounds([0.0, np.nan, -1.0], [1.0, np.nan, 1.0])
+        b = Hyperbox.empty(3)
+        assert a == b and hash(a) == hash(b)
+        assert np.isnan(a.lo).all() and np.isnan(a.hi).all()
+        assert a != Hyperbox.empty(2)
+        assert a != Hyperbox.cube(3, 1.0)
+        with pytest.raises(ValueError):
+            Hyperbox.empty(0)
+
+    def test_signed_zero_endpoints_hash_equal(self):
+        a = Hyperbox.from_bounds([-0.0], [1.0])
+        b = Hyperbox.from_bounds([0.0], [1.0])
+        assert a == b and hash(a) == hash(b)
+
+    def test_endpoints_are_stored_read_only_arrays(self):
+        lo = np.array([-1.0, 0.0])
+        box = Hyperbox.from_bounds(lo, [1.0, 2.0])
+        lo[0] = -5.0  # the box holds its own copy
+        assert box.lo is box.lo and box.hi is box.hi
+        assert box.lo.tolist() == [-1.0, 0.0]
+        with pytest.raises(ValueError):
+            box.lo[0] = 0.0
+        assert box.to_json() == {"lo": [-1.0, 0.0], "hi": [1.0, 2.0]}
 
 
 class TestBoxVertices:
@@ -167,7 +201,7 @@ class TestSetProtocol:
         [
             Hyperbox.from_bounds([-1.0, -0.5, 0.0], [2.0, 0.5, 3.0]),
             Hyperbox.from_bounds([-1.0, 0.3, -2.0], [1.0, 0.3, 2.0]),
-            Hyperbox((Interval(0.0, 1.0), Interval.EMPTY, Interval(-1.0, 1.0))),
+            Hyperbox.from_bounds([0.0, np.nan, -1.0], [1.0, np.nan, 1.0]),
         ],
         ids=["full", "width_zero", "empty"],
     )
@@ -209,7 +243,7 @@ class TestSetProtocol:
         [
             Hyperbox.from_bounds([-1.0, -0.5, 0.0], [2.0, 0.5, 3.0]),
             Hyperbox.from_bounds([-1.0, -np.inf, -2.0], [1.0, np.inf, 2.0]),
-            Hyperbox((Interval(0.0, 1.0), Interval.EMPTY, Interval(-1.0, 1.0))),
+            Hyperbox.from_bounds([0.0, np.nan, -1.0], [1.0, np.nan, 1.0]),
         ],
         ids=["full", "infinite", "empty"],
     )
@@ -909,3 +943,5 @@ class TestSerialization:
         B = Hyperbox.from_bounds([-1, 0], [1, 2])
         C = Hyperbox.from_json(B.to_json())
         assert B == C
+        empty = HPolytope.empty(3).bounding_box()
+        assert Hyperbox.from_json(empty.to_json()) == empty

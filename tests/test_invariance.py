@@ -327,7 +327,7 @@ class TestIsInvariant:
     def test_expanding_map_not_invariant(self):
         sys = LinearSystem(
             A=[[2.0]], B=np.zeros((1, 0)), E=np.zeros((1, 0)),
-            dist_set=Hyperbox(()), safe=HPolytope.from_bounds([-1], [1]),
+            dist_set=Hyperbox.from_bounds([], []), safe=HPolytope.from_bounds([-1], [1]),
         )
         assert not is_invariant(sys, HPolytope.from_bounds([-1], [1]))
 

@@ -572,6 +572,17 @@ class TestRollout:
         rollout(sys, 0, controller, None, [0.1, 0.0], script, 5)
         assert all(s == (0, 2) for s in seen)
 
+    @pytest.mark.parametrize("supervised", [False, True], ids=["plain", "supervised"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_controller_output_raises(self, value, supervised):
+        prob = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.2), 0)
+        sys = prob.system()
+        sup = None
+        if supervised:
+            sup = Supervisor(sys=sys, invariant=method1(sys).result, input_box=Hyperbox.cube(1, 2.0))
+        with pytest.raises(ValueError, match="finite"):
+            rollout(sys, 0, lambda t, x, w: np.array([value]), sup, [0.0, 0.0], np.zeros((3, 2)), 2)
+
     def test_script_too_short(self):
         prob = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.1), 2)
         with pytest.raises(ScriptExhaustedError):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from previewsafe.errors import ConfigError, ImageNotExactError, NumericalError
-from previewsafe.geometry import HPolytope, Hyperbox, set_equal
+from previewsafe.errors import ConfigError, ImageNotExactError, NumericalError, RowBlowupError
+from previewsafe.geometry import HPolytope, Hyperbox, polytope, project, set_equal
 from previewsafe.geometry.polytope import _as_polytope
 from previewsafe.systems import (
     BrunovskyProblem,
@@ -147,7 +147,7 @@ class TestCollaborative:
 
         sys = LinearSystem(
             A=[[1.0]], B=[[1.0]], E=np.zeros((1, 0)),
-            dist_set=Hyperbox(()), safe=HPolytope.from_bounds([-1, -1], [1, 1]),
+            dist_set=Hyperbox.from_bounds([], []), safe=HPolytope.from_bounds([-1, -1], [1, 1]),
         )
         co = collaborative(sys)
         assert co.m == 1
@@ -165,7 +165,7 @@ class TestBrunovskyProblem:
         from previewsafe.errors import InvalidParametersError
 
         with pytest.raises(InvalidParametersError):
-            BrunovskyProblem.create(0, Hyperbox(()), Hyperbox(()), 0)
+            BrunovskyProblem.create(0, Hyperbox.from_bounds([], []), Hyperbox.from_bounds([], []), 0)
 
 
 class TestEvariant:
@@ -203,6 +203,21 @@ class TestEvariant:
         half = HPolytope([[1.0]], [1.0])  # unbounded input set
         with pytest.raises(ImageNotExactError):
             evariant(2, np.array([[1.0], [1.0]]), half, Hyperbox.cube(2, 2.0), 0)
+
+    def test_row_cap_guard(self, monkeypatch):
+        cube = HPolytope.from_box(Hyperbox.cube(3, 1.0))
+        ebar = np.array([[1.0, 0.5], [0.0, 1.0]])
+        args = (2, ebar, Hyperbox.cube(2, 0.2), Hyperbox.cube(2, 1.0), 1)
+        # below the cap both succeed
+        assert project(cube, [0, 1]).nrows == 4
+        assert evariant(*args).ebar is not None
+        # each projection iterate keeps 4 rows: over a cap of 3 it raises
+        monkeypatch.setattr(polytope, "_ROW_CAP", 3)
+        with pytest.raises(RowBlowupError):
+            project(cube, [0, 1])
+        with pytest.raises(ImageNotExactError) as info:
+            evariant(*args)
+        assert isinstance(info.value.__cause__, RowBlowupError)
 
     def test_solver_failure_is_not_called_unbounded(self, monkeypatch):
         # only unboundedness makes the image "not a polytope"
