@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _VALIDITY_TOL = 1e-12
+# half-width of example 1's disturbance box (its disturbance gain is zero)
+_EXAMPLE1_D_HALFWIDTH = 1.0
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ def scalar_strict_growth(prob: ScalarPreviewProblem) -> bool:
     return contains_set(bigger, lifted) and not contains_set(lifted, bigger)
 
 
-def example1_config(p: int = 1, d_halfwidth: float = 1.0):
+def example1_config(p: int = 1):
     """Two-dimensional shift with zero disturbance gain and a safe segment.
 
     Returns the system together with the singleton seed {(0,0)} x D^p used to
@@ -172,7 +174,7 @@ def example1_config(p: int = 1, d_halfwidth: float = 1.0):
         A=[[0.0, 1.0], [0.0, 0.0]],
         B=[[0.0], [1.0]],
         E=np.zeros((2, 2)),
-        dist_set=Hyperbox.cube(2, d_halfwidth),
+        dist_set=Hyperbox.cube(2, _EXAMPLE1_D_HALFWIDTH),
         safe=safe,
     )
     origin = HPolytope(

@@ -148,7 +148,7 @@ def cmd_invariant(args) -> int:
         data = _load_json(args.system)
         if "n" in data and "box" in data and "A" not in data:
             problem = _brunovsky_problem(data, args.preview)
-            sys_ = problem.system()
+            sys_, preview = problem.system(), problem.p
             if args.closed_form:
                 inv = bk.closed_form(problem)
                 _write_output(dumps_17g(inv.to_json()), args.out)

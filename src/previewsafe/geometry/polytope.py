@@ -13,13 +13,15 @@ intermediate row counts under control.  Redundancy and containment are
 certified by linear programs solved by :mod:`previewsafe.geometry.lp`; a
 cheap geometric pre-check settles a row first when it proves what the LP
 would answer (a ray from an interior point for irredundancy, a shared row for
-containment).  A row whose support over the box of the kept axis-aligned
-rows is at most its offset is dropped as redundant without an LP.  A row the
-ray and the box leave open is kept without an LP when a witness point
-violates it by ``2 _RAY_MARGIN`` while every other kept row holds with slack
-above ``_RAY_MARGIN``: the point starts on the ray along the row's normal
-and, when another row blocks it, is deflected off the worst-violated row
-(at most ``_WITNESS_DEFLECTIONS`` times).  Support values are memoized per
+containment).  A row that is not axis-aligned and whose support over the
+box of the kept axis-aligned rows is at most its offset is dropped as
+redundant without an LP; the box never settles an axis-aligned row, since
+after deduplication no other kept row bounds its coordinate from its side.
+A row the ray and the box leave open is kept without an LP when a witness
+point violates it by ``2 _RAY_MARGIN`` while every other kept row holds with
+slack above ``_RAY_MARGIN``: the point starts on the ray along the row's
+normal and, when another row blocks it, is deflected off the worst-violated
+row (at most ``_WITNESS_DEFLECTIONS`` times).  Support values are memoized per
 set, and a projection's emptiness is decided by the Chebyshev test after its
 elimination steps, so neither is solved twice.
 """
@@ -320,61 +322,21 @@ def _ray_certified(H: np.ndarray, s: np.ndarray) -> np.ndarray:
     return certified
 
 
-class _AxisBox:
-    """Box cut out by the kept axis-aligned rows, a redundancy certificate.
+def _box_implied(H: np.ndarray, h: np.ndarray, ub: np.ndarray, i: int) -> bool:
+    """True when the box of the kept axis-aligned rows proves row ``i``
+    redundant.
 
-    A row is axis-aligned when exactly one entry ``H_jk`` is nonzero; it
-    bounds ``x_k`` (``H_jk > 0``) or ``-x_k`` (``H_jk < 0``) from above by
-    ``h_j / |H_jk|``.  Row ``i`` is redundant when its support over the box of
-    the other kept axis rows, ``sum_k |a_k| u_k`` over the nonzero ``a_k``
-    (``u_k`` the bound on ``sign(a_k) x_k``), is at most ``h_i``: the
-    redundancy LP sees those rows too, so its optimum is no larger and it
-    would drop the row.  A missing bound is ``+inf``, so a needed one gives
-    no certificate, and summing the nonzero ``a_k`` only never forms
-    ``0 * inf``.
+    ``ub[k]`` bounds ``x_k`` and ``ub[d + k]`` bounds ``-x_k`` (``+inf`` when
+    no kept axis row does).  Row ``i`` is redundant when its support over the
+    box, ``sum_k |a_k| ub[slot_k]`` over the nonzero ``a_k``, is at most
+    ``h_i``: the redundancy LP sees those rows too, so its optimum is no
+    larger and it would drop the row.  A needed infinite end gives no
+    certificate, and summing the nonzero ``a_k`` only never forms ``0 * inf``.
     """
-
-    def __init__(self, H: np.ndarray, h: np.ndarray):
-        self._H = H
-        self._h = h
-        m, d = H.shape
-        rows = np.flatnonzero(np.count_nonzero(H, axis=1) == 1)
-        self._axis = np.full(m, -1)
-        self._axis[rows] = np.arange(rows.size)
-        col = np.argmax(H[rows] != 0.0, axis=1)
-        coef = H[rows, col]
-        # bound slot k holds the bound on x_k, slot d + k the one on -x_k
-        self._slot = col + d * (coef < 0.0)
-        self._scale = np.abs(coef)
-        self._bound = h[rows] / self._scale
-        self._alive = np.ones(rows.size, dtype=bool)
-        self._ub = np.full(2 * d, np.inf)
-        np.minimum.at(self._ub, self._slot, self._bound)
-
-    def _tightest(self, slot: int, skip: int = -1) -> float:
-        """Tightest bound in ``slot`` from the kept axis rows other than
-        axis row ``skip``."""
-        mask = self._alive & (self._slot == slot)
-        if skip >= 0:
-            mask[skip] = False
-        return self._bound[mask].min() if mask.any() else np.inf
-
-    def implies(self, i: int) -> bool:
-        """True when the box proves row ``i`` redundant."""
-        k = self._axis[i]
-        if k >= 0:
-            return bool(self._scale[k] * self._tightest(self._slot[k], skip=k) <= self._h[i])
-        nz = np.flatnonzero(self._H[i])
-        coef = self._H[i, nz]
-        slots = nz + self._H.shape[1] * (coef < 0.0)
-        return bool(np.abs(coef) @ self._ub[slots] <= self._h[i])
-
-    def drop(self, i: int) -> None:
-        """Row ``i`` left the system; rebuild the bound it may have set."""
-        k = self._axis[i]
-        if k >= 0:
-            self._alive[k] = False
-            self._ub[self._slot[k]] = self._tightest(self._slot[k])
+    nz = np.flatnonzero(H[i])
+    coef = H[i, nz]
+    slots = nz + H.shape[1] * (coef < 0.0)
+    return bool(np.abs(coef) @ ub[slots] <= h[i])
 
 
 def _witnessed(H, h, center, s, keep, i) -> bool:
@@ -412,36 +374,45 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
     (the ray test, the box and the witness measure distances along them).
     ``center`` is a point of the set (a Chebyshev centre).  When it is
     interior by ``_RAY_MARGIN``, rows that a ray from it proves irredundant
-    are kept, rows that the box of the kept axis-aligned rows proves
-    redundant are dropped, and rows that a (deflected) witness point proves
-    irredundant are kept, each without an LP; every other row gets the LP
-    against the rows still kept.  Returns ``None`` when an LP certifies
-    exact infeasibility (which can happen for sets the tolerance-based
-    emptiness test calls nonempty, and never with an interior centre).
+    are kept, rows that are not axis-aligned and that the box of the kept
+    axis-aligned rows proves redundant are dropped, and rows that a
+    (deflected) witness point proves irredundant are kept, each without an
+    LP; every other row gets the LP against the rows still kept.  Returns
+    ``None`` when an LP certifies exact infeasibility (which can happen for
+    sets the tolerance-based emptiness test calls nonempty, and never with an
+    interior centre).
     Logs one DEBUG record per call with the rows each check settled.
     """
     rows_in = H.shape[0]
     H, h = _dedupe(H, h)
-    m = H.shape[0]
+    m, d = H.shape
     if m <= 1:
         _log_reduction(rows_in, m, 0, 0, 0, 0, m)
         return H, h
     s = h - H @ center
     interior = s.min() > _RAY_MARGIN
+    # slot[i] is the box bound that axis row i sets (-1 for other rows): slot
+    # k bounds x_k, slot d + k bounds -x_k.  _dedupe leaves at most one unit
+    # row per slot, so no other row bounds an axis row's slot and the box
+    # never settles one; on rows at other scales the box only gets weaker
+    slot = np.full(m, -1)
+    ub = np.full(2 * d, np.inf)
     if interior:
         certified = _ray_certified(H, s)
-        box = _AxisBox(H, h)
+        axis = np.flatnonzero(np.count_nonzero(H, axis=1) == 1)
+        col = np.argmax(H[axis] != 0.0, axis=1)
+        coef = H[axis, col]
+        slot[axis] = col + d * (coef < 0.0)
+        ub[slot[axis]] = h[axis] / np.abs(coef)
     else:
         certified = np.zeros(m, dtype=bool)
-        box = None
     keep = np.ones(m, dtype=bool)
     boxed = witnessed = lps = 0
     for i in range(m):
         if certified[i]:
             continue
-        if box is not None and box.implies(i):
+        if interior and slot[i] < 0 and _box_implied(H, h, ub, i):
             keep[i] = False
-            box.drop(i)
             boxed += 1
             continue
         if interior and _witnessed(H, h, center, s, keep, i):
@@ -455,8 +426,8 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
         lps += 1
         if res.status is LPStatus.OPTIMAL and res.objective <= h[i] + _RED_TOL:
             keep[i] = False
-            if box is not None:
-                box.drop(i)
+            if slot[i] >= 0:
+                ub[slot[i]] = np.inf
         elif res.status is LPStatus.INFEASIBLE:
             _log_reduction(rows_in, m, certified, boxed, witnessed, lps, 0)
             return None
@@ -481,14 +452,9 @@ def reduce_rows(P: HPolytope) -> HPolytope:
     Certified row by row with an LP (maximize the facet function subject to
     the remaining rows and a relaxed copy of the row itself), except rows a
     ray from the set's feasible point already proves irredundant.
-    Idempotent.
+    Idempotent; the projection onto every coordinate.
     """
-    if P.is_empty:
-        return HPolytope.empty(P.dim)
-    reduced = _reduce_arrays(np.array(P.H), np.array(P.h), P.feasible_point())
-    if reduced is None:
-        return HPolytope.empty(P.dim)
-    return HPolytope(reduced[0], reduced[1])
+    return project(P, range(P.dim))
 
 
 def _fm_eliminate(H: np.ndarray, h: np.ndarray, col: int):

@@ -79,11 +79,20 @@ def pre(sys: LinearSystem, X: HPolytope) -> HPolytope:
     if X.is_empty:
         return HPolytope.empty(n)
     # project's Chebyshev test decides whether the erosion left anything
+    _, G_x, G_u, h0 = _pull_back(sys, X)
+    return project(HPolytope(np.hstack([G_x, G_u]), h0), list(range(n)))
+
+
+def _pull_back(sys: LinearSystem, X: HPolytope):
+    """The rows ``G_x x + G_u u <= h0`` of the pairs ``(x, u)`` in the safe
+    set whose successor lies in the erosion ``E_r z <= e_r`` of ``X`` by
+    ``E D``: ``G_x = [E_r A; S_x]``, ``G_u = [E_r B; S_u]`` and
+    ``h0 = [e_r; s]``.  Returns ``(erosion, G_x, G_u, h0)``."""
     eroded = pontryagin_diff(X, sys.dist_set, sys.E)
-    pulled_H = np.hstack([eroded.H @ sys.A, eroded.H @ sys.B])
-    H = np.vstack([pulled_H, sys.safe.H])
-    h = np.concatenate([eroded.h, sys.safe.h])
-    return project(HPolytope(H, h), list(range(n)))
+    n = sys.n
+    G_x = np.vstack([eroded.H @ sys.A, sys.safe.H[:, :n]])
+    G_u = np.vstack([eroded.H @ sys.B, sys.safe.H[:, n:]])
+    return eroded, G_x, G_u, np.concatenate([eroded.h, sys.safe.h])
 
 
 def safe_state_projection(sys: LinearSystem) -> HPolytope:
@@ -145,23 +154,20 @@ def input_constraints(sys: LinearSystem, C: HPolytope):
     """The state-independent part of :func:`admissible_inputs`: ``(G_u, g)``
     with the inputs admissible at ``x`` equal to ``{u : G_u u <= g(x)}``, or
     ``None`` when ``C`` or its erosion by ``E D`` is empty.  The erosion does
-    not depend on the state, so a caller that keeps ``C`` erodes it once.
+    not depend on the state, so a caller that keeps ``C`` erodes it once, and
+    ``g(x) = h0 - G_x @ x`` is one mat-vec on the rows that :func:`pre`
+    projects.
     """
     if sys.m == 0:
         raise ValueError("admissible input set requires an input channel")
     if C.is_empty:
         return None
-    eroded = pontryagin_diff(C, sys.dist_set, sys.E)
+    eroded, G_x, G_u, h0 = _pull_back(sys, C)
     if eroded.is_empty:
         return None
-    n = sys.n
-    G_u = np.vstack([eroded.H @ sys.B, sys.safe.H[:, n:]])
 
     def g(x: np.ndarray) -> np.ndarray:
-        return np.concatenate([
-            eroded.h - eroded.H @ (sys.A @ x),
-            sys.safe.h - sys.safe.H[:, :n] @ x,
-        ])
+        return h0 - G_x @ x
 
     return G_u, g
 

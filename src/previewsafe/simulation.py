@@ -49,18 +49,19 @@ _log = logging.getLogger("previewsafe.simulation")
 
 # the ZOH series stops at the first term below this (max-abs entry)
 _ZOH_TOL = 1e-12
+# the Riccati recursion stops at the first step below this (max-abs entry)
+_RICCATI_TOL = 1e-12
 # least seed-facet violation that counts as a state of grown \ seed
 _GAP_SLACK = 1e-4
 
 
 @dataclass(frozen=True)
 class LQRSpec:
-    """Riccati recursion parameters: stage costs and convergence budget."""
+    """Riccati recursion parameters: stage costs and iteration budget."""
 
     Q: np.ndarray
     R: np.ndarray
     max_iter: int = 10_000
-    tol: float = 1e-12
 
 
 def lqr_gain(sys_aug: LinearSystem, spec: LQRSpec) -> np.ndarray:
@@ -84,7 +85,7 @@ def lqr_gain(sys_aug: LinearSystem, spec: LQRSpec) -> np.ndarray:
         Pn = 0.5 * (Pn + Pn.T)
         if float(np.min(np.linalg.eigvalsh(Pn))) < -1e-9:
             raise RiccatiDivergedError("Riccati iterate lost positive semidefiniteness")
-        if float(np.max(np.abs(Pn - P))) <= spec.tol:
+        if float(np.max(np.abs(Pn - P))) <= _RICCATI_TOL:
             P = Pn
             break
         P = Pn

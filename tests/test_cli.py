@@ -135,6 +135,25 @@ class TestInvariant:
         assert paths == [str(cfg)]
         assert json.loads(out.read_text())["p"] == 1
 
+    @pytest.mark.parametrize("method", ["1", "2"])
+    def test_shift_register_config_preview_reaches_methods(self, tmp_path, method):
+        # the config's "preview" is the default for Method 1/2 as it is for
+        # --closed-form and check: no flag gives the --preview 2 result
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(dumps_17g({
+            "n": 3,
+            "box": {"lo": [-1.0, -1.2, -0.9], "hi": [1.1, 1.0, 1.0]},
+            "disturbance": {"lo": [-0.2, -0.15, -0.1], "hi": [0.2, 0.15, 0.1]},
+            "preview": 2,
+        }))
+        outs = []
+        for flags in ([], ["--preview", "2"]):
+            outs.append(tmp_path / f"rep{len(outs)}.json")
+            args = ["invariant", "--system", str(cfg), "--method", method, "--out", str(outs[-1])]
+            assert run(args + flags) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(json.loads(outs[0].read_text())["result"]["H"][0]) == 9
+
 
 class TestSweep:
     def test_values_and_determinism(self, tmp_path):

@@ -471,7 +471,7 @@ def reference_reduce(H, h, monkeypatch):
     witness off: one LP for every row."""
     with monkeypatch.context() as patch:
         patch.setattr(polytope, "_ray_certified", lambda H, s: np.zeros(H.shape[0], dtype=bool))
-        patch.setattr(polytope._AxisBox, "implies", lambda self, i: False)
+        patch.setattr(polytope, "_box_implied", lambda *args: False)
         no_witness(patch)
         return polytope._reduce_arrays(H, h, np.zeros(H.shape[1]))
 
@@ -655,7 +655,7 @@ class TestBoxReduction:
             return reduce_rows(P), project(P, [2, 0]), calls[0]
 
         with monkeypatch.context() as patch:
-            patch.setattr(polytope._AxisBox, "implies", lambda self, i: False)
+            patch.setattr(polytope, "_box_implied", lambda *args: False)
             *expected, lps_without_box = run(patch)
         with monkeypatch.context() as patch:
             *got, lps = run(patch)
@@ -673,17 +673,19 @@ class TestBoxReduction:
         assert polytope._reduce_arrays(H, h, np.zeros(2))[0].shape[0] == 5
 
     def test_dropped_axis_row_bound_is_not_used(self, monkeypatch):
-        # 2 x0 <= 2 proves x0 <= 1 redundant; once x0 <= 1 is gone, nothing
-        # else bounds x0 from above, so 2 x0 <= 2 needs its LP and stays.
-        # Two rows on one side of a coordinate survive deduplication only at
-        # different scales, which the ray test (unit-norm rows) does not
-        # take, so the box runs alone here
+        # x0 <= 1 and 2 x0 <= 2 bound x0 from above at two scales, so both
+        # survive deduplication (unit-norm rows, which every caller passes,
+        # never put two rows in one slot).  The box never settles an axis
+        # row, so all 5 rows get their LP: the first drops x0 <= 1 and frees
+        # its slot, and 2 x0 <= 2 is then the only bound on x0 and stays.
+        # The ray test (unit-norm rows) does not take these rows, so the box
+        # runs alone here
         H = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         h = np.array([1.0, 2.0, 1.0, 1.0, 1.0])
         expected = reference_reduce(H, h, monkeypatch)
         (got, got_h), lps = self.box_only(H, h, np.zeros(2), monkeypatch)
         assert got.tobytes() == expected[0].tobytes() and got_h.tobytes() == expected[1].tobytes()
-        assert lps == 4 and got.tolist() == H[1:].tolist()
+        assert lps == 5 and got.tolist() == H[1:].tolist()
 
     def test_axis_row_dropped_by_its_lp_leaves_the_box(self, monkeypatch):
         # the tilted row x0 + 4e-10 x1 <= 1 + 4e-10 touches the corner (1, 1)

@@ -143,19 +143,38 @@ class TestPreLPs:
         assert pre(self.scalar(1.0 + 5e-9, gain=100.0), X).h.tolist() == [1.0, 1.0]
 
 
+def lane_keeping_model():
+    """The bundled bicycle model and its input/LQR options."""
+    ref = importlib.resources.files("previewsafe") / "configs" / "lane_keeping.json"
+    return load_simulation_config(json.loads(ref.read_text(encoding="utf-8")))
+
+
+def axis_slots(H):
+    """(column, sign) slot of every axis-aligned row of ``H``."""
+    axis = np.count_nonzero(H, axis=1) == 1
+    col = np.argmax(H[axis] != 0.0, axis=1)
+    return col + H.shape[1] * (H[axis, col] < 0.0)
+
+
 class TestReductionPrecondition:
     """``_reduce_arrays`` and ``_dedupe`` take unit-norm rows (the ray test,
     the box and the witness measure distances along them, and ``_dedupe``
     merges copies of a halfspace only at one scale): every caller, through
-    every path, hands them unit rows."""
+    every path, hands them unit rows, and after ``_dedupe`` at most one
+    axis-aligned row bounds a coordinate from each side (so the box never
+    settles an axis row)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         seen = []
+        dedupe = polytope._dedupe
         for name in ("_reduce_arrays", "_dedupe"):
 
             def checked(H, h, *rest, fn=getattr(polytope, name), name=name):
                 assert np.all(np.abs(np.linalg.norm(H, axis=1) - 1.0) <= 1e-12), name
+                if name == "_reduce_arrays":
+                    slots = axis_slots(dedupe(H, h)[0])
+                    assert np.unique(slots).size == slots.size
                 seen.append(name)
                 return fn(H, h, *rest)
 
@@ -175,9 +194,15 @@ class TestReductionPrecondition:
             lambda P: method1(augment(scalar_sys(), 2).aug),
             lambda P: method1(augment(example5_config(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1))[0], 1).aug),
             lambda P: method2(augment(example1_config(2)[0], 2).aug, example1_config(2)[1], 5),
+            lambda P: method1(lane_keeping_model()[0]),
+            lambda P: method1(augment(make_brunovsky(
+                3, cross_polytope(np.array([0.2, 0.15, 0.1])),
+                Hyperbox.from_bounds([-1.0, -1.2, -0.9], [1.1, 1.0, 1.0]),
+            ), 2).aug),
         ],
         ids=["reduce_rows", "project_no_elimination", "project_fm", "method1_example2",
-             "method1_example5", "method2_example1"],
+             "method1_example5", "method2_example1", "method1_lane_keeping",
+             "method1_shift_register_cross_polytope"],
     )
     def test_call_sites_pass_unit_rows(self, run, calls):
         run(self.polytope4())
@@ -253,8 +278,7 @@ class TestLaneKeepingLPBudget:
 
     @pytest.fixture(scope="class")
     def model(self):
-        ref = importlib.resources.files("previewsafe") / "configs" / "lane_keeping.json"
-        sys, _ = load_simulation_config(json.loads(ref.read_text(encoding="utf-8")))
+        sys, _ = lane_keeping_model()
         return sys, method1(sys).result
 
     def test_method1(self, model, monkeypatch):
