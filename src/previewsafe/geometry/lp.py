@@ -17,6 +17,14 @@ recovered from the dual multipliers (the phase-two reduced costs of the
 artificial columns).  Dantzig pricing is used until the objective stalls,
 after which Bland's rule takes over, which rules out cycling.
 
+A redundancy LP maximizes row ``k``'s own function over rows that include a
+relaxed copy of it, so ``y = e_k`` is a dual vertex.  With ``row=k`` the
+solve starts there without phase 1 and keeps the artificials basic at zero
+until an entering column reaches them (Bazaraa, Jarvis & Sherali, *Linear
+Programming and Network Flows*).  Its keep/drop verdict is the cold solve's
+except on rows parallel within the tolerance, where neither is fixed; its
+point is a maximizer but not always a vertex.
+
 The data must be finite: :func:`linprog_max` raises ``ValueError`` on a NaN
 or infinite entry of ``c``, ``A`` or ``b``.  Rows with offset ``+inf`` (no
 constraint) or ``-inf`` (empty set) are settled before any LP, as
@@ -91,9 +99,15 @@ def _run_simplex(
     ncols: int,
     nrows: int,
     tol: float,
+    drive_out: bool = False,
 ) -> _DualOutcome:
     """Minimize the cost in ``cost_row`` over columns ``0..ncols-1`` in place.
 
+    With ``drive_out``, artificials (columns ``ncols`` on) may be basic at
+    zero: before the ratio test, one whose entry in the entering column
+    exceeds ``tol`` in magnitude leaves by a degenerate pivot on the largest
+    such entry, so that it stays at zero; these pivots do not count as
+    stalls.
     Returns OPTIMAL or UNBOUNDED (for the standard-form problem being run).
     """
     bland = False
@@ -106,6 +120,9 @@ def _run_simplex(
     rhs = np.empty(nrows)
     ratios = np.empty(nrows)
     ok = np.empty(nrows, dtype=bool)
+    # 1.0 on the rows an artificial is basic in; only a degenerate pivot
+    # below clears one, since the ratio test never reaches those rows then
+    artificial = (basis >= ncols).astype(float) if drive_out else None
     for _ in range(max_iter):
         if bland:
             neg = (costs < -tol).nonzero()[0]
@@ -117,6 +134,15 @@ def _run_simplex(
             if costs[col] >= -tol:
                 return _DualOutcome.OPTIMAL
         column = T[:nrows, col]
+        if artificial is not None:
+            np.abs(column, out=ratios)
+            ratios *= artificial
+            row = int(ratios.argmax())
+            if ratios[row] > tol:
+                _pivot(T, row, col)
+                basis[row] = col
+                artificial[row] = 0.0
+                continue
         np.greater(column, tol, out=ok)
         np.maximum(last, 0.0, out=rhs)
         ratios.fill(np.inf)
@@ -139,9 +165,11 @@ def _run_simplex(
     raise NumericalError("simplex iteration cap exceeded")
 
 
-def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, tol: float):
+def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, tol: float, row=None):
     """Solve min g@y s.t. M@y = rhs, y >= 0 by the two-phase tableau method.
 
+    ``row`` declares that column ``row`` of ``M`` equals ``rhs``: the solve
+    then starts from ``y = e_row`` and skips phase 1.
     Returns ``(outcome, objective, multipliers)`` where ``multipliers`` are
     the simplex multipliers of the equality rows (the primal maximizer of the
     original problem) for an optimal outcome.
@@ -164,20 +192,30 @@ def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, tol: float):
     T[d + 1, -1] = -rhs.sum()
     basis = np.arange(m, m + d)
 
-    scale = 1.0 + float(np.abs(rhs).sum())
-    outcome = _run_simplex(T, basis, d + 1, m, d, tol)
-    if outcome is not _DualOutcome.OPTIMAL or -T[d + 1, -1] > tol * scale:
-        return _DualOutcome.INFEASIBLE, 0.0, None
+    if row is None:
+        scale = 1.0 + float(np.abs(rhs).sum())
+        outcome = _run_simplex(T, basis, d + 1, m, d, tol)
+        if outcome is not _DualOutcome.OPTIMAL or -T[d + 1, -1] > tol * scale:
+            return _DualOutcome.INFEASIBLE, 0.0, None
 
-    # drive leftover artificials (basic at zero) out of the basis when possible
-    for i in range(d):
-        if basis[i] >= m:
-            nz = np.flatnonzero(np.abs(T[i, :m]) > 1e-9)
-            if nz.size:
-                _pivot(T, i, int(nz[0]))
-                basis[i] = int(nz[0])
+        # drive leftover artificials (basic at zero) out of the basis when possible
+        for i in range(d):
+            if basis[i] >= m:
+                nz = np.flatnonzero(np.abs(T[i, :m]) > 1e-9)
+                if nz.size:
+                    _pivot(T, i, int(nz[0]))
+                    basis[i] = int(nz[0])
+    else:
+        # column `row` is the right-hand side bit for bit, so pivoting it in
+        # zeroes every other row's right-hand side exactly; a zero column
+        # (c = 0) leaves the all-artificial basis, already feasible at y = 0
+        column = T[:d, row]
+        if column.any():
+            r = int(column.argmax())
+            _pivot(T, r, row)
+            basis[r] = row
 
-    outcome = _run_simplex(T, basis, d, m, d, tol)
+    outcome = _run_simplex(T, basis, d, m, d, tol, drive_out=row is not None)
     if outcome is _DualOutcome.UNBOUNDED:
         return _DualOutcome.UNBOUNDED, 0.0, None
     objective = -T[d, -1]
@@ -186,12 +224,17 @@ def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, tol: float):
     return _DualOutcome.OPTIMAL, float(objective), multipliers
 
 
-def linprog_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LPResult:
+def linprog_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, *, row=None) -> LPResult:
     """Maximize ``c @ x`` subject to ``A @ x <= b`` with ``x`` free, to the
     absolute tolerance ``EPS_LP``.
 
+    ``row=k`` declares ``c`` to be exactly ``A[k]`` (a redundancy LP) and
+    starts the solve from the dual vertex ``y = e_k``, without phase 1.
+
     Raises ``ValueError`` when ``c``, ``A`` or ``b`` has a NaN or infinite
-    entry.
+    entry, or when ``row`` is given and is not a row index of ``A`` or
+    ``A[row]`` differs from ``c`` in any bit: a wrong start would be an
+    infeasible dual and a silent wrong bound.
     """
     c = np.asarray(c, dtype=float).ravel()
     A = np.asarray(A, dtype=float)
@@ -203,13 +246,18 @@ def linprog_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LPResult:
         raise ValueError("inconsistent LP shapes")
     if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("LP data must be finite")
+    if row is not None:
+        if not 0 <= row < m:
+            raise ValueError(f"row {row} is not a row of a {m}-row LP")
+        if c.tobytes() != A[row].tobytes():
+            raise ValueError(f"c is not A[{row}] bit for bit")
 
     if m == 0:
         if np.all(np.abs(c) <= EPS_LP):
             return LPResult(LPStatus.OPTIMAL, 0.0, np.zeros(d))
         return LPResult(LPStatus.UNBOUNDED, np.inf, None)
 
-    outcome, objective, point = _solve_dual(A.T, c, b, EPS_LP)
+    outcome, objective, point = _solve_dual(A.T, c, b, EPS_LP, row)
     if outcome is _DualOutcome.OPTIMAL:
         return LPResult(LPStatus.OPTIMAL, objective, point)
     if outcome is _DualOutcome.UNBOUNDED:

@@ -377,7 +377,10 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
     are kept, rows that are not axis-aligned and that the box of the kept
     axis-aligned rows proves redundant are dropped, and rows that a
     (deflected) witness point proves irredundant are kept, each without an
-    LP; every other row gets the LP against the rows still kept.  Returns
+    LP; every other row gets the LP against the rows still kept, started
+    from its own row (``linprog_max(..., row=pos)``, no phase 1; its
+    keep/drop verdict is the cold solve's except on rows parallel within the
+    LP tolerance, where neither is fixed).  Returns
     ``None`` when an LP certifies exact infeasibility (which can happen for
     sets the tolerance-based emptiness test calls nonempty, and never with an
     interior centre).
@@ -422,7 +425,7 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
         b_test = h[idx].copy()
         pos = int(np.flatnonzero(idx == i)[0])
         b_test[pos] += 1.0
-        res = linprog_max(H[i], H[idx], b_test)
+        res = linprog_max(H[i], H[idx], b_test, row=pos)
         lps += 1
         if res.status is LPStatus.OPTIMAL and res.objective <= h[i] + _RED_TOL:
             keep[i] = False
