@@ -17,13 +17,10 @@ containment).  A row that is not axis-aligned and whose support over the
 box of the kept axis-aligned rows is at most its offset is dropped as
 redundant without an LP; the box never settles an axis-aligned row, since
 after deduplication no other kept row bounds its coordinate from its side.
-A row the ray and the box leave open is kept without an LP when a witness
-point violates it by ``2 _RAY_MARGIN`` while every other kept row holds with
-slack above ``_RAY_MARGIN``: the point starts on the ray along the row's
-normal and, when another row blocks it, is deflected off the worst-violated
-row (at most ``_WITNESS_DEFLECTIONS`` times).  Support values are memoized per
-set, and a projection's emptiness is decided by the Chebyshev test after its
-elimination steps, so neither is solved twice.
+A row the ray and the box leave open gets its redundancy LP, started from
+the row itself.  Support values are memoized per set, and a projection's
+emptiness is decided by the Chebyshev test after its elimination steps, so
+neither is solved twice.
 """
 
 from __future__ import annotations
@@ -58,9 +55,6 @@ _RED_TOL = 1e-9
 _RAY_MARGIN = 1e-7
 # rows per block of the Gram products in the ray test (bounds its memory)
 _GRAM_BLOCK = 64
-
-# retries of the witness point in reduction, each deflected off one row
-_WITNESS_DEFLECTIONS = 4
 
 # most rows a projection iterate may keep; read at call time
 _ROW_CAP = 5000
@@ -127,10 +121,6 @@ class HPolytope:
     @classmethod
     def empty(cls, dim: int) -> "HPolytope":
         return cls(np.zeros((1, dim)), np.array([-1.0]))
-
-    @classmethod
-    def universe(cls, dim: int) -> "HPolytope":
-        return cls(np.zeros((0, dim)), np.zeros(0))
 
     @classmethod
     def from_box(cls, box: Hyperbox) -> "HPolytope":
@@ -339,45 +329,16 @@ def _box_implied(H: np.ndarray, h: np.ndarray, ub: np.ndarray, i: int) -> bool:
     return bool(np.abs(coef) @ ub[slots] <= h[i])
 
 
-def _witnessed(H, h, center, s, keep, i) -> bool:
-    """True when a point proves row ``i`` irredundant against the kept rows.
-
-    Rows have unit norm and ``center`` is interior by more than
-    ``_RAY_MARGIN`` (``s`` its slacks).  The point ``z = center + t d`` with
-    ``t = (s_i + 2 _RAY_MARGIN) / (H_i @ d)`` violates row ``i`` by
-    ``2 _RAY_MARGIN > _RED_TOL``; when every other kept row has slack above
-    ``_RAY_MARGIN`` at ``z``, the redundancy LP (which sees exactly those
-    rows) has ``z`` feasible and keeps row ``i``.  The first ``d`` is
-    ``H_i``; each retry deflects it off the worst-violated row ``j``,
-    ``d <- d - (H_j @ d) H_j``, so that the next point meets row ``j`` with
-    the centre's slack.
-    """
-    blocked = np.where(keep, 0.0, np.inf)
-    blocked[i] = np.inf
-    d = H[i]
-    for _ in range(_WITNESS_DEFLECTIONS + 1):
-        gain = H[i] @ d
-        if gain <= _ZERO_TOL:
-            return False
-        slack = h - H @ (center + ((s[i] + 2.0 * _RAY_MARGIN) / gain) * d) + blocked
-        j = int(np.argmin(slack))
-        if slack[j] > _RAY_MARGIN:
-            return True
-        d = d - (H[j] @ d) * H[j]
-    return False
-
-
 def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
     """LP-certified irredundant subsystem of an H-system.
 
     Rows have unit norm, as ``HPolytope`` and ``_clean_rows`` leave them
-    (the ray test, the box and the witness measure distances along them).
+    (the ray test and the box measure distances along them).
     ``center`` is a point of the set (a Chebyshev centre).  When it is
     interior by ``_RAY_MARGIN``, rows that a ray from it proves irredundant
-    are kept, rows that are not axis-aligned and that the box of the kept
-    axis-aligned rows proves redundant are dropped, and rows that a
-    (deflected) witness point proves irredundant are kept, each without an
-    LP; every other row gets the LP against the rows still kept, started
+    are kept and rows that are not axis-aligned and that the box of the kept
+    axis-aligned rows proves redundant are dropped, both without an LP;
+    every other row gets the LP against the rows still kept, started
     from its own row (``linprog_max(..., row=pos)``, no phase 1; its
     keep/drop verdict is the cold solve's except on rows parallel within the
     LP tolerance, where neither is fixed).  Returns
@@ -390,7 +351,8 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
     H, h = _dedupe(H, h)
     m, d = H.shape
     if m <= 1:
-        _log_reduction(rows_in, m, 0, 0, 0, 0, m)
+        # a lone row is irredundant: no other row blocks its ray
+        _log_reduction(rows_in, m, m, 0, 0, m)
         return H, h
     s = h - H @ center
     interior = s.min() > _RAY_MARGIN
@@ -410,16 +372,13 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
     else:
         certified = np.zeros(m, dtype=bool)
     keep = np.ones(m, dtype=bool)
-    boxed = witnessed = lps = 0
+    boxed = lps = 0
     for i in range(m):
         if certified[i]:
             continue
         if interior and slot[i] < 0 and _box_implied(H, h, ub, i):
             keep[i] = False
             boxed += 1
-            continue
-        if interior and _witnessed(H, h, center, s, keep, i):
-            witnessed += 1
             continue
         idx = np.flatnonzero(keep)
         b_test = h[idx].copy()
@@ -432,20 +391,20 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
             if slot[i] >= 0:
                 ub[slot[i]] = np.inf
         elif res.status is LPStatus.INFEASIBLE:
-            _log_reduction(rows_in, m, certified, boxed, witnessed, lps, 0)
+            _log_reduction(rows_in, m, certified, boxed, lps, 0)
             return None
-    _log_reduction(rows_in, m, certified, boxed, witnessed, lps, int(keep.sum()))
+    _log_reduction(rows_in, m, certified, boxed, lps, int(keep.sum()))
     return H[keep], h[keep]
 
 
-def _log_reduction(rows_in, deduped, certified, boxed, witnessed, lps, rows_out) -> None:
+def _log_reduction(rows_in, deduped, certified, boxed, lps, rows_out) -> None:
     """One DEBUG record per reduction: the rows each check settled
-    (``certified`` is the ray test's mask, or 0)."""
+    (``certified`` is the ray test's mask, or a count)."""
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
-            "reduce: %d rows in, %d after dedupe; settled by ray %d, box %d, "
-            "witness %d, LP %d; %d rows out",
-            rows_in, deduped, int(np.sum(certified)), boxed, witnessed, lps, rows_out,
+            "reduce: %d rows in, %d after dedupe; settled by ray %d, box %d, LP %d; "
+            "%d rows out",
+            rows_in, deduped, int(np.sum(certified)), boxed, lps, rows_out,
         )
 
 
@@ -453,8 +412,8 @@ def reduce_rows(P: HPolytope) -> HPolytope:
     """Remove every row whose deletion leaves the set unchanged.
 
     Certified row by row with an LP (maximize the facet function subject to
-    the remaining rows and a relaxed copy of the row itself), except rows a
-    ray from the set's feasible point already proves irredundant.
+    the remaining rows and a relaxed copy of the row itself), except rows
+    that the ray test or the box certificate of ``_reduce_arrays`` settles.
     Idempotent; the projection onto every coordinate.
     """
     return project(P, range(P.dim))

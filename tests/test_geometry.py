@@ -1,5 +1,6 @@
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -461,18 +462,12 @@ class TestReduce:
             assert set_equal(R, P)
 
 
-def no_witness(patch):
-    """Switch the witness certificate off."""
-    patch.setattr(polytope, "_witnessed", lambda *args: False)
-
-
 def reference_reduce(H, h, monkeypatch):
-    """``_reduce_arrays`` with the ray test, the box certificate and the
-    witness off: one LP for every row."""
+    """``_reduce_arrays`` with the ray test and the box certificate off: one
+    LP for every row."""
     with monkeypatch.context() as patch:
         patch.setattr(polytope, "_ray_certified", lambda H, s: np.zeros(H.shape[0], dtype=bool))
         patch.setattr(polytope, "_box_implied", lambda *args: False)
-        no_witness(patch)
         return polytope._reduce_arrays(H, h, np.zeros(H.shape[1]))
 
 
@@ -507,6 +502,45 @@ def test_dedupe_matches_tuple_keys(seed):
         assert mine[0].tobytes() == ref[0].tobytes() and mine[1].tobytes() == ref[1].tobytes()
 
 
+def unit_rows(H, h):
+    """The unit-norm rows that ``HPolytope`` hands to the reduction."""
+    P = HPolytope(np.array(H, dtype=float), np.array(h, dtype=float))
+    return np.array(P.H), np.array(P.h)
+
+
+def random_near_parallel_polytope(rng):
+    """A random polytope with redundant rows (convex combinations with slack)
+    and copies of its rows tilted by about 1e-6 at nearly the same offset."""
+    d = int(rng.integers(2, 5))
+    A = rng.normal(size=(6 * d, d))
+    P = HPolytope(A, rng.random(6 * d) + 0.5)
+    lam = rng.random((4, P.nrows)) / P.nrows
+    extra_A = [lam @ P.H]
+    extra_b = [lam @ P.h + rng.random(4) * 0.1]
+    pick = rng.integers(0, P.nrows, 4)
+    extra_A.append(P.H[pick] + rng.normal(scale=1e-6, size=(4, d)))
+    extra_b.append(P.h[pick] + rng.normal(scale=1e-7, size=4))
+    return HPolytope(np.vstack([P.H] + extra_A), np.concatenate([P.h] + extra_b))
+
+
+def random_tilted_polytope(rng):
+    """A random polytope with redundant rows and copies of its rows tilted by
+    about 1e-3: the copies block the ray test, so rows reach their LPs."""
+    d = int(rng.integers(2, 5))
+    P = HPolytope(rng.normal(size=(6 * d, d)), rng.random(6 * d) + 0.5)
+    lam = rng.random((4, P.nrows)) / P.nrows
+    pick = rng.integers(0, P.nrows, 4)
+    H = np.vstack([P.H, lam @ P.H, P.H[pick] + rng.normal(scale=1e-3, size=(4, d))])
+    h = np.concatenate([P.h, lam @ P.h + rng.random(4) * 0.1, P.h[pick] + rng.normal(scale=1e-3, size=4)])
+    return HPolytope(H, h)
+
+
+# x0 <= 1 is irredundant (at x1 = -2 the diagonal allows x0 <= 3), but the
+# diagonal x0 + x1 <= 1 meets the ray along e0 where x0 <= 1 does, so only
+# an LP keeps it
+BLOCKED_RAY = ([[1, 0], [1, 1], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 0.6, 2])
+
+
 class TestRayShotReduction:
     """The ray test only skips LPs whose answer it proves: the reduced rows
     and their order match an LP for every row."""
@@ -522,25 +556,41 @@ class TestRayShotReduction:
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_random_polytopes_match_lp_only(self, seed, monkeypatch):
-        rng = np.random.default_rng(seed)
-        certified = 0
-        for _ in range(12):
-            d = int(rng.integers(2, 5))
-            A = rng.normal(size=(6 * d, d))
-            P = HPolytope(A, rng.random(6 * d) + 0.5)
-            # redundant rows: convex combinations with slack
-            lam = rng.random((4, P.nrows)) / P.nrows
-            extra_A = [lam @ P.H]
-            extra_b = [lam @ P.h + rng.random(4) * 0.1]
-            # near-parallel rows: tilted copies at nearly the same offset
-            pick = rng.integers(0, P.nrows, 4)
-            extra_A.append(P.H[pick] + rng.normal(scale=1e-6, size=(4, d)))
-            extra_b.append(P.h[pick] + rng.normal(scale=1e-7, size=4))
-            Q = HPolytope(np.vstack([P.H] + extra_A), np.concatenate([P.h] + extra_b))
-            if Q.is_empty:
-                continue
-            certified += int(self.assert_same_reduction(Q, monkeypatch).sum())
-        assert certified > 0  # the check fired, so the comparison means something
+        certified = left_open = 0
+        for family in (random_near_parallel_polytope, random_tilted_polytope):
+            rng = np.random.default_rng(seed)
+            for _ in range(12):
+                Q = family(rng)
+                if Q.is_empty:
+                    continue
+                mask = self.assert_same_reduction(Q, monkeypatch)
+                certified += int(mask.sum())
+                left_open += int((~mask).sum())
+        # both outcomes occurred, so the comparison means something
+        assert certified > 0 and left_open > 0
+
+    def test_row_blocked_on_its_ray_gets_one_lp(self, monkeypatch):
+        H, h = unit_rows(*BLOCKED_RAY)
+        certified = polytope._ray_certified(H, h)  # the centre is the origin
+        assert not certified[0] and certified[1:].all()
+        expected = reference_reduce(H, h, monkeypatch)
+        assert expected[0].shape[0] == 5
+        calls = count_lps(monkeypatch)
+        got = polytope._reduce_arrays(H, h, np.zeros(2))
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert calls[0] == 1
+
+    def test_flattened_blocked_ray_example_runs_every_lp(self, monkeypatch):
+        # the example above flattened to the segment x0 = 0: no centre is
+        # interior
+        H, h = unit_rows(BLOCKED_RAY[0], [0, 1, 0, 0.6, 2])
+        expected = reference_reduce(H, h, monkeypatch)
+        calls = count_lps(monkeypatch)
+        got = polytope._reduce_arrays(H, h, np.zeros(2))
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert calls[0] == 5
 
     def test_measure_zero_set_turns_check_off(self, monkeypatch):
         # a square flattened to the segment x0 = 0 by an equality pair
@@ -576,12 +626,6 @@ class TestRayShotReduction:
             assert np.array_equal(got.H, expected.H) and np.array_equal(got.h, expected.h)
 
 
-def unit_rows(H, h):
-    """The unit-norm rows that ``HPolytope`` hands to the reduction."""
-    P = HPolytope(np.array(H, dtype=float), np.array(h, dtype=float))
-    return np.array(P.H), np.array(P.h)
-
-
 def box_heavy_system(rng, d):
     """Unit-norm rows, as ``HPolytope`` hands them to the reduction: axis rows
     around the origin with some sides missing, plus rows whose offsets sit
@@ -615,11 +659,10 @@ class TestBoxReduction:
     rows, their order and their bits match an LP for every row."""
 
     def box_only(self, H, h, center, monkeypatch):
-        """Reduce with the ray test and the witness off; returns the result
-        and the LP count."""
+        """Reduce with the ray test off; returns the result and the LP
+        count."""
         with monkeypatch.context() as patch:
             patch.setattr(polytope, "_ray_certified", lambda H, s: np.zeros(H.shape[0], dtype=bool))
-            no_witness(patch)
             calls = count_lps(patch)
             return polytope._reduce_arrays(H, h, center), calls[0]
 
@@ -733,98 +776,52 @@ class TestBoxReduction:
         assert calls[0] == 5
 
 
-def random_tilted_polytope(rng):
-    """A random polytope with redundant rows and tilted copies of its rows:
-    the copies block the ray test, so rows reach the witness."""
-    d = int(rng.integers(2, 5))
-    P = HPolytope(rng.normal(size=(6 * d, d)), rng.random(6 * d) + 0.5)
-    lam = rng.random((4, P.nrows)) / P.nrows
-    pick = rng.integers(0, P.nrows, 4)
-    H = np.vstack([P.H, lam @ P.H, P.H[pick] + rng.normal(scale=1e-3, size=(4, d))])
-    h = np.concatenate([P.h, lam @ P.h + rng.random(4) * 0.1, P.h[pick] + rng.normal(scale=1e-3, size=4)])
-    return HPolytope(H, h)
-
-
-# x0 <= 1 is irredundant (at x1 = -2 the diagonal allows x0 <= 3), but the
-# diagonal x0 + x1 <= 1 meets the ray along e0 where x0 <= 1 does; deflected
-# off the diagonal, the witness point runs along it to (1, -1) + 2e-7 (1, -1)
-ONE_DEFLECTION = ([[1, 0], [1, 1], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 0.6, 2])
-
-
-class TestWitnessReduction:
-    """The witness only skips LPs that would keep their row: the reduced
-    rows, their order and their bits match an LP for every row."""
-
-    def witness_results(self, patch) -> list:
-        """Record what every witness search returns."""
-        results = []
-        witnessed = polytope._witnessed
-
-        def recorded(*args):
-            results.append(witnessed(*args))
-            return results[-1]
-
-        patch.setattr(polytope, "_witnessed", recorded)
-        return results
-
-    def assert_same(self, got, expected):
-        assert got[0].tobytes() == expected[0].tobytes()
-        assert got[1].tobytes() == expected[1].tobytes()
-
-    @pytest.mark.parametrize("seed", MASTER_SEEDS)
-    def test_random_polytopes_match_lp_only(self, seed, monkeypatch):
-        rng = np.random.default_rng(seed)
-        fired = 0
-        for _ in range(12):
-            Q = random_tilted_polytope(rng)
-            if Q.is_empty:
-                continue
-            H, h = np.array(Q.H), np.array(Q.h)
-            expected = reference_reduce(H, h, monkeypatch)
-            with monkeypatch.context() as patch:
-                results = self.witness_results(patch)
-                self.assert_same(polytope._reduce_arrays(H, h, Q.feasible_point()), expected)
-            fired += sum(results)
-        assert fired > 0  # the witness fired, so the comparison means something
-
-    def test_row_needing_one_deflection(self, monkeypatch):
-        H, h = unit_rows(*ONE_DEFLECTION)
-        certified = polytope._ray_certified(H, h)  # the centre is the origin
-        assert not certified[0] and certified[1:].all()
-        expected = reference_reduce(H, h, monkeypatch)
-        assert expected[0].shape[0] == 5
-        for deflections, lps in ((0, 1), (1, 0)):
-            with monkeypatch.context() as patch:
-                patch.setattr(polytope, "_WITNESS_DEFLECTIONS", deflections)
-                calls = count_lps(patch)
-                self.assert_same(polytope._reduce_arrays(H, h, np.zeros(2)), expected)
-                assert calls[0] == lps
-
-    def test_measure_zero_set_runs_no_witness(self, monkeypatch):
-        # the example flattened to the segment x0 = 0: no centre is interior
-        H, h = unit_rows(ONE_DEFLECTION[0], [0, 1, 0, 0.6, 2])
-        expected = reference_reduce(H, h, monkeypatch)
-        results = self.witness_results(monkeypatch)
-        calls = count_lps(monkeypatch)
-        self.assert_same(polytope._reduce_arrays(H, h, np.zeros(2)), expected)
-        assert results == [] and calls[0] == 5
-
-
 def test_reduction_logs_one_debug_record_per_call(caplog):
-    # the one-deflection example plus a row the box drops and a row that
-    # only an LP drops (0.5 x0 + x1 <= 0.8 holds on the set)
-    H, h = unit_rows(ONE_DEFLECTION[0] + [[1, -1], [0.5, 1]], ONE_DEFLECTION[1] + [5, 0.9])
+    # the blocked-ray example plus a row the box drops and a row that only
+    # an LP drops (0.5 x0 + x1 <= 0.8 holds on the set)
+    H, h = unit_rows(BLOCKED_RAY[0] + [[1, -1], [0.5, 1]], BLOCKED_RAY[1] + [5, 0.9])
     with caplog.at_level(logging.DEBUG, logger="previewsafe.geometry"):
         polytope._reduce_arrays(H, h, np.zeros(2))
     [record] = caplog.records
     assert record.name == "previewsafe.geometry" and record.levelno == logging.DEBUG
     assert record.getMessage() == (
-        "reduce: 7 rows in, 7 after dedupe; settled by ray 4, box 1, witness 1, LP 1; 5 rows out"
+        "reduce: 7 rows in, 7 after dedupe; settled by ray 4, box 1, LP 2; 5 rows out"
     )
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="previewsafe.geometry"):
         polytope._reduce_arrays(H, h, np.zeros(2))
     assert caplog.records == []
+
+
+REDUCE_RECORD = re.compile(
+    r"reduce: (\d+) rows in, (\d+) after dedupe; settled by ray (\d+), box (\d+), LP (\d+); "
+    r"(\d+) rows out"
+)
+
+
+@pytest.mark.parametrize("seed", MASTER_SEEDS)
+def test_reduction_record_counts_add_up(seed, caplog):
+    # every deduplicated row is settled once, by the ray, the box or an LP,
+    # in every reduction that returns rows (an infeasible one stops early):
+    # the random families above through reduce_rows and project, and
+    # box-heavy systems directly
+    rng = np.random.default_rng(seed)
+    with caplog.at_level(logging.DEBUG, logger="previewsafe.geometry"):
+        for _ in range(8):
+            for family in (random_near_parallel_polytope, random_tilted_polytope):
+                Q = family(rng)
+                if not Q.is_empty:
+                    reduce_rows(Q)
+                    project(Q, [1, 0])
+            d = int(rng.integers(1, 5))
+            H, h = box_heavy_system(rng, d)
+            polytope._reduce_arrays(H, h, np.zeros(d))
+    counts = [[int(v) for v in REDUCE_RECORD.fullmatch(r.getMessage()).groups()] for r in caplog.records]
+    assert len(counts) > 40
+    for rows_in, deduped, ray, box, lps, rows_out in counts:
+        assert deduped <= rows_in and rows_out <= deduped
+        assert rows_out == 0 or ray + box + lps == deduped
+    assert all(sum(c[k] for c in counts) > 0 for k in (2, 3, 4))  # each check settled rows
 
 
 class TestContainment:

@@ -18,6 +18,7 @@ from previewsafe.geometry import (
     HPolytope,
     Hyperbox,
     contains_set,
+    lp,
     polytope,
     project,
     reduce_rows,
@@ -101,18 +102,26 @@ class TestPreLPs:
     erosion support it already solved."""
 
     def test_pinned_lp_count(self, monkeypatch):
-        # a shift register with a cross-polytope disturbance at preview 2:
-        # 17 and 19 LPs when X, the erosion and the lifted set each had their
-        # own emptiness LP and every erosion row its own support LP
+        # a shift register with a cross-polytope disturbance at preview 2.
+        # Only the emptiness and support LPs are counted, which are the calls
+        # without row= (every redundancy LP passes its row)
         box = Hyperbox.from_bounds([-1.0, -1.2, -0.9], [1.1, 1.0, 1.0])
         dist = cross_polytope(np.array([0.2, 0.15, 0.1]))
         sys = augment(make_brunovsky(3, dist, box), 2).aug
         X = safe_state_projection(sys)
-        calls = count_lps(monkeypatch)
+        calls = [0]
+        solve = lp.linprog_max
+
+        def counted(*args, row=None):
+            calls[0] += row is None
+            return solve(*args, row=row)
+
+        monkeypatch.setattr(lp, "linprog_max", counted)
+        monkeypatch.setattr(polytope, "linprog_max", counted)
         X1 = pre(sys, X)
-        assert calls[0] == 12
+        assert calls[0] == 9
         pre(sys, X1)
-        assert calls[0] == 12 + 7
+        assert calls[0] == 9 + 1
 
     def scalar(self, gamma, gain=1.0):
         """x+ = gain u + d with |x|, |u| <= 1 and |d| <= gamma."""
@@ -157,12 +166,12 @@ def axis_slots(H):
 
 
 class TestReductionPrecondition:
-    """``_reduce_arrays`` and ``_dedupe`` take unit-norm rows (the ray test,
-    the box and the witness measure distances along them, and ``_dedupe``
-    merges copies of a halfspace only at one scale): every caller, through
-    every path, hands them unit rows, and after ``_dedupe`` at most one
-    axis-aligned row bounds a coordinate from each side (so the box never
-    settles an axis row)."""
+    """``_reduce_arrays`` and ``_dedupe`` take unit-norm rows (the ray test
+    and the box measure distances along them, and ``_dedupe`` merges copies
+    of a halfspace only at one scale): every caller, through every path,
+    hands them unit rows, and after ``_dedupe`` at most one axis-aligned row
+    bounds a coordinate from each side (so the box never settles an axis
+    row)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -251,10 +260,8 @@ class TestMethod1:
 
 class TestMethod1LPBudget:
     """Method 1 on a preview-augmented shift register (n=4, p=3) stays within
-    an LP budget: 314 and 744 LPs when every row of every reduction,
-    containment and erosion got its own LP, 74 and 154 with the geometric
-    pre-checks, 60 and 72 once supports were memoized, emptiness LPs that
-    projection settles dropped and the witness added."""
+    an LP budget: it solves 60 LPs with a box disturbance and 92 with a
+    cross-polytope one."""
 
     @pytest.mark.parametrize(
         "dist, budget",
@@ -271,10 +278,7 @@ class TestMethod1LPBudget:
 
 class TestLaneKeepingLPBudget:
     """Method 1 on the bundled bicycle model and Method 2 at p = 5 from its
-    lifted result stay within an LP budget: 208 and 405 LPs before the box
-    certificate settled the rows that the state and preview bounds imply,
-    66 and 125 with it, 48 and 94 with the witness and without the emptiness
-    LPs that projection settles."""
+    lifted result stay within an LP budget: they solve 52 and 102 LPs."""
 
     @pytest.fixture(scope="class")
     def model(self):

@@ -41,7 +41,7 @@ def plain_scalar(a=1.0):
     return LinearSystem(
         A=[[a]], B=[[1.0]], E=[[1.0]],
         dist_set=Hyperbox.from_bounds([0.0], [0.0]),
-        safe=HPolytope.universe(2),
+        safe=HPolytope(np.zeros((0, 2)), np.zeros(0)),
     )
 
 
@@ -58,7 +58,7 @@ class TestLQR:
         sys = LinearSystem(
             A=A, B=B, E=np.zeros((2, 1)),
             dist_set=Hyperbox.from_bounds([0.0], [0.0]),
-            safe=HPolytope.universe(4),
+            safe=HPolytope(np.zeros((0, 4)), np.zeros(0)),
         )
         K = lqr_gain(sys, LQRSpec(Q=np.eye(2), R=1e-8 * np.eye(2)))
         assert np.allclose(K, np.linalg.solve(B, A), atol=1e-3)
@@ -78,7 +78,7 @@ class TestLQR:
         sys = LinearSystem(
             A=A, B=B, E=np.ones((n, 1)),
             dist_set=Hyperbox.from_bounds([0.0], [0.0]),
-            safe=HPolytope.universe(n + 1),
+            safe=HPolytope(np.zeros((0, n + 1)), np.zeros(0)),
         )
         K = lqr_gain(sys, LQRSpec(Q=np.zeros((n, n)), R=np.eye(1)))
         assert np.abs(K).max() == pytest.approx(0.0, abs=1e-12)
@@ -88,7 +88,7 @@ class TestLQR:
         sys = LinearSystem(
             A=[[2.0]], B=np.zeros((1, 1)), E=[[1.0]],
             dist_set=Hyperbox.from_bounds([0.0], [0.0]),
-            safe=HPolytope.universe(2),
+            safe=HPolytope(np.zeros((0, 2)), np.zeros(0)),
         )
         with pytest.raises(RiccatiDivergedError):
             lqr_gain(sys, LQRSpec(Q=np.eye(1), R=np.eye(1), max_iter=500))
@@ -152,7 +152,9 @@ class TestSupervise:
         sys = LinearSystem(
             A=np.zeros((2, 2)), B=np.eye(2), E=np.zeros((2, 1)),
             dist_set=Hyperbox.from_bounds([0.0], [0.0]),
-            safe=HPolytope.from_bounds([-1, -1], [1, 1]).cartesian(HPolytope.universe(2)),
+            safe=HPolytope.from_bounds([-1, -1], [1, 1]).cartesian(
+                HPolytope(np.zeros((0, 2)), np.zeros(0))
+            ),
         )
         s, c = np.sin(1e-3), np.cos(1e-3)
         wedge = HPolytope([[s, c], [s, -c]], [0.0, 0.0])
@@ -213,7 +215,7 @@ class TestSupervise:
         sys = LinearSystem(
             A=2.0 * np.eye(2), B=[[1.0], [0.0]], E=np.zeros((2, 1)),
             dist_set=Hyperbox.from_bounds([0.0], [0.0]),
-            safe=HPolytope.universe(3),
+            safe=HPolytope(np.zeros((0, 3)), np.zeros(0)),
         )
         sup = Supervisor(sys=sys, invariant=HPolytope.from_bounds([-1.0, -1.0], [1.0, 1.0]),
                          input_box=Hyperbox.cube(1, 2.0))
@@ -335,7 +337,7 @@ class TestHoistedFilter:
         sys = LinearSystem(
             A=[[1.0]], B=[[1.0]], E=[[1.0]],
             dist_set=Hyperbox.from_bounds([-0.5], [0.5]),
-            safe=HPolytope.universe(2),
+            safe=HPolytope(np.zeros((0, 2)), np.zeros(0)),
         )
         sup = Supervisor(sys=sys, invariant=invariant, input_box=Hyperbox.cube(1, 2.0))
         for x, u_nom in [(0.0, 0.3), (0.05, -3.0), (4.0, 5.0)]:
@@ -351,7 +353,7 @@ class TestHoistedFilter:
         sys = LinearSystem(
             A=[[0.0]], B=[[1.0]], E=[[1.0]],
             dist_set=Hyperbox.from_bounds([0.0], [0.0]),
-            safe=HPolytope.universe(2),
+            safe=HPolytope(np.zeros((0, 2)), np.zeros(0)),
         )
         invariant = HPolytope([[1.0], [-1.0]], [0.3, -(0.1 + 0.2)])
         sup = Supervisor(sys=sys, invariant=invariant, input_box=Hyperbox.cube(1, 2.0))

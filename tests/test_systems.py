@@ -69,7 +69,7 @@ class TestStep:
         sys = LinearSystem(
             A=np.zeros((2, 2)), B=np.zeros((2, 1)), E=np.zeros((2, 1)),
             dist_set=Hyperbox.from_bounds([0.0], [0.0]),
-            safe=HPolytope.universe(3),
+            safe=HPolytope(np.zeros((0, 3)), np.zeros(0)),
         )
         assert np.allclose(step(sys, [3.0, -1.0], [5.0], [2.0]), 0.0)
 
