@@ -228,10 +228,8 @@ def cmd_simulate(args) -> int:
     if res.gap_found:
         preview_path = os.path.join(outdir, "trace_preview.csv")
         plain_path = os.path.join(outdir, "trace_no_preview.csv")
-        with open(preview_path, "w", encoding="utf-8") as handle:
-            handle.write(res.trace_preview.to_csv())
-        with open(plain_path, "w", encoding="utf-8") as handle:
-            handle.write(res.trace_no_preview.to_csv())
+        _write_output(res.trace_preview.to_csv(), preview_path)
+        _write_output(res.trace_no_preview.to_csv(), plain_path)
         summary.update(
             {
                 "trace_preview": os.path.basename(preview_path),
@@ -243,8 +241,7 @@ def cmd_simulate(args) -> int:
                 "gap_state": [float(v) for v in res.gap_state],
             }
         )
-    with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as handle:
-        handle.write(dumps_17g(summary))
+    _write_output(dumps_17g(summary), os.path.join(outdir, "summary.json"))
     return EXIT_OK if res.gap_found else EXIT_EMPTY
 
 

@@ -151,12 +151,12 @@ def method2(sys: LinearSystem, seed: HPolytope, K: int) -> IterationReport:
 
 
 def input_constraints(sys: LinearSystem, C: HPolytope):
-    """The state-independent part of :func:`admissible_inputs`: ``(G_u, g)``
-    with the inputs admissible at ``x`` equal to ``{u : G_u u <= g(x)}``, or
-    ``None`` when ``C`` or its erosion by ``E D`` is empty.  The erosion does
-    not depend on the state, so a caller that keeps ``C`` erodes it once, and
-    ``g(x) = h0 - G_x @ x`` is one mat-vec on the rows that :func:`pre`
-    projects.
+    """The state-independent part of :func:`admissible_inputs`: the arrays
+    ``(G_x, G_u, h0)`` with the inputs admissible at ``x`` equal to
+    ``{u : G_u u <= h0 - G_x @ x}``, or ``None`` when ``C`` or its erosion by
+    ``E D`` is empty.  The erosion does not depend on the state, so a caller
+    that keeps ``C`` erodes it once, and the right-hand side at ``x`` is one
+    mat-vec on the rows that :func:`pre` projects.
     """
     if sys.m == 0:
         raise ValueError("admissible input set requires an input channel")
@@ -165,11 +165,7 @@ def input_constraints(sys: LinearSystem, C: HPolytope):
     eroded, G_x, G_u, h0 = _pull_back(sys, C)
     if eroded.is_empty:
         return None
-
-    def g(x: np.ndarray) -> np.ndarray:
-        return h0 - G_x @ x
-
-    return G_u, g
+    return G_x, G_u, h0
 
 
 def admissible_inputs(sys: LinearSystem, C: HPolytope, x) -> HPolytope:
@@ -183,8 +179,8 @@ def admissible_inputs(sys: LinearSystem, C: HPolytope, x) -> HPolytope:
     rows = input_constraints(sys, C)
     if rows is None:
         return HPolytope.empty(sys.m)
-    G_u, g = rows
-    return HPolytope(G_u, g(x))
+    G_x, G_u, h0 = rows
+    return HPolytope(G_u, h0 - G_x @ x)
 
 
 def lift(C: HPolytope, D: Union[Hyperbox, HPolytope], extra: int) -> HPolytope:

@@ -11,10 +11,10 @@ stays safe, no-preview trace does not) rather than trajectory comparisons.
 
 from __future__ import annotations
 
-import json
+import io
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -97,24 +97,6 @@ def lqr_gain(sys_aug: LinearSystem, spec: LQRSpec) -> np.ndarray:
     return K
 
 
-class _BoundRows(NamedTuple):
-    """The rows ``G_u`` of a one-input filter, normalized as ``HPolytope``
-    normalizes them, so that the interval matches that of ``HPolytope(G_u,
-    g(x))`` bit for bit: the masks of the zero rows and of the kept ones, the
-    kept rows' norms and unit coefficients ``a``, and the masks of the kept
-    rows that bound the input from below (``a < -0.5``) and above
-    (``a > 0.5``).  A row with offset ``+inf``, which ``HPolytope`` drops,
-    gives a bound of ``-inf`` below or ``+inf`` above, which moves neither
-    the largest lower nor the smallest upper bound."""
-
-    zero: np.ndarray
-    kept: np.ndarray
-    norms: np.ndarray
-    a: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-
 @dataclass(frozen=True)
 class Supervisor:
     """Safety filter: move the nominal input into the admissible set of an
@@ -126,18 +108,24 @@ class Supervisor:
     (``ValueError`` otherwise).
 
     The invariant is eroded by ``E D``, and the erosion tested for emptiness,
-    once, when the supervisor is built (``invariance.input_constraints``); a
-    step only evaluates the right-hand side ``g(x)``.  For one input the
-    constant rows ``G_u`` are also normalized once, as :class:`HPolytope`
-    normalizes them: their norms, which rows are zero, and which bound the
-    input from below or above.
+    once, when the supervisor is built: it keeps the arrays ``(G_x, G_u, h0)``
+    of ``invariance.input_constraints``, and a step only evaluates the
+    right-hand side ``rhs = h0 - G_x @ x``.  For one input it also stores the
+    indices of the zero rows of ``g = G_u[:, 0]`` (``|g_i| <= 1e-12``, as
+    :class:`HPolytope` finds them) and the indices and coefficients of the
+    rows that bound the input from below (``g_i < 0``) and above
+    (``g_i > 0``).  A row's bound ``rhs_i / g_i`` is ``HPolytope``'s
+    ``(rhs_i / |g_i|) / (g_i / |g_i|)`` bit for bit, since the norm of a
+    one-entry row is ``|g_i|`` and its unit coefficient ``+-1`` exactly.  This
+    holds for ``|g_i|`` up to about 1.3e154; above it ``g_i ** 2`` overflows,
+    ``HPolytope`` scales the row to zero and drops it, and the filter keeps it.
     """
 
     sys: LinearSystem
     invariant: HPolytope
     input_box: Hyperbox
     _rows: Optional[tuple] = field(init=False, repr=False, compare=False)
-    _bounds: Optional[_BoundRows] = field(init=False, repr=False, compare=False)
+    _bounds: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.input_box.dim != self.sys.m:
@@ -148,11 +136,10 @@ class Supervisor:
         object.__setattr__(self, "_rows", rows)
         bounds = None
         if rows is not None and self.sys.m == 1:
-            norms = np.linalg.norm(rows[0], axis=1)
-            zero = norms <= 1e-12
-            kept = ~zero
-            a = rows[0][kept, 0] / norms[kept]
-            bounds = _BoundRows(zero, kept, norms[kept], a, a < -0.5, a > 0.5)
+            g = rows[1][:, 0]
+            lower = np.flatnonzero(g < -1e-12)
+            upper = np.flatnonzero(g > 1e-12)
+            bounds = (np.flatnonzero(np.abs(g) <= 1e-12), lower, g[lower], upper, g[upper])
         object.__setattr__(self, "_bounds", bounds)
 
 
@@ -181,9 +168,9 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
     (for one input, the clip onto the admissible interval) at ``state``.
 
     ``state`` needs ``sup.sys.n`` entries and ``u_nom`` ``sup.sys.m``, all
-    finite (``ValueError`` otherwise).  A one-input step evaluates ``g(x)``
-    and divides it by the row norms and coefficients stored at build time;
-    the interval is the largest lower and the smallest upper bound, and the
+    finite (``ValueError`` otherwise).  A one-input step divides the
+    right-hand side by the coefficients of ``G_u`` stored at build time; the
+    interval is the largest lower and the smallest upper bound, and the
     result the clip onto it, with no LP.  A step with two or more inputs
     still solves LPs (emptiness, and the closest point when ``u_nom`` is not
     admissible), since those depend on the state.  When the admissible set
@@ -209,19 +196,18 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
 
     if sup._rows is None:
         return fallback()
-    G_u, g = sup._rows
-    rhs = g(state)
-    rows = sup._bounds
-    if rows is not None:
+    G_x, G_u, h0 = sup._rows
+    rhs = h0 - G_x @ state
+    if sup._bounds is not None:
+        zero, lower, g_lower, upper, g_upper = sup._bounds
         # a zero row with a negative offset certifies emptiness
-        if (rhs[rows.zero] < -_ZERO_TOL).any():
+        if (rhs[zero] < -_ZERO_TOL).any():
             return fallback()
-        b = rhs[rows.kept] / rows.norms / rows.a
-        lo = b[rows.lower].max(initial=-np.inf)
-        hi = b[rows.upper].min(initial=np.inf)
+        lo = (rhs[lower] / g_lower).max(initial=-np.inf)
+        hi = (rhs[upper] / g_upper).min(initial=np.inf)
         if not lo <= hi:
             # width-zero sets can cross by rounding noise; snap to the point.
-            # A NaN bound (g(x) overflowed) falls back, so the clip never sees one
+            # A NaN bound (rhs overflowed) falls back, so the clip never sees one
             if lo - hi <= 1e-7:
                 lo = hi = 0.5 * (lo + hi)
             else:
@@ -283,31 +269,23 @@ class Trace:
         n = self.records[0].x.shape[0]
         m = self.records[0].u_applied.shape[0]
         l = self.records[0].d_applied.shape[0]
-
-        def fmt(v: float) -> str:
-            return format(float(v), ".17g")
-
         cols = ["t"]
         cols += [f"x{i+1}" for i in range(n)]
         cols += (["u_nom"] if m == 1 else [f"u_nom{i+1}" for i in range(m)])
         cols += (["u"] if m == 1 else [f"u{i+1}" for i in range(m)])
         cols += [f"d{i+1}" for i in range(l)]
         cols += ["supervised", "safe", "adm_lo", "adm_hi"]
-        lines = [",".join(cols)]
+        rows = []
         for r in self.records:
-            row = [str(r.t)]
-            row += [fmt(v) for v in r.x]
-            row += [fmt(v) for v in r.u_nominal]
-            row += [fmt(v) for v in r.u_applied]
-            row += [fmt(v) for v in r.d_applied]
-            row.append("1" if r.supervised else "0")
-            row.append("1" if r.safe else "0")
-            if r.admissible is None or r.admissible.is_empty:
-                row += ["nan", "nan"]
-            else:
-                row += [fmt(r.admissible.lo), fmt(r.admissible.hi)]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+            adm = r.admissible
+            bounds = [np.nan, np.nan] if adm is None or adm.is_empty else [adm.lo, adm.hi]
+            rows.append(np.concatenate([
+                [r.t], r.x, r.u_nominal, r.u_applied, r.d_applied, [r.supervised, r.safe], bounds,
+            ]))
+        out = io.StringIO()
+        np.savetxt(out, np.array(rows, dtype=float), fmt="%.17g", delimiter=",",
+                   header=",".join(cols), comments="")
+        return out.getvalue()
 
 
 Controller = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
@@ -399,7 +377,7 @@ def zoh_discretize(Ac: np.ndarray, Bc: np.ndarray, Ec: np.ndarray, dt: float):
     while float(np.max(np.abs(term))) >= _ZOH_TOL:
         k += 1
         if k > 400:
-            raise RiccatiDivergedError("matrix exponential series did not settle")
+            raise NumericalError("matrix exponential series did not settle")
         term = M[:, :n] @ term / k
         total = total + term
     return total[:, :n], total[:, n : n + m], total[:, n + m :]
@@ -459,16 +437,11 @@ def bicycle_system(model: dict, bounds: dict) -> LinearSystem:
     )
 
 
-def load_simulation_config(source: Union[str, dict]):
-    """Accept a path or dict; generic system schema or bicycle-model schema.
-
-    Returns ``(LinearSystem, lqr_options: dict)``.
+def load_simulation_config(data: dict):
+    """Read a parsed config: the generic system schema or the bicycle-model
+    schema.  Returns ``(LinearSystem, lqr_options: dict)``; anything but a
+    dict raises :class:`ConfigError`.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    else:
-        data = source
     if not isinstance(data, dict):
         raise ConfigError("simulation config must be a JSON object")
     lqr_opts = data.get("lqr", {})
@@ -578,17 +551,17 @@ def _candidate_scripts(
 
 
 def lane_keeping(
-    config: Union[str, dict],
+    config: dict,
     p: int = 5,
     T: int = 100,
     seed: int = 0,
     K: int = 10,
     max_iter: int = 200,
 ) -> LaneKeepingResult:
-    """The preview-value demonstration: grow the no-preview invariant set
-    under p-step preview, pick a start in the grown set but outside the
-    lifted no-preview set, and roll out both supervisors on one disturbance
-    script.
+    """The preview-value demonstration on a parsed ``config`` (see
+    :func:`load_simulation_config`): grow the no-preview invariant set under
+    p-step preview, pick a start in the grown set but outside the lifted
+    no-preview set, and roll out both supervisors on one disturbance script.
 
     The script is chosen adversarially for the no-preview supervisor among a
     deterministic family of extreme-disturbance candidates (the study only

@@ -8,7 +8,7 @@ import pytest
 from conftest import count_lps
 from previewsafe import simulation
 from previewsafe.brunovsky import closed_form, controller_g, membership
-from previewsafe.errors import RiccatiDivergedError, ScriptExhaustedError
+from previewsafe.errors import ConfigError, NumericalError, RiccatiDivergedError, ScriptExhaustedError
 from previewsafe.geometry import HPolytope, Hyperbox, Interval, polytope
 from previewsafe.invariance import admissible_inputs, lift, method1, method2
 from previewsafe.simulation import (
@@ -111,6 +111,12 @@ class TestZOH:
             mid = 0.5 * (s0 + s1)
             quad += expm(Ac * mid) * (s1 - s0)
         assert np.allclose(Bd, quad @ Bc, atol=1e-6)
+
+    def test_series_cap_is_a_numerical_error(self):
+        # ||Ac dt|| = 150: the terms still exceed the tolerance at the
+        # 400-term cap, and none overflows on the way there
+        with pytest.raises(NumericalError, match="did not settle"):
+            zoh_discretize(150.0 * np.eye(2), np.ones((2, 1)), np.ones((2, 1)), 1.0)
 
 
 class TestSupervise:
@@ -223,6 +229,18 @@ class TestSupervise:
             res = supervise(sup, [1e308, -1e308], [0.1])
         assert res.admissible_empty and res.admissible.is_empty
         assert res.u[0] == 0.1
+
+    def test_no_input_channel_raises(self):
+        sys = LinearSystem(
+            A=[[0.5]], B=np.zeros((1, 0)), E=[[1.0]],
+            dist_set=Hyperbox.from_bounds([0.0], [0.0]),
+            safe=HPolytope.from_bounds([-1.0], [1.0]),
+        )
+        invariant = HPolytope.from_bounds([-1.0], [1.0])
+        with pytest.raises(ValueError, match="requires an input channel"):
+            Supervisor(sys=sys, invariant=invariant, input_box=Hyperbox.from_bounds([], []))
+        with pytest.raises(ValueError, match="requires an input channel"):
+            admissible_inputs(sys, invariant, [0.0])
 
     def test_build_checks_dimensions(self):
         sys, c0, _ = self.make_setup()
@@ -366,6 +384,30 @@ class TestHoistedFilter:
         wide = HPolytope([[1.0], [-1.0]], [0.3, -0.3 - 2e-7])
         sup = Supervisor(sys=sys, invariant=wide, input_box=Hyperbox.cube(1, 2.0))
         assert assert_same_as_reference(sup, [0.7], [0.3]).admissible_empty
+
+    @pytest.mark.parametrize("c", [1e-11, 1e-3, 0.7, 3.0, 1e40, 1e150])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_input_coefficient_magnitudes(self, c, sign, master_seed):
+        # x+ = c u on |x| <= 1: the rows of G_u are +-c, far from the lane
+        # model's magnitudes, and the safe set's rows on x are zero in G_u
+        c = sign * c
+        sys = LinearSystem(
+            A=[[0.0]], B=[[c]], E=[[1.0]],
+            dist_set=Hyperbox.from_bounds([0.0], [0.0]),
+            safe=HPolytope.from_bounds([-1.0], [1.0]).cartesian(
+                HPolytope(np.zeros((0, 1)), np.zeros(0))
+            ),
+        )
+        sup = Supervisor(sys=sys, invariant=HPolytope.from_bounds([-0.5], [0.7]),
+                         input_box=Hyperbox.cube(1, 2.0 / abs(c)))
+        rng = np.random.default_rng(master_seed)
+        outcomes = set()
+        for _ in range(60):
+            x = rng.uniform(-1.2, 1.2, size=1)
+            u_nom = rng.uniform(-1.5, 1.5, size=1) / abs(c)
+            res = assert_same_as_reference(sup, x, u_nom)
+            outcomes.add((res.supervised, res.admissible_empty))
+        assert outcomes == {(False, False), (True, False), (True, True)}
 
     def test_two_inputs_match(self, master_seed):
         rng = np.random.default_rng(master_seed)
@@ -738,6 +780,12 @@ class TestLaneKeeping:
         xs_b = np.array([r.x for r in t_b.records])
         assert np.allclose(xs_a, xs_b, atol=1e-9)
         assert t_a.supervision_count() == 0 and t_b.supervision_count() == 0
+
+    def test_config_must_be_parsed(self):
+        ref = importlib.resources.files("previewsafe") / "configs" / "lane_keeping.json"
+        with importlib.resources.as_file(ref) as path:
+            with pytest.raises(ConfigError, match="JSON object"):
+                load_simulation_config(str(path))
 
     def test_csv_contract(self, lane_result, tmp_path):
         csv = lane_result.trace_preview.to_csv()
