@@ -12,15 +12,18 @@ interleaved after every eliminated variable, which is what keeps the
 intermediate row counts under control.  Redundancy and containment are
 certified by linear programs solved by :mod:`previewsafe.geometry.lp`; a
 cheap geometric pre-check settles a row first when it proves what the LP
-would answer (a ray from an interior point for irredundancy, a shared row for
-containment).  A row that is not axis-aligned and whose support over the
-box of the kept axis-aligned rows is at most its offset is dropped as
-redundant without an LP; the box never settles an axis-aligned row, since
-after deduplication no other kept row bounds its coordinate from its side.
-A row the ray and the box leave open gets its redundancy LP, started from
-the row itself.  Support values are memoized per set, and a projection's
-emptiness is decided by the Chebyshev test after its elimination steps, so
-neither is solved twice.
+would answer.  Rays from a point interior by more than ``_RAY_MARGIN`` keep
+every row they leave through alone; a row that is not axis-aligned and whose
+support over the box of the kept axis-aligned rows is at most its offset is
+dropped as redundant without an LP (the box never settles an axis-aligned
+row, since after deduplication no other kept row bounds its coordinate from
+its side); a shared row or a point of the inner set found along a ray settles
+a containment row.  A row the rays and the box leave open gets its
+redundancy LP, started from the row itself.  Support values are memoized per
+set, and a projection's emptiness is decided by the Chebyshev test after its
+elimination steps, so neither is solved twice.  A projection keeps the
+interior point its last reduction shot rays from; the next projection can
+take it in place of a Chebyshev LP, and containment shoots rays from it.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ class HPolytope:
     offset of ``+inf`` drops its row and one of ``-inf`` makes the set empty.
     """
 
-    __slots__ = ("_H", "_h", "_dim", "_empty", "_inner_point", "_supports")
+    __slots__ = ("_H", "_h", "_dim", "_empty", "_inner_point", "_supports", "_ray_center")
 
     def __init__(self, H, h):
         H = np.array(H, dtype=float, ndmin=2)
@@ -115,6 +118,7 @@ class HPolytope:
             self._empty = None
             self._inner_point = None
         self._supports: dict = {}
+        self._ray_center = None  # an interior point kept by project
         self._H.setflags(write=False)
         self._h.setflags(write=False)
 
@@ -291,24 +295,55 @@ def _dedupe(H: np.ndarray, h: np.ndarray):
     return H[idx], h[idx]
 
 
+def _first_hits(H: np.ndarray, s: np.ndarray, R: np.ndarray):
+    """Where the rays ``center + t R_k`` leave ``{z : H @ z <= h}``, given
+    the slacks ``s = h - H @ center``; a ray meets row ``j`` at
+    ``t_j = s_j / (H_j @ R_k)`` when ``H_j @ R_k > 0``.  Returns per ray the
+    rows it meets first and second, the first time ``t1`` (``inf`` if none)
+    and the gap ``(H_j1 @ R_k)(t2 - t1)`` (``inf`` past a lone row, NaN when
+    no row is met), ``_GRAM_BLOCK`` rays at a time."""
+    k = R.shape[0]
+    first, second = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    t1, gap = np.zeros(k), np.zeros(k)
+    for start in range(0, k, _GRAM_BLOCK):
+        stop = min(start + _GRAM_BLOCK, k)
+        G = R[start:stop] @ H.T
+        T = np.full(G.shape, np.inf)
+        rows = np.arange(stop - start)
+        # a tiny rate meets its row at inf; no row met gives a NaN gap
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(s, G, out=T, where=G > 0.0)
+            j = first[start:stop] = T.argmin(axis=1)
+            t1[start:stop] = T[rows, j]
+            T[rows, j] = np.inf
+            second[start:stop] = T.argmin(axis=1)
+            gap[start:stop] = G[rows, j] * (T[rows, second[start:stop]] - t1[start:stop])
+    return first, second, t1, gap
+
+
 def _ray_certified(H: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows proven irredundant by a ray from an interior point.
+    """Rows proven irredundant by rays from an interior point.
 
     ``s`` holds the slacks ``h - H @ center`` of a point interior by more
-    than ``_RAY_MARGIN``.  The point ``center + t H_i`` meets every other row
-    while ``t <= s_j / (H_j @ H_i)`` for each ``j`` with ``H_j @ H_i > 0``.
-    When that bound exceeds ``s_i + _RAY_MARGIN``, the ray leaves row ``i``
-    by the margin inside all the others, so the redundancy LP for row ``i``
-    would keep it.
+    than ``_RAY_MARGIN``.  A ray ``r`` that leaves through row ``j1`` at
+    ``t1`` and meets no other row before ``t2`` violates row ``j1`` alone by
+    up to ``(H_j1 @ r)(t2 - t1)``; when that exceeds ``_RAY_MARGIN`` the
+    redundancy LP for row ``j1`` would keep it, whichever row's ray it was.
+    Every row's normal is shot first; each row left open is shot once more
+    along its normal deflected off ``b``, the first other row its normal
+    meets (``H_i - (H_b @ H_i) H_b``, normalized, skipped when that norm is at
+    most 1e-9), so the second ray runs parallel to the row that blocked the
+    first.
     """
-    m = H.shape[0]
-    certified = np.empty(m, dtype=bool)
-    for start in range(0, m, _GRAM_BLOCK):
-        stop = min(start + _GRAM_BLOCK, m)
-        G = H[start:stop] @ H.T
-        G[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        G *= (s[start:stop] + _RAY_MARGIN)[:, None]
-        certified[start:stop] = (G < s).all(axis=1)
+    certified = np.zeros(H.shape[0], dtype=bool)
+    first, second, _, gap = _first_hits(H, s, H)
+    certified[first[gap > _RAY_MARGIN]] = True
+    rows = np.flatnonzero(~certified)
+    b = np.where(first[rows] == rows, second[rows], first[rows])
+    R = H[rows] - np.einsum("ij,ij->i", H[b], H[rows])[:, None] * H[b]
+    norms = np.linalg.norm(R, axis=1)
+    first, _, _, gap = _first_hits(H, s, R[norms > 1e-9] / norms[norms > 1e-9, None])
+    certified[first[gap > _RAY_MARGIN]] = True
     return certified
 
 
@@ -439,7 +474,7 @@ def _fm_eliminate(H: np.ndarray, h: np.ndarray, col: int):
     return np.vstack(blocks), np.concatenate(rhs)
 
 
-def project(P: HPolytope, keep) -> HPolytope:
+def project(P: HPolytope, keep, center=None) -> HPolytope:
     """Exact shadow of ``P`` onto the coordinates in ``keep``.
 
     Fourier-Motzkin elimination of the dropped coordinates (cheapest-fill
@@ -447,8 +482,14 @@ def project(P: HPolytope, keep) -> HPolytope:
     :class:`RowBlowupError` if an intermediate iterate exceeds ``_ROW_CAP``
     rows after reduction.  FM keeps emptiness, so when a coordinate is
     eliminated the Chebyshev test after each step decides it and ``P`` gets
-    no emptiness LP of its own.  The result is marked nonempty; its feasible
-    point is solved for on first use.
+    no emptiness LP of its own.  ``center``, a point in the ``keep``
+    coordinates, is tried at the step that leaves only those: when it has
+    more than ``_RAY_MARGIN`` of slack on every row, it proves the step
+    nonempty and the reduction shoots its rays from it, and that step solves
+    no Chebyshev LP.  The result is marked nonempty; its feasible point is
+    solved for on first use.  The result keeps the centre of its last
+    reduction as ``_ray_center`` when that centre is interior by more than
+    ``_RAY_MARGIN`` to the result's rows (else ``None``).
     """
     keep = list(keep)
     if len(set(keep)) != len(keep):
@@ -463,14 +504,13 @@ def project(P: HPolytope, keep) -> HPolytope:
         return HPolytope.empty(nkeep)
     H = np.array(P.H[:, keep + drop])
     h = np.array(P.h)
-    if not drop:
-        if H.shape[0]:
-            reduced = _reduce_arrays(H, h, P.feasible_point()[keep])
-            if reduced is None:
-                return HPolytope.empty(nkeep)
-            H, h = reduced
-        return _nonempty(H, h)
-
+    point = None
+    if not drop and H.shape[0]:
+        point = P.feasible_point()[keep]
+        reduced = _reduce_arrays(H, h, point)
+        if reduced is None:
+            return HPolytope.empty(nkeep)
+        H, h = reduced
     while H.shape[1] > nkeep:
         # cheapest-fill heuristic over the remaining eliminable columns
         best_col, best_cost = None, None
@@ -486,11 +526,15 @@ def project(P: HPolytope, keep) -> HPolytope:
         if cleaned[2]:
             return HPolytope.empty(nkeep)
         H, h = cleaned[0], cleaned[1]
+        point = None
         if H.shape[0]:
-            rho, center = chebyshev_center(H, h)
-            if rho < -1e-9:
-                return HPolytope.empty(nkeep)
-            reduced = _reduce_arrays(H, h, center)
+            if H.shape[1] == nkeep and center is not None and (h - H @ center).min() > _RAY_MARGIN:
+                point = center
+            else:
+                rho, point = chebyshev_center(H, h)
+                if rho < -1e-9:
+                    return HPolytope.empty(nkeep)
+            reduced = _reduce_arrays(H, h, point)
             if reduced is None:
                 return HPolytope.empty(nkeep)
             H, h = reduced
@@ -498,16 +542,13 @@ def project(P: HPolytope, keep) -> HPolytope:
             raise RowBlowupError(
                 f"projection iterate has {H.shape[0]} rows (cap {_ROW_CAP})"
             )
-    return _nonempty(H, h)
-
-
-def _nonempty(H: np.ndarray, h: np.ndarray) -> HPolytope:
-    """``HPolytope(H, h)`` for rows whose set already passed an emptiness
-    test (reduction keeps the set), marked nonempty without another LP."""
-    P = HPolytope(H, h)
-    if P._empty is None:
-        P._empty = False
-    return P
+    # the rows passed an emptiness test, and reduction keeps the set
+    R = HPolytope(H, h)
+    if R._empty is None:
+        R._empty = False
+        if point is not None and R.nrows and (R.h - R.H @ point).min() > _RAY_MARGIN:
+            R._ray_center = point
+    return R
 
 
 def contains_set(outer, inner, tol: float = EPS_SET) -> bool:
@@ -517,7 +558,10 @@ def contains_set(outer, inner, tol: float = EPS_SET) -> bool:
     is contained in everything.  A facet ``a @ z <= b`` of ``outer`` needs no
     LP when ``inner`` has the identical row ``a`` with an offset at most
     ``b + tol``, since that offset bounds the support of ``inner`` along
-    ``a``.
+    ``a``.  When ``inner`` keeps an interior point ``c`` (``_ray_center``),
+    the ray ``c + t a`` stays in ``inner`` up to its first row, at ``t1``, so
+    ``a @ c + t1`` bounds that support from below: a facet where it exceeds
+    ``b + tol + _RAY_MARGIN`` makes the answer ``False`` before any LP.
     """
     outer = _as_polytope(outer)
     inner = _as_polytope(inner)
@@ -529,9 +573,17 @@ def contains_set(outer, inner, tol: float = EPS_SET) -> bool:
     for row, offset in zip(inner.H + 0.0, inner.h):  # + 0.0 turns -0.0 into 0.0
         key = row.tobytes()
         shared[key] = min(offset, shared.get(key, np.inf))
-    for i in range(outer.nrows):
-        if shared.get((outer.H[i] + 0.0).tobytes(), np.inf) <= outer.h[i] + tol:
-            continue
+    rows = [
+        i for i in range(outer.nrows)
+        if not shared.get((outer.H[i] + 0.0).tobytes(), np.inf) <= outer.h[i] + tol
+    ]
+    c = inner._ray_center
+    if c is not None and rows:
+        A = outer.H[rows]
+        t1 = _first_hits(inner.H, inner.h - inner.H @ c, A)[2]
+        if np.any(A @ c + t1 > outer.h[rows] + tol + _RAY_MARGIN):
+            return False
+    for i in rows:
         try:
             s = inner.support(outer.H[i])
         except UnboundedError:

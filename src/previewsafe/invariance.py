@@ -78,9 +78,10 @@ def pre(sys: LinearSystem, X: HPolytope) -> HPolytope:
         raise ValueError("target set must live in the state space")
     if X.is_empty:
         return HPolytope.empty(n)
-    # project's Chebyshev test decides whether the erosion left anything
+    # project's Chebyshev test decides whether the erosion left anything,
+    # unless the interior point X kept from its own projection settles it
     _, G_x, G_u, h0 = _pull_back(sys, X)
-    return project(HPolytope(np.hstack([G_x, G_u]), h0), list(range(n)))
+    return project(HPolytope(np.hstack([G_x, G_u]), h0), list(range(n)), center=X._ray_center)
 
 
 def _pull_back(sys: LinearSystem, X: HPolytope):

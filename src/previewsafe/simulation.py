@@ -243,9 +243,12 @@ class TraceRecord:
 
 @dataclass
 class Trace:
-    """Time-indexed rollout record; ``safe`` marks (x, u) in the safe set."""
+    """Time-indexed rollout record; ``safe`` marks (x, u) in the safe set.
+    ``dims`` holds the state, input and disturbance dimensions ``(n, m, l)``
+    that name the CSV columns of a trace with no records."""
 
     records: list = field(default_factory=list)
+    dims: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -264,11 +267,13 @@ class Trace:
         return sum(1 for r in self.records if r.supervised)
 
     def to_csv(self) -> str:
-        if not self.records:
+        if self.records:
+            first = self.records[0]
+            n, m, l = first.x.shape[0], first.u_applied.shape[0], first.d_applied.shape[0]
+        elif self.dims is None:
             return ""
-        n = self.records[0].x.shape[0]
-        m = self.records[0].u_applied.shape[0]
-        l = self.records[0].d_applied.shape[0]
+        else:
+            n, m, l = self.dims
         cols = ["t"]
         cols += [f"x{i+1}" for i in range(n)]
         cols += (["u_nom"] if m == 1 else [f"u_nom{i+1}" for i in range(m)])
@@ -283,8 +288,8 @@ class Trace:
                 [r.t], r.x, r.u_nominal, r.u_applied, r.d_applied, [r.supervised, r.safe], bounds,
             ]))
         out = io.StringIO()
-        np.savetxt(out, np.array(rows, dtype=float), fmt="%.17g", delimiter=",",
-                   header=",".join(cols), comments="")
+        np.savetxt(out, np.array(rows, dtype=float).reshape(-1, len(cols)), fmt="%.17g",
+                   delimiter=",", header=",".join(cols), comments="")
         return out.getvalue()
 
 
@@ -332,7 +337,7 @@ def rollout(
     A, B, E, m = sys.A, sys.B, sys.E, sys.m
     H_safe, h_safe = sys.safe.H, sys.safe.h + 1e-7
     debug = _log.isEnabledFor(logging.DEBUG)
-    trace = Trace()
+    trace = Trace(dims=(sys.n, m, sys.l))
     for t in range(T):
         window = script[t : t + p]
         u_nom = np.asarray(controller(t, x, window), dtype=float).ravel()

@@ -323,6 +323,16 @@ class TestSimulate:
         preview_csv = (outdir / "trace_preview.csv").read_text()
         assert preview_csv.splitlines()[0].startswith("t,x1,x2,x3,x4,u_nom,u,d1")
 
+    def test_zero_steps_write_the_header_rows(self, tmp_path):
+        outdir = tmp_path / "sim"
+        assert run([
+            "simulate", "--case", "lane_keeping", "--preview", "2", "--T", "0",
+            "--seed", "0", "--out", str(outdir),
+        ]) == 0
+        header = "t,x1,x2,x3,x4,u_nom,u,d1,supervised,safe,adm_lo,adm_hi\n"
+        for name in ("trace_preview.csv", "trace_no_preview.csv"):
+            assert (outdir / name).read_text() == header
+
     def test_deterministic_reruns(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         for d in (d1, d2):

@@ -379,6 +379,53 @@ class TestProject:
         assert R.feasible_point().tobytes() == point.tobytes() and calls[0] == 1
         assert point.tobytes() == lp.chebyshev_center(R.H, R.h)[1].tobytes()
 
+    @staticmethod
+    def chebyshev_calls(monkeypatch):
+        calls = [0]
+        solve = polytope.chebyshev_center
+
+        def counted(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(polytope, "chebyshev_center", counted)
+        return calls
+
+    def test_center_skips_only_a_chebyshev_lp_it_replaces(self, monkeypatch):
+        # one eliminated coordinate: a centre interior to the shadow settles
+        # its emptiness and centres its rays; one on the boundary or outside
+        # falls back to the Chebyshev LP.  The rows are the same bits
+        # either way
+        rng = np.random.default_rng(8)
+        P = HPolytope(rng.normal(size=(14, 3)), rng.random(14) + 0.5)
+        R = project(P, [0, 2])
+        a, c = R.H[0], R._ray_center
+        on_face = c + (R.h[0] - a @ c) * a
+        for center, lps in ((c + 0.1 * (on_face - c), 0), (on_face, 1), (2 * on_face - c, 1)):
+            with monkeypatch.context() as patch:
+                calls = self.chebyshev_calls(patch)
+                got = project(P, [0, 2], center=center)
+            assert got.H.tobytes() == R.H.tobytes() and got.h.tobytes() == R.h.tobytes()
+            assert calls[0] == lps
+            assert (got._ray_center is center) == (lps == 0)
+        # the shadow x <= -1, x >= 1 of an empty set: no centre settles it
+        P = HPolytope([[1, 1], [0, -1], [-1, 0]], [-1, 0, -1])
+        ref = project(P, [0])
+        calls = self.chebyshev_calls(monkeypatch)
+        got = project(P, [0], center=np.zeros(1))
+        assert got.is_empty and calls[0] == 1
+        assert got.H.tobytes() == ref.H.tobytes() and got.h.tobytes() == ref.h.tobytes()
+
+    def test_result_keeps_an_interior_ray_center(self):
+        rng = np.random.default_rng(9)
+        P = HPolytope(rng.normal(size=(16, 4)), rng.random(16) + 0.5)
+        for keep in ([0, 2, 3], [1], [3, 1, 0, 2]):
+            R = project(P, keep)
+            assert (R.h - R.H @ R._ray_center).min() > polytope._RAY_MARGIN
+        # the segment x0 = 0 has no interior point
+        seg = HPolytope([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], [0, 0, 1, 1, 1, 1])
+        assert project(seg, [0, 1])._ray_center is None
+
     def test_projection_with_free_variable(self):
         # u unconstrained: the x-shadow of {|x|<=1} x R is [-1,1]
         P = HPolytope([[1, 0], [-1, 0]], [1, 1])
@@ -536,9 +583,21 @@ def random_tilted_polytope(rng):
 
 
 # x0 <= 1 is irredundant (at x1 = -2 the diagonal allows x0 <= 3), but the
-# diagonal x0 + x1 <= 1 meets the ray along e0 where x0 <= 1 does, so only
-# an LP keeps it
+# diagonal x0 + x1 <= 1 meets the ray along e0 where x0 <= 1 does; the ray
+# deflected off the diagonal, along (1, -1), leaves through x0 <= 1 alone
 BLOCKED_RAY = ([[1, 0], [1, 1], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 0.6, 2])
+# the same with x1 >= -2 replaced by x0 - x1 <= 2, which meets the deflected
+# ray at (1, -1) where x0 <= 1 does: no ray keeps x0 <= 1, only an LP
+DEFLECTED_BLOCKED = ([[1, 0], [1, 1], [-1, 0], [0, 1], [1, -1]], [1, 1, 1, 0.6, 2])
+
+
+def own_row_certified(H, s):
+    """The ray test with one ray per row that keeps only its own row: row
+    ``i`` when its normal ray meets every other row more than
+    ``_RAY_MARGIN`` after it."""
+    G = H @ H.T
+    np.fill_diagonal(G, 0.0)
+    return (G * (s + polytope._RAY_MARGIN)[:, None] < s).all(axis=1)
 
 
 class TestRayShotReduction:
@@ -568,17 +627,56 @@ class TestRayShotReduction:
         # both outcomes occurred, so the comparison means something
         assert certified > 0 and left_open > 0
 
-    def test_row_blocked_on_its_ray_gets_one_lp(self, monkeypatch):
-        H, h = unit_rows(*BLOCKED_RAY)
-        certified = polytope._ray_certified(H, h)  # the centre is the origin
-        assert not certified[0] and certified[1:].all()
+    def assert_lps(self, H, h, lps, monkeypatch):
+        """``_reduce_arrays`` from the origin matches the all-LP run bit for
+        bit with ``lps`` LPs; returns the reduced rows."""
         expected = reference_reduce(H, h, monkeypatch)
-        assert expected[0].shape[0] == 5
-        calls = count_lps(monkeypatch)
-        got = polytope._reduce_arrays(H, h, np.zeros(2))
+        with monkeypatch.context() as patch:
+            calls = count_lps(patch)
+            got = polytope._reduce_arrays(H, h, np.zeros(H.shape[1]))
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[1].tobytes() == expected[1].tobytes()
-        assert calls[0] == 1
+        assert calls[0] == lps
+        return got[0]
+
+    def test_row_blocked_on_its_ray_is_kept_by_the_deflected_ray(self, monkeypatch):
+        H, h = unit_rows(*BLOCKED_RAY)
+        assert not own_row_certified(H, h)[0]
+        assert polytope._ray_certified(H, h).all()  # the centre is the origin
+        assert self.assert_lps(H, h, 0, monkeypatch).shape[0] == 5
+
+    def test_row_blocked_on_both_rays_gets_one_lp(self, monkeypatch):
+        H, h = unit_rows(*DEFLECTED_BLOCKED)
+        assert polytope._ray_certified(H, h).tolist() == [False, True, True, True, True]
+        assert self.assert_lps(H, h, 1, monkeypatch).shape[0] == 5
+
+    def test_row_kept_by_another_rows_ray(self, monkeypatch):
+        # the redundant row 2 x0 - x1 <= 4 added to the example above: its
+        # ray leaves through x0 <= 1 at (1, -0.5) and meets x0 - x1 <= 2 only
+        # at t = 1.49, so x0 <= 1 is kept without an LP, and the only LP
+        # drops the new row
+        H, h = unit_rows(DEFLECTED_BLOCKED[0] + [[2, -1]], DEFLECTED_BLOCKED[1] + [4])
+        assert polytope._ray_certified(H, h).tolist() == [True, True, True, True, True, False]
+        assert self.assert_lps(H, h, 1, monkeypatch).tolist() == H[:5].tolist()
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_exit_rows_settle_more_than_own_rows(self, seed, monkeypatch):
+        # on polytopes with tilted row copies, which block rays, the rows
+        # that rays leave through are a strict superset of the rows whose
+        # own ray keeps them, and the reduction still matches the all-LP run
+        rng = np.random.default_rng(seed)
+        own = exit = 0
+        for _ in range(12):
+            Q = random_tilted_polytope(rng)
+            if Q.is_empty:
+                continue
+            center = Q.feasible_point()
+            H, h = polytope._dedupe(np.array(Q.H), np.array(Q.h))
+            old, new = own_row_certified(H, h - H @ center), self.assert_same_reduction(Q, monkeypatch)
+            assert not (old & ~new).any()
+            own += int(old.sum())
+            exit += int(new.sum())
+        assert exit > own
 
     def test_flattened_blocked_ray_example_runs_every_lp(self, monkeypatch):
         # the example above flattened to the segment x0 = 0: no centre is
@@ -811,7 +909,7 @@ def test_reduction_logs_one_debug_record_per_call(caplog):
     [record] = caplog.records
     assert record.name == "previewsafe.geometry" and record.levelno == logging.DEBUG
     assert record.getMessage() == (
-        "reduce: 7 rows in, 7 after dedupe; settled by ray 4, box 1, LP 2; 5 rows out"
+        "reduce: 7 rows in, 7 after dedupe; settled by ray 5, box 1, LP 1; 5 rows out"
     )
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="previewsafe.geometry"):
@@ -906,6 +1004,58 @@ class TestContainment:
             assert contains_set(B, A) and contains_set(C, B) and contains_set(C, A)  # transitive chain
             if contains_set(A, B):
                 assert set_equal(A, B)  # antisymmetry under set_equal
+
+
+def projected_pair(seed, shift, scale):
+    """Two projections of one random polytope onto its first two
+    coordinates, the second scaled by ``scale`` and moved by ``shift``;
+    built afresh on each call, so that no support is memoized."""
+    rng = np.random.default_rng(seed)
+    H, h = rng.normal(size=(12, 3)), rng.random(12) + 0.5
+    P = HPolytope(H, h)
+    Q = HPolytope(H, scale * h + H[:, :2] @ shift)
+    return project(P, [0, 1]), project(Q, [0, 1])
+
+
+class TestContainmentRay:
+    """The ray from the inner set's interior point only skips LPs whose
+    answer it proves: the verdict is the one with ``_ray_center`` cleared,
+    with no more LPs."""
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_verdict_matches_lps_only(self, seed, monkeypatch):
+        fewer = 0
+        cases = [
+            (np.zeros(2), 0.5, True),  # nested
+            (np.array([0.3, -0.2]), 1.0, None),  # overlapping
+            (np.array([50.0, 50.0]), 1.0, False),  # disjoint
+        ]
+        for shift, scale, nested in cases:
+            for order in (0, 1):
+                verdicts = []
+                for cleared in (False, True):
+                    pair = projected_pair(seed, shift, scale)
+                    outer, inner = pair if order == 0 else pair[::-1]
+                    assert inner._ray_center is not None
+                    if cleared:
+                        inner._ray_center = None
+                    with monkeypatch.context() as patch:
+                        calls = count_lps(patch)
+                        verdicts.append((contains_set(outer, inner), calls[0]))
+                (got, lps), (expected, lps_without) = verdicts
+                assert got == expected and lps <= lps_without
+                fewer += lps < lps_without
+                if nested is not None and order == 0:
+                    assert got is nested
+        assert fewer > 0  # the ray settled a verdict, so the comparison means something
+
+    def test_unbounded_inner_fails_without_an_lp(self, monkeypatch):
+        # the half-plane x <= 1 leaves the box through y without a row
+        inner = project(HPolytope([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1.0, 1.0, 1.0]), [0, 1])
+        assert inner._ray_center is not None
+        calls = count_lps(monkeypatch)
+        assert not contains_set(HPolytope.from_bounds([-5.0, -5.0], [5.0, 5.0]), inner)
+        assert calls[0] == 0
 
 
 class TestNonFiniteData:
