@@ -279,20 +279,28 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
 def _dedupe(H: np.ndarray, h: np.ndarray):
     """Drop exact-duplicate rows and dominated rows with equal normals.
 
-    Rows match when they agree after rounding to 10 decimals; ``+ 0.0``
-    folds ``-0.0`` into ``0.0`` so that the byte keys compare as the values do.
+    Rows match when their byte keys (:func:`_row_keys`, which fold ``-0.0``
+    into ``0.0``) agree after rounding to 10 decimals; the smallest offset
+    wins.
     """
     if H.shape[0] <= 1:
         return H, h
-    keys = np.round(H, 10) + 0.0
+    offsets = h.tolist()
     best: dict = {}
-    for i in range(H.shape[0]):
-        key = keys[i].tobytes()
+    for i, key in enumerate(_row_keys(np.round(H, 10))):
         j = best.get(key)
-        if j is None or h[i] < h[j]:
+        if j is None or offsets[i] < offsets[j]:
             best[key] = i
     idx = list(best.values())
     return H[idx], h[idx]
+
+
+def _row_keys(H: np.ndarray) -> list:
+    """The bytes of each row of ``H``, sliced out of one buffer; ``+ 0.0``
+    folds ``-0.0`` into ``0.0`` so that the keys compare as the values do."""
+    keys = H + 0.0
+    buf, width = keys.tobytes(), keys.itemsize * keys.shape[1]
+    return [buf[i * width : (i + 1) * width] for i in range(H.shape[0])]
 
 
 def _first_hits(H: np.ndarray, s: np.ndarray, R: np.ndarray):
@@ -570,12 +578,11 @@ def contains_set(outer, inner, tol: float = EPS_SET) -> bool:
     if inner.is_empty:
         return True
     shared: dict = {}
-    for row, offset in zip(inner.H + 0.0, inner.h):  # + 0.0 turns -0.0 into 0.0
-        key = row.tobytes()
+    for key, offset in zip(_row_keys(inner.H), inner.h.tolist()):
         shared[key] = min(offset, shared.get(key, np.inf))
     rows = [
-        i for i in range(outer.nrows)
-        if not shared.get((outer.H[i] + 0.0).tobytes(), np.inf) <= outer.h[i] + tol
+        i for i, (key, offset) in enumerate(zip(_row_keys(outer.H), outer.h.tolist()))
+        if not shared.get(key, np.inf) <= offset + tol
     ]
     c = inner._ray_center
     if c is not None and rows:

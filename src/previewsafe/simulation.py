@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -107,11 +108,14 @@ class Supervisor:
     invariant must have ``sys.n`` coordinates and the input box ``sys.m``
     (``ValueError`` otherwise).
 
-    The invariant is eroded by ``E D``, and the erosion tested for emptiness,
-    once, when the supervisor is built: it keeps the arrays ``(G_x, G_u, h0)``
-    of ``invariance.input_constraints``, and a step only evaluates the
-    right-hand side ``rhs = h0 - G_x @ x``.  For one input it also stores the
-    indices of the zero rows of ``g = G_u[:, 0]`` (``|g_i| <= 1e-12``, as
+    Building the supervisor compiles the filter into one private step
+    function, ``_step(state, u_nom) -> (u, supervised, admissible_empty,
+    admissible)``, which :func:`supervise` and :func:`rollout` both call.  The
+    build erodes the invariant by ``E D`` and tests the erosion for emptiness
+    once, and the step keeps the arrays ``(G_x, G_u, h0)`` of
+    ``invariance.input_constraints``, so a step only evaluates the right-hand
+    side ``rhs = h0 - G_x @ x``.  For one input it also keeps the indices of
+    the zero rows of ``g = G_u[:, 0]`` (``|g_i| <= 1e-12``, as
     :class:`HPolytope` finds them) and the indices and coefficients of the
     rows that bound the input from below (``g_i < 0``) and above
     (``g_i > 0``).  A row's bound ``rhs_i / g_i`` is ``HPolytope``'s
@@ -119,13 +123,14 @@ class Supervisor:
     one-entry row is ``|g_i|`` and its unit coefficient ``+-1`` exactly.  This
     holds for ``|g_i|`` up to about 1.3e154; above it ``g_i ** 2`` overflows,
     ``HPolytope`` scales the row to zero and drops it, and the filter keeps it.
+    The step checks nothing: its state and nominal input must be finite and
+    of lengths ``sys.n`` and ``sys.m``.
     """
 
     sys: LinearSystem
     invariant: HPolytope
     input_box: Hyperbox
-    _rows: Optional[tuple] = field(init=False, repr=False, compare=False)
-    _bounds: Optional[tuple] = field(init=False, repr=False, compare=False)
+    _step: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.input_box.dim != self.sys.m:
@@ -133,14 +138,7 @@ class Supervisor:
         if self.invariant.dim != self.sys.n:
             raise ValueError("invariant dimension must match the system's states")
         rows = input_constraints(self.sys, self.invariant)
-        object.__setattr__(self, "_rows", rows)
-        bounds = None
-        if rows is not None and self.sys.m == 1:
-            g = rows[1][:, 0]
-            lower = np.flatnonzero(g < -1e-12)
-            upper = np.flatnonzero(g > 1e-12)
-            bounds = (np.flatnonzero(np.abs(g) <= 1e-12), lower, g[lower], upper, g[upper])
-        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_step", _compile_step(rows, self.input_box))
 
 
 @dataclass(frozen=True)
@@ -163,19 +161,76 @@ def _closest_point(P: HPolytope, z: np.ndarray) -> np.ndarray:
     return res.point[:m]
 
 
+def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
+    """The safety filter of :class:`Supervisor` as one function of the state
+    and the nominal input, with everything that depends on neither bound
+    here: ``rows`` are ``input_constraints``' ``(G_x, G_u, h0)``, or ``None``
+    when the eroded invariant is empty and every step falls back, and the
+    input box has one coordinate per input."""
+    m, box_lo, box_hi = input_box.dim, input_box.lo, input_box.hi
+    no_interval = Interval.EMPTY if m == 1 else None
+
+    def fallback(u_nom):
+        return np.minimum(np.maximum(u_nom, box_lo), box_hi), True, True, no_interval
+
+    if rows is None:
+        return lambda state, u_nom: fallback(u_nom)
+    G_x, G_u, h0 = rows
+    if m > 1:
+        def step(state, u_nom):
+            # emptiness and the closest point depend on the state, so LPs stay
+            adm = HPolytope(G_u, h0 - G_x @ state)
+            if adm.is_empty:
+                return fallback(u_nom)
+            if adm.contains(u_nom, tol=1e-9):
+                return u_nom, False, False, None
+            return _closest_point(adm, u_nom), True, False, None
+
+        return step
+    g = G_u[:, 0]
+    zero = np.flatnonzero(np.abs(g) <= 1e-12)
+    # the rows that bound the input from below, then those that bound it above
+    lower = np.flatnonzero(g < -1e-12)
+    bounding = np.concatenate([lower, np.flatnonzero(g > 1e-12)])
+    g_bounding, k = g[bounding], lower.shape[0]
+
+    def step(state, u_nom):
+        rhs = h0 - G_x @ state
+        # a zero row with a negative offset certifies emptiness; fmin skips a
+        # NaN offset, as the comparison with it does
+        if np.fmin.reduce(rhs[zero], initial=np.inf) < -_ZERO_TOL:
+            return fallback(u_nom)
+        q = rhs[bounding] / g_bounding
+        lo = float(q[:k].max(initial=-np.inf))
+        hi = float(q[k:].min(initial=np.inf))
+        if not lo <= hi:
+            # width-zero sets can cross by rounding noise; snap to the point.
+            # A NaN bound (rhs overflowed) falls back, so the clip never sees one
+            if lo - hi <= 1e-7:
+                lo = hi = 0.5 * (lo + hi)
+            else:
+                return fallback(u_nom)
+        u0 = float(u_nom[0])
+        u = min(max(u0, lo), hi)
+        return np.array([u]), u != u0, False, Interval(lo, hi)
+
+    return step
+
+
 def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
     """Replace ``u_nom`` by the admissible input closest in the infinity norm
     (for one input, the clip onto the admissible interval) at ``state``.
 
     ``state`` needs ``sup.sys.n`` entries and ``u_nom`` ``sup.sys.m``, all
-    finite (``ValueError`` otherwise).  A one-input step divides the
-    right-hand side by the coefficients of ``G_u`` stored at build time; the
-    interval is the largest lower and the smallest upper bound, and the
-    result the clip onto it, with no LP.  A step with two or more inputs
-    still solves LPs (emptiness, and the closest point when ``u_nom`` is not
-    admissible), since those depend on the state.  When the admissible set
-    is empty the nominal input is clamped to the fallback input box and the
-    result is annotated ``admissible_empty``.
+    finite (``ValueError`` otherwise); then the supervisor's compiled step
+    runs.  A one-input step is one mat-vec for the right-hand side, a
+    division of its rows by the coefficients of ``G_u`` stored at build time,
+    the largest lower and the smallest upper bound for the interval and a
+    clip onto it, with no LP.  A step with two or more inputs still solves
+    LPs (emptiness, and the closest point when ``u_nom`` is not admissible),
+    since those depend on the state.  When the admissible set is empty the
+    nominal input is clamped to the fallback input box and the result is
+    annotated ``admissible_empty``.
     """
     u_nom = np.asarray(u_nom, dtype=float).ravel()
     state = np.asarray(state, dtype=float).ravel()
@@ -186,47 +241,7 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
         raise ValueError(f"nominal input has {u_nom.shape[0]} entries, the system {m} inputs")
     if not (np.isfinite(state).all() and np.isfinite(u_nom).all()):
         raise ValueError("state and nominal input must be finite")
-
-    def fallback() -> SuperviseResult:
-        clamped = np.minimum(np.maximum(u_nom, sup.input_box.lo), sup.input_box.hi)
-        return SuperviseResult(
-            u=clamped, supervised=True, admissible_empty=True,
-            admissible=Interval.EMPTY if m == 1 else None,
-        )
-
-    if sup._rows is None:
-        return fallback()
-    G_x, G_u, h0 = sup._rows
-    rhs = h0 - G_x @ state
-    if sup._bounds is not None:
-        zero, lower, g_lower, upper, g_upper = sup._bounds
-        # a zero row with a negative offset certifies emptiness
-        if (rhs[zero] < -_ZERO_TOL).any():
-            return fallback()
-        lo = (rhs[lower] / g_lower).max(initial=-np.inf)
-        hi = (rhs[upper] / g_upper).min(initial=np.inf)
-        if not lo <= hi:
-            # width-zero sets can cross by rounding noise; snap to the point.
-            # A NaN bound (rhs overflowed) falls back, so the clip never sees one
-            if lo - hi <= 1e-7:
-                lo = hi = 0.5 * (lo + hi)
-            else:
-                return fallback()
-        u0 = float(u_nom[0])
-        u = min(max(u0, lo), hi)
-        return SuperviseResult(
-            u=np.array([u], dtype=float),
-            supervised=bool(abs(u - u0) > 0.0),
-            admissible_empty=False,
-            admissible=Interval(lo, hi),
-        )
-    adm = HPolytope(G_u, rhs)
-    if adm.is_empty:
-        return fallback()
-    if adm.contains(u_nom, tol=1e-9):
-        return SuperviseResult(u=u_nom, supervised=False, admissible_empty=False, admissible=None)
-    z = _closest_point(adm, u_nom)
-    return SuperviseResult(u=z, supervised=True, admissible_empty=False, admissible=None)
+    return SuperviseResult(*sup._step(state, u_nom))
 
 
 @dataclass(frozen=True)
@@ -310,10 +325,15 @@ def rollout(
     At each t the controller observes (x(t), d_script[t .. t+p-1]) and the
     dynamics consume d_script[t]; the script therefore needs at least T + p
     entries (:class:`ScriptExhaustedError` otherwise).  ``T`` must be
-    nonnegative, ``x0`` must have ``sys.n`` entries, the supervisor's state
-    space must be that of ``sys`` or of its p-step preview realization, and
-    the controller must return ``sys.m`` finite inputs (``ValueError``
-    otherwise).
+    nonnegative, ``x0`` must have ``sys.n`` entries, ``x0`` and the first
+    T + p script entries must be finite, the supervisor's state space must be
+    that of ``sys`` or of its p-step preview realization, and the controller
+    must return ``sys.m`` finite inputs (``ValueError`` otherwise).
+
+    These checks run once, before the loop, except the controller's output,
+    which each step checks for its length and finiteness.  A supervised step
+    also checks that the state is finite (it can overflow) and then calls the
+    supervisor's compiled step directly, not :func:`supervise`.
 
     Each step where the filter changed the input writes one DEBUG record on
     the ``previewsafe.simulation`` logger: ``t``, the nominal and applied
@@ -329,8 +349,11 @@ def rollout(
         raise ScriptExhaustedError(
             f"script holds {script.shape[0]} steps, need {T + p}"
         )
-    lifted = False
+    if not (np.isfinite(x).all() and np.isfinite(script[: T + p]).all()):
+        raise ValueError("initial state and disturbance script must be finite")
+    step, lifted = None, False
     if supervisor is not None:
+        step = supervisor._step
         lifted = supervisor.sys.n == sys.n + p * sys.l
         if not lifted and supervisor.sys.n != sys.n:
             raise ValueError("supervisor state space matches neither the system nor its preview")
@@ -338,32 +361,29 @@ def rollout(
     H_safe, h_safe = sys.safe.H, sys.safe.h + 1e-7
     debug = _log.isEnabledFor(logging.DEBUG)
     trace = Trace(dims=(sys.n, m, sys.l))
+    # math.isfinite over a few entries costs a fraction of np.isfinite(...).all()
+    append, record, isfinite = trace.records.append, TraceRecord, math.isfinite
     for t in range(T):
         window = script[t : t + p]
         u_nom = np.asarray(controller(t, x, window), dtype=float).ravel()
         if u_nom.shape[0] != m:
             raise ValueError(f"controller returned {u_nom.shape[0]} inputs, the system has {m}")
-        if supervisor is not None:
-            res = supervise(supervisor, np.concatenate([x, window.ravel()]) if lifted else x, u_nom)
-            u, supervised, adm = res.u, res.supervised, res.admissible
+        if not all(map(isfinite, u_nom.tolist())):
+            raise ValueError("nominal input must be finite")
+        if step is None:
+            u, supervised, adm = u_nom, False, None
+        else:
+            if not all(map(isfinite, x.tolist())):
+                raise ValueError("state must be finite")
+            u, supervised, empty, adm = step(np.concatenate([x, window.ravel()]) if lifted else x, u_nom)
             if debug and supervised:
                 _log.debug(
                     "supervise: t=%d u_nom=%s u=%s admissible=%s", t, u_nom.tolist(), u.tolist(),
-                    "fallback" if res.admissible_empty else adm,
+                    "fallback" if empty else adm,
                 )
-        elif not np.isfinite(u_nom).all():
-            raise ValueError("nominal input must be finite")
-        else:
-            u, supervised, adm = u_nom, False, None
         safe = (H_safe @ np.concatenate([x, u]) <= h_safe).all()
         d = script[t]
-        trace.records.append(
-            TraceRecord(
-                t=t, x=x.copy(), u_nominal=u_nom.copy(), u_applied=u.copy(),
-                d_applied=d.copy(), admissible=adm,
-                supervised=bool(supervised), safe=bool(safe),
-            )
-        )
+        append(record(t, x.copy(), u_nom.copy(), u.copy(), d.copy(), adm, supervised, bool(safe)))
         x = A @ x + B @ u + E @ d
     return trace
 

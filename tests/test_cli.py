@@ -384,6 +384,21 @@ class TestEntryPoint:
         assert proc.stdout.startswith("p,largest_c"), proc.stderr
         assert proc.stdout == plain.stdout
 
+    def test_simulate_debug_log_leaves_outputs(self, tmp_path):
+        # the rollout's DEBUG branch formats a record per changed step; the
+        # files must be the ones a run without it writes
+        args = ["simulate", "--case", "lane_keeping", "--preview", "2", "--T", "30", "--seed", "0"]
+        runs = {}
+        for log in ("DEBUG", None):
+            out = tmp_path / str(log)
+            proc = run_console_script(args + ["--out", str(out)], log=log)
+            assert proc.returncode == 0, proc.stderr
+            runs[log] = proc.stderr, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert set(runs["DEBUG"][1]) == {"summary.json", "trace_preview.csv", "trace_no_preview.csv"}
+        assert runs["DEBUG"][1] == runs[None][1]
+        assert "supervise: t=" in runs["DEBUG"][0]
+        assert "supervise: t=" not in runs[None][0]
+
     def test_env_log_non_level_name_falls_back(self):
         proc = run_console_script(["sweep-c", "--n", "3", "--p-max", "2"], log="basic_format")
         assert proc.returncode == 0, proc.stderr

@@ -549,6 +549,17 @@ def test_dedupe_matches_tuple_keys(seed):
         assert mine[0].tobytes() == ref[0].tobytes() and mine[1].tobytes() == ref[1].tobytes()
 
 
+def test_dedupe_smallest_offset_and_signed_zeros():
+    # -0.0 and 0.0 are one key; among copies the smallest offset wins, in
+    # either order, and the first copy keeps its place
+    H = np.array([[1.0, -0.0], [0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]])
+    for h, kept in (([3.0, 1.0, 2.0, 0.5], [2, 3]), ([2.0, 0.5, 3.0, 1.0], [0, 1])):
+        h = np.array(h)
+        mine, ref = polytope._dedupe(H, h), reference_dedupe(H, h)
+        assert mine[0].tobytes() == ref[0].tobytes() and mine[1].tobytes() == ref[1].tobytes()
+        assert mine[1].tolist() == h[kept].tolist()
+
+
 def unit_rows(H, h):
     """The unit-norm rows that ``HPolytope`` hands to the reduction."""
     P = HPolytope(np.array(H, dtype=float), np.array(h, dtype=float))
@@ -1004,6 +1015,92 @@ class TestContainment:
             assert contains_set(B, A) and contains_set(C, B) and contains_set(C, A)  # transitive chain
             if contains_set(A, B):
                 assert set_equal(A, B)  # antisymmetry under set_equal
+
+
+def reference_contains_set(outer, inner, tol=polytope.EPS_SET):
+    """``contains_set`` with its shared-row keys built one row at a time:
+    each row's own ``tobytes()`` and each offset read as a numpy scalar."""
+    if inner.is_empty:
+        return True
+    shared: dict = {}
+    for row, offset in zip(inner.H + 0.0, inner.h):
+        key = row.tobytes()
+        shared[key] = min(offset, shared.get(key, np.inf))
+    rows = [
+        i for i in range(outer.nrows)
+        if not shared.get((outer.H[i] + 0.0).tobytes(), np.inf) <= outer.h[i] + tol
+    ]
+    c = inner._ray_center
+    if c is not None and rows:
+        A = outer.H[rows]
+        t1 = polytope._first_hits(inner.H, inner.h - inner.H @ c, A)[2]
+        if np.any(A @ c + t1 > outer.h[rows] + tol + polytope._RAY_MARGIN):
+            return False
+    for i in rows:
+        try:
+            s = inner.support(outer.H[i])
+        except UnboundedError:
+            return False
+        if s > outer.h[i] + tol:
+            return False
+    return True
+
+
+def shared_row_pairs(rng):
+    """Outer and inner polytopes with rows in common: signed zeros on either
+    side, inner rows repeated at several offsets, and offsets at, just past
+    and just short of ``h + tol``."""
+    tol = polytope.EPS_SET
+    at = 1.0 + tol
+    yield HPolytope.from_bounds([-1.0, -1.0], [1.0, 1.0]), HPolytope([[1.0, -0.0], [-1.0, 0.0], [-0.0, 1.0], [0.0, -1.0]], [1.0, 0.5, 0.5, 0.5])
+    yield HPolytope([[1.0, -0.0], [-1.0, -0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0, 1.0]), HPolytope.from_bounds([-1.0, -1.0], [1.0, 1.0])
+    for offset in (at, np.nextafter(at, np.inf), np.nextafter(at, -np.inf)):
+        yield HPolytope.from_bounds([-1.0], [1.0]), HPolytope([[1.0], [-1.0]], [offset, 0.5])
+    for offsets in ([2.0, 0.5], [0.5, 2.0], [2.0, at], [at, 3.0], [1.5, 1.5]):
+        yield HPolytope.from_bounds([-1.0], [1.0]), HPolytope([[1.0], [-1.0], [1.0]], [offsets[0], 0.5, offsets[1]])
+    for _ in range(40):
+        d = int(rng.integers(1, 4))
+        H = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(int(rng.integers(1, 6)), d))
+        H = np.vstack([np.eye(d), -np.eye(d), H[np.abs(H).sum(axis=1) > 0]])
+        outer_h = rng.choice([0.5, 1.0, 2.0], size=H.shape[0])
+        pick = rng.integers(0, H.shape[0], size=H.shape[0] + 2)
+        inner_H = H[pick]
+        inner_H[(inner_H == 0.0) & (rng.random(inner_H.shape) < 0.5)] = -0.0
+        inner_h = outer_h[pick] + rng.choice([-0.5, 0.0, tol, 2 * tol, 1.0], size=pick.size)
+        yield HPolytope(H, outer_h), HPolytope(inner_H, inner_h)
+
+
+class TestContainmentSharedRows:
+    """Shared-row keys sliced from one buffer give the per-row version's
+    verdict with the same LPs."""
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_matches_per_row_keys(self, seed, monkeypatch):
+        skipped = 0
+        for outer, inner in shared_row_pairs(np.random.default_rng(seed)):
+            verdicts = []
+            for check in (contains_set, reference_contains_set):
+                # fresh copies, so that no support is memoized between the two
+                o, i = HPolytope(outer.H, outer.h), HPolytope(inner.H, inner.h)
+                with monkeypatch.context() as patch:
+                    calls = count_lps(patch)
+                    verdicts.append((check(o, i), calls[0]))
+            assert verdicts[0] == verdicts[1]
+            # "contained" after at most one LP per outer row, the emptiness
+            # LP included, means a shared row was skipped
+            skipped += verdicts[0][0] and verdicts[0][1] <= outer.nrows
+        assert skipped > 0
+
+    def test_offset_at_h_plus_tol_is_shared(self, monkeypatch):
+        outer = HPolytope.from_bounds([-1.0], [1.0])
+        at = 1.0 + polytope.EPS_SET
+        inner = HPolytope([[1.0], [-1.0], [1.0]], [3.0, 1.0, at])
+        assert not inner.is_empty
+        calls = count_lps(monkeypatch)
+        # the smallest offset of a repeated row is the one that counts
+        assert contains_set(outer, inner)
+        assert calls[0] == 0
+        assert not contains_set(outer, HPolytope([[1.0], [-1.0]], [np.nextafter(at, np.inf), 1.0]))
 
 
 def projected_pair(seed, shift, scale):

@@ -559,6 +559,51 @@ class TestHoistedRollout:
             trace = rollout(sys, 2, controller, None, x0, script, T)
             assert assert_same_records(trace, reference_rollout(sys, 2, controller, None, x0, script, T))
 
+    def test_two_inputs_bitwise(self, master_seed):
+        # the two-input filter solves the emptiness and closest-point LPs
+        sys = LinearSystem(
+            A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.5, 0.0], [0.1, 1.0]], E=np.eye(2),
+            dist_set=Hyperbox.cube(2, 0.05),
+            safe=HPolytope.from_bounds([-1, -1, -0.5, -0.5], [1, 1, 0.5, 0.5]),
+        )
+        sup = Supervisor(sys=sys, invariant=method1(sys).result, input_box=Hyperbox.cube(2, 0.5))
+        rng = np.random.default_rng(master_seed)
+        supervised = set()
+        for _ in range(4):
+            x0 = rng.uniform(-1.2, 1.2, size=2)
+            script = rng.uniform(-0.05, 0.05, size=(20, 2))
+            nominal = rng.uniform(-1.0, 1.0, size=(20, 2))
+
+            def controller(t, x, window, nominal=nominal):
+                return nominal[t]
+
+            trace = rollout(sys, 0, controller, sup, x0, script, 20)
+            assert_same_records(trace, reference_rollout(sys, 0, controller, sup, x0, script, 20))
+            supervised.update(r.supervised for r in trace.records)
+        assert supervised == {True, False}
+
+    def test_overflowing_state_raises_at_its_step(self):
+        # x+ = 1e100 x + u from x0 = 1e10 reaches 1e210 at t = 2 and inf at
+        # t = 3, where the supervised step must refuse the state; the
+        # invariant is narrower than the disturbance, so every step falls
+        # back to the input box and nothing steers the state back
+        sys = LinearSystem(
+            A=[[1e100]], B=[[1.0]], E=[[1.0]],
+            dist_set=Hyperbox.from_bounds([-0.5], [0.5]),
+            safe=HPolytope(np.zeros((0, 2)), np.zeros(0)),
+        )
+        sup = Supervisor(sys=sys, invariant=HPolytope.from_bounds([-0.1], [0.1]),
+                         input_box=Hyperbox.cube(1, 2.0))
+        seen = []
+
+        def controller(t, x, window):
+            seen.append(t)
+            return np.array([0.5])
+
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            rollout(sys, 0, controller, sup, [1e10], np.zeros((6, 1)), 6)
+        assert seen == [0, 1, 2, 3]
+
     def test_changed_steps_log_one_debug_record_each(self, lane_supervisors, caplog):
         sys, sups = lane_supervisors
         runs = list(lane_runs(sys, 2, sups[2], np.random.default_rng(4), runs=2))
@@ -626,6 +671,26 @@ class TestRollout:
             sup = Supervisor(sys=sys, invariant=method1(sys).result, input_box=Hyperbox.cube(1, 2.0))
         with pytest.raises(ValueError, match="finite"):
             rollout(sys, 0, lambda t, x, w: np.array([value]), sup, [0.0, 0.0], np.zeros((3, 2)), 2)
+
+    @pytest.mark.parametrize("supervised", [False, True], ids=["plain", "supervised"])
+    @pytest.mark.parametrize("where", ["x0", "script"])
+    def test_non_finite_start_or_script_raises(self, where, supervised):
+        prob = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.2), 1)
+        sys = prob.system()
+        sup = None
+        if supervised:
+            sup = Supervisor(sys=sys, invariant=method1(sys).result, input_box=Hyperbox.cube(1, 2.0))
+        x0, script = np.zeros(2), np.zeros((6, 2))
+        constant = lambda t, x, w: np.array([0.1])
+        # only the T + p entries the rollout reads are checked
+        script[5, 1] = np.nan
+        assert len(rollout(sys, 1, constant, sup, x0, script, 4)) == 4
+        if where == "x0":
+            x0[0] = np.nan
+        else:
+            script[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            rollout(sys, 1, constant, sup, x0, script, 4)
 
     def test_script_too_short(self):
         prob = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.1), 2)
