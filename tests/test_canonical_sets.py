@@ -29,3 +29,11 @@ def test_canonical_set(name, run):
     assert list(report.per_step_rows) == expected["per_step_rows"]
     assert report.result.nrows == len(expected["h"])
     assert set_equal(report.result, HPolytope(expected["H"], expected["h"]), tol=1e-9)
+
+
+def test_rebuilt_sets_keep_their_bits():
+    # rows are normalized once, so a set rebuilt from its own rows is itself
+    for name, expected in EXPECTED.items():
+        P = HPolytope(expected["H"], expected["h"])
+        Q = HPolytope(P.H, P.h)
+        assert Q.H.tobytes() == P.H.tobytes() and Q.h.tobytes() == P.h.tobytes(), name

@@ -302,7 +302,8 @@ class TestPontryaginDiff:
         for S in (box, HPolytope.from_box(box), cross_polytope(np.array([0.2, 0.1]))):
             out = pontryagin_diff(X, S, M)
             expected = [h - S.support(d) if d.any() else h for h, d in zip(X.h, dirs)]
-            assert np.allclose(out.H, X.H, atol=1e-15, rtol=0)
+            # rows are normalized once, so the eroded set keeps X's rows bit for bit
+            assert out.H.tobytes() == X.H.tobytes()
             assert np.allclose(out.h, expected, atol=1e-12, rtol=0)
         assert set_equal(pontryagin_diff(X, box, M), pontryagin_diff(X, HPolytope.from_box(box), M))
 
@@ -1171,6 +1172,34 @@ class TestNonFiniteData:
     def test_non_finite_normal_raises(self, bad):
         with pytest.raises(ValueError):
             HPolytope([[1.0, bad], [-1.0, 0.0]], [1.0, 1.0])
+
+
+class TestIdempotentRows:
+    """Rows are normalized once: a set rebuilt from its own rows keeps every
+    bit, however many constructions its rows went through."""
+
+    def test_random_rows_keep_their_bits(self):
+        rng = np.random.default_rng(20)
+        rows, k = 0, 252
+        for d in range(2, 201):
+            for sparse in (False, True):
+                H = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+                if sparse:
+                    H *= rng.random((k, d)) < 0.2
+                    H[np.arange(k), rng.integers(0, d, k)] = rng.standard_normal(k)
+                P = HPolytope(H, rng.uniform(-10.0, 10.0, k))
+                Q = HPolytope(P.H, P.h)
+                assert Q.H.tobytes() == P.H.tobytes() and Q.h.tobytes() == P.h.tobytes(), (d, sparse)
+                rows += P.nrows
+        assert rows >= 100_000
+
+    def test_only_rows_off_unit_norm_are_divided(self):
+        # a row one ulp off unit norm keeps its bits and its offset; a row
+        # off by 1e-14 is divided by its norm
+        near, off = np.array([0.6, 0.8]) * (1 + 2.3e-16), np.array([0.6, 0.8]) * (1 + 1e-14)
+        P = HPolytope([near, off], [0.7, 0.7])
+        assert P.H[0].tobytes() == near.tobytes() and P.h[0] == 0.7
+        assert np.abs(np.linalg.norm(P.H[1]) - 1.0) < 1e-15 and P.h[1] < 0.7
 
 
 class TestVolume:
