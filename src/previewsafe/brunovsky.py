@@ -51,11 +51,11 @@ from .geometry import (
     Interval,
     box_vertices,
     convex_weights,
+    lift,
     project,
     set_equal,
 )
-from .geometry.polytope import _as_polytope
-from .invariance import lift, method1
+from .invariance import method1
 from .systems import BrunovskyProblem, collaborative
 
 __all__ = [
@@ -280,20 +280,11 @@ def to_hpolytope(inv: BrunovskyInvariant) -> HPolytope:
     """H-form of the invariant over (x, d_1, ..., d_p) in R^{n + n p}."""
     problem = inv.problem
     n, p = problem.n, problem.p
-    dim = n * (p + 1)
-    rows = []
-    rhs = []
-    box_rows = HPolytope.from_box(problem.box)
-    rows.append(np.hstack([box_rows.H, np.zeros((box_rows.nrows, dim - n))]))
-    rhs.append(box_rows.h)
-    dpoly = _as_polytope(problem.dist)
-    for i in range(p):
-        block = np.zeros((dpoly.nrows, dim))
-        block[:, n + i * n : n + (i + 1) * n] = dpoly.H
-        rows.append(block)
-        rhs.append(dpoly.h)
+    # B x D^p, then both sides of every scalar constraint
+    lifted = lift(HPolytope.from_box(problem.box), problem.dist, p)
+    rows, rhs = [lifted.H], [lifted.h]
     for rec in inv.constraints:
-        row = np.zeros(dim)
+        row = np.zeros(n * (p + 1))
         row[rec.k - 1] = 1.0
         for i, c in rec.dcoords:
             row[n + (i - 1) * n + (c - 1)] = 1.0

@@ -20,8 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParametersError
-from .geometry import HPolytope, Hyperbox, Interval, contains_set
-from .invariance import lift
+from .geometry import HPolytope, Hyperbox, Interval, contains_set, lift
 from .systems import LinearSystem
 
 __all__ = [

@@ -32,8 +32,8 @@ from .errors import (
     InvalidParametersError,
     PreviewSafeError,
 )
-from .geometry import HPolytope, Hyperbox
-from .invariance import lift, method1, method2, preview_gain
+from .geometry import HPolytope, Hyperbox, lift
+from .invariance import method1, method2, preview_gain
 from .jsonio import dumps_17g, format_float
 from .simulation import lane_keeping
 from .systems import BrunovskyProblem, augment, system_from_config

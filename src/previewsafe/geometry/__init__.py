@@ -6,6 +6,7 @@ from .polytope import (
     EPS_SET,
     HPolytope,
     contains_set,
+    lift,
     pontryagin_diff,
     project,
     reduce_rows,
@@ -25,6 +26,7 @@ __all__ = [
     "chebyshev_center",
     "EPS_SET",
     "HPolytope",
+    "lift",
     "pontryagin_diff",
     "project",
     "reduce_rows",

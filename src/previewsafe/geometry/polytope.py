@@ -41,6 +41,7 @@ from .lp import LPResult, LPStatus, chebyshev_center, linprog_max
 __all__ = [
     "EPS_SET",
     "HPolytope",
+    "lift",
     "pontryagin_diff",
     "project",
     "reduce_rows",
@@ -252,6 +253,18 @@ def _as_polytope(S) -> HPolytope:
     if isinstance(S, Hyperbox):
         return HPolytope.from_box(S)
     return S
+
+
+def lift(C: HPolytope, D, extra: int) -> HPolytope:
+    """Cartesian product ``C x D^extra`` in H-form, ``C``'s rows first and
+    then one block of ``D``'s rows per factor; ``D`` may be an HPolytope or
+    a Hyperbox."""
+    if extra < 0:
+        raise ValueError("extra must be nonnegative")
+    out, D = C, _as_polytope(D)
+    for _ in range(extra):
+        out = out.cartesian(D)
+    return out
 
 
 def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:

@@ -20,21 +20,19 @@ controlled invariant; every iterate stays controlled invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .errors import NumericalError, SeedNotInvariantError
 from .geometry import (
     HPolytope,
-    Hyperbox,
     contains_set,
+    lift,
     pontryagin_diff,
     project,
     set_equal,
     volume,
 )
-from .geometry.polytope import _as_polytope
 from .systems import LinearSystem, augment, collaborative
 
 __all__ = [
@@ -182,17 +180,6 @@ def admissible_inputs(sys: LinearSystem, C: HPolytope, x) -> HPolytope:
         return HPolytope.empty(sys.m)
     G_x, G_u, h0 = rows
     return HPolytope(G_u, h0 - G_x @ x)
-
-
-def lift(C: HPolytope, D: Union[Hyperbox, HPolytope], extra: int) -> HPolytope:
-    """Cartesian product ``C x D^extra`` in H-form."""
-    if extra < 0:
-        raise ValueError("extra must be nonnegative")
-    out = C
-    dpoly = _as_polytope(D)
-    for _ in range(extra):
-        out = out.cartesian(dpoly)
-    return out
 
 
 def sandwich(

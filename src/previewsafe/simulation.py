@@ -25,9 +25,9 @@ from .errors import (
     RiccatiDivergedError,
     ScriptExhaustedError,
 )
-from .geometry import HPolytope, Hyperbox, Interval, LPStatus, linprog_max
+from .geometry import HPolytope, Hyperbox, Interval, LPStatus, lift, linprog_max
 from .geometry.polytope import _ZERO_TOL
-from .invariance import input_constraints, lift, method1, method2
+from .invariance import input_constraints, method1, method2
 from .systems import LinearSystem, PreviewSystem, augment, system_from_config
 
 __all__ = [

@@ -25,7 +25,7 @@ from .errors import (
     RowBlowupError,
     UnboundedError,
 )
-from .geometry import HPolytope, Hyperbox, project
+from .geometry import HPolytope, Hyperbox, lift, project
 from .geometry.polytope import _as_polytope
 
 DisturbanceSet = Union[Hyperbox, HPolytope]
@@ -134,17 +134,9 @@ def augment(sys: LinearSystem, p: int) -> PreviewSystem:
     E = np.zeros((dim, l))
     E[n + (p - 1) * l :, :] = np.eye(l)
 
-    # safe set over (x, d_1..d_p, u): original rows plus D-rows per block
-    Hs, hs = sys.safe.H, sys.safe.h
-    rows = [np.hstack([Hs[:, :n], np.zeros((Hs.shape[0], p * l)), Hs[:, n:]])]
-    rhs = [hs]
-    drows = _as_polytope(sys.dist_set)
-    for i in range(p):
-        block = np.zeros((drows.nrows, dim + m))
-        block[:, n + i * l : n + (i + 1) * l] = drows.H
-        rows.append(block)
-        rhs.append(drows.h)
-    safe = HPolytope(np.vstack(rows), np.concatenate(rhs))
+    # safe set over (x, d_1..d_p, u): S x D^p over (x, u, d_1..d_p), u moved last
+    lifted = lift(sys.safe, sys.dist_set, p)
+    safe = HPolytope(lifted.H[:, np.r_[:n, n + m : dim + m, n : n + m]], lifted.h)
 
     aug = LinearSystem(A=A, B=B, E=E, dist_set=sys.dist_set, safe=safe)
     return PreviewSystem(base=sys, p=p, aug=aug)
@@ -156,20 +148,11 @@ def collaborative(sys: LinearSystem) -> LinearSystem:
     The old disturbance set becomes the range of the second input block
     u_d; the remaining disturbance is the singleton {0}.
     """
-    n, m, l = sys.n, sys.m, sys.l
+    l = sys.l
     B = np.hstack([sys.B, sys.E])
-    E = np.zeros((n, l))
+    E = np.zeros((sys.n, l))
     dist = Hyperbox.from_bounds(np.zeros(l), np.zeros(l))
-
-    Hs, hs = sys.safe.H, sys.safe.h
-    top = np.hstack([Hs, np.zeros((Hs.shape[0], l))])
-    if l > 0:
-        drows = _as_polytope(sys.dist_set)
-        bottom = np.hstack([np.zeros((drows.nrows, n + m)), drows.H])
-        safe = HPolytope(np.vstack([top, bottom]), np.concatenate([hs, drows.h]))
-    else:
-        safe = HPolytope(top, hs)
-
+    safe = sys.safe.cartesian(sys.dist_set) if l else sys.safe
     return LinearSystem(A=sys.A, B=B, E=E, dist_set=dist, safe=safe)
 
 
