@@ -331,9 +331,10 @@ def rollout(
     must return ``sys.m`` finite inputs (``ValueError`` otherwise).
 
     These checks run once, before the loop, except the controller's output,
-    which each step checks for its length and finiteness.  A supervised step
-    also checks that the state is finite (it can overflow) and then calls the
-    supervisor's compiled step directly, not :func:`supervise`.
+    which each step checks for its length and finiteness, and the state,
+    which each step checks for finiteness (it can overflow).  A supervised
+    step then calls the supervisor's compiled step directly, not
+    :func:`supervise`.
 
     Each step where the filter changed the input writes one DEBUG record on
     the ``previewsafe.simulation`` logger: ``t``, the nominal and applied
@@ -370,11 +371,11 @@ def rollout(
             raise ValueError(f"controller returned {u_nom.shape[0]} inputs, the system has {m}")
         if not all(map(isfinite, u_nom.tolist())):
             raise ValueError("nominal input must be finite")
+        if not all(map(isfinite, x.tolist())):
+            raise ValueError("state must be finite")
         if step is None:
             u, supervised, adm = u_nom, False, None
         else:
-            if not all(map(isfinite, x.tolist())):
-                raise ValueError("state must be finite")
             u, supervised, empty, adm = step(np.concatenate([x, window.ravel()]) if lifted else x, u_nom)
             if debug and supervised:
                 _log.debug(

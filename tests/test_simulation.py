@@ -582,11 +582,13 @@ class TestHoistedRollout:
             supervised.update(r.supervised for r in trace.records)
         assert supervised == {True, False}
 
-    def test_overflowing_state_raises_at_its_step(self):
+    @pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "unsupervised"])
+    def test_overflowing_state_raises_at_its_step(self, supervised):
         # x+ = 1e100 x + u from x0 = 1e10 reaches 1e210 at t = 2 and inf at
-        # t = 3, where the supervised step must refuse the state; the
-        # invariant is narrower than the disturbance, so every step falls
-        # back to the input box and nothing steers the state back
+        # t = 3, where the step must refuse the state, with or without a
+        # supervisor; the invariant is narrower than the disturbance, so
+        # every supervised step falls back to the input box and nothing
+        # steers the state back
         sys = LinearSystem(
             A=[[1e100]], B=[[1.0]], E=[[1.0]],
             dist_set=Hyperbox.from_bounds([-0.5], [0.5]),
@@ -601,7 +603,7 @@ class TestHoistedRollout:
             return np.array([0.5])
 
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            rollout(sys, 0, controller, sup, [1e10], np.zeros((6, 1)), 6)
+            rollout(sys, 0, controller, sup if supervised else None, [1e10], np.zeros((6, 1)), 6)
         assert seen == [0, 1, 2, 3]
 
     def test_changed_steps_log_one_debug_record_each(self, lane_supervisors, caplog):
