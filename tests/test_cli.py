@@ -12,6 +12,7 @@ from previewsafe import cli
 from previewsafe.cli import EXIT_USAGE, build_parser, main
 from previewsafe.geometry import HPolytope, set_equal
 from previewsafe.jsonio import dumps_17g
+from previewsafe.simulation import load_simulation_config
 from previewsafe.systems import system_to_config
 
 
@@ -342,6 +343,31 @@ class TestSimulate:
             ]) == 0
         for name in ("summary.json", "trace_preview.csv", "trace_no_preview.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_matrix_config_reproduces_the_bicycle_case(self, tmp_path):
+        # the bundled model as a matrix config with no lqr block: the matrix
+        # branch of the config reader and the default state weights
+        sys_, _ = load_simulation_config(cli._bundled_config("lane_keeping"))
+        config = tmp_path / "lane.json"
+        config.write_text(json.dumps(system_to_config(sys_)))
+        flags = ["--preview", "2", "--T", "30", "--seed", "0"]
+        assert run(["simulate", "--case", "lane_keeping", *flags, "--out", str(tmp_path / "case")]) == 0
+        assert run(["simulate", "--system", str(config), *flags, "--out", str(tmp_path / "system")]) == 0
+        for name in ("summary.json", "trace_preview.csv", "trace_no_preview.csv"):
+            assert (tmp_path / "case" / name).read_bytes() == (tmp_path / "system" / name).read_bytes()
+
+    def test_no_gap_exits_three_with_the_summary_only(self, tmp_path):
+        # with no road curvature the grown set is the lifted seed
+        data = cli._bundled_config("lane_keeping")
+        data["bounds"]["rd"] = 0.0
+        config = tmp_path / "flat.json"
+        config.write_text(json.dumps(data))
+        outdir = tmp_path / "sim"
+        assert run([
+            "simulate", "--system", str(config), "--preview", "2", "--T", "30", "--out", str(outdir),
+        ]) == 3
+        assert sorted(os.listdir(outdir)) == ["summary.json"]
+        assert json.loads((outdir / "summary.json").read_text())["gap_found"] is False
 
 
 def run_console_script(args, log=None):
