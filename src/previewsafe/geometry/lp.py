@@ -93,23 +93,21 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
 
 
 def _run_simplex(
-    T: np.ndarray,
-    basis: np.ndarray,
-    cost_row: int,
-    ncols: int,
-    nrows: int,
-    tol: float,
-    drive_out: bool = False,
+    T: np.ndarray, basis: np.ndarray, cost_row: int, drive_out: bool = False
 ) -> _DualOutcome:
-    """Minimize the cost in ``cost_row`` over columns ``0..ncols-1`` in place.
+    """Minimize the cost in ``cost_row`` over the original columns in place.
 
-    With ``drive_out``, artificials (columns ``ncols`` on) may be basic at
+    ``T`` is :func:`_solve_dual`'s tableau: one constraint row per entry of
+    ``basis``, then the original columns, one artificial per constraint row
+    and the right-hand side.  With ``drive_out``, artificials may be basic at
     zero: before the ratio test, one whose entry in the entering column
-    exceeds ``tol`` in magnitude leaves by a degenerate pivot on the largest
-    such entry, so that it stays at zero; these pivots do not count as
-    stalls.
+    exceeds ``EPS_LP`` in magnitude leaves by a degenerate pivot on the
+    largest such entry, so that it stays at zero; these pivots do not count
+    as stalls.
     Returns OPTIMAL or UNBOUNDED (for the standard-form problem being run).
     """
+    nrows = basis.shape[0]
+    ncols = T.shape[1] - nrows - 1
     bland = False
     stall = 0
     best = T[cost_row, -1]
@@ -125,25 +123,25 @@ def _run_simplex(
     artificial = (basis >= ncols).astype(float) if drive_out else None
     for _ in range(max_iter):
         if bland:
-            neg = (costs < -tol).nonzero()[0]
+            neg = (costs < -EPS_LP).nonzero()[0]
             if neg.size == 0:
                 return _DualOutcome.OPTIMAL
             col = int(neg[0])
         else:
             col = int(costs.argmin())
-            if costs[col] >= -tol:
+            if costs[col] >= -EPS_LP:
                 return _DualOutcome.OPTIMAL
         column = T[:nrows, col]
         if artificial is not None:
             np.abs(column, out=ratios)
             ratios *= artificial
             row = int(ratios.argmax())
-            if ratios[row] > tol:
+            if ratios[row] > EPS_LP:
                 _pivot(T, row, col)
                 basis[row] = col
                 artificial[row] = 0.0
                 continue
-        np.greater(column, tol, out=ok)
+        np.greater(column, EPS_LP, out=ok)
         np.maximum(last, 0.0, out=rhs)
         ratios.fill(np.inf)
         np.divide(rhs, column, out=ratios, where=ok)
@@ -165,7 +163,7 @@ def _run_simplex(
     raise NumericalError("simplex iteration cap exceeded")
 
 
-def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, tol: float, row=None):
+def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, row=None):
     """Solve min g@y s.t. M@y = rhs, y >= 0 by the two-phase tableau method.
 
     ``row`` declares that column ``row`` of ``M`` equals ``rhs``: the solve
@@ -194,8 +192,8 @@ def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, tol: float, row=N
 
     if row is None:
         scale = 1.0 + float(np.abs(rhs).sum())
-        outcome = _run_simplex(T, basis, d + 1, m, d, tol)
-        if outcome is not _DualOutcome.OPTIMAL or -T[d + 1, -1] > tol * scale:
+        outcome = _run_simplex(T, basis, d + 1)
+        if outcome is not _DualOutcome.OPTIMAL or -T[d + 1, -1] > EPS_LP * scale:
             return _DualOutcome.INFEASIBLE, 0.0, None
 
         # drive leftover artificials (basic at zero) out of the basis when possible
@@ -215,7 +213,7 @@ def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, tol: float, row=N
             _pivot(T, r, row)
             basis[r] = row
 
-    outcome = _run_simplex(T, basis, d, m, d, tol, drive_out=row is not None)
+    outcome = _run_simplex(T, basis, d, drive_out=row is not None)
     if outcome is _DualOutcome.UNBOUNDED:
         return _DualOutcome.UNBOUNDED, 0.0, None
     objective = -T[d, -1]
@@ -257,14 +255,14 @@ def linprog_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, *, row=None) -> LPR
             return LPResult(LPStatus.OPTIMAL, 0.0, np.zeros(d))
         return LPResult(LPStatus.UNBOUNDED, np.inf, None)
 
-    outcome, objective, point = _solve_dual(A.T, c, b, EPS_LP, row)
+    outcome, objective, point = _solve_dual(A.T, c, b, row)
     if outcome is _DualOutcome.OPTIMAL:
         return LPResult(LPStatus.OPTIMAL, objective, point)
     if outcome is _DualOutcome.UNBOUNDED:
         # dual unbounded below means the primal is infeasible
         return LPResult(LPStatus.INFEASIBLE, -np.inf, None)
     # dual infeasible: the primal is unbounded if feasible, empty otherwise
-    probe, _, _ = _solve_dual(A.T, np.zeros(d), b, EPS_LP)
+    probe, _, _ = _solve_dual(A.T, np.zeros(d), b)
     if probe is _DualOutcome.UNBOUNDED:
         return LPResult(LPStatus.INFEASIBLE, -np.inf, None)
     return LPResult(LPStatus.UNBOUNDED, np.inf, None)
