@@ -223,7 +223,10 @@ class HPolytope:
         )
 
     def cartesian(self, other) -> "HPolytope":
-        """Cartesian product; ``other`` may be an HPolytope or a Hyperbox."""
+        """Cartesian product; ``other`` may be an HPolytope or a Hyperbox.
+        A zero-dimensional factor (no disturbance channel) leaves the set."""
+        if other.dim == 0:
+            return self
         other = _as_polytope(other)
         left = np.hstack([self._H, np.zeros((self.nrows, other.dim))])
         right = np.hstack([np.zeros((other.nrows, self._dim)), other.H])
@@ -261,7 +264,7 @@ def lift(C: HPolytope, D, extra: int) -> HPolytope:
     a Hyperbox."""
     if extra < 0:
         raise ValueError("extra must be nonnegative")
-    out, D = C, _as_polytope(D)
+    out = C
     for _ in range(extra):
         out = out.cartesian(D)
     return out

@@ -430,6 +430,20 @@ class TestSandwich:
         out = sandwich(sys, 0, 1)
         assert out["inner"].is_empty and out["outer"].is_empty
 
+    def test_no_disturbance_channel(self):
+        # with no disturbance the preview realization is the base system and
+        # the collaborative system is the same system: both bounds are its
+        # maximal set (the lift used to refuse the zero-dimensional D)
+        sys = LinearSystem(
+            A=[[2.0]], B=[[1.0]], E=np.zeros((1, 0)),
+            dist_set=Hyperbox.from_bounds(np.zeros(0), np.zeros(0)),
+            safe=HPolytope.from_bounds([-1.0, -0.5], [1.0, 0.5]),
+        )
+        out = sandwich(sys, 0, 2)
+        assert out["inner"].dim == out["outer"].dim == 1
+        assert set_equal(out["inner"], HPolytope.from_bounds([-0.5], [0.5]))
+        assert set_equal(out["outer"], out["inner"])
+
 
 class TestPreviewGain:
     def test_gap_shrinks_with_p_low(self):
