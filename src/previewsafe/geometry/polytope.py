@@ -75,19 +75,21 @@ def _clean_rows(H: np.ndarray, h: np.ndarray):
     """Normalize rows to unit norm; drop zero rows and rows with offset +inf.
 
     A row whose norm is within ``_UNIT_TOL`` of 1 is left as it is, so rows
-    normalized once keep their bits however often a set is rebuilt from them.
-    A zero row with a negative offset certifies emptiness.  Returns
-    ``(H, h, empty_flag)``.
+    normalized once keep their bits however often a set is rebuilt from them;
+    when every row is kept and of unit norm, ``H`` and ``h`` come back as
+    they are, not copied.  A zero row with a negative offset certifies
+    emptiness.  Returns ``(H, h, empty_flag)``.
     """
     norms = np.linalg.norm(H, axis=1)
     zero = norms <= 1e-12
     if np.any(h[zero] < -_ZERO_TOL):
         return None, None, True
     keep = ~zero & (h != np.inf)
-    H = H[keep]
-    h = h[keep]
-    norms = np.where(np.abs(norms[keep] - 1.0) <= _UNIT_TOL, 1.0, norms[keep])
-    if H.shape[0]:
+    if not keep.all():
+        H, h, norms = H[keep], h[keep], norms[keep]
+    off = np.abs(norms - 1.0) > _UNIT_TOL
+    if off.any():
+        norms[~off] = 1.0
         H = H / norms[:, None]
         h = h / norms
     return H, h, False
@@ -105,8 +107,9 @@ class HPolytope:
     __slots__ = ("_H", "_h", "_dim", "_empty", "_inner_point", "_supports", "_ray_center")
 
     def __init__(self, H, h):
+        # copies: _clean_rows may hand them back as they are
         H = np.array(H, dtype=float, ndmin=2)
-        h = np.asarray(h, dtype=float).ravel()
+        h = np.array(h, dtype=float).ravel()
         if H.shape[0] != h.shape[0]:
             raise ValueError("row count of H must match length of h")
         if H.shape[0] == 0 and H.shape[1] == 0:
@@ -222,16 +225,6 @@ class HPolytope:
             np.vstack([self._H, other.H]), np.concatenate([self._h, other.h])
         )
 
-    def cartesian(self, other) -> "HPolytope":
-        """Cartesian product; ``other`` may be an HPolytope or a Hyperbox.
-        A zero-dimensional factor (no disturbance channel) leaves the set."""
-        if other.dim == 0:
-            return self
-        other = _as_polytope(other)
-        left = np.hstack([self._H, np.zeros((self.nrows, other.dim))])
-        right = np.hstack([np.zeros((other.nrows, self._dim)), other.H])
-        return HPolytope(np.vstack([left, right]), np.concatenate([self._h, other.h]))
-
     def bounding_box(self) -> Hyperbox:
         """Smallest enclosing hyperbox, via 2*dim support calls; the empty
         box for an empty set."""
@@ -259,15 +252,21 @@ def _as_polytope(S) -> HPolytope:
 
 
 def lift(C: HPolytope, D, extra: int) -> HPolytope:
-    """Cartesian product ``C x D^extra`` in H-form, ``C``'s rows first and
-    then one block of ``D``'s rows per factor; ``D`` may be an HPolytope or
-    a Hyperbox."""
+    """Cartesian product ``C x D^extra`` in H-form: one block-diagonal stack,
+    ``C``'s rows first and then one block of ``D``'s rows per factor.  ``D``
+    may be an HPolytope or a Hyperbox; a zero-dimensional ``D`` (no
+    disturbance channel) leaves ``C``."""
     if extra < 0:
         raise ValueError("extra must be nonnegative")
-    out = C
-    for _ in range(extra):
-        out = out.cartesian(D)
-    return out
+    if extra == 0 or D.dim == 0:
+        return C
+    D = _as_polytope(D)
+    (m, n), (k, d) = C.H.shape, D.H.shape
+    H = np.zeros((m + extra * k, n + extra * d))
+    H[:m, :n] = C.H
+    for i in range(extra):
+        H[m + i * k : m + (i + 1) * k, n + i * d : n + (i + 1) * d] = D.H
+    return HPolytope(H, np.concatenate([C.h, np.tile(D.h, extra)]))
 
 
 def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:

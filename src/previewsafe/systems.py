@@ -152,7 +152,7 @@ def collaborative(sys: LinearSystem) -> LinearSystem:
     B = np.hstack([sys.B, sys.E])
     E = np.zeros((sys.n, l))
     dist = Hyperbox.from_bounds(np.zeros(l), np.zeros(l))
-    safe = sys.safe.cartesian(sys.dist_set)
+    safe = lift(sys.safe, sys.dist_set, 1)
     return LinearSystem(A=sys.A, B=B, E=E, dist_set=dist, safe=safe)
 
 

@@ -1201,6 +1201,13 @@ class TestIdempotentRows:
         assert P.H[0].tobytes() == near.tobytes() and P.h[0] == 0.7
         assert np.abs(np.linalg.norm(P.H[1]) - 1.0) < 1e-15 and P.h[1] < 0.7
 
+    def test_unit_rows_are_copied_not_shared(self):
+        # rows of unit norm are not divided, so no division makes the copy
+        H, h = np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
+        P = HPolytope(H, h)
+        H[0, 0], h[0] = 5.0, 5.0
+        assert P.H[0, 0] == 1.0 and P.h[0] == 1.0
+
 
 class TestVolume:
     def test_box_exact(self):

@@ -158,9 +158,7 @@ class TestSupervise:
         sys = LinearSystem(
             A=np.zeros((2, 2)), B=np.eye(2), E=np.zeros((2, 1)),
             dist_set=Hyperbox.from_bounds([0.0], [0.0]),
-            safe=HPolytope.from_bounds([-1, -1], [1, 1]).cartesian(
-                HPolytope(np.zeros((0, 2)), np.zeros(0))
-            ),
+            safe=lift(HPolytope.from_bounds([-1, -1], [1, 1]), HPolytope(np.zeros((0, 2)), np.zeros(0)), 1),
         )
         s, c = np.sin(1e-3), np.cos(1e-3)
         wedge = HPolytope([[s, c], [s, -c]], [0.0, 0.0])
@@ -394,9 +392,7 @@ class TestHoistedFilter:
         sys = LinearSystem(
             A=[[0.0]], B=[[c]], E=[[1.0]],
             dist_set=Hyperbox.from_bounds([0.0], [0.0]),
-            safe=HPolytope.from_bounds([-1.0], [1.0]).cartesian(
-                HPolytope(np.zeros((0, 1)), np.zeros(0))
-            ),
+            safe=lift(HPolytope.from_bounds([-1.0], [1.0]), HPolytope(np.zeros((0, 1)), np.zeros(0)), 1),
         )
         sup = Supervisor(sys=sys, invariant=HPolytope.from_bounds([-0.5], [0.7]),
                          input_box=Hyperbox.cube(1, 2.0 / abs(c)))
