@@ -55,6 +55,7 @@ from .geometry import (
     project,
     set_equal,
 )
+from .geometry.polytope import _lift_rows
 from .invariance import method1
 from .systems import BrunovskyProblem, collaborative
 
@@ -281,8 +282,8 @@ def to_hpolytope(inv: BrunovskyInvariant) -> HPolytope:
     problem = inv.problem
     n, p = problem.n, problem.p
     # B x D^p, then both sides of every scalar constraint
-    lifted = lift(HPolytope.from_box(problem.box), problem.dist, p)
-    rows, rhs = [lifted.H], [lifted.h]
+    H, h = _lift_rows(HPolytope.from_box(problem.box), problem.dist, p)
+    rows, rhs = [H], [h]
     for rec in inv.constraints:
         row = np.zeros(n * (p + 1))
         row[rec.k - 1] = 1.0

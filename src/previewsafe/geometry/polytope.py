@@ -251,22 +251,29 @@ def _as_polytope(S) -> HPolytope:
     return S
 
 
-def lift(C: HPolytope, D, extra: int) -> HPolytope:
-    """Cartesian product ``C x D^extra`` in H-form: one block-diagonal stack,
-    ``C``'s rows first and then one block of ``D``'s rows per factor.  ``D``
-    may be an HPolytope or a Hyperbox; a zero-dimensional ``D`` (no
-    disturbance channel) leaves ``C``."""
+def _lift_rows(C: HPolytope, D, extra: int):
+    """Rows ``(H, h)`` of :func:`lift`'s ``C x D^extra``, not yet a polytope,
+    so a caller that permutes its columns or adds rows builds one set."""
     if extra < 0:
         raise ValueError("extra must be nonnegative")
     if extra == 0 or D.dim == 0:
-        return C
+        return C.H, C.h
     D = _as_polytope(D)
     (m, n), (k, d) = C.H.shape, D.H.shape
     H = np.zeros((m + extra * k, n + extra * d))
     H[:m, :n] = C.H
     for i in range(extra):
         H[m + i * k : m + (i + 1) * k, n + i * d : n + (i + 1) * d] = D.H
-    return HPolytope(H, np.concatenate([C.h, np.tile(D.h, extra)]))
+    return H, np.concatenate([C.h, np.tile(D.h, extra)])
+
+
+def lift(C: HPolytope, D, extra: int) -> HPolytope:
+    """Cartesian product ``C x D^extra`` in H-form: one block-diagonal stack,
+    ``C``'s rows first and then one block of ``D``'s rows per factor.  ``D``
+    may be an HPolytope or a Hyperbox; a zero-dimensional ``D`` (no
+    disturbance channel) leaves ``C``."""
+    H, h = _lift_rows(C, D, extra)
+    return C if H is C.H else HPolytope(H, h)
 
 
 def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:

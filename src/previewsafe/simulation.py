@@ -34,7 +34,6 @@ __all__ = [
     "LQRSpec",
     "Supervisor",
     "SuperviseResult",
-    "TraceRecord",
     "Trace",
     "lqr_gain",
     "supervise",
@@ -109,20 +108,21 @@ class Supervisor:
     (``ValueError`` otherwise).
 
     Building the supervisor compiles the filter into one private step
-    function, ``_step(state, u_nom) -> (u, supervised, admissible_empty,
-    admissible)``, which :func:`supervise` and :func:`rollout` both call.  The
-    build erodes the invariant by ``E D`` and tests the erosion for emptiness
-    once, and the step keeps the arrays ``(G_x, G_u, h0)`` of
-    ``invariance.input_constraints``, so a step only evaluates the right-hand
-    side ``rhs = h0 - G_x @ x``.  For one input it also keeps the indices of
-    the zero rows of ``g = G_u[:, 0]`` (``|g_i| <= 1e-12``, as
-    :class:`HPolytope` finds them) and the indices and coefficients of the
-    rows that bound the input from below (``g_i < 0``) and above
-    (``g_i > 0``).  A row's bound ``rhs_i / g_i`` is ``HPolytope``'s
-    ``(rhs_i / |g_i|) / (g_i / |g_i|)`` bit for bit, since the norm of a
-    one-entry row is ``|g_i|`` and its unit coefficient ``+-1`` exactly.  This
-    holds for ``|g_i|`` up to about 1.3e154; above it ``g_i ** 2`` overflows,
-    ``HPolytope`` scales the row to zero and drops it, and the filter keeps it.
+    function, ``_step(state, u_nom) -> (u, supervised, fallback, lo, hi)``,
+    which :func:`supervise` and :func:`rollout` both call; the float
+    interval ``[lo, hi]`` is NaN for a fallback or several inputs.  The build
+    erodes the invariant by ``E D`` and tests the erosion for emptiness once,
+    and the step keeps the arrays ``(G_x, G_u, h0)`` of
+    ``invariance.input_constraints``, so a step only evaluates ``rhs = h0 -
+    G_x @ x``.  For one input the build orders the rows once as the zero rows
+    of ``g = G_u[:, 0]`` (``|g_i| <= 1e-12``, as :class:`HPolytope` finds
+    them), then those that bound the input from below (``g_i < 0``) and above
+    (``g_i > 0``), so a step reads slices of ``rhs``.  A row's bound
+    ``rhs_i / g_i`` is ``HPolytope``'s ``(rhs_i / |g_i|) / (g_i / |g_i|)`` bit
+    for bit, since the norm of a one-entry row is ``|g_i|`` and its unit
+    coefficient ``+-1`` exactly.  This holds for ``|g_i|`` up to about
+    1.3e154; above it ``g_i ** 2`` overflows, ``HPolytope`` scales the row to
+    zero and drops it, and the filter keeps it.
     The step checks nothing: its state and nominal input must be finite and
     of lengths ``sys.n`` and ``sys.m``.
     """
@@ -168,10 +168,10 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     when the eroded invariant is empty and every step falls back, and the
     input box has one coordinate per input."""
     m, box_lo, box_hi = input_box.dim, input_box.lo, input_box.hi
-    no_interval = Interval.EMPTY if m == 1 else None
+    nan = math.nan
 
     def fallback(u_nom):
-        return np.minimum(np.maximum(u_nom, box_lo), box_hi), True, True, no_interval
+        return np.minimum(np.maximum(u_nom, box_lo), box_hi), True, True, nan, nan
 
     if rows is None:
         return lambda state, u_nom: fallback(u_nom)
@@ -183,24 +183,25 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
             if adm.is_empty:
                 return fallback(u_nom)
             if adm.contains(u_nom, tol=1e-9):
-                return u_nom, False, False, None
-            return _closest_point(adm, u_nom), True, False, None
+                return u_nom, False, False, nan, nan
+            return _closest_point(adm, u_nom), True, False, nan, nan
 
         return step
     g = G_u[:, 0]
-    zero = np.flatnonzero(np.abs(g) <= 1e-12)
-    # the rows that bound the input from below, then those that bound it above
-    lower = np.flatnonzero(g < -1e-12)
-    bounding = np.concatenate([lower, np.flatnonzero(g > 1e-12)])
-    g_bounding, k = g[bounding], lower.shape[0]
+    # rows reordered once into zero | lower | upper bounds, so a step reads slices
+    zero, lower, upper = np.abs(g) <= 1e-12, g < -1e-12, g > 1e-12
+    order = np.concatenate([np.flatnonzero(zero), np.flatnonzero(lower), np.flatnonzero(upper)])
+    G_x, h0 = G_x[order], h0[order]
+    z, k = int(zero.sum()), int(lower.sum())
+    g_bounding = g[order][z:]
 
     def step(state, u_nom):
         rhs = h0 - G_x @ state
         # a zero row with a negative offset certifies emptiness; fmin skips a
         # NaN offset, as the comparison with it does
-        if np.fmin.reduce(rhs[zero], initial=np.inf) < -_ZERO_TOL:
+        if np.fmin.reduce(rhs[:z], initial=np.inf) < -_ZERO_TOL:
             return fallback(u_nom)
-        q = rhs[bounding] / g_bounding
+        q = rhs[z:] / g_bounding
         lo = float(q[:k].max(initial=-np.inf))
         hi = float(q[k:].min(initial=np.inf))
         if not lo <= hi:
@@ -212,7 +213,7 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
                 return fallback(u_nom)
         u0 = float(u_nom[0])
         u = min(max(u0, lo), hi)
-        return np.array([u]), u != u0, False, Interval(lo, hi)
+        return np.array([u]), u != u0, False, lo, hi
 
     return step
 
@@ -224,13 +225,14 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
     ``state`` needs ``sup.sys.n`` entries and ``u_nom`` ``sup.sys.m``, all
     finite (``ValueError`` otherwise); then the supervisor's compiled step
     runs.  A one-input step is one mat-vec for the right-hand side, a
-    division of its rows by the coefficients of ``G_u`` stored at build time,
-    the largest lower and the smallest upper bound for the interval and a
-    clip onto it, with no LP.  A step with two or more inputs still solves
-    LPs (emptiness, and the closest point when ``u_nom`` is not admissible),
-    since those depend on the state.  When the admissible set is empty the
-    nominal input is clamped to the fallback input box and the result is
-    annotated ``admissible_empty``.
+    division of slices of its rows by the coefficients of ``G_u`` stored at
+    build time, the largest lower and the smallest upper bound for the
+    interval and a clip onto it, with no LP; the step's float endpoints are
+    wrapped here into the result's :class:`Interval`.  A step with two or
+    more inputs still solves LPs (emptiness, and the closest point when
+    ``u_nom`` is not admissible), since those depend on the state.  When the
+    admissible set is empty the nominal input is clamped to the fallback
+    input box and the result is annotated ``admissible_empty``.
     """
     u_nom = np.asarray(u_nom, dtype=float).ravel()
     state = np.asarray(state, dtype=float).ravel()
@@ -241,70 +243,61 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
         raise ValueError(f"nominal input has {u_nom.shape[0]} entries, the system {m} inputs")
     if not (np.isfinite(state).all() and np.isfinite(u_nom).all()):
         raise ValueError("state and nominal input must be finite")
-    return SuperviseResult(*sup._step(state, u_nom))
+    u, supervised, empty, lo, hi = sup._step(state, u_nom)
+    adm = None if m > 1 else Interval.EMPTY if empty else Interval(lo, hi)
+    return SuperviseResult(u, supervised, empty, adm)
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    t: int
+class Trace:
+    """Rollout record, one row per step ``t``: ``x (T, n)``, ``u_nominal``,
+    ``u_applied (T, m)``, ``d_applied (T, l)``, the admissible interval
+    ``adm_lo``, ``adm_hi (T,)`` (NaN for a fallback, several inputs or no
+    supervisor) and the bools ``supervised``, ``fallback``, ``safe (T,)``
+    (``(x, u)`` in the safe set).  The shapes name the CSV columns at T = 0."""
+
     x: np.ndarray
     u_nominal: np.ndarray
     u_applied: np.ndarray
     d_applied: np.ndarray
-    admissible: Optional[Interval]
-    supervised: bool
-    safe: bool
-
-
-@dataclass
-class Trace:
-    """Time-indexed rollout record; ``safe`` marks (x, u) in the safe set.
-    ``dims`` holds the state, input and disturbance dimensions ``(n, m, l)``
-    that name the CSV columns of a trace with no records."""
-
-    records: list = field(default_factory=list)
-    dims: Optional[tuple] = None
+    adm_lo: np.ndarray
+    adm_hi: np.ndarray
+    supervised: np.ndarray
+    fallback: np.ndarray
+    safe: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.x.shape[0]
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(len(self))
 
     @property
     def all_safe(self) -> bool:
-        return all(r.safe for r in self.records)
+        return bool(self.safe.all())
 
     def first_unsafe_step(self) -> Optional[int]:
-        for r in self.records:
-            if not r.safe:
-                return r.t
-        return None
+        unsafe = np.flatnonzero(~self.safe)
+        return int(unsafe[0]) if unsafe.size else None
 
     def supervision_count(self) -> int:
-        return sum(1 for r in self.records if r.supervised)
+        return int(np.count_nonzero(self.supervised))
 
     def to_csv(self) -> str:
-        if self.records:
-            first = self.records[0]
-            n, m, l = first.x.shape[0], first.u_applied.shape[0], first.d_applied.shape[0]
-        elif self.dims is None:
-            return ""
-        else:
-            n, m, l = self.dims
+        n, m, l = self.x.shape[1], self.u_applied.shape[1], self.d_applied.shape[1]
         cols = ["t"]
         cols += [f"x{i+1}" for i in range(n)]
         cols += (["u_nom"] if m == 1 else [f"u_nom{i+1}" for i in range(m)])
         cols += (["u"] if m == 1 else [f"u{i+1}" for i in range(m)])
         cols += [f"d{i+1}" for i in range(l)]
         cols += ["supervised", "safe", "adm_lo", "adm_hi"]
-        rows = []
-        for r in self.records:
-            adm = r.admissible
-            bounds = [np.nan, np.nan] if adm is None or adm.is_empty else [adm.lo, adm.hi]
-            rows.append(np.concatenate([
-                [r.t], r.x, r.u_nominal, r.u_applied, r.d_applied, [r.supervised, r.safe], bounds,
-            ]))
+        table = np.column_stack([
+            self.t, self.x, self.u_nominal, self.u_applied, self.d_applied,
+            self.supervised, self.safe, self.adm_lo, self.adm_hi,
+        ])
         out = io.StringIO()
-        np.savetxt(out, np.array(rows, dtype=float).reshape(-1, len(cols)), fmt="%.17g",
-                   delimiter=",", header=",".join(cols), comments="")
+        np.savetxt(out, table, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
         return out.getvalue()
 
 
@@ -327,43 +320,52 @@ def rollout(
     entries (:class:`ScriptExhaustedError` otherwise).  ``T`` must be
     nonnegative, ``x0`` must have ``sys.n`` entries, ``x0`` and the first
     T + p script entries must be finite, the supervisor's state space must be
-    that of ``sys`` or of its p-step preview realization, and the controller
-    must return ``sys.m`` finite inputs (``ValueError`` otherwise).
+    that of ``sys`` or of its p-step preview realization and its inputs those
+    of ``sys``, and the controller must return ``sys.m`` finite inputs
+    (``ValueError`` otherwise).
 
     These checks run once, before the loop, except the controller's output,
     which each step checks for its length and finiteness, and the state,
     which each step checks for finiteness (it can overflow).  A supervised
-    step then calls the supervisor's compiled step directly, not
-    :func:`supervise`.
+    step calls the supervisor's compiled step directly, not :func:`supervise`,
+    with a lifted state in one reused buffer.  Each step writes its row of the
+    preallocated :class:`Trace` columns in place; safety, which does not feed
+    back, is judged after the loop in one product with the safe set's rows
+    (tolerance 1e-7, as ``HPolytope.contains``).
 
     Each step where the filter changed the input writes one DEBUG record on
     the ``previewsafe.simulation`` logger: ``t``, the nominal and applied
-    inputs, and the admissible interval or ``fallback``.
+    inputs, and the admissible interval's ``(lo, hi)`` or ``fallback``.
     """
     if T < 0:
         raise ValueError("horizon T must be nonnegative")
     x = np.asarray(x0, dtype=float).ravel().copy()
-    if x.shape[0] != sys.n:
-        raise ValueError(f"initial state has {x.shape[0]} entries, the system {sys.n} states")
-    script = np.asarray(d_script, dtype=float).reshape(-1, sys.l)
+    n, m, l = sys.n, sys.m, sys.l
+    if x.shape[0] != n:
+        raise ValueError(f"initial state has {x.shape[0]} entries, the system {n} states")
+    script = np.asarray(d_script, dtype=float).reshape(-1, l)
     if script.shape[0] < T + p:
         raise ScriptExhaustedError(
             f"script holds {script.shape[0]} steps, need {T + p}"
         )
     if not (np.isfinite(x).all() and np.isfinite(script[: T + p]).all()):
         raise ValueError("initial state and disturbance script must be finite")
-    step, lifted = None, False
+    step, state = None, None
     if supervisor is not None:
         step = supervisor._step
-        lifted = supervisor.sys.n == sys.n + p * sys.l
-        if not lifted and supervisor.sys.n != sys.n:
-            raise ValueError("supervisor state space matches neither the system nor its preview")
-    A, B, E, m = sys.A, sys.B, sys.E, sys.m
-    H_safe, h_safe = sys.safe.H, sys.safe.h + 1e-7
+        if supervisor.sys.n != n:
+            if supervisor.sys.n != n + p * l:
+                raise ValueError("supervisor state space matches neither the system nor its preview")
+            state = np.empty(supervisor.sys.n)
+        if supervisor.sys.m != m:
+            raise ValueError(f"supervisor has {supervisor.sys.m} inputs, the system {m}")
+    A, B, E = sys.A, sys.B, sys.E
+    X, U_nom, U = np.empty((T, n)), np.empty((T, m)), np.empty((T, m))
+    adm_lo, adm_hi = np.full(T, np.nan), np.full(T, np.nan)
+    supervised, fallback = np.zeros(T, dtype=bool), np.zeros(T, dtype=bool)
     debug = _log.isEnabledFor(logging.DEBUG)
-    trace = Trace(dims=(sys.n, m, sys.l))
     # math.isfinite over a few entries costs a fraction of np.isfinite(...).all()
-    append, record, isfinite = trace.records.append, TraceRecord, math.isfinite
+    isfinite = math.isfinite
     for t in range(T):
         window = script[t : t + p]
         u_nom = np.asarray(controller(t, x, window), dtype=float).ravel()
@@ -374,19 +376,22 @@ def rollout(
         if not all(map(isfinite, x.tolist())):
             raise ValueError("state must be finite")
         if step is None:
-            u, supervised, adm = u_nom, False, None
+            u = u_nom
         else:
-            u, supervised, empty, adm = step(np.concatenate([x, window.ravel()]) if lifted else x, u_nom)
-            if debug and supervised:
+            if state is not None:
+                state[:n], state[n:] = x, window.ravel()
+            u, changed, empty, lo, hi = step(x if state is None else state, u_nom)
+            supervised[t], fallback[t], adm_lo[t], adm_hi[t] = changed, empty, lo, hi
+            if debug and changed:
                 _log.debug(
                     "supervise: t=%d u_nom=%s u=%s admissible=%s", t, u_nom.tolist(), u.tolist(),
-                    "fallback" if empty else adm,
+                    "fallback" if empty else (lo, hi),
                 )
-        safe = (H_safe @ np.concatenate([x, u]) <= h_safe).all()
-        d = script[t]
-        append(record(t, x.copy(), u_nom.copy(), u.copy(), d.copy(), adm, supervised, bool(safe)))
-        x = A @ x + B @ u + E @ d
-    return trace
+        X[t], U_nom[t], U[t] = x, u_nom, u
+        x = A @ x + B @ u + E @ script[t]
+    H_safe, h_safe = sys.safe.H, sys.safe.h
+    safe = (np.hstack([X, U]) @ H_safe.T <= h_safe + 1e-7).all(axis=1)
+    return Trace(X, U_nom, U, script[:T].copy(), adm_lo, adm_hi, supervised, fallback, safe)
 
 
 def zoh_discretize(Ac: np.ndarray, Bc: np.ndarray, Ec: np.ndarray, dt: float):

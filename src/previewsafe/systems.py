@@ -26,7 +26,7 @@ from .errors import (
     UnboundedError,
 )
 from .geometry import HPolytope, Hyperbox, lift, project
-from .geometry.polytope import _as_polytope
+from .geometry.polytope import _as_polytope, _lift_rows
 
 DisturbanceSet = Union[Hyperbox, HPolytope]
 
@@ -135,8 +135,8 @@ def augment(sys: LinearSystem, p: int) -> PreviewSystem:
     E[n + (p - 1) * l :, :] = np.eye(l)
 
     # safe set over (x, d_1..d_p, u): S x D^p over (x, u, d_1..d_p), u moved last
-    lifted = lift(sys.safe, sys.dist_set, p)
-    safe = HPolytope(lifted.H[:, np.r_[:n, n + m : dim + m, n : n + m]], lifted.h)
+    H, h = _lift_rows(sys.safe, sys.dist_set, p)
+    safe = HPolytope(H[:, np.r_[:n, n + m : dim + m, n : n + m]], h)
 
     aug = LinearSystem(A=A, B=B, E=E, dist_set=sys.dist_set, safe=safe)
     return PreviewSystem(base=sys, p=p, aug=aug)

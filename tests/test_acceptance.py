@@ -210,8 +210,8 @@ def test_criterion_9_lane_keeping_property():
         assert len(res.trace_preview) == 100
         assert res.trace_preview.all_safe
         assert res.trace_no_preview.first_unsafe_step() is not None
-        a = np.array([r.d_applied for r in res.trace_preview.records])
-        b = np.array([r.d_applied for r in res.trace_no_preview.records])
+        a = res.trace_preview.d_applied
+        b = res.trace_no_preview.d_applied
         assert np.array_equal(a, b)
 
 

@@ -454,15 +454,16 @@ class TestHoistedFilter:
 
 
 def reference_rollout(sys, p, controller, supervisor, x0, d_script, T):
-    """``rollout`` before its loop invariants were hoisted, body verbatim:
-    ``step`` and ``contains`` run, with their checks, at every step."""
+    """``rollout`` before its loop invariants were hoisted, body verbatim up
+    to collecting the rows: ``step`` and ``contains`` run, with their checks,
+    at every step, and the rows are stacked into a :class:`Trace` at the end."""
     x = np.asarray(x0, dtype=float).ravel().copy()
     script = np.asarray(d_script, dtype=float).reshape(-1, sys.l)
     if script.shape[0] < T + p:
         raise ScriptExhaustedError(
             f"script holds {script.shape[0]} steps, need {T + p}"
         )
-    trace = simulation.Trace()
+    xs, u_noms, us, ds, bounds, flags = [], [], [], [], [], []
     for t in range(T):
         window = script[t : t + p]
         u_nom = np.atleast_1d(np.asarray(controller(t, x, window), dtype=float))
@@ -473,40 +474,40 @@ def reference_rollout(sys, p, controller, supervisor, x0, d_script, T):
                 else x
             )
             res = supervise(supervisor, state_for_sup, u_nom)
-            u, supervised, adm = res.u, res.supervised, res.admissible
+            u, supervised, empty, adm = res.u, res.supervised, res.admissible_empty, res.admissible
         else:
-            u, supervised, adm = u_nom, False, None
+            u, supervised, empty, adm = u_nom, False, False, None
         safe = sys.safe.contains(np.concatenate([x, u]), tol=1e-7)
-        trace.records.append(
-            simulation.TraceRecord(
-                t=t, x=x.copy(), u_nominal=u_nom.copy(), u_applied=np.atleast_1d(u).copy(),
-                d_applied=script[t].copy(), admissible=adm,
-                supervised=bool(supervised), safe=bool(safe),
-            )
-        )
+        xs.append(x.copy())
+        u_noms.append(u_nom.copy())
+        us.append(np.atleast_1d(u).copy())
+        ds.append(script[t].copy())
+        bounds.append((np.nan, np.nan) if adm is None or adm.is_empty else (adm.lo, adm.hi))
+        flags.append((bool(supervised), bool(empty), bool(safe)))
         x = step(sys, x, u, script[t])
-    return trace
+
+    def stack(rows, width, dtype=float):
+        return np.array(rows, dtype=dtype).reshape(T, width)
+
+    bounds, flags = stack(bounds, 2), stack(flags, 3, bool)
+    return simulation.Trace(
+        stack(xs, sys.n), stack(u_noms, sys.m), stack(us, sys.m), stack(ds, sys.l),
+        bounds[:, 0], bounds[:, 1], *flags.T,
+    )
 
 
 def assert_same_records(trace, ref):
-    """Every field of every record bitwise equal; returns the outcome of each
-    step: ``"fallback"``, ``"clip"`` or ``"pass"``."""
+    """Every column bitwise equal; returns the outcome of each step:
+    ``"fallback"``, ``"clip"`` or ``"pass"``."""
     assert len(trace) == len(ref)
-    outcomes = []
-    for r, q in zip(trace.records, ref.records):
-        assert r.t == q.t
-        for field in ("x", "u_nominal", "u_applied", "d_applied"):
-            a, b = getattr(r, field), getattr(q, field)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
-        assert (r.admissible is None) == (q.admissible is None)
-        if r.admissible is not None:
-            assert bits(r.admissible.lo, r.admissible.hi) == bits(q.admissible.lo, q.admissible.hi)
-        assert (r.supervised, r.safe) == (q.supervised, q.safe)
-        if r.admissible is not None and r.admissible.is_empty:
-            outcomes.append("fallback")
-        else:
-            outcomes.append("clip" if r.supervised else "pass")
-    return outcomes
+    assert trace.t.tolist() == ref.t.tolist()
+    for field in ("x", "u_nominal", "u_applied", "d_applied", "adm_lo", "adm_hi"):
+        a, b = getattr(trace, field), getattr(ref, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    for field in ("supervised", "fallback", "safe"):
+        a, b = getattr(trace, field), getattr(ref, field)
+        assert a.dtype == b.dtype == bool and a.tolist() == b.tolist(), field
+    return ["fallback" if f else "clip" if s else "pass" for f, s in zip(trace.fallback, trace.supervised)]
 
 
 def lane_runs(sys, p, sup, rng, runs=6, T=30):
@@ -575,7 +576,7 @@ class TestHoistedRollout:
 
             trace = rollout(sys, 0, controller, sup, x0, script, 20)
             assert_same_records(trace, reference_rollout(sys, 0, controller, sup, x0, script, 20))
-            supervised.update(r.supervised for r in trace.records)
+            supervised.update(trace.supervised.tolist())
         assert supervised == {True, False}
 
     @pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "unsupervised"])
@@ -607,15 +608,18 @@ class TestHoistedRollout:
         runs = list(lane_runs(sys, 2, sups[2], np.random.default_rng(4), runs=2))
         with caplog.at_level(logging.DEBUG, logger="previewsafe.simulation"):
             traces = [rollout(sys, 2, c, sups[2], x0, s, T) for c, x0, s, T in runs]
-        changed = [r for trace in traces for r in trace.records if r.supervised]
-        assert {r.admissible.is_empty for r in changed} == {True, False}
+        changed = [(trace, int(t)) for trace in traces for t in np.flatnonzero(trace.supervised)]
+        assert {bool(trace.fallback[t]) for trace, t in changed} == {True, False}
         assert len(caplog.records) == len(changed)
-        for rec, r in zip(caplog.records, changed):
+        for rec, (trace, t) in zip(caplog.records, changed):
             assert rec.name == "previewsafe.simulation" and rec.levelno == logging.DEBUG
-            t, u_nom, u, adm = rec.args
-            assert (t, u_nom, u) == (r.t, r.u_nominal.tolist(), r.u_applied.tolist())
-            assert adm == "fallback" if r.admissible.is_empty else adm is r.admissible
-            assert rec.getMessage().startswith(f"supervise: t={r.t} u_nom=")
+            t_rec, u_nom, u, adm = rec.args
+            assert (t_rec, u_nom, u) == (t, trace.u_nominal[t].tolist(), trace.u_applied[t].tolist())
+            if trace.fallback[t]:
+                assert adm == "fallback"
+            else:
+                assert bits(*adm) == bits(trace.adm_lo[t], trace.adm_hi[t])
+            assert rec.getMessage().startswith(f"supervise: t={t} u_nom=")
         # the log does not touch the trace, and above DEBUG nothing is written
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="previewsafe.simulation"):
@@ -644,8 +648,68 @@ class TestHoistedRollout:
         with pytest.raises(ValueError, match="supervisor state space"):
             rollout(sys, 2, zero, lifted, [0.0, 0.0], np.zeros((5, 2)), 2)
 
+    @pytest.mark.parametrize("half_width", [0.01, 1.0], ids=["eroded_empty", "eroded_nonempty"])
+    def test_rejects_supervisor_with_other_inputs(self, half_width):
+        # a one-input supervisor over the state space of a two-input system:
+        # with an empty erosion every step would fall back and broadcast the
+        # one-coordinate box over both inputs; otherwise the dynamics would
+        # meet a one-entry input
+        def system(B):
+            m = len(B[0])
+            return LinearSystem(
+                A=[[1.0, 0.1], [0.0, 1.0]], B=B, E=np.eye(2),
+                dist_set=Hyperbox.cube(2, 0.05),
+                safe=HPolytope.from_bounds([-1.0] * (2 + m), [1.0] * (2 + m)),
+            )
+
+        one = system([[0.5], [1.0]])
+        sup = Supervisor(sys=one, invariant=HPolytope.from_bounds([-half_width] * 2, [half_width] * 2),
+                         input_box=Hyperbox.cube(1, 2.0))
+        two = lambda t, x, w: np.array([0.1, -0.2])
+        with pytest.raises(ValueError, match="supervisor has 1 inputs, the system 2"):
+            rollout(system(np.eye(2)), 0, two, sup, [0.0, 0.0], np.zeros((5, 2)), 5)
+
 
 class TestRollout:
+    def test_safe_column_matches_contains(self):
+        # x+ = d: every state is a script entry, placed 0.5e-7 (safe within
+        # the 1e-7 tolerance) and 2e-7 (unsafe) beyond one safe row at a time
+        sys = LinearSystem(
+            A=np.zeros((2, 2)), B=np.zeros((2, 1)), E=np.eye(2),
+            dist_set=Hyperbox.cube(2, 2.0),
+            safe=HPolytope(
+                [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+                 [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 1.0, 0.3]],
+                [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5],
+            ),
+        )
+        H, h, u = sys.safe.H, sys.safe.h, 0.2
+        # a point on each state row's facet, inside every other row
+        centres = {0: [0.0, 0.0], 1: [0.0, 0.0], 2: [0.0, 0.0], 3: [0.0, 0.0], 6: [0.4, 0.4]}
+        states, expected = [], []
+        for i, c in centres.items():
+            a = H[i, :2]
+            for offset, safe in ((0.5e-7, True), (2e-7, False)):
+                z = np.asarray(c) + (h[i] + offset - H[i] @ np.append(c, u)) * a / (a @ a)
+                states.append(z)
+                expected.append(safe)
+        script = np.array(states[1:] + [np.zeros(2)])
+        trace = rollout(sys, 0, lambda t, x, w: np.array([u]), None, states[0], script, len(states))
+        assert trace.x.tobytes() == np.array(states).tobytes()
+        by_contains = [sys.safe.contains(np.append(x, v), tol=1e-7) for x, v in zip(trace.x, trace.u_applied)]
+        assert trace.safe.tolist() == by_contains == expected
+        assert trace.first_unsafe_step() == 1 and not trace.all_safe
+
+    def test_zero_steps_two_inputs_csv_header(self):
+        sys = LinearSystem(
+            A=np.eye(2), B=np.eye(2), E=np.eye(2),
+            dist_set=Hyperbox.cube(2, 0.1),
+            safe=HPolytope.from_bounds([-1.0] * 4, [1.0] * 4),
+        )
+        trace = rollout(sys, 0, lambda t, x, w: np.zeros(2), None, [0.0, 0.0], np.zeros((0, 2)), 0)
+        assert len(trace) == 0 and trace.all_safe and trace.first_unsafe_step() is None
+        assert trace.to_csv() == "t,x1,x2,u_nom1,u_nom2,u1,u2,d1,d2,supervised,safe,adm_lo,adm_hi\n"
+
     def test_p0_is_plain_feedback(self):
         prob = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.1), 0)
         sys = prob.system()
@@ -709,8 +773,8 @@ class TestRollout:
                 lambda t, x, w: np.array([controller_g(prob, list(w))]),
                 None, x0, script, n + 2,
             )
-            xn = trace.records[-1].x  # state at t = n + 1 > n
-            t_last = trace.records[-1].t
+            xn = trace.x[-1]  # state at t = n + 1 > n
+            t_last = trace.t[-1]
             assert membership(inv, xn, list(script[t_last : t_last + p]), tol=1e-7)
 
     def test_deterministic(self):
@@ -780,10 +844,7 @@ class TestSafetySoundness:
                 trace = rollout(
                     sys, p, lambda t, x, w: np.zeros(sys.m), sup, x0, script, T,
                 )
-                emptied = any(
-                    r.admissible is not None and r.admissible.is_empty
-                    for r in trace.records
-                )
+                emptied = trace.fallback.any()
                 if not emptied:
                     assert trace.all_safe
 
@@ -822,8 +883,8 @@ class TestLaneKeeping:
         assert lane_result.trace_no_preview.first_unsafe_step() is not None
 
     def test_identical_scripts(self, lane_result):
-        a = np.array([r.d_applied for r in lane_result.trace_preview.records])
-        b = np.array([r.d_applied for r in lane_result.trace_no_preview.records])
+        a = lane_result.trace_preview.d_applied
+        b = lane_result.trace_no_preview.d_applied
         assert np.array_equal(a, b)
 
     def test_inside_start_identical_traces(self):
@@ -839,8 +900,8 @@ class TestLaneKeeping:
         aug = augment(sys, 2).aug
         sup_b = Supervisor(sys=aug, invariant=lift(res.cmax0, sys.dist_set, 2), input_box=Hyperbox.cube(1, 2.0))
         t_b = rollout(sys, 2, gain_ctrl, sup_b, x0, script, 10)
-        xs_a = np.array([r.x for r in t_a.records])
-        xs_b = np.array([r.x for r in t_b.records])
+        xs_a = t_a.x
+        xs_b = t_b.x
         assert np.allclose(xs_a, xs_b, atol=1e-9)
         assert t_a.supervision_count() == 0 and t_b.supervision_count() == 0
 
