@@ -282,7 +282,8 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
     Returns ``{z : H_i z <= h_i - sup_{s in S} (H_i M) s}``; the result may be
     empty, which is a valid polytope rather than an error.  ``S`` must be
     nonempty, so a row whose direction ``H_i M`` is zero keeps its offset
-    without a support call.
+    without a support call.  A Hyperbox ``S`` takes every row's support in
+    one array expression, the bits of :meth:`Hyperbox.support`.
     """
     M = np.asarray(M, dtype=float)
     if S.is_empty:
@@ -294,14 +295,20 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
     if X.nrows == 0:
         return X
     dirs = X.H @ M
-    offsets = np.zeros(X.nrows)
-    for i in range(X.nrows):
-        if not dirs[i].any():
-            continue
-        try:
-            offsets[i] = S.support(dirs[i])
-        except UnboundedError:
+    if isinstance(S, Hyperbox):
+        # every row's Hyperbox.support at once; a zero direction sums to 0.0
+        offsets = np.sum(dirs * np.where(dirs > 0, S.hi, np.where(dirs < 0, S.lo, 0.0)), axis=1)
+        if (offsets == np.inf).any():
             return HPolytope.empty(X.dim)
+    else:
+        offsets = np.zeros(X.nrows)
+        for i in range(X.nrows):
+            if not dirs[i].any():
+                continue
+            try:
+                offsets[i] = S.support(dirs[i])
+            except UnboundedError:
+                return HPolytope.empty(X.dim)
     return HPolytope(X.H, X.h - offsets)
 
 

@@ -117,12 +117,18 @@ class Supervisor:
     G_x @ x``.  For one input the build orders the rows once as the zero rows
     of ``g = G_u[:, 0]`` (``|g_i| <= 1e-12``, as :class:`HPolytope` finds
     them), then those that bound the input from below (``g_i < 0``) and above
-    (``g_i > 0``), so a step reads slices of ``rhs``.  A row's bound
-    ``rhs_i / g_i`` is ``HPolytope``'s ``(rhs_i / |g_i|) / (g_i / |g_i|)`` bit
-    for bit, since the norm of a one-entry row is ``|g_i|`` and its unit
-    coefficient ``+-1`` exactly.  This holds for ``|g_i|`` up to about
-    1.3e154; above it ``g_i ** 2`` overflows, ``HPolytope`` scales the row to
-    zero and drops it, and the filter keeps it.
+    (``g_i > 0``), each block led by a sentinel row with zero coefficients
+    and offset ``+inf``, and stores ``w``: 1 on the zero rows, ``|g_i|`` on
+    the bounding ones.  A step then takes one division ``rhs / w`` and one
+    ``np.minimum.reduceat`` over the three blocks: the least zero-row
+    offset, minus the lower bound and the upper bound (``+-inf`` for an empty
+    block).  A row's bound ``rhs_i / g_i`` is ``HPolytope``'s ``(rhs_i /
+    |g_i|) / (g_i / |g_i|)`` bit for bit, since the norm of a one-entry row
+    is ``|g_i|`` and its unit coefficient ``+-1`` exactly, and for ``g_i <
+    0`` it is ``-(rhs_i / |g_i|)``, so the largest lower bound is minus the
+    least quotient.  This holds for ``|g_i|`` up to about 1.3e154; above it
+    ``g_i ** 2`` overflows, ``HPolytope`` scales the row to zero and drops
+    it, and the filter keeps it.
     The step checks nothing: its state and nominal input must be finite and
     of lengths ``sys.n`` and ``sys.m``.
     """
@@ -166,7 +172,13 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     and the nominal input, with everything that depends on neither bound
     here: ``rows`` are ``input_constraints``' ``(G_x, G_u, h0)``, or ``None``
     when the eroded invariant is empty and every step falls back, and the
-    input box has one coordinate per input."""
+    input box has one coordinate per input.
+
+    A one-input step is one mat-vec, one division and one reduction (see
+    :class:`Supervisor`).  A NaN offset (the mat-vec overflowed) gives the
+    verdicts of a row-by-row reading: a zero row's NaN is skipped, so the
+    least zero-row offset is taken again with ``np.fmin`` when the reduction
+    returns NaN, and a NaN bound falls back."""
     m, box_lo, box_hi = input_box.dim, input_box.lo, input_box.hi
     nan = math.nan
 
@@ -188,22 +200,32 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
 
         return step
     g = G_u[:, 0]
-    # rows reordered once into zero | lower | upper bounds, so a step reads slices
+    # rows reordered once into zero | lower | upper blocks, each led by a
+    # sentinel row (index -1: zero coefficients, offset +inf) so that no block
+    # is empty and one reduceat reads all three minima
     zero, lower, upper = np.abs(g) <= 1e-12, g < -1e-12, g > 1e-12
-    order = np.concatenate([np.flatnonzero(zero), np.flatnonzero(lower), np.flatnonzero(upper)])
-    G_x, h0 = G_x[order], h0[order]
-    z, k = int(zero.sum()), int(lower.sum())
-    g_bounding = g[order][z:]
+    sentinel = [-1]
+    order = np.concatenate([
+        sentinel, np.flatnonzero(zero), sentinel, np.flatnonzero(lower), sentinel, np.flatnonzero(upper),
+    ])
+    starts = np.flatnonzero(order < 0)
+    z_end = int(starts[1])
+    G_x = np.vstack([G_x, np.zeros(G_x.shape[1])])[order]
+    h0 = np.append(h0, np.inf)[order]
+    w = np.append(np.where(zero, 1.0, np.abs(g)), 1.0)[order]
 
     def step(state, u_nom):
         rhs = h0 - G_x @ state
-        # a zero row with a negative offset certifies emptiness; fmin skips a
-        # NaN offset, as the comparison with it does
-        if np.fmin.reduce(rhs[:z], initial=np.inf) < -_ZERO_TOL:
+        # a lower row's bound rhs_i / g_i is -(rhs_i / |g_i|) bit for bit, so
+        # the largest lower bound is minus the least quotient of its block
+        zmin, nlo, hi = np.minimum.reduceat(rhs / w, starts).tolist()
+        # a zero row with a negative offset certifies emptiness; the verdict
+        # skips a NaN offset (rhs overflowed), as the comparison with it does
+        if zmin != zmin:
+            zmin = np.fmin.reduce(rhs[:z_end])
+        if zmin < -_ZERO_TOL:
             return fallback(u_nom)
-        q = rhs[z:] / g_bounding
-        lo = float(q[:k].max(initial=-np.inf))
-        hi = float(q[k:].min(initial=np.inf))
+        lo = -nlo
         if not lo <= hi:
             # width-zero sets can cross by rounding noise; snap to the point.
             # A NaN bound (rhs overflowed) falls back, so the clip never sees one
@@ -224,10 +246,10 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
 
     ``state`` needs ``sup.sys.n`` entries and ``u_nom`` ``sup.sys.m``, all
     finite (``ValueError`` otherwise); then the supervisor's compiled step
-    runs.  A one-input step is one mat-vec for the right-hand side, a
-    division of slices of its rows by the coefficients of ``G_u`` stored at
-    build time, the largest lower and the smallest upper bound for the
-    interval and a clip onto it, with no LP; the step's float endpoints are
+    runs.  A one-input step is one mat-vec for the right-hand side, one
+    division by the magnitudes of ``G_u`` stored at build time and one
+    reduction for the least zero-row offset and the interval's endpoints,
+    then a clip onto the interval, with no LP; the step's float endpoints are
     wrapped here into the result's :class:`Interval`.  A step with two or
     more inputs still solves LPs (emptiness, and the closest point when
     ``u_nom`` is not admissible), since those depend on the state.  When the
@@ -317,7 +339,8 @@ def rollout(
 
     At each t the controller observes (x(t), d_script[t .. t+p-1]) and the
     dynamics consume d_script[t]; the script therefore needs at least T + p
-    entries (:class:`ScriptExhaustedError` otherwise).  ``T`` must be
+    entries of ``sys.l`` values, an ``(N, 0)`` array when ``sys.l = 0``
+    (:class:`ScriptExhaustedError` otherwise).  ``T`` must be
     nonnegative, ``x0`` must have ``sys.n`` entries, ``x0`` and the first
     T + p script entries must be finite, the supervisor's state space must be
     that of ``sys`` or of its p-step preview realization and its inputs those
@@ -343,7 +366,9 @@ def rollout(
     n, m, l = sys.n, sys.m, sys.l
     if x.shape[0] != n:
         raise ValueError(f"initial state has {x.shape[0]} entries, the system {n} states")
-    script = np.asarray(d_script, dtype=float).reshape(-1, l)
+    script = np.asarray(d_script, dtype=float)
+    # with no disturbance channel (l = 0) only the first axis counts the steps
+    script = script.reshape(script.shape[0] if l == 0 and script.ndim else -1, l)
     if script.shape[0] < T + p:
         raise ScriptExhaustedError(
             f"script holds {script.shape[0]} steps, need {T + p}"

@@ -307,6 +307,32 @@ class TestPontryaginDiff:
             assert np.allclose(out.h, expected, atol=1e-12, rtol=0)
         assert set_equal(pontryagin_diff(X, box, M), pontryagin_diff(X, HPolytope.from_box(box), M))
 
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_box_erosion_is_support_bit_for_bit(self, seed):
+        # the erosion by a Hyperbox takes all supports in one expression; each
+        # offset must be Hyperbox.support of its row (0 for a zero direction),
+        # bit for bit, up to l = 20 disturbance coordinates
+        rng = np.random.default_rng(seed)
+        for l in range(1, 21):
+            X = HPolytope(rng.normal(size=(15, 3)), rng.uniform(1.0, 3.0, size=15))
+            M = rng.normal(size=(3, l)) * (rng.random((3, l)) < 0.7)
+            M[:, rng.random(l) < 0.2] = 0.0
+            lo = -rng.uniform(0.0, 0.5, size=l)
+            box = Hyperbox(lo, lo + rng.uniform(0.0, 1.0, size=l) * (rng.random(l) < 0.9))
+            dirs = X.H @ M
+            expected = [h - box.support(d) if d.any() else h for h, d in zip(X.h, dirs)]
+            out = pontryagin_diff(X, box, M)
+            assert out.H.tobytes() == X.H.tobytes()
+            assert out.h.tobytes() == np.array(expected).tobytes()
+            # an infinite bound that some row's direction meets empties the erosion
+            hit = int(np.flatnonzero(dirs.any(axis=0))[0]) if dirs.any() else None
+            if hit is not None:
+                hi = box.hi.copy()
+                hi[hit] = np.inf
+                lo_inf = box.lo.copy()
+                lo_inf[hit] = -np.inf
+                assert pontryagin_diff(X, Hyperbox(lo_inf, hi), M).is_empty
+
     def test_zero_directions_ignore_unbounded_coordinates(self):
         X = HPolytope.from_bounds([-1.0, -1.0], [1.0, 1.0])
         S = Hyperbox.from_bounds([-0.25, -np.inf], [0.25, np.inf])

@@ -9,7 +9,7 @@ from conftest import count_lps
 from previewsafe import simulation
 from previewsafe.brunovsky import closed_form, controller_g, membership
 from previewsafe.errors import ConfigError, NumericalError, RiccatiDivergedError, ScriptExhaustedError
-from previewsafe.geometry import HPolytope, Hyperbox, Interval, polytope
+from previewsafe.geometry import EPS_SET, HPolytope, Hyperbox, Interval, box_vertices, polytope
 from previewsafe.invariance import admissible_inputs, lift, method1, method2
 from previewsafe.simulation import (
     LQRSpec,
@@ -405,6 +405,67 @@ class TestHoistedFilter:
             outcomes.add((res.supervised, res.admissible_empty))
         assert outcomes == {(False, False), (True, False), (True, True)}
 
+    PASS_CLIP = {(False, False), (True, False)}
+
+    @pytest.mark.parametrize("B, invariant, outcomes", [
+        ([[1.0]], HPolytope.from_bounds([-1.0], [1.0]), PASS_CLIP),
+        ([[1.0]], HPolytope([[1.0]], [1.0]), PASS_CLIP),
+        ([[1.0]], HPolytope([[-1.0]], [1.0]), PASS_CLIP),
+        ([[0.0]], HPolytope.from_bounds([-1.0], [1.0]), {(False, False), (True, True)}),
+    ], ids=["no_zero_rows", "no_lower_rows", "no_upper_rows", "zero_rows_only"])
+    def test_empty_row_blocks(self, B, invariant, outcomes, master_seed):
+        # x+ = 0.5 x + b u + d with no safe rows: the rows of G_u are those of
+        # the invariant times b, so some of the blocks zero | lower | upper
+        # hold no row, and a missing bound is infinite
+        sys = LinearSystem(
+            A=[[0.5]], B=B, E=[[1.0]],
+            dist_set=Hyperbox.from_bounds([-0.1], [0.1]),
+            safe=HPolytope(np.zeros((0, 2)), np.zeros(0)),
+        )
+        sup = Supervisor(sys=sys, invariant=invariant, input_box=Hyperbox.cube(1, 2.0))
+        rng = np.random.default_rng(master_seed)
+        seen = set()
+        for _ in range(60):
+            res = assert_same_as_reference(sup, rng.uniform(-4.0, 4.0, size=1), rng.uniform(-2.0, 2.0, size=1))
+            seen.add((res.supervised, res.admissible_empty))
+        assert seen == outcomes
+
+    # at x = (1e308, 0) the row (4, 0) overflows to +inf, and with an offset
+    # of +inf its rhs is inf - inf = NaN: the NaN an overflowing mat-vec gives,
+    # which a BLAS with fused multiply-adds need not give from finite rows
+    NAN_X = np.array([1e308, 0.0])
+
+    @pytest.mark.parametrize("nan_first", [True, False], ids=["nan_first", "negative_first"])
+    def test_nan_zero_row_beside_a_negative_one_falls_back(self, nan_first):
+        # zero rows with rhs NaN and -1e308: the negative row certifies
+        # emptiness whichever comes first, while the bounding rows alone give
+        # [-1, 1]
+        nan_row, negative_row = ([4.0, 0.0], np.inf), ([1.0, 0.0], 0.0)
+        zero_rows = [nan_row, negative_row] if nan_first else [negative_row, nan_row]
+        G_x = np.array([r for r, _ in zero_rows] + [[0.0, 0.0], [0.0, 0.0]])
+        h0 = np.array([b for _, b in zero_rows] + [1.0, 1.0])
+        G_u = np.array([[0.0], [0.0], [1.0], [-1.0]])
+        step = simulation._compile_step((G_x, G_u, h0), Hyperbox.cube(1, 2.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(h0 - G_x @ self.NAN_X).tolist() == [nan_first, not nan_first, False, False]
+            u, supervised, fallback, lo, hi = step(self.NAN_X, np.array([3.0]))
+        assert fallback and supervised and u.tolist() == [2.0]
+        assert np.isnan(lo) and np.isnan(hi)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
+    def test_nan_bound_falls_back(self, sign):
+        # a bounding row with rhs NaN; the other bound and the zero row are
+        # finite and satisfied
+        G_x = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 0.0]])
+        G_u = np.array([[0.0], [sign], [-sign]])
+        h0 = np.array([1.0, np.inf, 1.0])
+        step = simulation._compile_step((G_x, G_u, h0), Hyperbox.cube(1, 2.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(h0 - G_x @ self.NAN_X).tolist() == [False, True, False]
+            u, supervised, fallback, lo, hi = step(self.NAN_X, np.array([0.5]))
+        assert fallback and supervised and u.tolist() == [0.5]
+        assert np.isnan(lo) and np.isnan(hi)
+
     def test_two_inputs_match(self, master_seed):
         rng = np.random.default_rng(master_seed)
         sys = LinearSystem(
@@ -451,6 +512,46 @@ class TestHoistedFilter:
         trace = rollout(sys, p, lambda t, x, w: np.array([0.3]), sup, xi[: sys.n], script, 50)
         assert len(trace) == 50 and trace.supervision_count() > 0
         assert calls[0] == 0 and built[0] == 0 and cleaned[0] == 0
+
+
+def audit_states(C: HPolytope, rng, walk=300, corners=30) -> list:
+    """States of ``C``: a hit-and-run walk from its feasible point, each step
+    a uniform point of the chord along a Gaussian direction, found with
+    mat-vecs with ``C.H`` only; then LP maxima along Gaussian directions, each
+    pulled 1e-9 of the way toward the feasible point."""
+    H, h = C.H, C.h
+    center = C.feasible_point()
+    z, states = center, []
+    for _ in range(walk):
+        d = rng.normal(size=C.dim)
+        slack, rate = h - H @ z, H @ d
+        up, down = rate > 0, rate < 0
+        z = z + rng.uniform((slack[down] / rate[down]).max(), (slack[up] / rate[up]).min()) * d
+        states.append(z)
+    for _ in range(corners):
+        corner = C.maximize(rng.normal(size=C.dim)).point
+        states.append(corner + 1e-9 * (center - corner))
+    return states
+
+
+class TestFilterAudit:
+    """Both ends of the one-input interval keep ``(x, u)`` in the safe set and
+    every successor ``A x + B u + E v`` over the vertices ``v`` of ``D`` in the
+    invariant, checked from the definition at states all over the invariant."""
+
+    @pytest.mark.parametrize("p", [0, 2, 5])
+    def test_interval_ends_are_safe_and_invariant(self, p, lane_supervisors, master_seed):
+        sup = lane_supervisors[1][p]
+        sys, C = sup.sys, sup.invariant
+        V = np.array(box_vertices(sys.dist_set))
+        for x in audit_states(C, np.random.default_rng(master_seed)):
+            res = supervise(sup, x, [0.0])
+            # C is controlled invariant, so no state of it falls back
+            assert not res.admissible_empty, x.tolist()
+            for u in (res.admissible.lo, res.admissible.hi):
+                assert sys.safe.contains(np.append(x, u), tol=1e-7), (x.tolist(), u)
+                successors = (sys.A @ x + sys.B[:, 0] * u)[:, None] + sys.E @ V.T
+                assert (C.H @ successors <= C.h[:, None] + EPS_SET).all(), (x.tolist(), u)
 
 
 def reference_rollout(sys, p, controller, supervisor, x0, d_script, T):
@@ -709,6 +810,35 @@ class TestRollout:
         trace = rollout(sys, 0, lambda t, x, w: np.zeros(2), None, [0.0, 0.0], np.zeros((0, 2)), 0)
         assert len(trace) == 0 and trace.all_safe and trace.first_unsafe_step() is None
         assert trace.to_csv() == "t,x1,x2,u_nom1,u_nom2,u1,u2,d1,d2,supervised,safe,adm_lo,adm_hi\n"
+
+    @pytest.mark.parametrize("supervised", [False, True], ids=["plain", "supervised"])
+    def test_no_disturbance_channel(self, supervised):
+        # l = 0: a (T + p, 0) script, empty preview windows and no d columns;
+        # x+ = 0.9 x + u from 0.2 under u = 0.5 leaves [-1, 1] unless the
+        # filter clips u to 1 - 0.9 x
+        sys = LinearSystem(
+            A=[[0.9]], B=[[1.0]], E=np.zeros((1, 0)),
+            dist_set=Hyperbox.from_bounds(np.zeros(0), np.zeros(0)),
+            safe=HPolytope.from_bounds([-1.0, -1.0], [1.0, 1.0]),
+        )
+        sup = Supervisor(sys=sys, invariant=method1(sys).result, input_box=Hyperbox.cube(1, 1.0))
+        windows = []
+
+        def controller(t, x, window):
+            windows.append(window.shape)
+            return np.array([0.5])
+
+        trace = rollout(sys, 2, controller, sup if supervised else None, [0.2], np.zeros((7, 0)), 5)
+        assert windows == [(2, 0)] * 5 and trace.d_applied.shape == (5, 0)
+        assert trace.all_safe == supervised and trace.supervised.any() == supervised
+        x = 0.2
+        for t in range(5):
+            assert trace.x[t, 0] == pytest.approx(x, abs=1e-12)
+            x = 0.9 * x + trace.u_applied[t, 0]
+        assert trace.to_csv().splitlines()[0] == "t,x1,u_nom,u,supervised,safe,adm_lo,adm_hi"
+        assert len(trace.to_csv().splitlines()) == 6
+        with pytest.raises(ScriptExhaustedError):
+            rollout(sys, 2, controller, sup if supervised else None, [0.2], np.zeros((6, 0)), 5)
 
     def test_p0_is_plain_feedback(self):
         prob = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.1), 0)
