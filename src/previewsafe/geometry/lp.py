@@ -167,7 +167,8 @@ def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, row=None):
     """Solve min g@y s.t. M@y = rhs, y >= 0 by the two-phase tableau method.
 
     ``row`` declares that column ``row`` of ``M`` equals ``rhs``: the solve
-    then starts from ``y = e_row`` and skips phase 1.
+    then starts from ``y = e_row`` and skips phase 1, and its tableau has
+    no phase-1 cost row.
     Returns ``(outcome, objective, multipliers)`` where ``multipliers`` are
     the simplex multipliers of the equality rows (the primal maximizer of the
     original problem) for an optimal outcome.
@@ -177,20 +178,22 @@ def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, row=None):
     rhs = rhs * sign
 
     # columns: m originals | d artificials | rhs; rows: d constraints,
-    # phase-2 cost, phase-1 cost
-    T = np.zeros((d + 2, m + d + 1))
+    # phase-2 cost and, for a cold start only, the phase-1 cost (a pivot
+    # updates each row on its own, so the other rows' bits do not depend on
+    # whether it is there)
+    T = np.zeros((d + 1 + (row is None), m + d + 1))
     np.multiply(M, sign[:, None], out=T[:d, :m])
     T[:d, m : m + d] = np.eye(d)
     T[:d, -1] = rhs
     T[d, :m] = g
-    # phase-1 reduced costs after pricing out the artificial basis; summed
-    # from the C-ordered tableau, so the order of the additions does not
-    # depend on the memory layout of M
-    T[d + 1, :m] = -T[:d, :m].sum(axis=0)
-    T[d + 1, -1] = -rhs.sum()
     basis = np.arange(m, m + d)
 
     if row is None:
+        # phase-1 reduced costs after pricing out the artificial basis;
+        # summed from the C-ordered tableau, so the order of the additions
+        # does not depend on the memory layout of M
+        T[d + 1, :m] = -T[:d, :m].sum(axis=0)
+        T[d + 1, -1] = -rhs.sum()
         scale = 1.0 + float(np.abs(rhs).sum())
         outcome = _run_simplex(T, basis, d + 1)
         if outcome is not _DualOutcome.OPTIMAL or -T[d + 1, -1] > EPS_LP * scale:

@@ -26,6 +26,14 @@ set, and a projection's emptiness is decided by the Chebyshev test after its
 elimination steps, so neither is solved twice.  A projection keeps the
 interior point its last reduction shot rays from; the next projection can
 take it in place of a Chebyshev LP, and containment shoots rays from it.
+It also keeps the rays that kept rows there: each carried ray that kept a
+row and, for each row a redundancy LP kept, the direction from the centre to
+the LP's maximizer, which leaves the set through that row alone.
+Consecutive iterates of a fixed-point run are nearly the same polytope, so
+the next projection shoots these rays before any LP, and most rows that an
+LP would only confirm are kept without one (Clarkson's output-sensitive
+redundancy removal, FOCS 1994, shoots rays from an interior point the same
+way).
 """
 
 from __future__ import annotations
@@ -104,7 +112,7 @@ class HPolytope:
     offset of ``+inf`` drops its row and one of ``-inf`` makes the set empty.
     """
 
-    __slots__ = ("_H", "_h", "_dim", "_empty", "_inner_point", "_supports", "_ray_center")
+    __slots__ = ("_H", "_h", "_dim", "_empty", "_inner_point", "_supports", "_ray_center", "_rays")
 
     def __init__(self, H, h):
         # copies: _clean_rows may hand them back as they are
@@ -130,6 +138,7 @@ class HPolytope:
             self._inner_point = None
         self._supports: dict = {}
         self._ray_center = None  # an interior point kept by project
+        self._rays = None  # unit rays from it that kept rows, kept with it
         self._H.setflags(write=False)
         self._h.setflags(write=False)
 
@@ -408,7 +417,7 @@ def _box_implied(H: np.ndarray, h: np.ndarray, ub: np.ndarray, i: int) -> bool:
     return bool(np.abs(coef) @ ub[slots] <= h[i])
 
 
-def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
+def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray, rays=None):
     """LP-certified irredundant subsystem of an H-system.
 
     Rows have unit norm, as ``HPolytope`` and ``_clean_rows`` leave them
@@ -420,21 +429,34 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
     every other row gets the LP against the rows still kept, started
     from its own row (``linprog_max(..., row=pos)``, no phase 1; its
     keep/drop verdict is the cold solve's except on rows parallel within the
-    LP tolerance, where neither is fixed).  Returns
-    ``None`` when an LP certifies exact infeasibility (which can happen for
-    sets the tolerance-based emptiness test calls nonempty, and never with an
-    interior centre).
+    LP tolerance, where neither is fixed).
+
+    ``rays``, unit directions carried from earlier reductions in the same
+    coordinates, are shot from the same interior centre after the normal and
+    deflected rays; one that leaves through a row those left open, with a
+    gap above ``_RAY_MARGIN``, keeps that row as they do, so any directions
+    give the same rows.  Returns ``(H, h, rays_out)``: the kept rows and,
+    when ``rays`` is given and the centre is interior, the rays to carry on
+    (else none): each carried ray that settled a row, one per row, and one
+    witness per row an LP kept, the unit direction from the centre to the
+    LP's maximizer (skipped when that distance is at most 1e-9).  The
+    maximizer meets every other row kept, so its ray leaves through the row
+    the LP kept.  Returns ``None`` when an LP certifies exact infeasibility
+    (which can happen for sets the tolerance-based emptiness test calls
+    nonempty, and never with an interior centre).
     Logs one DEBUG record per call with the rows each check settled.
     """
     rows_in = H.shape[0]
     H, h = _dedupe(H, h)
     m, d = H.shape
+    carried = np.empty((0, d))
     if m <= 1:
         # a lone row is irredundant: no other row blocks its ray
-        _log_reduction(rows_in, m, m, 0, 0, m)
-        return H, h
+        _log_reduction(rows_in, m, m, 0, 0, 0, m)
+        return H, h, carried
     s = h - H @ center
     interior = s.min() > _RAY_MARGIN
+    collect = interior and rays is not None
     # slot[i] is the box bound that axis row i sets (-1 for other rows): slot
     # k bounds x_k, slot d + k bounds -x_k.  _dedupe leaves at most one unit
     # row per slot, so no other row bounds an axis row's slot and the box
@@ -443,6 +465,12 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
     ub = np.full(2 * d, np.inf)
     if interior:
         certified = _ray_certified(H, s)
+        if collect and len(rays) and not certified.all():
+            first, _, _, gap = _first_hits(H, s, rays)
+            hits = np.flatnonzero((gap > _RAY_MARGIN) & ~certified[first])
+            settled, pick = np.unique(first[hits], return_index=True)
+            certified[settled] = True
+            carried = rays[hits[pick]]
         axis = np.flatnonzero(np.count_nonzero(H, axis=1) == 1)
         col = np.argmax(H[axis] != 0.0, axis=1)
         coef = H[axis, col]
@@ -452,6 +480,7 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
         certified = np.zeros(m, dtype=bool)
     keep = np.ones(m, dtype=bool)
     boxed = lps = 0
+    maximizers = []  # of the LPs that kept their row
     for i in range(m):
         if certified[i]:
             continue
@@ -470,20 +499,27 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray):
             if slot[i] >= 0:
                 ub[slot[i]] = np.inf
         elif res.status is LPStatus.INFEASIBLE:
-            _log_reduction(rows_in, m, certified, boxed, lps, 0)
+            _log_reduction(rows_in, m, certified, len(carried), boxed, lps, 0)
             return None
-    _log_reduction(rows_in, m, certified, boxed, lps, int(keep.sum()))
-    return H[keep], h[keep]
+        elif collect and res.status is LPStatus.OPTIMAL:
+            maximizers.append(res.point)
+    _log_reduction(rows_in, m, certified, len(carried), boxed, lps, int(keep.sum()))
+    if maximizers:
+        R = np.array(maximizers) - center
+        norms = np.linalg.norm(R, axis=1)
+        carried = np.vstack([carried, R[norms > 1e-9] / norms[norms > 1e-9, None]])
+    return H[keep], h[keep], carried
 
 
-def _log_reduction(rows_in, deduped, certified, boxed, lps, rows_out) -> None:
+def _log_reduction(rows_in, deduped, certified, carried, boxed, lps, rows_out) -> None:
     """One DEBUG record per reduction: the rows each check settled
-    (``certified`` is the ray test's mask, or a count)."""
+    (``certified`` is the ray test's mask, or a count; ``carried`` of those
+    rows were settled by carried rays)."""
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
-            "reduce: %d rows in, %d after dedupe; settled by ray %d, box %d, LP %d; "
-            "%d rows out",
-            rows_in, deduped, int(np.sum(certified)), boxed, lps, rows_out,
+            "reduce: %d rows in, %d after dedupe; settled by ray %d (%d carried), box %d, "
+            "LP %d; %d rows out",
+            rows_in, deduped, int(np.sum(certified)), carried, boxed, lps, rows_out,
         )
 
 
@@ -518,7 +554,7 @@ def _fm_eliminate(H: np.ndarray, h: np.ndarray, col: int):
     return np.vstack(blocks), np.concatenate(rhs)
 
 
-def project(P: HPolytope, keep, center=None) -> HPolytope:
+def project(P: HPolytope, keep, prior=None) -> HPolytope:
     """Exact shadow of ``P`` onto the coordinates in ``keep``.
 
     Fourier-Motzkin elimination of the dropped coordinates (cheapest-fill
@@ -526,14 +562,19 @@ def project(P: HPolytope, keep, center=None) -> HPolytope:
     :class:`RowBlowupError` if an intermediate iterate exceeds ``_ROW_CAP``
     rows after reduction.  FM keeps emptiness, so when a coordinate is
     eliminated the Chebyshev test after each step decides it and ``P`` gets
-    no emptiness LP of its own.  ``center``, a point in the ``keep``
-    coordinates, is tried at the step that leaves only those: when it has
-    more than ``_RAY_MARGIN`` of slack on every row, it proves the step
-    nonempty and the reduction shoots its rays from it, and that step solves
-    no Chebyshev LP.  The result is marked nonempty; its feasible point is
-    solved for on first use.  The result keeps the centre of its last
-    reduction as ``_ray_center`` when that centre is interior by more than
-    ``_RAY_MARGIN`` to the result's rows (else ``None``).
+    no emptiness LP of its own.  ``prior``, a set in the ``keep`` coordinates
+    (the previous iterate of a fixed-point run), lends the step that leaves
+    only those coordinates its kept interior point and its rays.  When that
+    point has more than ``_RAY_MARGIN`` of slack on every row, it proves the
+    step nonempty and the reduction shoots its rays from it, and that step
+    solves no Chebyshev LP; the reduction shoots the prior's rays too.  The
+    result is marked nonempty; its feasible point is solved for on first
+    use.  The result keeps the centre of its last reduction as
+    ``_ray_center`` when that centre is interior by more than
+    ``_RAY_MARGIN`` to the result's rows (else ``None``), and with it, as
+    ``_rays``, the rays that reduction returned: the carried rays that
+    settled a row and its new LP witnesses, at most one per row and one per
+    LP.
     """
     keep = list(keep)
     if len(set(keep)) != len(keep):
@@ -546,15 +587,17 @@ def project(P: HPolytope, keep, center=None) -> HPolytope:
     drop = [j for j in range(P.dim) if j not in keep]
     if P._empty or (not drop and P.is_empty):
         return HPolytope.empty(nkeep)
+    center = None if prior is None else prior._ray_center
+    carry = np.empty((0, nkeep)) if prior is None or prior._rays is None else prior._rays
     H = np.array(P.H[:, keep + drop])
     h = np.array(P.h)
-    point = None
+    point = rays = None
     if not drop and H.shape[0]:
         point = P.feasible_point()[keep]
-        reduced = _reduce_arrays(H, h, point)
+        reduced = _reduce_arrays(H, h, point, carry)
         if reduced is None:
             return HPolytope.empty(nkeep)
-        H, h = reduced
+        H, h, rays = reduced
     while H.shape[1] > nkeep:
         # cheapest-fill heuristic over the remaining eliminable columns
         best_col, best_cost = None, None
@@ -570,18 +613,19 @@ def project(P: HPolytope, keep, center=None) -> HPolytope:
         if cleaned[2]:
             return HPolytope.empty(nkeep)
         H, h = cleaned[0], cleaned[1]
-        point = None
+        point = rays = None
         if H.shape[0]:
-            if H.shape[1] == nkeep and center is not None and (h - H @ center).min() > _RAY_MARGIN:
+            last = H.shape[1] == nkeep
+            if last and center is not None and (h - H @ center).min() > _RAY_MARGIN:
                 point = center
             else:
                 rho, point = chebyshev_center(H, h)
                 if rho < -1e-9:
                     return HPolytope.empty(nkeep)
-            reduced = _reduce_arrays(H, h, point)
+            reduced = _reduce_arrays(H, h, point, carry if last else None)
             if reduced is None:
                 return HPolytope.empty(nkeep)
-            H, h = reduced
+            H, h, rays = reduced
         if H.shape[0] > _ROW_CAP:
             raise RowBlowupError(
                 f"projection iterate has {H.shape[0]} rows (cap {_ROW_CAP})"
@@ -591,7 +635,7 @@ def project(P: HPolytope, keep, center=None) -> HPolytope:
     if R._empty is None:
         R._empty = False
         if point is not None and R.nrows and (R.h - R.H @ point).min() > _RAY_MARGIN:
-            R._ray_center = point
+            R._ray_center, R._rays = point, rays
     return R
 
 

@@ -77,9 +77,10 @@ def pre(sys: LinearSystem, X: HPolytope) -> HPolytope:
     if X.is_empty:
         return HPolytope.empty(n)
     # project's Chebyshev test decides whether the erosion left anything,
-    # unless the interior point X kept from its own projection settles it
+    # unless the interior point X kept from its own projection settles it;
+    # X's rays, which kept rows of earlier iterates, are shot from there too
     _, G_x, G_u, h0 = _pull_back(sys, X)
-    return project(HPolytope(np.hstack([G_x, G_u]), h0), list(range(n)), center=X._ray_center)
+    return project(HPolytope(np.hstack([G_x, G_u]), h0), list(range(n)), X)
 
 
 def _pull_back(sys: LinearSystem, X: HPolytope):

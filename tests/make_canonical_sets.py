@@ -46,6 +46,16 @@ def _lane_keeping(p: int):
     return method2(augment(sys_, p).aug, seed_set, 10)
 
 
+def shift_register_problems() -> list:
+    """``(name, problem)`` pairs of the seeded shift registers."""
+    out = []
+    for k, (n, p) in enumerate(SHIFT_REGISTERS):
+        rng = np.random.default_rng(1000 + k)
+        problem = random_valid_problem(rng, (n,), (p,), diamond_prob=float(k % 2))
+        out.append((f"shift_n{n}_p{p}_{k}", problem))
+    return out
+
+
 def cases() -> list:
     """``(name, run)`` pairs; ``run()`` returns an ``IterationReport``."""
     scalar = cs.ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 2)
@@ -54,10 +64,8 @@ def cases() -> list:
         ("example2_p2", lambda: method1(augment(scalar.system(), 2).aug)),
         ("example5_p2", lambda: method1(augment(cs.example5_config(scalar)[0], 2).aug)),
     ]
-    for k, (n, p) in enumerate(SHIFT_REGISTERS):
-        rng = np.random.default_rng(1000 + k)
-        problem = random_valid_problem(rng, (n,), (p,), diamond_prob=float(k % 2))
-        out.append((f"shift_n{n}_p{p}_{k}", lambda problem=problem: method1(problem.augmented().aug)))
+    for name, problem in shift_register_problems():
+        out.append((name, lambda problem=problem: method1(problem.augmented().aug)))
     for p in LANE_KEEPING_PREVIEWS:
         out.append((f"lane_keeping_method2_p{p}", lambda p=p: _lane_keeping(p)))
     return out

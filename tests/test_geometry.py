@@ -361,6 +361,14 @@ class TestPontryaginDiff:
                     assert X.contains(z + M @ s, tol=1e-7)
 
 
+def prior_with(center):
+    """The whole space around ``center``: a prior that lends ``project`` the
+    interior point ``center`` and no rays."""
+    prior = HPolytope(np.zeros((0, center.size)), np.zeros(0))
+    prior._ray_center = center
+    return prior
+
+
 class TestProject:
     def test_diagonal_segment(self):
         # {(x,u): |x|<=1, |u|<=1, x+u=0} projected to x gives [-1,1]
@@ -431,7 +439,7 @@ class TestProject:
         for center, lps in ((c + 0.1 * (on_face - c), 0), (on_face, 1), (2 * on_face - c, 1)):
             with monkeypatch.context() as patch:
                 calls = self.chebyshev_calls(patch)
-                got = project(P, [0, 2], center=center)
+                got = project(P, [0, 2], prior_with(center))
             assert got.H.tobytes() == R.H.tobytes() and got.h.tobytes() == R.h.tobytes()
             assert calls[0] == lps
             assert (got._ray_center is center) == (lps == 0)
@@ -439,7 +447,7 @@ class TestProject:
         P = HPolytope([[1, 1], [0, -1], [-1, 0]], [-1, 0, -1])
         ref = project(P, [0])
         calls = self.chebyshev_calls(monkeypatch)
-        got = project(P, [0], center=np.zeros(1))
+        got = project(P, [0], prior_with(np.zeros(1)))
         assert got.is_empty and calls[0] == 1
         assert got.H.tobytes() == ref.H.tobytes() and got.h.tobytes() == ref.h.tobytes()
 
@@ -749,7 +757,7 @@ class TestRayShotReduction:
         certified = self.assert_same_reduction(P, monkeypatch, center=np.zeros(2))
         assert not certified[4] and certified[:4].all()
         calls = count_lps(monkeypatch)
-        H, _ = polytope._reduce_arrays(np.array(P.H), np.array(P.h), np.zeros(2))
+        H, _, _ = polytope._reduce_arrays(np.array(P.H), np.array(P.h), np.zeros(2))
         assert calls[0] == 1 and H.shape[0] == 5
 
     def test_reduce_rows_and_project_keep_lp_results(self, monkeypatch):
@@ -757,7 +765,7 @@ class TestRayShotReduction:
         A = rng.normal(size=(30, 4))
         P = HPolytope(A, rng.random(30) + 0.3)
         for got, H in ((reduce_rows(P), P.H), (project(P, [2, 0, 3, 1]), P.H[:, [2, 0, 3, 1]])):
-            expected = HPolytope(*reference_reduce(np.array(H), np.array(P.h), monkeypatch))
+            expected = HPolytope(*reference_reduce(np.array(H), np.array(P.h), monkeypatch)[:2])
             assert np.array_equal(got.H, expected.H) and np.array_equal(got.h, expected.h)
 
 
@@ -888,7 +896,7 @@ class TestBoxReduction:
         H = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         h = np.array([1.0, 2.0, 1.0, 1.0, 1.0])
         expected = reference_reduce(H, h, monkeypatch)
-        (got, got_h), lps = self.box_only(H, h, np.zeros(2), monkeypatch)
+        (got, got_h, _), lps = self.box_only(H, h, np.zeros(2), monkeypatch)
         assert got.tobytes() == expected[0].tobytes() and got_h.tobytes() == expected[1].tobytes()
         assert lps == 5 and got.tolist() == H[1:].tolist()
 
@@ -924,7 +932,7 @@ class TestBoxReduction:
         # the same for an axis row proven by another one at another scale
         H = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         h = np.array([1.0, 2.0 + 1e-10, 1.0, 1.0, 1.0])
-        (got, _), lps = self.box_only(H, h, np.zeros(2), monkeypatch)
+        (got, _, _), lps = self.box_only(H, h, np.zeros(2), monkeypatch)
         assert got.tobytes() == reference_reduce(H, h, monkeypatch)[0].tobytes()
         assert lps == 5 and got.shape[0] == 4
 
@@ -938,6 +946,160 @@ class TestBoxReduction:
         assert calls[0] == 5
 
 
+def flattened(Q, rng):
+    """``Q`` cut to a measure-zero set by an equality pair through its
+    feasible point along a random direction: no centre is interior."""
+    a = rng.normal(size=Q.dim)
+    b = a @ Q.feasible_point()
+    return HPolytope(np.vstack([Q.H, a, -a]), np.concatenate([Q.h, [b, -b]]))
+
+
+def reduction_inputs(rng):
+    """Unit rows, offsets and a centre from every seeded family above: near-
+    parallel and tilted copies from their feasible point, box-heavy systems
+    from the origin, and measure-zero sets."""
+    for family in (random_near_parallel_polytope, random_tilted_polytope):
+        Q = family(rng)
+        if not Q.is_empty:
+            yield np.array(Q.H), np.array(Q.h), Q.feasible_point()
+            F = flattened(Q, rng)
+            if not F.is_empty:
+                yield np.array(F.H), np.array(F.h), F.feasible_point()
+    d = int(rng.integers(1, 5))
+    H, h = box_heavy_system(rng, d)
+    if h.size > 1:
+        yield H, h, np.zeros(d)
+
+
+def adversarial_rays(H, h, center, dropped, rng):
+    """Named sets of carried directions for a reduction of ``(H, h)`` from
+    ``center``: random unit directions, the rows' own normals, rays aimed
+    at the rows the reduction drops (through a point of each such row's
+    plane off its foot point, and at the point where the other rows let it
+    reach furthest, where a row redundant within the LP tolerance is met
+    first), all of them twice, and near-zero vectors."""
+    d = H.shape[1]
+    R = rng.normal(size=(2 * H.shape[0], d))
+    random = R / np.linalg.norm(R, axis=1)[:, None]
+    s = h[dropped] - H[dropped] @ center
+    aimed = [s[:, None] * H[dropped] + rng.normal(scale=0.3, size=(dropped.size, d))]
+    for i in dropped:
+        res = lp.linprog_max(H[i], np.delete(H, i, axis=0), np.delete(h, i))
+        if res.status is lp.LPStatus.OPTIMAL:
+            aimed.append((res.point - center)[None, :])
+    aimed = np.vstack(aimed)
+    aimed = aimed[np.linalg.norm(aimed, axis=1) > 1e-9]
+    aimed /= np.linalg.norm(aimed, axis=1)[:, None]
+    everything = np.vstack([random, H, aimed])
+    return {
+        "random": random,
+        "normals": np.array(H),
+        "aimed": aimed,
+        "duplicated": np.vstack([everything, everything]),
+        "near_zero": np.vstack([1e-12 * random, np.zeros((1, d)), 1e-300 * H]),
+    }
+
+
+def reduce_counted(H, h, center, rays, monkeypatch):
+    """``_reduce_arrays`` with ``rays`` carried in; returns the result and
+    the number of LPs it solved."""
+    with monkeypatch.context() as patch:
+        calls = count_lps(patch)
+        return polytope._reduce_arrays(H, h, center, rays), calls[0]
+
+
+class TestCarriedRays:
+    """Carried rays only skip LPs whose answer they prove: whatever their
+    directions, the reduced rows, their order and their bits are those of
+    the reduction without them."""
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_adversarial_directions_change_no_bit(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        saved = kinds = 0
+        for _ in range(6):
+            for H, h, center in reduction_inputs(rng):
+                expected, lps = reduce_counted(H, h, center, None, monkeypatch)
+                Hd, hd = polytope._dedupe(H, h)
+                kept = {row.tobytes() for row in expected[0]}
+                dropped = np.array([i for i in range(Hd.shape[0]) if Hd[i].tobytes() not in kept], dtype=int)
+                for name, rays in adversarial_rays(Hd, hd, center, dropped, rng).items():
+                    got, carried_lps = reduce_counted(H, h, center, rays, monkeypatch)
+                    assert got[0].tobytes() == expected[0].tobytes(), name
+                    assert got[1].tobytes() == expected[1].tobytes(), name
+                    # at most one ray per kept row: each settled a row or
+                    # witnesses a row an LP kept
+                    assert got[2].shape[0] <= got[0].shape[0], name
+                    assert carried_lps <= lps, name
+                    saved += lps - carried_lps
+                    kinds += 1
+        assert kinds > 100 and saved > 0  # carried rays settled rows
+
+    def test_ray_through_a_row_redundant_within_the_lp_tolerance(self, monkeypatch):
+        # the diagonal row cuts the corner (1, 1) off the square by 3.5e-10
+        # along its normal: the LP drops it (within 1e-9), although a ray
+        # aimed at the corner leaves through it alone, by a gap of 3.5e-10,
+        # below the margin
+        H, h = unit_rows([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], [1, 1, 1, 1, 2 - 5e-10])
+        corner = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
+        first, _, _, gap = polytope._first_hits(H, h, corner)
+        assert first[0] == 4 and 0.0 < gap[0] < polytope._RAY_MARGIN
+        expected = reference_reduce(H, h, monkeypatch)
+        got, lps = reduce_counted(H, h, np.zeros(2), np.vstack([corner, corner]), monkeypatch)
+        assert got[0].tobytes() == expected[0].tobytes() and got[1].tobytes() == expected[1].tobytes()
+        assert got[0].shape[0] == 4 and lps == 1
+
+    def test_no_interior_center_shoots_no_carried_ray(self, monkeypatch):
+        # the segment x0 = 0: every row gets its LP, the carried rays are
+        # never shot and no witness comes back
+        H, h = unit_rows(BLOCKED_RAY[0], [0, 1, 0, 0.6, 2])
+        rays = np.vstack([H, np.eye(2)])
+        shot = []
+        hits = polytope._first_hits
+        monkeypatch.setattr(polytope, "_first_hits", lambda H, s, R: shot.append(R) or hits(H, s, R))
+        got, lps = reduce_counted(H, h, np.zeros(2), rays, monkeypatch)
+        assert shot == [] and lps == 5 and got[2].shape == (0, 2)
+        assert got[0].tobytes() == reference_reduce(H, h, monkeypatch)[0].tobytes()
+
+    def test_lp_witness_settles_its_row_next_time(self, monkeypatch):
+        # the one LP of DEFLECTED_BLOCKED keeps x0 <= 1 at (1.5, -0.5); the
+        # ray from the origin towards it leaves through x0 <= 1 alone, so
+        # carried into the same reduction it saves that LP and is carried on
+        H, h = unit_rows(*DEFLECTED_BLOCKED)
+        first, lps = reduce_counted(H, h, np.zeros(2), np.empty((0, 2)), monkeypatch)
+        assert lps == 1 and first[2].shape == (1, 2)
+        assert np.allclose(first[2][0], np.array([1.5, -0.5]) / np.hypot(1.5, 0.5))
+        again, lps = reduce_counted(H, h, np.zeros(2), first[2], monkeypatch)
+        assert lps == 0 and again[2].tobytes() == first[2].tobytes()
+        assert again[0].tobytes() == first[0].tobytes() and again[1].tobytes() == first[1].tobytes()
+        # a reduction that carries nothing collects nothing
+        assert polytope._reduce_arrays(H, h, np.zeros(2))[2].shape == (0, 2)
+
+    def test_projection_keeps_its_rays_with_its_center(self):
+        # each ray is a unit vector in the kept coordinates; a result with
+        # no interior centre keeps none
+        rng = np.random.default_rng(10)
+        P = HPolytope(rng.normal(size=(18, 4)), rng.random(18) + 0.5)
+        R = project(P, [0, 2, 3])
+        assert R._ray_center is not None and R._rays.shape[1] == 3 and R._rays.shape[0] <= R.nrows
+        assert np.all(np.abs(np.linalg.norm(R._rays, axis=1) - 1.0) <= 1e-12)
+        seg = HPolytope([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], [0, 0, 1, 1, 1, 1])
+        assert project(seg, [0, 1])._rays is None
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_prior_rays_change_no_projection_bit(self, seed, monkeypatch):
+        # a prior lends its centre and rays to the last elimination step:
+        # the rows are those of the projection without the prior
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            P = HPolytope(rng.normal(size=(16, 4)), rng.random(16) + 0.5)
+            R = project(P, [1, 3])
+            Q = HPolytope(P.H + rng.normal(scale=0.05, size=P.H.shape), P.h)
+            expected = project(Q, [1, 3])
+            got = project(Q, [1, 3], R)
+            assert got.H.tobytes() == expected.H.tobytes() and got.h.tobytes() == expected.h.tobytes()
+
+
 def test_reduction_logs_one_debug_record_per_call(caplog):
     # the blocked-ray example plus a row the box drops and a row that only
     # an LP drops (0.5 x0 + x1 <= 0.8 holds on the set)
@@ -947,26 +1109,37 @@ def test_reduction_logs_one_debug_record_per_call(caplog):
     [record] = caplog.records
     assert record.name == "previewsafe.geometry" and record.levelno == logging.DEBUG
     assert record.getMessage() == (
-        "reduce: 7 rows in, 7 after dedupe; settled by ray 5, box 1, LP 1; 5 rows out"
+        "reduce: 7 rows in, 7 after dedupe; settled by ray 5 (0 carried), box 1, LP 1; 5 rows out"
     )
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="previewsafe.geometry"):
         polytope._reduce_arrays(H, h, np.zeros(2))
     assert caplog.records == []
+    # the witness of the LP that keeps x0 <= 1 of DEFLECTED_BLOCKED, carried
+    # into the same reduction, settles that row: the ray count holds it
+    H, h = unit_rows(*DEFLECTED_BLOCKED)
+    with caplog.at_level(logging.DEBUG, logger="previewsafe.geometry"):
+        witnesses = polytope._reduce_arrays(H, h, np.zeros(2), np.empty((0, 2)))[2]
+        polytope._reduce_arrays(H, h, np.zeros(2), witnesses)
+    assert [r.getMessage() for r in caplog.records] == [
+        "reduce: 5 rows in, 5 after dedupe; settled by ray 4 (0 carried), box 0, LP 1; 5 rows out",
+        "reduce: 5 rows in, 5 after dedupe; settled by ray 5 (1 carried), box 0, LP 0; 5 rows out",
+    ]
 
 
 REDUCE_RECORD = re.compile(
-    r"reduce: (\d+) rows in, (\d+) after dedupe; settled by ray (\d+), box (\d+), LP (\d+); "
-    r"(\d+) rows out"
+    r"reduce: (\d+) rows in, (\d+) after dedupe; settled by ray (\d+) \((\d+) carried\), box (\d+), "
+    r"LP (\d+); (\d+) rows out"
 )
 
 
 @pytest.mark.parametrize("seed", MASTER_SEEDS)
 def test_reduction_record_counts_add_up(seed, caplog):
-    # every deduplicated row is settled once, by the ray, the box or an LP,
-    # in every reduction that returns rows (an infeasible one stops early):
-    # the random families above through reduce_rows and project, and
-    # box-heavy systems directly
+    # every deduplicated row is settled once, by a ray (carried or not), the
+    # box or an LP, in every reduction that returns rows (an infeasible one
+    # stops early): the random families above through reduce_rows and
+    # project, each projection again with the first as its prior (whose
+    # rays it carries), and box-heavy systems directly
     rng = np.random.default_rng(seed)
     with caplog.at_level(logging.DEBUG, logger="previewsafe.geometry"):
         for _ in range(8):
@@ -974,16 +1147,16 @@ def test_reduction_record_counts_add_up(seed, caplog):
                 Q = family(rng)
                 if not Q.is_empty:
                     reduce_rows(Q)
-                    project(Q, [1, 0])
+                    project(Q, [1, 0], project(Q, [1, 0]))
             d = int(rng.integers(1, 5))
             H, h = box_heavy_system(rng, d)
             polytope._reduce_arrays(H, h, np.zeros(d))
     counts = [[int(v) for v in REDUCE_RECORD.fullmatch(r.getMessage()).groups()] for r in caplog.records]
     assert len(counts) > 40
-    for rows_in, deduped, ray, box, lps, rows_out in counts:
-        assert deduped <= rows_in and rows_out <= deduped
+    for rows_in, deduped, ray, carried, box, lps, rows_out in counts:
+        assert deduped <= rows_in and rows_out <= deduped and carried <= ray
         assert rows_out == 0 or ray + box + lps == deduped
-    assert all(sum(c[k] for c in counts) > 0 for k in (2, 3, 4))  # each check settled rows
+    assert all(sum(c[k] for c in counts) > 0 for k in (2, 3, 4, 5))  # each check settled rows
 
 
 class TestContainment:

@@ -1,11 +1,13 @@
 import importlib.resources
+import itertools
 import json
 import logging
 
 import numpy as np
 import pytest
 
-from conftest import count_lps
+from conftest import count_lps, cross_polytope
+from make_canonical_sets import FIXTURE, shift_register_problems
 from previewsafe import simulation
 from previewsafe.brunovsky import closed_form, controller_g, membership
 from previewsafe.errors import ConfigError, NumericalError, RiccatiDivergedError, ScriptExhaustedError
@@ -25,6 +27,11 @@ from previewsafe.simulation import (
     zoh_discretize,
 )
 from previewsafe.systems import BrunovskyProblem, LinearSystem, augment, step
+
+# the canonical fixture's sets (tests/make_canonical_sets.py), and the ones
+# the filter audit walks
+CANONICAL = json.loads(FIXTURE.read_text(encoding="utf-8"))
+AUDITED_CANONICAL_SETS = [name for name, _ in shift_register_problems()] + ["lane_keeping_method2_p8"]
 
 
 def lane_config() -> dict:
@@ -534,6 +541,58 @@ def audit_states(C: HPolytope, rng, walk=300, corners=30) -> list:
     return states
 
 
+def polytope_vertices(D: HPolytope) -> np.ndarray:
+    """Vertices of a bounded ``D`` by brute force over its rows: every
+    ``D.dim`` of them taken as equalities, kept where they meet in one point
+    that satisfies every row within 1e-9, with points within 1e-9 of each
+    other merged.  For small ``D`` only (its rows choose ``D.dim``
+    systems)."""
+    H, h, l = D.H, D.h, D.dim
+    subsets = np.array(list(itertools.combinations(range(D.nrows), l)))
+    A, b = H[subsets], h[subsets]
+    regular = np.abs(np.linalg.det(A)) > 1e-9
+    V = np.linalg.solve(A[regular], b[regular][..., None])[..., 0]
+    V = V[(V @ H.T <= h + 1e-9).all(axis=1)]
+    return V[np.unique(np.round(V, 9), axis=0, return_index=True)[1]]
+
+
+def disturbance_vertices(D) -> np.ndarray:
+    if isinstance(D, Hyperbox):
+        return np.array(box_vertices(D))
+    return polytope_vertices(D)
+
+
+def assert_filter_sound(sup, states):
+    """Both ends of the one-input interval at every state keep ``(x, u)`` in
+    the safe set and every successor ``A x + B u + E v`` over the vertices
+    ``v`` of ``D`` in the invariant; prints the failing state."""
+    sys, C = sup.sys, sup.invariant
+    V = disturbance_vertices(sys.dist_set)
+    for x in states:
+        res = supervise(sup, x, [0.0])
+        # C is controlled invariant, so no state of it falls back
+        assert not res.admissible_empty, x.tolist()
+        for u in (res.admissible.lo, res.admissible.hi):
+            assert sys.safe.contains(np.append(x, u), tol=1e-7), (x.tolist(), u)
+            successors = (sys.A @ x + sys.B[:, 0] * u)[:, None] + sys.E @ V.T
+            assert (C.H @ successors <= C.h[:, None] + EPS_SET).all(), (x.tolist(), u)
+
+
+def canonical_supervisor(name):
+    """The supervisor over the canonical fixture's set ``name``: a seeded
+    shift register (its input unbounded) or the lane-keeping grown set."""
+    data = CANONICAL[name]
+    C = HPolytope(data["H"], data["h"])
+    if name.startswith("lane_keeping_method2_p"):
+        base, _ = load_simulation_config(lane_config())
+        sys = augment(base, int(name.rsplit("p", 1)[1])).aug
+        box = _input_box_of(base)
+    else:
+        sys = dict(shift_register_problems())[name].augmented().aug
+        box = Hyperbox.from_bounds([-np.inf], [np.inf])
+    return Supervisor(sys=sys, invariant=C, input_box=box)
+
+
 class TestFilterAudit:
     """Both ends of the one-input interval keep ``(x, u)`` in the safe set and
     every successor ``A x + B u + E v`` over the vertices ``v`` of ``D`` in the
@@ -542,16 +601,24 @@ class TestFilterAudit:
     @pytest.mark.parametrize("p", [0, 2, 5])
     def test_interval_ends_are_safe_and_invariant(self, p, lane_supervisors, master_seed):
         sup = lane_supervisors[1][p]
-        sys, C = sup.sys, sup.invariant
-        V = np.array(box_vertices(sys.dist_set))
-        for x in audit_states(C, np.random.default_rng(master_seed)):
-            res = supervise(sup, x, [0.0])
-            # C is controlled invariant, so no state of it falls back
-            assert not res.admissible_empty, x.tolist()
-            for u in (res.admissible.lo, res.admissible.hi):
-                assert sys.safe.contains(np.append(x, u), tol=1e-7), (x.tolist(), u)
-                successors = (sys.A @ x + sys.B[:, 0] * u)[:, None] + sys.E @ V.T
-                assert (C.H @ successors <= C.h[:, None] + EPS_SET).all(), (x.tolist(), u)
+        assert_filter_sound(sup, audit_states(sup.invariant, np.random.default_rng(master_seed)))
+
+    @pytest.mark.parametrize("name", AUDITED_CANONICAL_SETS)
+    def test_canonical_sets(self, name, master_seed):
+        # the twelve seeded shift registers (n 2-4, p 0-3, half with a
+        # cross-polytope disturbance) and the lane-keeping set grown at
+        # p = 8, as the fixture stores them
+        sup = canonical_supervisor(name)
+        assert_filter_sound(sup, audit_states(sup.invariant, np.random.default_rng(master_seed)))
+
+    @pytest.mark.parametrize("l", [2, 3, 4])
+    def test_cross_polytope_vertices(self, l):
+        # the 2 l points +-scale_k e_k, each meeting every row within 1e-9
+        scales = 0.1 + 0.05 * np.arange(l)
+        V = polytope_vertices(cross_polytope(scales))
+        expected = np.vstack([np.diag(scales), -np.diag(scales)])
+        assert V.shape == (2 * l, l)
+        assert np.allclose(np.sort(V, axis=0), np.sort(expected, axis=0), rtol=0, atol=1e-12)
 
 
 def reference_rollout(sys, p, controller, supervisor, x0, d_script, T):
