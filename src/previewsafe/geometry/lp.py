@@ -14,8 +14,12 @@ simplex method on the dual program
 whose tableau has only ``d`` rows, so a pivot costs O(d * m) regardless of how
 many halfspaces pile up during projections.  The optimal primal point is
 recovered from the dual multipliers (the phase-two reduced costs of the
-artificial columns).  Dantzig pricing is used until the objective stalls,
-after which Bland's rule takes over, which rules out cycling.
+artificial columns).  The optimal ``y`` itself, read off the final basis,
+is returned too: a nonnegative combination of the rows of ``A`` equal to
+``c`` whose weighted offsets sum to the optimum, the certificate (Farkas)
+that ``c @ x`` stays at most that value on the whole set.  Dantzig pricing
+is used until the objective stalls, after which Bland's rule takes over,
+which rules out cycling.
 
 A redundancy LP maximizes row ``k``'s own function over rows that include a
 relaxed copy of it, so ``y = e_k`` is a dual vertex.  With ``row=k`` the
@@ -67,12 +71,16 @@ class LPResult:
     """Outcome of one LP solve.
 
     ``point`` is a maximizer when the status is optimal and None otherwise;
-    ``objective`` is meaningful only for optimal status.
+    ``objective`` is meaningful only for optimal status.  ``dual`` holds, for
+    an optimal status, the multipliers ``y >= 0`` over the rows of ``A``
+    with ``A.T @ y = c`` and ``b @ y`` the objective (within the tolerance),
+    and is None otherwise.
     """
 
     status: LPStatus
     objective: float
     point: np.ndarray | None
+    dual: np.ndarray | None = None
 
 
 class _DualOutcome(Enum):
@@ -169,9 +177,12 @@ def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, row=None):
     ``row`` declares that column ``row`` of ``M`` equals ``rhs``: the solve
     then starts from ``y = e_row`` and skips phase 1, and its tableau has
     no phase-1 cost row.
-    Returns ``(outcome, objective, multipliers)`` where ``multipliers`` are
-    the simplex multipliers of the equality rows (the primal maximizer of the
-    original problem) for an optimal outcome.
+    Returns ``(outcome, objective, multipliers, y)`` for an optimal outcome,
+    where ``multipliers`` are the simplex multipliers of the equality rows
+    (the primal maximizer of the original problem) and ``y`` is the optimal
+    solution: the basic values at their columns, zero elsewhere (an
+    artificial left basic at zero is not a column of ``M``).  Any other
+    outcome comes with ``0.0, None, None``.
     """
     d, m = M.shape
     sign = np.where(rhs < 0.0, -1.0, 1.0)
@@ -197,7 +208,7 @@ def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, row=None):
         scale = 1.0 + float(np.abs(rhs).sum())
         outcome = _run_simplex(T, basis, d + 1)
         if outcome is not _DualOutcome.OPTIMAL or -T[d + 1, -1] > EPS_LP * scale:
-            return _DualOutcome.INFEASIBLE, 0.0, None
+            return _DualOutcome.INFEASIBLE, 0.0, None, None
 
         # drive leftover artificials (basic at zero) out of the basis when possible
         for i in range(d):
@@ -218,11 +229,14 @@ def _solve_dual(M: np.ndarray, rhs: np.ndarray, g: np.ndarray, row=None):
 
     outcome = _run_simplex(T, basis, d, drive_out=row is not None)
     if outcome is _DualOutcome.UNBOUNDED:
-        return _DualOutcome.UNBOUNDED, 0.0, None
+        return _DualOutcome.UNBOUNDED, 0.0, None, None
     objective = -T[d, -1]
     # multipliers: reduced costs of the artificial columns, undone sign flips
     multipliers = -sign * T[d, m : m + d]
-    return _DualOutcome.OPTIMAL, float(objective), multipliers
+    # y over the m original columns and the d artificials; keep the originals
+    y = np.zeros(m + d)
+    y[basis] = T[:d, -1]
+    return _DualOutcome.OPTIMAL, float(objective), multipliers, y[:m]
 
 
 def linprog_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, *, row=None) -> LPResult:
@@ -231,6 +245,9 @@ def linprog_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, *, row=None) -> LPR
 
     ``row=k`` declares ``c`` to be exactly ``A[k]`` (a redundancy LP) and
     starts the solve from the dual vertex ``y = e_k``, without phase 1.
+    An optimal result carries the dual solution ``y`` over the rows of ``A``
+    as ``dual``; with ``row=k`` a drop verdict whose ``y[k]`` is zero names
+    the other rows that imply row ``k``.
 
     Raises ``ValueError`` when ``c``, ``A`` or ``b`` has a NaN or infinite
     entry, or when ``row`` is given and is not a row index of ``A`` or
@@ -255,17 +272,17 @@ def linprog_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, *, row=None) -> LPR
 
     if m == 0:
         if np.all(np.abs(c) <= EPS_LP):
-            return LPResult(LPStatus.OPTIMAL, 0.0, np.zeros(d))
+            return LPResult(LPStatus.OPTIMAL, 0.0, np.zeros(d), np.zeros(0))
         return LPResult(LPStatus.UNBOUNDED, np.inf, None)
 
-    outcome, objective, point = _solve_dual(A.T, c, b, row)
+    outcome, objective, point, y = _solve_dual(A.T, c, b, row)
     if outcome is _DualOutcome.OPTIMAL:
-        return LPResult(LPStatus.OPTIMAL, objective, point)
+        return LPResult(LPStatus.OPTIMAL, objective, point, y)
     if outcome is _DualOutcome.UNBOUNDED:
         # dual unbounded below means the primal is infeasible
         return LPResult(LPStatus.INFEASIBLE, -np.inf, None)
     # dual infeasible: the primal is unbounded if feasible, empty otherwise
-    probe, _, _ = _solve_dual(A.T, np.zeros(d), b)
+    probe = _solve_dual(A.T, np.zeros(d), b)[0]
     if probe is _DualOutcome.UNBOUNDED:
         return LPResult(LPStatus.INFEASIBLE, -np.inf, None)
     return LPResult(LPStatus.UNBOUNDED, np.inf, None)

@@ -33,7 +33,12 @@ Consecutive iterates of a fixed-point run are nearly the same polytope, so
 the next projection shoots these rays before any LP, and most rows that an
 LP would only confirm are kept without one (Clarkson's output-sensitive
 redundancy removal, FOCS 1994, shoots rays from an interior point the same
-way).
+way).  For the rows it drops it keeps the certificates: the dual of each
+LP that dropped a row, a nonnegative combination of other rows that
+implies it (Farkas).  Consecutive iterates share most of their rows bit
+for bit, so the next projection drops a row with the same bytes without an
+LP when its certificate still holds on today's offsets, and most rows that
+an LP would only drop again are dropped without one.
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ class HPolytope:
     offset of ``+inf`` drops its row and one of ``-inf`` makes the set empty.
     """
 
-    __slots__ = ("_H", "_h", "_dim", "_empty", "_inner_point", "_supports", "_ray_center", "_rays")
+    __slots__ = ("_H", "_h", "_dim", "_empty", "_inner_point", "_supports", "_ray_center", "_carry")
 
     def __init__(self, H, h):
         # copies: _clean_rows may hand them back as they are
@@ -138,7 +143,7 @@ class HPolytope:
             self._inner_point = None
         self._supports: dict = {}
         self._ray_center = None  # an interior point kept by project
-        self._rays = None  # unit rays from it that kept rows, kept with it
+        self._carry = None  # (rays, certificates) of project's last reduction
         self._H.setflags(write=False)
         self._h.setflags(write=False)
 
@@ -341,11 +346,11 @@ def _dedupe(H: np.ndarray, h: np.ndarray):
 
 
 def _row_keys(H: np.ndarray) -> list:
-    """The bytes of each row of ``H``, sliced out of one buffer; ``+ 0.0``
-    folds ``-0.0`` into ``0.0`` so that the keys compare as the values do."""
-    keys = H + 0.0
-    buf, width = keys.tobytes(), keys.itemsize * keys.shape[1]
-    return [buf[i * width : (i + 1) * width] for i in range(H.shape[0])]
+    """The bytes of each row of ``H``, read as one raw item per row of a
+    C-ordered copy; ``+ 0.0`` folds ``-0.0`` into ``0.0`` so that the keys
+    compare as the values do."""
+    keys = np.add(H, 0.0, order="C")
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
 
 
 def _first_hits(H: np.ndarray, s: np.ndarray, R: np.ndarray):
@@ -417,7 +422,7 @@ def _box_implied(H: np.ndarray, h: np.ndarray, ub: np.ndarray, i: int) -> bool:
     return bool(np.abs(coef) @ ub[slots] <= h[i])
 
 
-def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray, rays=None):
+def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray, carry=None):
     """LP-certified irredundant subsystem of an H-system.
 
     Rows have unit norm, as ``HPolytope`` and ``_clean_rows`` leave them
@@ -431,32 +436,45 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray, rays=None):
     keep/drop verdict is the cold solve's except on rows parallel within the
     LP tolerance, where neither is fixed).
 
-    ``rays``, unit directions carried from earlier reductions in the same
-    coordinates, are shot from the same interior centre after the normal and
-    deflected rays; one that leaves through a row those left open, with a
-    gap above ``_RAY_MARGIN``, keeps that row as they do, so any directions
-    give the same rows.  Returns ``(H, h, rays_out)``: the kept rows and,
-    when ``rays`` is given and the centre is interior, the rays to carry on
-    (else none): each carried ray that settled a row, one per row, and one
+    ``carry`` is ``(rays, drops)`` from earlier reductions in the same
+    coordinates.  ``rays``, unit directions, are shot from the same interior
+    centre after the normal and deflected rays; one that leaves through a
+    row those left open, with a gap above ``_RAY_MARGIN``, keeps that row as
+    they do, so any directions give the same rows.  ``drops`` maps a row's
+    bytes (:func:`_row_keys`) to the certificate that dropped it: the byte
+    keys of other rows and multipliers ``y``, the LP's dual.  Before the LP
+    for row ``i``, with an interior centre, a certificate under row ``i``'s
+    bytes drops it when every row it names is present, is not row ``i`` and
+    is still kept, every ``y_j >= 0`` and ``sum y_j h_j <= h_i + _RED_TOL``
+    on today's offsets: the rows are the same bits, so ``y`` is still a dual
+    solution of row ``i``'s LP, which by weak duality reaches at most that
+    sum and would drop the row too.  (The centre proves the kept rows
+    feasible, so that LP could not have found them infeasible.)
+
+    Returns ``(H, h, carry_out)``: the kept rows and, when ``carry`` is
+    given, what to carry on (else None).  Its rays, when the centre is
+    interior: each carried ray that settled a row, one per row, and one
     witness per row an LP kept, the unit direction from the centre to the
-    LP's maximizer (skipped when that distance is at most 1e-9).  The
+    LP's maximizer (skipped when that distance is at most 1e-9); the
     maximizer meets every other row kept, so its ray leaves through the row
-    the LP kept.  Returns ``None`` when an LP certifies exact infeasibility
-    (which can happen for sets the tolerance-based emptiness test calls
-    nonempty, and never with an interior centre).
+    the LP kept.  Its drops: each carried certificate that dropped a row
+    again and the dual of each LP that dropped one, unless that dual uses
+    the row's own relaxed copy.  Returns ``None`` when an LP certifies exact
+    infeasibility (which can happen for sets the tolerance-based emptiness
+    test calls nonempty, and never with an interior centre).
     Logs one DEBUG record per call with the rows each check settled.
     """
     rows_in = H.shape[0]
     H, h = _dedupe(H, h)
     m, d = H.shape
-    carried = np.empty((0, d))
+    rays, certificates = np.empty((0, d)), {}
     if m <= 1:
         # a lone row is irredundant: no other row blocks its ray
-        _log_reduction(rows_in, m, m, 0, 0, 0, m)
-        return H, h, carried
+        _log_reduction(rows_in, m, m, 0, 0, 0, 0, m)
+        return H, h, None if carry is None else (rays, certificates)
     s = h - H @ center
     interior = s.min() > _RAY_MARGIN
-    collect = interior and rays is not None
+    collect = interior and carry is not None
     # slot[i] is the box bound that axis row i sets (-1 for other rows): slot
     # k bounds x_k, slot d + k bounds -x_k.  _dedupe leaves at most one unit
     # row per slot, so no other row bounds an axis row's slot and the box
@@ -465,12 +483,12 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray, rays=None):
     ub = np.full(2 * d, np.inf)
     if interior:
         certified = _ray_certified(H, s)
-        if collect and len(rays) and not certified.all():
-            first, _, _, gap = _first_hits(H, s, rays)
+        if collect and len(carry[0]) and not certified.all():
+            first, _, _, gap = _first_hits(H, s, carry[0])
             hits = np.flatnonzero((gap > _RAY_MARGIN) & ~certified[first])
             settled, pick = np.unique(first[hits], return_index=True)
             certified[settled] = True
-            carried = rays[hits[pick]]
+            rays = carry[0][hits[pick]]
         axis = np.flatnonzero(np.count_nonzero(H, axis=1) == 1)
         col = np.argmax(H[axis] != 0.0, axis=1)
         coef = H[axis, col]
@@ -478,8 +496,10 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray, rays=None):
         ub[slot[axis]] = h[axis] / np.abs(coef)
     else:
         certified = np.zeros(m, dtype=bool)
+    drops = carry[1] if collect else {}
     keep = np.ones(m, dtype=bool)
-    boxed = lps = 0
+    boxed = by_certificate = lps = 0
+    keys = index = None  # row bytes and their rows, made on first use
     maximizers = []  # of the LPs that kept their row
     for i in range(m):
         if certified[i]:
@@ -488,6 +508,21 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray, rays=None):
             keep[i] = False
             boxed += 1
             continue
+        if drops and index is None:
+            keys = _row_keys(H)
+            index = dict(zip(keys, range(m)))
+        certificate = drops.get(keys[i]) if drops else None
+        if certificate is not None:
+            # a row missing today stands in as row i, which fails the test
+            rows = [index.get(key, i) for key in certificate[0]]
+            if i not in rows and keep[rows].all() and (certificate[1] >= 0.0).all() \
+                    and certificate[1] @ h[rows] <= h[i] + _RED_TOL:
+                keep[i] = False
+                if slot[i] >= 0:
+                    ub[slot[i]] = np.inf
+                certificates[keys[i]] = certificate
+                by_certificate += 1
+                continue
         idx = np.flatnonzero(keep)
         b_test = h[idx].copy()
         pos = int(np.flatnonzero(idx == i)[0])
@@ -498,28 +533,34 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray, rays=None):
             keep[i] = False
             if slot[i] >= 0:
                 ub[slot[i]] = np.inf
+            if carry is not None and res.dual is not None and res.dual[pos] <= 0.0:
+                if keys is None:
+                    keys = _row_keys(H)
+                used = np.flatnonzero(res.dual > 0.0)
+                certificates[keys[i]] = ([keys[j] for j in idx[used]], res.dual[used])
         elif res.status is LPStatus.INFEASIBLE:
-            _log_reduction(rows_in, m, certified, len(carried), boxed, lps, 0)
+            _log_reduction(rows_in, m, certified, len(rays), boxed, by_certificate, lps, 0)
             return None
         elif collect and res.status is LPStatus.OPTIMAL:
             maximizers.append(res.point)
-    _log_reduction(rows_in, m, certified, len(carried), boxed, lps, int(keep.sum()))
+    _log_reduction(rows_in, m, certified, len(rays), boxed, by_certificate, lps, int(keep.sum()))
     if maximizers:
         R = np.array(maximizers) - center
         norms = np.linalg.norm(R, axis=1)
-        carried = np.vstack([carried, R[norms > 1e-9] / norms[norms > 1e-9, None]])
-    return H[keep], h[keep], carried
+        rays = np.vstack([rays, R[norms > 1e-9] / norms[norms > 1e-9, None]])
+    return H[keep], h[keep], None if carry is None else (rays, certificates)
 
 
-def _log_reduction(rows_in, deduped, certified, carried, boxed, lps, rows_out) -> None:
+def _log_reduction(rows_in, deduped, certified, carried, boxed, by_certificate, lps, rows_out) -> None:
     """One DEBUG record per reduction: the rows each check settled
     (``certified`` is the ray test's mask, or a count; ``carried`` of those
-    rows were settled by carried rays)."""
+    rows were settled by carried rays; ``by_certificate`` rows were dropped
+    by carried certificates)."""
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "reduce: %d rows in, %d after dedupe; settled by ray %d (%d carried), box %d, "
-            "LP %d; %d rows out",
-            rows_in, deduped, int(np.sum(certified)), carried, boxed, lps, rows_out,
+            "certificate %d, LP %d; %d rows out",
+            rows_in, deduped, int(np.sum(certified)), carried, boxed, by_certificate, lps, rows_out,
         )
 
 
@@ -567,14 +608,16 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
     only those coordinates its kept interior point and its rays.  When that
     point has more than ``_RAY_MARGIN`` of slack on every row, it proves the
     step nonempty and the reduction shoots its rays from it, and that step
-    solves no Chebyshev LP; the reduction shoots the prior's rays too.  The
-    result is marked nonempty; its feasible point is solved for on first
-    use.  The result keeps the centre of its last reduction as
-    ``_ray_center`` when that centre is interior by more than
-    ``_RAY_MARGIN`` to the result's rows (else ``None``), and with it, as
-    ``_rays``, the rays that reduction returned: the carried rays that
-    settled a row and its new LP witnesses, at most one per row and one per
-    LP.
+    solves no Chebyshev LP; the reduction shoots the prior's rays and checks
+    the prior's drop certificates too.  The result is marked nonempty; its
+    feasible point is solved for on first use.  The result keeps the centre
+    of its last reduction as ``_ray_center`` when that centre is interior by
+    more than ``_RAY_MARGIN`` to the result's rows (else ``None``), and, as
+    ``_carry``, what that reduction returned to carry on: the rays (the
+    carried rays that settled a row and its new LP witnesses, at most one
+    per row and one per LP) and the drop certificates (the carried ones
+    that dropped a row again and those of its LPs that dropped one, at most
+    one per dropped row).
     """
     keep = list(keep)
     if len(set(keep)) != len(keep):
@@ -588,16 +631,16 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
     if P._empty or (not drop and P.is_empty):
         return HPolytope.empty(nkeep)
     center = None if prior is None else prior._ray_center
-    carry = np.empty((0, nkeep)) if prior is None or prior._rays is None else prior._rays
+    carry = (np.empty((0, nkeep)), {}) if prior is None or prior._carry is None else prior._carry
     H = np.array(P.H[:, keep + drop])
     h = np.array(P.h)
-    point = rays = None
+    point = carried = None
     if not drop and H.shape[0]:
         point = P.feasible_point()[keep]
         reduced = _reduce_arrays(H, h, point, carry)
         if reduced is None:
             return HPolytope.empty(nkeep)
-        H, h, rays = reduced
+        H, h, carried = reduced
     while H.shape[1] > nkeep:
         # cheapest-fill heuristic over the remaining eliminable columns
         best_col, best_cost = None, None
@@ -613,7 +656,7 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
         if cleaned[2]:
             return HPolytope.empty(nkeep)
         H, h = cleaned[0], cleaned[1]
-        point = rays = None
+        point = carried = None
         if H.shape[0]:
             last = H.shape[1] == nkeep
             if last and center is not None and (h - H @ center).min() > _RAY_MARGIN:
@@ -625,7 +668,7 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
             reduced = _reduce_arrays(H, h, point, carry if last else None)
             if reduced is None:
                 return HPolytope.empty(nkeep)
-            H, h, rays = reduced
+            H, h, carried = reduced
         if H.shape[0] > _ROW_CAP:
             raise RowBlowupError(
                 f"projection iterate has {H.shape[0]} rows (cap {_ROW_CAP})"
@@ -633,9 +676,9 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
     # the rows passed an emptiness test, and reduction keeps the set
     R = HPolytope(H, h)
     if R._empty is None:
-        R._empty = False
+        R._empty, R._carry = False, carried
         if point is not None and R.nrows and (R.h - R.H @ point).min() > _RAY_MARGIN:
-            R._ray_center, R._rays = point, rays
+            R._ray_center = point
     return R
 
 

@@ -486,11 +486,14 @@ def bicycle_system(model: dict, bounds: dict) -> LinearSystem:
         ]
     )
     h = np.concatenate([state_bounds, state_bounds, [steer_max, steer_max]])
-    return LinearSystem(
-        A=Ad, B=Bd, E=Ed,
-        dist_set=Hyperbox.from_bounds([-rd_max], [rd_max]),
-        safe=HPolytope(H, h),
-    )
+    try:
+        return LinearSystem(
+            A=Ad, B=Bd, E=Ed,
+            dist_set=Hyperbox.from_bounds([-rd_max], [rd_max]),
+            safe=HPolytope(H, h),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"inconsistent bicycle config: {exc}") from exc
 
 
 def load_simulation_config(data: dict):

@@ -52,7 +52,8 @@ def _frozen(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """(A, B, E, D, S_xu) with all dimensions validated at construction."""
+    """(A, B, E, D, S_xu) with all dimensions validated at construction;
+    a NaN or infinite entry of ``A``, ``B`` or ``E`` raises ``ValueError``."""
 
     A: np.ndarray
     B: np.ndarray
@@ -67,9 +68,10 @@ class LinearSystem:
             raise ValueError("A must be square")
         B = _frozen(np.asarray(self.B, dtype=float).reshape(n, -1))
         E = _frozen(np.asarray(self.E, dtype=float).reshape(n, -1))
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "E", E)
+        for name, M in (("A", A), ("B", B), ("E", E)):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, M)
         if self.dist_set.dim != E.shape[1]:
             raise ValueError("disturbance set dimension must match columns of E")
         if self.dist_set.is_empty:

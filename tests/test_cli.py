@@ -156,6 +156,22 @@ class TestInvariant:
         assert len(json.loads(outs[0].read_text())["result"]["H"][0]) == 9
 
 
+@pytest.mark.parametrize("name", ["A", "B", "E"])
+def test_non_finite_system_matrix_exits_two(name, tmp_path, capsys):
+    # the bundled model as a matrix config with one entry Infinity (json
+    # writes it so); an infinite E used to print the empty set as converged
+    # and exit 0
+    sys_, _ = load_simulation_config(cli._bundled_config("lane_keeping"))
+    data = system_to_config(sys_)
+    data[name][0][0] = float("inf")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "rep.json"
+    assert run(["invariant", "--system", str(cfg), "--method", "1", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: inconsistent system config: {name} must be finite")
+    assert not out.exists()
+
+
 class TestSweep:
     def test_values_and_determinism(self, tmp_path):
         out1 = tmp_path / "a.csv"

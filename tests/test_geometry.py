@@ -1000,12 +1000,14 @@ def adversarial_rays(H, h, center, dropped, rng):
     }
 
 
-def reduce_counted(H, h, center, rays, monkeypatch):
-    """``_reduce_arrays`` with ``rays`` carried in; returns the result and
-    the number of LPs it solved."""
+def reduce_counted(H, h, center, rays, monkeypatch, certificates=None):
+    """``_reduce_arrays`` with ``rays`` and ``certificates`` carried in (no
+    carry when ``rays`` is None); returns the result and the number of LPs
+    it solved."""
+    carry = None if rays is None else (rays, certificates or {})
     with monkeypatch.context() as patch:
         calls = count_lps(patch)
-        return polytope._reduce_arrays(H, h, center, rays), calls[0]
+        return polytope._reduce_arrays(H, h, center, carry), calls[0]
 
 
 class TestCarriedRays:
@@ -1029,7 +1031,7 @@ class TestCarriedRays:
                     assert got[1].tobytes() == expected[1].tobytes(), name
                     # at most one ray per kept row: each settled a row or
                     # witnesses a row an LP kept
-                    assert got[2].shape[0] <= got[0].shape[0], name
+                    assert got[2][0].shape[0] <= got[0].shape[0], name
                     assert carried_lps <= lps, name
                     saved += lps - carried_lps
                     kinds += 1
@@ -1058,7 +1060,7 @@ class TestCarriedRays:
         hits = polytope._first_hits
         monkeypatch.setattr(polytope, "_first_hits", lambda H, s, R: shot.append(R) or hits(H, s, R))
         got, lps = reduce_counted(H, h, np.zeros(2), rays, monkeypatch)
-        assert shot == [] and lps == 5 and got[2].shape == (0, 2)
+        assert shot == [] and lps == 5 and got[2][0].shape == (0, 2)
         assert got[0].tobytes() == reference_reduce(H, h, monkeypatch)[0].tobytes()
 
     def test_lp_witness_settles_its_row_next_time(self, monkeypatch):
@@ -1067,29 +1069,31 @@ class TestCarriedRays:
         # carried into the same reduction it saves that LP and is carried on
         H, h = unit_rows(*DEFLECTED_BLOCKED)
         first, lps = reduce_counted(H, h, np.zeros(2), np.empty((0, 2)), monkeypatch)
-        assert lps == 1 and first[2].shape == (1, 2)
-        assert np.allclose(first[2][0], np.array([1.5, -0.5]) / np.hypot(1.5, 0.5))
-        again, lps = reduce_counted(H, h, np.zeros(2), first[2], monkeypatch)
-        assert lps == 0 and again[2].tobytes() == first[2].tobytes()
+        assert lps == 1 and first[2][0].shape == (1, 2)
+        assert np.allclose(first[2][0][0], np.array([1.5, -0.5]) / np.hypot(1.5, 0.5))
+        again, lps = reduce_counted(H, h, np.zeros(2), first[2][0], monkeypatch)
+        assert lps == 0 and again[2][0].tobytes() == first[2][0].tobytes()
         assert again[0].tobytes() == first[0].tobytes() and again[1].tobytes() == first[1].tobytes()
         # a reduction that carries nothing collects nothing
-        assert polytope._reduce_arrays(H, h, np.zeros(2))[2].shape == (0, 2)
+        assert polytope._reduce_arrays(H, h, np.zeros(2))[2] is None
 
     def test_projection_keeps_its_rays_with_its_center(self):
         # each ray is a unit vector in the kept coordinates; a result with
-        # no interior centre keeps none
+        # no interior centre keeps no ray (its certificates still go on)
         rng = np.random.default_rng(10)
         P = HPolytope(rng.normal(size=(18, 4)), rng.random(18) + 0.5)
         R = project(P, [0, 2, 3])
-        assert R._ray_center is not None and R._rays.shape[1] == 3 and R._rays.shape[0] <= R.nrows
-        assert np.all(np.abs(np.linalg.norm(R._rays, axis=1) - 1.0) <= 1e-12)
+        rays = R._carry[0]
+        assert R._ray_center is not None and rays.shape[1] == 3 and rays.shape[0] <= R.nrows
+        assert np.all(np.abs(np.linalg.norm(rays, axis=1) - 1.0) <= 1e-12)
         seg = HPolytope([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], [0, 0, 1, 1, 1, 1])
-        assert project(seg, [0, 1])._rays is None
+        assert project(seg, [0, 1])._carry[0].shape == (0, 2)
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_prior_rays_change_no_projection_bit(self, seed, monkeypatch):
-        # a prior lends its centre and rays to the last elimination step:
-        # the rows are those of the projection without the prior
+        # a prior lends its centre, rays and drop certificates to the last
+        # elimination step: the rows are those of the projection without
+        # the prior
         rng = np.random.default_rng(seed)
         for _ in range(6):
             P = HPolytope(rng.normal(size=(16, 4)), rng.random(16) + 0.5)
@@ -1098,6 +1102,152 @@ class TestCarriedRays:
             expected = project(Q, [1, 3])
             got = project(Q, [1, 3], R)
             assert got.H.tobytes() == expected.H.tobytes() and got.h.tobytes() == expected.h.tobytes()
+
+
+def interior_reduction(H, h, center):
+    """True when ``_reduce_arrays`` sees ``center`` as interior, so that it
+    uses carried certificates."""
+    Hd, hd = polytope._dedupe(H, h)
+    return Hd.shape[0] > 1 and (hd - Hd @ center).min() > polytope._RAY_MARGIN
+
+
+# the diagonal row cuts 7e-11 off the corner (1, 1) of the square along its
+# normal: the box does not settle it and its LP drops it within 1e-9, by a
+# certificate on x0 <= 1 and x1 <= 1 that exceeds its offset by 7e-11
+CORNER_WITHIN_TOL = ([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], [1, 1, 1, 1, 2 - 1e-10])
+
+
+class TestCarriedCertificates:
+    """A carried drop certificate only skips an LP whose answer it proves:
+    given any certificates, the reduced rows, their order and their bits are
+    those of the reduction without them, and a certificate that does not
+    hold today leaves its row to the LP."""
+
+    def first_reduction(self, H, h, center, monkeypatch):
+        """The reduction collecting rays and certificates from nothing; its
+        result and LP count."""
+        return reduce_counted(H, h, center, np.empty((0, H.shape[1])), monkeypatch)
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_second_reduction_changes_no_bit(self, seed, monkeypatch):
+        # the same rows again with the first reduction's certificates: every
+        # row an LP dropped is dropped by its certificate, unless no centre
+        # is interior (measure-zero sets), and the same rows keep one each
+        rng = np.random.default_rng(seed)
+        saved = flat = 0
+        for _ in range(6):
+            for H, h, center in reduction_inputs(rng):
+                expected, lps = self.first_reduction(H, h, center, monkeypatch)
+                certificates = expected[2][1]
+                got, carried_lps = reduce_counted(
+                    H, h, center, np.empty((0, H.shape[1])), monkeypatch, certificates
+                )
+                assert got[0].tobytes() == expected[0].tobytes()
+                assert got[1].tobytes() == expected[1].tobytes()
+                assert got[2][1].keys() == certificates.keys()
+                if interior_reduction(H, h, center):
+                    assert carried_lps == lps - len(certificates)
+                else:
+                    assert carried_lps == lps
+                    flat += len(certificates) > 0
+                saved += lps - carried_lps
+        assert saved > 0 and flat > 0  # both cases occurred
+
+    def test_certificate_drops_a_row_redundant_within_the_lp_tolerance(self, monkeypatch):
+        H, h = unit_rows(*CORNER_WITHIN_TOL)
+        first, lps = self.first_reduction(H, h, np.zeros(2), monkeypatch)
+        assert lps == 1 and first[0].shape[0] == 4
+        [(names, y)] = first[2][1].values()
+        assert sorted(names) == sorted(polytope._row_keys(H[:2]))
+        assert h[4] < y @ h[:2] <= h[4] + polytope._RED_TOL
+        again, lps = reduce_counted(H, h, np.zeros(2), np.empty((0, 2)), monkeypatch, first[2][1])
+        assert lps == 0 and again[0].tobytes() == first[0].tobytes()
+
+    def adversarial_certificates(self, H, h, genuine):
+        """Certificates for row 4 of ``CORNER_WITHIN_TOL`` that must not
+        settle it, built from its genuine one: each names rows that are not
+        all kept, or fails the bound or the sign test."""
+        names, y = genuine
+        square = np.vstack([H[:4], [[0.6, 0.8]]])
+        over = (h[4] + polytope._RED_TOL + 1e-12) / (y @ h[:2])
+        return {
+            "missing_row": (names + polytope._row_keys(square[4:]), np.append(y, 0.0)),
+            "own_row": (names + polytope._row_keys(H[4:]), np.append(y, 0.0)),
+            "own_row_alone": (polytope._row_keys(H[4:]), np.ones(1)),
+            "bound_above_tolerance": (names, y * over),
+            "negative_multiplier": (names + polytope._row_keys(H[2:3]), np.append(y, -1e-3)),
+        }
+
+    def test_adversarial_certificates_fall_back_to_the_lp(self, monkeypatch):
+        H, h = unit_rows(*CORNER_WITHIN_TOL)
+        first, _ = self.first_reduction(H, h, np.zeros(2), monkeypatch)
+        [key] = first[2][1]
+        certs = self.adversarial_certificates(H, h, first[2][1][key])
+        names, y = certs["bound_above_tolerance"]
+        assert y @ h[:2] > h[4] + polytope._RED_TOL
+        for name, cert in certs.items():
+            got, lps = reduce_counted(H, h, np.zeros(2), np.empty((0, 2)), monkeypatch, {key: cert})
+            assert lps == 1, name
+            assert got[0].tobytes() == first[0].tobytes() and got[1].tobytes() == first[1].tobytes()
+            # the LP's own certificate replaces the one that failed
+            assert got[2][1][key][0] == first[2][1][key][0], name
+
+    def test_certificate_naming_a_row_dropped_earlier_falls_back(self, monkeypatch):
+        # the first example of the DEBUG record below: the box drops
+        # x0 - x1 <= 5 (row 5) before the LP drops 0.5 x0 + x1 <= 0.9 (row
+        # 6); a certificate for row 6 that also names row 5 leaves it to the LP
+        H, h = unit_rows(BLOCKED_RAY[0] + [[1, -1], [0.5, 1]], BLOCKED_RAY[1] + [5, 0.9])
+        first, lps = self.first_reduction(H, h, np.zeros(2), monkeypatch)
+        assert lps == 1 and first[0].shape[0] == 5
+        [(key, (names, y))] = first[2][1].items()
+        assert key == polytope._row_keys(H[6:])[0]
+        for cert, expected_lps in (((names, y), 0), ((names + polytope._row_keys(H[5:6]), np.append(y, 0.0)), 1)):
+            got, lps = reduce_counted(H, h, np.zeros(2), np.empty((0, 2)), monkeypatch, {key: cert})
+            assert lps == expected_lps
+            assert got[0].tobytes() == first[0].tobytes() and got[1].tobytes() == first[1].tobytes()
+
+    def test_axis_row_dropped_by_a_certificate_leaves_the_box(self, monkeypatch):
+        # the tilted row x0 + 4e-10 x1 <= 1 + 4e-10 proves x0 <= 1 within
+        # 1e-9 (with x1 >= -1); once x0 <= 1 is dropped the tilted row is the
+        # only bound on x0, and a box that still held x0 <= 1 would drop it
+        eps = 4e-10
+        H, h = unit_rows([[1, 0], [-1, 0], [0, 1], [0, -1], [1, eps]], [1, 1, 1, 1, 1 + eps])
+        first, lps = self.first_reduction(H, h, np.zeros(2), monkeypatch)
+        assert lps == 2 and first[0].tolist() == H[1:].tolist()
+        assert list(first[2][1]) == polytope._row_keys(H[:1])
+        again, lps = reduce_counted(H, h, np.zeros(2), np.empty((0, 2)), monkeypatch, first[2][1])
+        assert lps == 1
+        assert again[0].tobytes() == first[0].tobytes() and again[1].tobytes() == first[1].tobytes()
+
+    def test_no_interior_center_uses_no_certificate(self, monkeypatch):
+        # the segment x0 = 0 inside a square with a redundant diagonal row:
+        # the kept rows might be infeasible within the tolerance, where an
+        # LP would say so, so every row gets its LP; the certificates
+        # collected there are still handed on
+        H, h = unit_rows([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [0, 0, 1, 1, 3])
+        first, lps = self.first_reduction(H, h, np.zeros(2), monkeypatch)
+        assert lps == 5 and first[0].shape[0] == 4 and len(first[2][1]) == 1
+        again, lps = reduce_counted(H, h, np.zeros(2), np.empty((0, 2)), monkeypatch, first[2][1])
+        assert lps == 5 and again[0].tobytes() == first[0].tobytes()
+        assert again[2][1].keys() == first[2][1].keys()
+
+    def test_projection_hands_its_certificates_on(self, monkeypatch):
+        # a projection keeps the certificates of its last reduction, and the
+        # same projection with it as the prior drops those rows without LPs
+        rng = np.random.default_rng(3)
+        P = HPolytope(rng.normal(size=(16, 4)), rng.random(16) + 0.5)
+        with monkeypatch.context() as patch:
+            calls = count_lps(patch)
+            R = project(P, [1, 3])
+            lps = calls[0]
+        certificates = R._carry[1]
+        assert len(certificates) > 0
+        with monkeypatch.context() as patch:
+            calls = count_lps(patch)
+            again = project(P, [1, 3], R)
+        assert again.H.tobytes() == R.H.tobytes() and again.h.tobytes() == R.h.tobytes()
+        assert calls[0] <= lps - len(certificates)
+        assert again._carry[1].keys() == certificates.keys()
 
 
 def test_reduction_logs_one_debug_record_per_call(caplog):
@@ -1109,7 +1259,8 @@ def test_reduction_logs_one_debug_record_per_call(caplog):
     [record] = caplog.records
     assert record.name == "previewsafe.geometry" and record.levelno == logging.DEBUG
     assert record.getMessage() == (
-        "reduce: 7 rows in, 7 after dedupe; settled by ray 5 (0 carried), box 1, LP 1; 5 rows out"
+        "reduce: 7 rows in, 7 after dedupe; settled by ray 5 (0 carried), box 1, certificate 0, "
+        "LP 1; 5 rows out"
     )
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="previewsafe.geometry"):
@@ -1119,27 +1270,41 @@ def test_reduction_logs_one_debug_record_per_call(caplog):
     # into the same reduction, settles that row: the ray count holds it
     H, h = unit_rows(*DEFLECTED_BLOCKED)
     with caplog.at_level(logging.DEBUG, logger="previewsafe.geometry"):
-        witnesses = polytope._reduce_arrays(H, h, np.zeros(2), np.empty((0, 2)))[2]
+        witnesses = polytope._reduce_arrays(H, h, np.zeros(2), (np.empty((0, 2)), {}))[2]
         polytope._reduce_arrays(H, h, np.zeros(2), witnesses)
     assert [r.getMessage() for r in caplog.records] == [
-        "reduce: 5 rows in, 5 after dedupe; settled by ray 4 (0 carried), box 0, LP 1; 5 rows out",
-        "reduce: 5 rows in, 5 after dedupe; settled by ray 5 (1 carried), box 0, LP 0; 5 rows out",
+        "reduce: 5 rows in, 5 after dedupe; settled by ray 4 (0 carried), box 0, certificate 0, "
+        "LP 1; 5 rows out",
+        "reduce: 5 rows in, 5 after dedupe; settled by ray 5 (1 carried), box 0, certificate 0, "
+        "LP 0; 5 rows out",
     ]
+    # the certificate of the LP that drops 0.5 x0 + x1 <= 0.9 of the first
+    # example, carried into the same reduction, drops that row again
+    H, h = unit_rows(BLOCKED_RAY[0] + [[1, -1], [0.5, 1]], BLOCKED_RAY[1] + [5, 0.9])
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="previewsafe.geometry"):
+        carry = polytope._reduce_arrays(H, h, np.zeros(2), (np.empty((0, 2)), {}))[2]
+        polytope._reduce_arrays(H, h, np.zeros(2), carry)
+    assert [r.getMessage() for r in caplog.records][1] == (
+        "reduce: 7 rows in, 7 after dedupe; settled by ray 5 (0 carried), box 1, certificate 1, "
+        "LP 0; 5 rows out"
+    )
 
 
 REDUCE_RECORD = re.compile(
     r"reduce: (\d+) rows in, (\d+) after dedupe; settled by ray (\d+) \((\d+) carried\), box (\d+), "
-    r"LP (\d+); (\d+) rows out"
+    r"certificate (\d+), LP (\d+); (\d+) rows out"
 )
 
 
 @pytest.mark.parametrize("seed", MASTER_SEEDS)
 def test_reduction_record_counts_add_up(seed, caplog):
     # every deduplicated row is settled once, by a ray (carried or not), the
-    # box or an LP, in every reduction that returns rows (an infeasible one
-    # stops early): the random families above through reduce_rows and
-    # project, each projection again with the first as its prior (whose
-    # rays it carries), and box-heavy systems directly
+    # box, a carried certificate or an LP, in every reduction that returns
+    # rows (an infeasible one stops early): the random families above
+    # through reduce_rows and project, each projection again with the first
+    # as its prior (whose rays and certificates it carries), and box-heavy
+    # systems directly
     rng = np.random.default_rng(seed)
     with caplog.at_level(logging.DEBUG, logger="previewsafe.geometry"):
         for _ in range(8):
@@ -1153,10 +1318,10 @@ def test_reduction_record_counts_add_up(seed, caplog):
             polytope._reduce_arrays(H, h, np.zeros(d))
     counts = [[int(v) for v in REDUCE_RECORD.fullmatch(r.getMessage()).groups()] for r in caplog.records]
     assert len(counts) > 40
-    for rows_in, deduped, ray, carried, box, lps, rows_out in counts:
+    for rows_in, deduped, ray, carried, box, dual, lps, rows_out in counts:
         assert deduped <= rows_in and rows_out <= deduped and carried <= ray
-        assert rows_out == 0 or ray + box + lps == deduped
-    assert all(sum(c[k] for c in counts) > 0 for k in (2, 3, 4, 5))  # each check settled rows
+        assert rows_out == 0 or ray + box + dual + lps == deduped
+    assert all(sum(c[k] for c in counts) > 0 for k in (2, 3, 4, 5, 6))  # each check settled rows
 
 
 class TestContainment:

@@ -260,57 +260,74 @@ class TestMethod1:
             X = Xn
 
 
-def without_carried_rays(monkeypatch):
-    """Every reduction from here on runs without carried rays and collects
-    none."""
+def without_carrying(monkeypatch):
+    """Every reduction from here on runs without carried rays or
+    certificates and collects none."""
     reduce = polytope._reduce_arrays
-    monkeypatch.setattr(polytope, "_reduce_arrays", lambda H, h, center, rays=None: reduce(H, h, center))
+    monkeypatch.setattr(polytope, "_reduce_arrays", lambda H, h, center, carry=None: reduce(H, h, center))
+
+
+def without_carried_certificates(monkeypatch):
+    """Every reduction from here on carries rays but no certificates."""
+    reduce = polytope._reduce_arrays
+    monkeypatch.setattr(
+        polytope, "_reduce_arrays",
+        lambda H, h, center, carry=None: reduce(H, h, center, carry and (carry[0], {})),
+    )
 
 
 def lps_with_and_without_carrying(run, monkeypatch):
-    """``run()`` with carried rays and without; asserts the two reports are
-    the same bits and returns ``(report, lps, lps_without)``."""
-    with monkeypatch.context() as patch:
-        without_carried_rays(patch)
-        calls = count_lps(patch)
-        ref = run()
-        lps_without = calls[0]
-    with monkeypatch.context() as patch:
-        calls = count_lps(patch)
-        rep = run()
-    assert rep.result.H.tobytes() == ref.result.H.tobytes()
-    assert rep.result.h.tobytes() == ref.result.h.tobytes()
-    assert (rep.iterations, rep.converged, rep.per_step_rows) == (ref.iterations, ref.converged, ref.per_step_rows)
-    return rep, calls[0], lps_without
+    """``run()`` with carried rays and certificates, with rays only and
+    with neither; asserts the three reports are the same bits and returns
+    ``(report, lps, lps_rays_only, lps_without)``."""
+    reports, lps = [], []
+    for disable in (without_carrying, without_carried_certificates, None):
+        with monkeypatch.context() as patch:
+            if disable is not None:
+                disable(patch)
+            calls = count_lps(patch)
+            reports.append(run())
+            lps.append(calls[0])
+    *refs, rep = reports
+    for ref in refs:
+        assert rep.result.H.tobytes() == ref.result.H.tobytes()
+        assert rep.result.h.tobytes() == ref.result.h.tobytes()
+        assert (rep.iterations, rep.converged, rep.per_step_rows) == (ref.iterations, ref.converged, ref.per_step_rows)
+    return rep, lps[2], lps[1], lps[0]
 
 
 class TestMethod1LPBudget:
     """Method 1 on a preview-augmented shift register (n=4, p=3) stays within
-    an LP budget: it solves 19 LPs with a box disturbance and 45 with a
-    cross-polytope one, against 51 and 65 without carried rays, with the
-    same result bit for bit (building the cross-polytope system, not
-    counted here, takes 9 more)."""
+    an LP budget: it solves 19 LPs with a box disturbance and 37 with a
+    cross-polytope one, against 19 and 45 without carried certificates and
+    51 and 65 without carried rays either, with the same result bit for bit
+    (building the cross-polytope system, not counted here, takes 9 more).
+    With the box every LP keeps its row (the box drops the rows that go),
+    so there is no certificate to carry."""
 
     @pytest.mark.parametrize(
-        "dist, budget",
-        [(lambda: Hyperbox.cube(4, 0.1), 125), (lambda: cross_polytope(np.full(4, 0.1)), 300)],
+        "dist, budget, certificates_save",
+        [(lambda: Hyperbox.cube(4, 0.1), 125, False), (lambda: cross_polytope(np.full(4, 0.1)), 300, True)],
         ids=["box", "cross_polytope"],
     )
-    def test_lp_count(self, dist, budget, monkeypatch):
+    def test_lp_count(self, dist, budget, certificates_save, monkeypatch):
         # one system per run, each with its own disturbance set, so that each
         # run pays for its own memoized erosion supports
-        systems = [BrunovskyProblem.create(4, Hyperbox.cube(4, 1.0), dist(), 3).augmented().aug for _ in range(2)]
-        rep, lps, lps_without = lps_with_and_without_carrying(lambda: method1(systems.pop()), monkeypatch)
+        systems = [BrunovskyProblem.create(4, Hyperbox.cube(4, 1.0), dist(), 3).augmented().aug for _ in range(3)]
+        rep, lps, lps_rays_only, lps_without = lps_with_and_without_carrying(
+            lambda: method1(systems.pop()), monkeypatch
+        )
         assert rep.converged
         assert lps <= budget
-        assert lps < lps_without
+        assert lps_rays_only < lps_without
+        assert (lps < lps_rays_only) if certificates_save else (lps == lps_rays_only)
 
 
 class TestLaneKeepingLPBudget:
     """Method 1 on the bundled bicycle model and Method 2 at p = 5 from its
-    lifted result stay within an LP budget: they solve 30 and 73 LPs,
-    against 40 and 91 without carried rays, with the same result bit for
-    bit."""
+    lifted result stay within an LP budget: they solve 16 and 59 LPs,
+    against 30 and 73 without carried certificates and 40 and 91 without
+    carried rays either, with the same result bit for bit."""
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -319,20 +336,20 @@ class TestLaneKeepingLPBudget:
 
     def test_method1(self, model, monkeypatch):
         sys, _ = model
-        rep, lps, lps_without = lps_with_and_without_carrying(lambda: method1(sys), monkeypatch)
+        rep, lps, lps_rays_only, lps_without = lps_with_and_without_carrying(lambda: method1(sys), monkeypatch)
         assert rep.converged
         assert lps <= 120
-        assert lps < lps_without
+        assert lps < lps_rays_only < lps_without
 
     def test_method2_at_preview_5(self, model, monkeypatch):
         sys, cmax0 = model
-        # a fresh seed set per run (lifting solves no LP), so that neither
-        # run reads the other's memoized emptiness verdict
-        _, lps, lps_without = lps_with_and_without_carrying(
+        # a fresh seed set per run (lifting solves no LP), so that no run
+        # reads another's memoized emptiness verdict
+        _, lps, lps_rays_only, lps_without = lps_with_and_without_carrying(
             lambda: method2(augment(sys, 5).aug, lift(cmax0, sys.dist_set, 5), 10), monkeypatch
         )
         assert lps <= 200
-        assert lps < lps_without
+        assert lps < lps_rays_only < lps_without
 
 
 class TestMethod2:

@@ -1102,6 +1102,13 @@ class TestLaneKeeping:
         assert np.allclose(xs_a, xs_b, atol=1e-9)
         assert t_a.supervision_count() == 0 and t_b.supervision_count() == 0
 
+    def test_non_finite_model_is_a_config_error(self):
+        # a NaN axle distance makes the discretized A non-finite
+        data = json.loads((importlib.resources.files("previewsafe") / "configs" / "lane_keeping.json").read_text())
+        data["model"]["lf"] = float("nan")
+        with pytest.raises(ConfigError, match="A must be finite"):
+            load_simulation_config(data)
+
     def test_config_must_be_parsed(self):
         ref = importlib.resources.files("previewsafe") / "configs" / "lane_keeping.json"
         with importlib.resources.as_file(ref) as path:

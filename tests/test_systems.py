@@ -249,3 +249,18 @@ class TestConfigRoundtrip:
         cfg["B"] = [[1.0], [1.0]]
         with pytest.raises(ConfigError):
             system_from_config(cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["A", "B", "E"])
+def test_linear_system_refuses_non_finite_matrices(name, bad):
+    # a typed error, not an empty set that "converged" (an infinite E erodes
+    # every row by +inf) nor "H must be finite" from deep inside HPolytope;
+    # the config readers report it as ConfigError (tests/test_cli.py)
+    from previewsafe.systems import LinearSystem
+
+    good = scalar_example_system()
+    matrices = {"A": good.A, "B": good.B, "E": good.E}
+    matrices[name] = np.array([[bad]])
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        LinearSystem(**matrices, dist_set=good.dist_set, safe=good.safe)
