@@ -204,6 +204,105 @@ class TestSweep:
         )
 
 
+def test_shift_register_closed_form_golden(tmp_path, capsys):
+    # the one CLI output that writes the closed form's scalar bounds: an
+    # asymmetric box and disturbance box, n = 4 and p = 2, so constraint
+    # (4, 1) subtracts the never-previewed tail c_1 from [b_{1,1}, b_{1,2}]
+    cfg = tmp_path / "problem.json"
+    cfg.write_text(json.dumps({
+        "n": 4,
+        "box": {"lo": [-1.0, -1.2, -0.9, -1.1], "hi": [1.1, 1.0, 1.3, 0.95]},
+        "disturbance": {"lo": [-0.1, -0.15, -0.05, -0.2], "hi": [0.2, 0.1, 0.15, 0.05]},
+        "preview": 2,
+    }))
+    assert run(["invariant", "--system", str(cfg), "--closed-form"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n'
+        '  "n": 4,\n'
+        '  "p": 2,\n'
+        '  "box": {\n'
+        '    "lo": [-1, -1.2, -0.90000000000000002, -1.1000000000000001],\n'
+        '    "hi": [1.1000000000000001, 1, 1.3, 0.94999999999999996]\n'
+        '  },\n'
+        '  "dist_box": {\n'
+        '    "lo": [-0.10000000000000001, -0.14999999999999999, -0.050000000000000003, -0.20000000000000001],\n'
+        '    "hi": [0.20000000000000001, 0.10000000000000001, 0.14999999999999999, 0.050000000000000003]\n'
+        '  },\n'
+        '  "constraints": [\n'
+        '    {\n'
+        '      "k": 2,\n'
+        '      "j": 1,\n'
+        '      "dcoords": [\n'
+        '        [1, 1]\n'
+        '      ],\n'
+        '      "bound": {\n'
+        '        "lo": -1,\n'
+        '        "hi": 1.1000000000000001\n'
+        '      }\n'
+        '    },\n'
+        '    {\n'
+        '      "k": 3,\n'
+        '      "j": 1,\n'
+        '      "dcoords": [\n'
+        '        [1, 2],\n'
+        '        [2, 1]\n'
+        '      ],\n'
+        '      "bound": {\n'
+        '        "lo": -1,\n'
+        '        "hi": 1.1000000000000001\n'
+        '      }\n'
+        '    },\n'
+        '    {\n'
+        '      "k": 3,\n'
+        '      "j": 2,\n'
+        '      "dcoords": [\n'
+        '        [1, 2]\n'
+        '      ],\n'
+        '      "bound": {\n'
+        '        "lo": -1.2,\n'
+        '        "hi": 1\n'
+        '      }\n'
+        '    },\n'
+        '    {\n'
+        '      "k": 4,\n'
+        '      "j": 1,\n'
+        '      "dcoords": [\n'
+        '        [1, 3],\n'
+        '        [2, 2]\n'
+        '      ],\n'
+        '      "bound": {\n'
+        '        "lo": -0.90000000000000002,\n'
+        '        "hi": 0.90000000000000013\n'
+        '      }\n'
+        '    },\n'
+        '    {\n'
+        '      "k": 4,\n'
+        '      "j": 2,\n'
+        '      "dcoords": [\n'
+        '        [1, 3],\n'
+        '        [2, 2]\n'
+        '      ],\n'
+        '      "bound": {\n'
+        '        "lo": -1.2,\n'
+        '        "hi": 1\n'
+        '      }\n'
+        '    },\n'
+        '    {\n'
+        '      "k": 4,\n'
+        '      "j": 3,\n'
+        '      "dcoords": [\n'
+        '        [1, 3]\n'
+        '      ],\n'
+        '      "bound": {\n'
+        '        "lo": -0.90000000000000002,\n'
+        '        "hi": 1.3\n'
+        '      }\n'
+        '    }\n'
+        '  ]\n'
+        '}\n'
+    )
+
+
 # Flags that no command reads; each must be refused as a usage error.
 UNREAD_FLAGS = [
     ("check", "--case", "example2"),
