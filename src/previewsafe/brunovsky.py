@@ -17,7 +17,8 @@ Index conventions (the single most error-prone detail in here, so it is kept
 in one place): all math indices below are 1-based as in the derivation and
 converted to 0-based only when slicing arrays.  Every bound is a float
 endpoint minus a scalar float sum of disturbance-box endpoints over the
-never-previewed tail; an empty sum is 0.
+never-previewed tail; an empty sum is 0.  A scalar interval is its two float
+endpoints ``(lo, hi)``, empty iff ``lo > hi``.
 
 * pbar = min(p, n).
 * bhat_k = [b_{k,1} - sum_{i=k}^{n-pbar} c_{i,1},
@@ -34,11 +35,13 @@ never-previewed tail; an empty sum is 0.
   v_{pbar-i+1} = d_{i, n-i+1}.
 * The safe-input interval at stack v is
   I(v) = intersection over k = 1..n of (bhat_k - s_k(v)) with
-  s_k(v) = sum_{i=1}^{min(n-k+1, pbar)} v_{pbar-i+1}.
+  s_k(v) = sum_{i=1}^{min(n-k+1, pbar)} v_{pbar-i+1}, i.e. [max_k (bhat_{k,1}
+  - s_k), min_k (bhat_{k,2} - s_k)], and empty outright when some bhat_k is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,7 +51,6 @@ from .errors import EmptyInvariantError, InvalidParametersError
 from .geometry import (
     HPolytope,
     Hyperbox,
-    Interval,
     box_vertices,
     convex_weights,
     lift,
@@ -90,16 +92,15 @@ def _ssum(values, lo_1b: int, hi_1b: int) -> float:
 
 
 def bhat(problem: BrunovskyProblem) -> list:
-    """The tail-adjusted state bounds, one interval per k = 1..n."""
+    """The tail-adjusted state bounds, one endpoint pair ``(lo, hi)`` per
+    k = 1..n; a pair with ``lo > hi`` is an empty bhat_k."""
     n, pb = problem.n, pbar_of(problem)
-    blo, bhi = problem.box.lo, problem.box.hi
+    blo, bhi = problem.box.lo.tolist(), problem.box.hi.tolist()
     clo, chi = problem.dist_box.lo, problem.dist_box.hi
-    out = []
-    for k in range(1, n + 1):
-        lo = blo[k - 1] - _ssum(clo, k, n - pb)
-        hi = bhi[k - 1] - _ssum(chi, k, n - pb)
-        out.append(Interval.EMPTY if lo > hi else Interval(lo, hi))
-    return out
+    return [
+        (blo[k - 1] - _ssum(clo, k, n - pb), bhi[k - 1] - _ssum(chi, k, n - pb))
+        for k in range(1, n + 1)
+    ]
 
 
 def tail_box(problem: BrunovskyProblem) -> Hyperbox:
@@ -131,28 +132,24 @@ def _stack_shift(problem: BrunovskyProblem, v: np.ndarray, k: int) -> float:
     return float(np.sum(v[pb - count :])) if count > 0 else 0.0
 
 
-def vertex_interval(problem: BrunovskyProblem, v: np.ndarray) -> Interval:
-    """I(v): inputs safe against every future beyond the stack v."""
-    bh = bhat(problem)
-    out = None
-    for k in range(1, problem.n + 1):
-        iv = bh[k - 1]
-        if iv.is_empty:
-            return Interval.EMPTY
-        shifted = iv.shift(-_stack_shift(problem, v, k))
-        out = shifted if out is None else out.intersect(shifted)
-        if out.is_empty:
-            return Interval.EMPTY
-    return out
+def vertex_interval(problem: BrunovskyProblem, v: np.ndarray) -> tuple:
+    """I(v) as ``(lo, hi)``, empty iff ``lo > hi``: inputs safe against every
+    future beyond the stack v.  An empty bhat_k is returned as it is, since
+    subtracting s_k from both of its ends can round the crossing away."""
+    lo, hi = -math.inf, math.inf
+    for k, (b_lo, b_hi) in enumerate(bhat(problem), 1):
+        if b_lo > b_hi:
+            return b_lo, b_hi
+        s = _stack_shift(problem, v, k)
+        lo, hi = max(lo, b_lo - s), min(hi, b_hi - s)
+    return lo, hi
 
 
 def nonempty_vertex(problem: BrunovskyProblem) -> bool:
     """Vertex form of the nonemptiness test: I(v) nonempty at every vertex of
     the tail box.  Raises DimensionTooLarge for pbar above the vertex cap."""
-    for v in box_vertices(tail_box(problem)):
-        if vertex_interval(problem, v).is_empty:
-            return False
-    return True
+    vertices = box_vertices(tail_box(problem))
+    return not any(lo > hi for lo, hi in (vertex_interval(problem, v) for v in vertices))
 
 
 def _ineq_rhs(n: int, p: int, clo, chi, j: int, k: int) -> float:
@@ -183,9 +180,9 @@ def nonempty_ineq(problem: BrunovskyProblem) -> bool:
 class InvariantConstraint:
     """One scalar constraint of the closed form, indexed by (k, j), 1-based:
 
-        x_k + sum_{(i, c) in dcoords} d_{i, c}  in  bound,
+        lo  <=  x_k + sum_{(i, c) in dcoords} d_{i, c}  <=  hi,
 
-    where dcoords = [(i, k - i) for i = 1..min(k - j, p)] and bound is
+    where dcoords = [(i, k - i) for i = 1..min(k - j, p)] and [lo, hi] is
     [b_{j,1}, b_{j,2}] minus the never-previewed tail sums, endpoint by
     endpoint (see the module docstring).
     """
@@ -193,14 +190,15 @@ class InvariantConstraint:
     k: int
     j: int
     dcoords: tuple
-    bound: Interval
+    lo: float
+    hi: float
 
     def to_json(self) -> dict:
         return {
             "k": self.k,
             "j": self.j,
             "dcoords": [list(pair) for pair in self.dcoords],
-            "bound": {"lo": self.bound.lo, "hi": self.bound.hi},
+            "bound": {"lo": self.lo, "hi": self.hi},
         }
 
 
@@ -232,8 +230,8 @@ def closed_form(problem: BrunovskyProblem) -> BrunovskyInvariant:
     if not nonempty_ineq(problem):
         raise EmptyInvariantError("no nonempty controlled invariant set exists")
     n, p = problem.n, problem.p
-    blo, bhi = problem.box.lo, problem.box.hi
-    clo, chi = problem.dist_box.lo, problem.dist_box.hi
+    blo, bhi = problem.box.lo.tolist(), problem.box.hi.tolist()
+    clo, chi = problem.dist_box.lo.tolist(), problem.dist_box.hi.tolist()
     records = []
     for k in range(2, n + 1):
         for j in range(1, k):
@@ -248,7 +246,7 @@ def closed_form(problem: BrunovskyProblem) -> BrunovskyInvariant:
                 raise EmptyInvariantError(
                     "constraint bound collapsed despite the nonemptiness test"
                 )
-            records.append(InvariantConstraint(k=k, j=j, dcoords=dcoords, bound=Interval(lo, hi)))
+            records.append(InvariantConstraint(k=k, j=j, dcoords=dcoords, lo=lo, hi=hi))
     return BrunovskyInvariant(problem=problem, constraints=tuple(records))
 
 
@@ -272,7 +270,7 @@ def membership(
             return False
     for rec in inv.constraints:
         total = x[rec.k - 1] + sum(ds[i - 1][c - 1] for i, c in rec.dcoords)
-        if not rec.bound.contains(total, tol):
+        if not rec.lo - tol <= total <= rec.hi + tol:
             return False
     return True
 
@@ -290,12 +288,13 @@ def to_hpolytope(inv: BrunovskyInvariant) -> HPolytope:
         for i, c in rec.dcoords:
             row[n + (i - 1) * n + (c - 1)] = 1.0
         rows.append(np.vstack([row, -row]))
-        rhs.append(np.array([rec.bound.hi, -rec.bound.lo]))
+        rhs.append(np.array([rec.hi, -rec.lo]))
     return HPolytope(np.vstack(rows), np.concatenate(rhs))
 
 
-def safe_input_interval(problem: BrunovskyProblem, d_list: Sequence) -> Interval:
-    """Inputs safe against all futures, given the previewed steps."""
+def safe_input_interval(problem: BrunovskyProblem, d_list: Sequence) -> tuple:
+    """Inputs safe against all futures, given the previewed steps, as
+    ``(lo, hi)``; empty iff ``lo > hi``."""
     return vertex_interval(problem, preview_stack(problem, d_list))
 
 
@@ -304,19 +303,18 @@ def controller_g(problem: BrunovskyProblem, d_list: Sequence) -> float:
     box of the midpoint of each tail vertex's safe-input interval.
 
     Raises :class:`EmptyInvariantError` if any vertex interval is empty
-    (equivalently, if the nonemptiness condition fails).
+    (equivalently, if the nonemptiness condition fails).  ``box_vertices``
+    and ``convex_weights`` walk the vertices in the same order, so the
+    intervals pair with the weights by position.
     """
     v = preview_stack(problem, d_list)
     box = tail_box(problem)
-    mids = {}
-    for e in box_vertices(box):
-        iv = vertex_interval(problem, e)
-        if iv.is_empty:
-            raise EmptyInvariantError("a tail-vertex safe-input interval is empty")
-        mids[tuple(e)] = iv.mid
+    ends = [vertex_interval(problem, e) for e in box_vertices(box)]
+    if any(lo > hi for lo, hi in ends):
+        raise EmptyInvariantError("a tail-vertex safe-input interval is empty")
     u = 0.0
-    for vertex, weight in convex_weights(box, v):
-        u += weight * mids[tuple(vertex)]
+    for (_, weight), (lo, hi) in zip(convex_weights(box, v), ends):
+        u += weight * (0.5 * (lo + hi))
     return float(u)
 
 

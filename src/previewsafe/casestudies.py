@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParametersError
-from .geometry import HPolytope, Hyperbox, Interval, contains_set, lift
+from .geometry import HPolytope, Hyperbox, contains_set, lift
 from .systems import LinearSystem
 
 __all__ = [
@@ -124,20 +124,19 @@ def scalar_cmax(prob: ScalarPreviewProblem) -> ScalarCmax:
 
 @dataclass(frozen=True)
 class ScalarProjection:
-    """State projection of the scalar invariant set and its limit objects."""
+    """State projection of the scalar invariant set, ``[-halfwidth,
+    halfwidth]``, and its limit objects."""
 
-    interval: Interval          # +- (beta + gamma - 2 gamma / a^p) / (a - 1)
-    collaborative: Interval     # +- (beta + gamma) / (a - 1)
-    gap: float                  # 2 gamma / (a^p (a - 1))
+    halfwidth: float                # (beta + gamma - 2 gamma / a^p) / (a - 1)
+    collaborative_halfwidth: float  # (beta + gamma) / (a - 1)
+    gap: float                      # 2 gamma / (a^p (a - 1))
 
 
 def scalar_projection(prob: ScalarPreviewProblem) -> ScalarProjection:
     a, beta, gamma, p = prob.a, prob.beta, prob.gamma, prob.p
-    w = (beta + gamma - 2.0 * gamma / a**p) / (a - 1)
-    co = (beta + gamma) / (a - 1)
     return ScalarProjection(
-        interval=Interval(-w, w),
-        collaborative=Interval(-co, co),
+        halfwidth=(beta + gamma - 2.0 * gamma / a**p) / (a - 1),
+        collaborative_halfwidth=(beta + gamma) / (a - 1),
         gap=2.0 * gamma / (a**p * (a - 1)),
     )
 

@@ -1,6 +1,6 @@
-"""Polyhedral kernel: hyperboxes, H-polytopes, LPs, and the scalar interval."""
+"""Polyhedral kernel: hyperboxes, H-polytopes and LPs."""
 
-from .interval import Hyperbox, Interval, box_vertices, convex_weights
+from .interval import Hyperbox, box_vertices, convex_weights
 from .lp import EPS_LP, LPResult, LPStatus, chebyshev_center, linprog_max
 from .polytope import (
     EPS_SET,
@@ -15,7 +15,6 @@ from .polytope import (
 )
 
 __all__ = [
-    "Interval",
     "Hyperbox",
     "box_vertices",
     "convex_weights",

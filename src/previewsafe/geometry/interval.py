@@ -1,9 +1,11 @@
-"""Closed scalar interval and axis-aligned hyperbox types.
+"""Axis-aligned hyperbox type, its vertices and barycentric weights.
 
-An interval is a pair of float endpoints with one distinguished empty value;
-it is the scalar result type of the closed form and the supervisor.  A
-hyperbox holds its endpoints as two read-only float arrays.  Bounds built
-from sums of endpoints are plain float sums, where an empty sum is ``0``.
+A hyperbox holds its endpoints as two read-only float arrays.  A scalar
+interval (a safe-input interval, a closed-form bound, the supervisor's
+admissible input) is not a type: it is carried as its two float endpoints
+``lo, hi``, empty iff ``lo > hi`` (the supervisor writes NaN for none).
+Bounds built from sums of endpoints are plain float sums, where an empty sum
+is ``0``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from ..errors import (
 )
 
 __all__ = [
-    "Interval",
     "Hyperbox",
     "box_vertices",
     "convex_weights",
@@ -31,83 +32,6 @@ __all__ = [
 
 # Largest dimension whose 2^dim box vertices are enumerated.
 _VERTEX_CAP = 20
-
-
-@dataclass(frozen=True, eq=False)
-class Interval:
-    """Closed interval ``[lo, hi]`` with ``lo <= hi``.
-
-    The empty interval is the distinguished value :data:`Interval.EMPTY`
-    (both endpoints NaN); it is never encoded as ``lo > hi``.
-    """
-
-    lo: float
-    hi: float
-
-    EMPTY: "Interval" = None  # set right after the class definition
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if math.isnan(self.lo) and math.isnan(self.hi):
-            return
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise ValueError(f"invalid interval endpoints [{self.lo}, {self.hi}]")
-
-    @property
-    def is_empty(self) -> bool:
-        return math.isnan(self.lo)
-
-    @property
-    def width(self) -> float:
-        if self.is_empty:
-            return 0.0
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        if self.is_empty:
-            raise EmptySetError("midpoint of the empty interval")
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        if self.is_empty:
-            return False
-        return self.lo - tol <= x <= self.hi + tol
-
-    def shift(self, c: float) -> "Interval":
-        """Scalar translation ``c + [lo, hi]``."""
-        if self.is_empty:
-            return Interval.EMPTY
-        return Interval(self.lo + c, self.hi + c)
-
-    def intersect(self, other: "Interval") -> "Interval":
-        """Set intersection."""
-        if self.is_empty or other.is_empty:
-            return Interval.EMPTY
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return Interval.EMPTY
-        return Interval(lo, hi)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Interval):
-            return NotImplemented
-        if self.is_empty or other.is_empty:
-            return self.is_empty and other.is_empty
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self) -> int:
-        return hash((self.is_empty, self.lo, self.hi))
-
-    def __repr__(self) -> str:
-        if self.is_empty:
-            return "Interval.EMPTY"
-        return f"Interval({self.lo!r}, {self.hi!r})"
-
-
-Interval.EMPTY = Interval(math.nan, math.nan)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from .errors import (
     RiccatiDivergedError,
     ScriptExhaustedError,
 )
-from .geometry import HPolytope, Hyperbox, Interval, LPStatus, lift, linprog_max
+from .geometry import HPolytope, Hyperbox, LPStatus, lift, linprog_max
 from .geometry.polytope import _ZERO_TOL
 from .invariance import input_constraints, method1, method2
 from .systems import LinearSystem, PreviewSystem, augment, system_from_config
@@ -149,10 +149,14 @@ class Supervisor:
 
 @dataclass(frozen=True)
 class SuperviseResult:
+    """One filtered step; ``[adm_lo, adm_hi]`` is the one-input admissible
+    interval, NaN for a fallback or several inputs (as in :class:`Trace`)."""
+
     u: np.ndarray
     supervised: bool
     admissible_empty: bool
-    admissible: Optional[Interval]  # scalar-input interval; None for m > 1
+    adm_lo: float
+    adm_hi: float
 
 
 def _closest_point(P: HPolytope, z: np.ndarray) -> np.ndarray:
@@ -249,12 +253,12 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
     runs.  A one-input step is one mat-vec for the right-hand side, one
     division by the magnitudes of ``G_u`` stored at build time and one
     reduction for the least zero-row offset and the interval's endpoints,
-    then a clip onto the interval, with no LP; the step's float endpoints are
-    wrapped here into the result's :class:`Interval`.  A step with two or
-    more inputs still solves LPs (emptiness, and the closest point when
-    ``u_nom`` is not admissible), since those depend on the state.  When the
-    admissible set is empty the nominal input is clamped to the fallback
-    input box and the result is annotated ``admissible_empty``.
+    then a clip onto the interval, with no LP; the result carries the step's
+    float endpoints as they are.  A step with two or more inputs still solves
+    LPs (emptiness, and the closest point when ``u_nom`` is not admissible),
+    since those depend on the state.  When the admissible set is empty the
+    nominal input is clamped to the fallback input box and the result is
+    annotated ``admissible_empty``.
     """
     u_nom = np.asarray(u_nom, dtype=float).ravel()
     state = np.asarray(state, dtype=float).ravel()
@@ -265,9 +269,7 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
         raise ValueError(f"nominal input has {u_nom.shape[0]} entries, the system {m} inputs")
     if not (np.isfinite(state).all() and np.isfinite(u_nom).all()):
         raise ValueError("state and nominal input must be finite")
-    u, supervised, empty, lo, hi = sup._step(state, u_nom)
-    adm = None if m > 1 else Interval.EMPTY if empty else Interval(lo, hi)
-    return SuperviseResult(u, supervised, empty, adm)
+    return SuperviseResult(*sup._step(state, u_nom))
 
 
 @dataclass(frozen=True)
@@ -445,24 +447,25 @@ def bicycle_system(model: dict, bounds: dict) -> LinearSystem:
     States: lateral displacement y, lateral velocity v, yaw angle error, yaw
     rate.  The disturbance is the road-curvature yaw-rate term entering the
     yaw-angle equation; the input is the steering angle.
+
+    Every number must be finite, mass, yaw inertia, speed and sample time
+    positive and the bounds nonnegative (:class:`ConfigError` otherwise),
+    before any arithmetic on them.
     """
     try:
-        mass = float(model["mass"])
-        inertia = float(model["yaw_inertia"])
-        lf = float(model["lf"])
-        lr = float(model["lr"])
-        cf = float(model["cf"])
-        cr = float(model["cr"])
-        speed = float(model["speed"])
-        dt = float(model.get("dt", 0.1))
-        y_max = float(bounds["y"])
-        v_max = float(bounds["v"])
-        yaw_max = float(bounds["yaw"])
-        rate_max = float(bounds["yaw_rate"])
-        steer_max = float(bounds["steer"])
-        rd_max = float(bounds["rd"])
+        m = {key: float(model[key]) for key in ("mass", "yaw_inertia", "lf", "lr", "cf", "cr", "speed")}
+        m["dt"] = float(model.get("dt", 0.1))
+        b = {key: float(bounds[key]) for key in ("y", "v", "yaw", "yaw_rate", "steer", "rd")}
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed bicycle config: {exc}") from exc
+    for name, value in {**m, **b}.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"inconsistent bicycle config: {name} must be finite, got {value}")
+        if value < 0 and name in b or value <= 0 and name in ("mass", "yaw_inertia", "speed", "dt"):
+            need = "nonnegative" if name in b else "positive"
+            raise ConfigError(f"inconsistent bicycle config: {name} must be {need}, got {value}")
+    mass, inertia, lf, lr, cf, cr, speed, dt = m.values()
+    y_max, v_max, yaw_max, rate_max, steer_max, rd_max = b.values()
 
     Ac = np.array(
         [

@@ -127,8 +127,7 @@ def test_criterion_5_scalar_oracle():
             shadow = project(closed, [0])
             target = HPolytope.from_bounds([-proj_hw], [proj_hw])
             assert contains_set(target, shadow, tol=1e-9) and contains_set(shadow, target, tol=1e-9)
-            assert abs(scalar_projection(prob).interval.hi - proj_hw) <= 1e-9
-            assert abs(scalar_projection(prob).interval.lo + proj_hw) <= 1e-9
+            assert abs(scalar_projection(prob).halfwidth - proj_hw) <= 1e-9
         assert scalar_strict_growth(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1))
         assert scalar_strict_growth(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 2))
 

@@ -26,7 +26,6 @@ from previewsafe.errors import EmptyInvariantError, InvalidParametersError
 from previewsafe.geometry import (
     HPolytope,
     Hyperbox,
-    Interval,
     box_vertices,
     convex_weights,
     set_equal,
@@ -64,7 +63,8 @@ class TestNonemptyVertex:
 
     def test_zero_preview_single_vertex(self):
         prob = cube_problem(3, 0.1, 0)
-        assert vertex_interval(prob, np.zeros(0)).contains(0.0)
+        lo, hi = vertex_interval(prob, np.zeros(0))
+        assert lo <= 0.0 <= hi
 
 
 class TestNonemptyIneq:
@@ -96,22 +96,22 @@ class TestClosedForm:
         rec = inv.constraints[0]
         assert (rec.k, rec.j) == (2, 1)
         assert rec.dcoords == ()
-        assert rec.bound.lo == pytest.approx(-0.8)
-        assert rec.bound.hi == pytest.approx(0.8)
+        assert rec.lo == pytest.approx(-0.8)
+        assert rec.hi == pytest.approx(0.8)
 
     def test_n2_p1_record(self):
         rec = closed_form(cube_problem(2, 0.2, 1)).constraints[0]
         assert (rec.k, rec.j) == (2, 1)
         assert rec.dcoords == ((1, 1),)
-        assert rec.bound.lo == pytest.approx(-1.0)
-        assert rec.bound.hi == pytest.approx(1.0)
+        assert rec.lo == pytest.approx(-1.0)
+        assert rec.hi == pytest.approx(1.0)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_no_tail_terms_once_p_reaches_n(self, p):
         inv = closed_form(cube_problem(2, 0.2, p))
         for rec in inv.constraints:
-            assert rec.bound.lo == pytest.approx(-1.0)
-            assert rec.bound.hi == pytest.approx(1.0)
+            assert rec.lo == pytest.approx(-1.0)
+            assert rec.hi == pytest.approx(1.0)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInvariantError):
@@ -178,14 +178,14 @@ class TestToHPolytope:
 
 class TestSafeInputInterval:
     def test_n2_p0(self):
-        iv = safe_input_interval(cube_problem(2, 0.2, 0), [])
-        assert iv.lo == pytest.approx(-0.6)
-        assert iv.hi == pytest.approx(0.6)
+        lo, hi = safe_input_interval(cube_problem(2, 0.2, 0), [])
+        assert lo == pytest.approx(-0.6)
+        assert hi == pytest.approx(0.6)
 
     def test_symmetric_zero_preview(self):
         prob = cube_problem(3, 0.1, 2)
-        iv = safe_input_interval(prob, [np.zeros(3), np.zeros(3)])
-        assert iv.lo == pytest.approx(-iv.hi)
+        lo, hi = safe_input_interval(prob, [np.zeros(3), np.zeros(3)])
+        assert lo == pytest.approx(-hi)
 
     def test_nonempty_for_all_previews(self, master_seed):
         rng = np.random.default_rng(master_seed)
@@ -195,7 +195,8 @@ class TestSafeInputInterval:
                 rng.uniform(prob.dist_box.lo, prob.dist_box.hi)
                 for _ in range(prob.p)
             ]
-            assert not safe_input_interval(prob, ds).is_empty
+            lo, hi = safe_input_interval(prob, ds)
+            assert lo <= hi
 
 
 class TestControllerG:
@@ -206,7 +207,8 @@ class TestControllerG:
         v = preview_stack(prob, ds)
         assert np.allclose(np.abs(v), 0.2)
         u = controller_g(prob, ds)
-        assert u == pytest.approx(vertex_interval(prob, v).mid)
+        lo, hi = vertex_interval(prob, v)
+        assert u == pytest.approx(0.5 * (lo + hi))
 
     def test_symmetric_zero(self):
         prob = cube_problem(3, 0.1, 3)
@@ -221,8 +223,8 @@ class TestControllerG:
                 for _ in range(prob.p)
             ]
             u = controller_g(prob, ds)
-            iv = safe_input_interval(prob, ds)
-            assert iv.contains(u, tol=1e-9)
+            lo, hi = safe_input_interval(prob, ds)
+            assert lo - 1e-9 <= u <= hi + 1e-9
 
     def test_closed_loop_reaches_invariant(self, master_seed):
         rng = np.random.default_rng(master_seed)
@@ -424,28 +426,34 @@ class TestEVariant:
                 assert abs(slack) < 1e-6
 
 
-# References: closed_form, bhat and the controller as they were computed on
-# an endpoint-wise interval algebra (an empty interval sum is EMPTY, and
-# subtracting EMPTY is the identity).  The float endpoint sums that replaced
-# them must reproduce every bit.
+# References: closed_form, bhat and the controller computed on an
+# endpoint-wise interval algebra over float pairs ``(lo, hi)``, with EMPTY for
+# the empty interval (an empty interval sum is EMPTY, and subtracting EMPTY
+# is the identity), translated by adding ``-s`` and intersected pair by
+# pair.  The library's float endpoint sums and its ``max``/``min`` of
+# ``b - s`` must reproduce every bit.
+
+EMPTY = "EMPTY"
+
+
+def _ref_interval(lo, hi):
+    """The closed interval [lo, hi], EMPTY where the endpoints cross."""
+    lo, hi = float(lo), float(hi)
+    return EMPTY if lo > hi else (lo, hi)
 
 
 def _ref_interval_add(a, b):
-    if a.is_empty or b.is_empty:
-        return Interval.EMPTY
-    return Interval(a.lo + b.lo, a.hi + b.hi)
+    if a is EMPTY or b is EMPTY:
+        return EMPTY
+    return _ref_interval(a[0] + b[0], a[1] + b[1])
 
 
 def _ref_interval_sub(a, b):
-    if a.is_empty:
-        return Interval.EMPTY
-    if b.is_empty:
+    if a is EMPTY:
+        return EMPTY
+    if b is EMPTY:
         return a
-    lo = a.lo - b.lo
-    hi = a.hi - b.hi
-    if lo > hi:
-        return Interval.EMPTY
-    return Interval(lo, hi)
+    return _ref_interval(a[0] - b[0], a[1] - b[1])
 
 
 def _ref_interval_sum(items):
@@ -453,8 +461,19 @@ def _ref_interval_sum(items):
     for item in items:
         total = item if total is None else _ref_interval_add(total, item)
     if total is None:
-        return Interval.EMPTY
+        return EMPTY
     return total
+
+
+def _ref_interval_shift(a, c):
+    """Scalar translation ``c + a``."""
+    return EMPTY if a is EMPTY else _ref_interval(a[0] + c, a[1] + c)
+
+
+def _ref_interval_intersect(a, b):
+    if a is EMPTY or b is EMPTY:
+        return EMPTY
+    return _ref_interval(max(a[0], b[0]), min(a[1], b[1]))
 
 
 def reference_bhat(problem):
@@ -467,8 +486,8 @@ def reference_bhat(problem):
         lo = blo[k - 1] - float(np.sum(clo[k - 1 : n - pb]))
         hi = bhi[k - 1] - float(np.sum(chi[k - 1 : n - pb]))
         if lo > hi:
-            return out + [Interval.EMPTY] + [None] * (n - k)
-        out.append(Interval(lo, hi))
+            return out + [EMPTY] + [None] * (n - k)
+        out.append(_ref_interval(lo, hi))
     return out
 
 
@@ -477,12 +496,12 @@ def reference_vertex_interval(problem, v):
     out = None
     for k in range(1, problem.n + 1):
         iv = bh[k - 1]
-        if iv is None or iv.is_empty:
-            return Interval.EMPTY
-        shifted = iv.shift(-_stack_shift(problem, v, k))
-        out = shifted if out is None else out.intersect(shifted)
-        if out.is_empty:
-            return Interval.EMPTY
+        if iv is None or iv is EMPTY:
+            return EMPTY
+        shifted = _ref_interval_shift(iv, -_stack_shift(problem, v, k))
+        out = shifted if out is None else _ref_interval_intersect(out, shifted)
+        if out is EMPTY:
+            return EMPTY
     return out
 
 
@@ -497,14 +516,14 @@ def reference_closed_form(problem):
         for j in range(1, k):
             dcoords = tuple((i, k - i) for i in range(1, min(k - j, p) + 1))
             tail = _ref_interval_sum(
-                Interval(clo[k - i - 1], chi[k - i - 1]) for i in range(p + 1, k - j + 1)
+                _ref_interval(clo[k - i - 1], chi[k - i - 1]) for i in range(p + 1, k - j + 1)
             )
-            bound = _ref_interval_sub(Interval(blo[j - 1], bhi[j - 1]), tail)
-            if bound.is_empty:
+            bound = _ref_interval_sub(_ref_interval(blo[j - 1], bhi[j - 1]), tail)
+            if bound is EMPTY:
                 raise EmptyInvariantError(
                     "constraint bound collapsed despite the nonemptiness test"
                 )
-            records.append(InvariantConstraint(k=k, j=j, dcoords=dcoords, bound=bound))
+            records.append(InvariantConstraint(k=k, j=j, dcoords=dcoords, lo=bound[0], hi=bound[1]))
     return BrunovskyInvariant(problem=problem, constraints=tuple(records))
 
 
@@ -514,9 +533,9 @@ def reference_controller_g(problem, d_list):
     mids = {}
     for e in box_vertices(box):
         iv = reference_vertex_interval(problem, e)
-        if iv.is_empty:
+        if iv is EMPTY:
             raise EmptyInvariantError("a tail-vertex safe-input interval is empty")
-        mids[tuple(e)] = iv.mid
+        mids[tuple(e)] = 0.5 * (iv[0] + iv[1])
     u = 0.0
     for vertex, weight in convex_weights(box, v):
         u += weight * mids[tuple(vertex)]
@@ -541,7 +560,9 @@ def reference_problems(seed, per_n, n_max=12):
 
 
 def _bits(iv):
-    return "EMPTY" if iv.is_empty else (iv.lo.hex(), iv.hi.hex())
+    """Hex endpoints of a reference interval or of a library pair, which is
+    empty iff its endpoints cross."""
+    return EMPTY if iv is EMPTY or iv[0] > iv[1] else (iv[0].hex(), iv[1].hex())
 
 
 def _records_or_error(build, problem):
@@ -549,7 +570,7 @@ def _records_or_error(build, problem):
         inv = build(problem)
     except EmptyInvariantError as exc:
         return str(exc)
-    return [(r.k, r.j, r.dcoords, _bits(r.bound)) for r in inv.constraints]
+    return [(r.k, r.j, r.dcoords, _bits((r.lo, r.hi))) for r in inv.constraints]
 
 
 class TestFloatSumsMatchIntervalAlgebra:
@@ -570,8 +591,8 @@ class TestFloatSumsMatchIntervalAlgebra:
     def test_bhat_bitwise(self):
         for prob in reference_problems(92, per_n=14):
             got, ref = bhat(prob), reference_bhat(prob)
-            assert len(got) == prob.n and all(isinstance(iv, Interval) for iv in got)
-            cut = next((k + 1 for k, iv in enumerate(ref) if iv.is_empty), prob.n)
+            assert len(got) == prob.n and all(len(pair) == 2 for pair in got)
+            cut = next((k + 1 for k, iv in enumerate(ref) if iv is EMPTY), prob.n)
             assert [_bits(iv) for iv in got[:cut]] == [_bits(iv) for iv in ref[:cut]]
 
     def test_controller_g_bitwise(self):

@@ -72,16 +72,15 @@ class TestScalarCmax:
 class TestScalarProjection:
     def test_p1_formula(self):
         proj = scalar_projection(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1))
-        assert proj.interval.lo == pytest.approx(-1.0)
-        assert proj.interval.hi == pytest.approx(1.0)
-        assert proj.collaborative.lo == pytest.approx(-2.0)
+        assert proj.halfwidth == pytest.approx(1.0)
+        assert proj.collaborative_halfwidth == pytest.approx(2.0)
 
     def test_limit_approaches_collaborative(self):
         for p in (4, 8, 16):
             proj = scalar_projection(ScalarPreviewProblem(2.0, 1.0, 1.0, 4.0, p))
-            assert proj.interval.hi < proj.collaborative.hi
+            assert proj.halfwidth < proj.collaborative_halfwidth
         wide = scalar_projection(ScalarPreviewProblem(2.0, 1.0, 1.0, 4.0, 40))
-        assert wide.collaborative.hi - wide.interval.hi == pytest.approx(0.0, abs=1e-9)
+        assert wide.collaborative_halfwidth - wide.halfwidth == pytest.approx(0.0, abs=1e-9)
 
     def test_gap_halves_each_step(self):
         gaps = [
@@ -94,8 +93,8 @@ class TestScalarProjection:
     def test_matches_geometry_projection(self):
         prob = ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 2)
         shadow = project(scalar_cmax(prob).to_hpolytope(), [0])
-        iv = scalar_projection(prob).interval
-        assert set_equal(shadow, HPolytope.from_bounds([iv.lo], [iv.hi]), tol=1e-9)
+        hw = scalar_projection(prob).halfwidth
+        assert set_equal(shadow, HPolytope.from_bounds([-hw], [hw]), tol=1e-9)
 
 
 class TestStrictGrowth:

@@ -10,6 +10,7 @@ import pytest
 import previewsafe
 from previewsafe import cli
 from previewsafe.cli import EXIT_USAGE, build_parser, main
+from previewsafe.errors import ConfigError
 from previewsafe.geometry import HPolytope, set_equal
 from previewsafe.jsonio import dumps_17g
 from previewsafe.simulation import load_simulation_config
@@ -169,6 +170,32 @@ def test_non_finite_system_matrix_exits_two(name, tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert run(["invariant", "--system", str(cfg), "--method", "1", "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: inconsistent system config: {name} must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("model", "mass", 0.0, "mass must be positive"),
+    ("model", "speed", 0.0, "speed must be positive"),
+    ("model", "cf", float("inf"), "cf must be finite"),
+    ("model", "yaw_inertia", -1.0, "yaw_inertia must be positive"),
+    ("model", "dt", 0.0, "dt must be positive"),
+    ("model", "dt", -0.1, "dt must be positive"),
+    ("bounds", "steer", -1.0, "steer must be nonnegative"),
+    ("bounds", "rd", float("nan"), "rd must be finite"),
+], ids=["mass_zero", "speed_zero", "cf_inf", "inertia_negative", "dt_zero", "dt_negative",
+        "steer_negative", "rd_nan"])
+def test_bad_bicycle_config_exits_two(section, key, value, message, tmp_path, capsys):
+    # the bundled model with one number edited; these used to raise
+    # ZeroDivisionError, a RuntimeWarning or EmptySetError, or were accepted
+    data = cli._bundled_config("lane_keeping")
+    data[section][key] = value
+    with pytest.raises(ConfigError, match=message):
+        load_simulation_config(data)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert run(["simulate", "--system", str(cfg), "--T", "5", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: inconsistent bicycle config: {message}")
     assert not out.exists()
 
 

@@ -15,7 +15,6 @@ from previewsafe.errors import (
 from previewsafe.geometry import (
     HPolytope,
     Hyperbox,
-    Interval,
     box_vertices,
     contains_set,
     convex_weights,
@@ -28,19 +27,6 @@ from previewsafe.geometry import (
 from previewsafe.geometry import lp, polytope
 
 MASTER_SEEDS = [11, 222, 3333]
-
-
-class TestInterval:
-    def test_invalid_constructor(self):
-        with pytest.raises(ValueError):
-            Interval(1.0, 0.0)
-
-    def test_scale_and_shift(self):
-        assert Interval(-1, 2).shift(1.0) == Interval(0, 3)
-
-    def test_intersect(self):
-        assert Interval(0, 2).intersect(Interval(1, 3)) == Interval(1, 2)
-        assert Interval(0, 1).intersect(Interval(2, 3)).is_empty
 
 
 class TestHyperbox:

@@ -11,7 +11,7 @@ from make_canonical_sets import FIXTURE, shift_register_problems
 from previewsafe import simulation
 from previewsafe.brunovsky import closed_form, controller_g, membership
 from previewsafe.errors import ConfigError, NumericalError, RiccatiDivergedError, ScriptExhaustedError
-from previewsafe.geometry import EPS_SET, HPolytope, Hyperbox, Interval, box_vertices, polytope
+from previewsafe.geometry import EPS_SET, HPolytope, Hyperbox, box_vertices, polytope
 from previewsafe.invariance import admissible_inputs, lift, method1, method2
 from previewsafe.simulation import (
     LQRSpec,
@@ -138,8 +138,8 @@ class TestSupervise:
         res = supervise(sup, [0.0, 0.0], [0.3])
         assert not res.supervised
         assert res.u[0] == pytest.approx(0.3)
-        assert res.admissible.lo == pytest.approx(-0.6)
-        assert res.admissible.hi == pytest.approx(0.6)
+        assert res.adm_lo == pytest.approx(-0.6)
+        assert res.adm_hi == pytest.approx(0.6)
 
     def test_clamps_above(self):
         _, _, sup = self.make_setup()
@@ -232,7 +232,7 @@ class TestSupervise:
                          input_box=Hyperbox.cube(1, 2.0))
         with np.errstate(over="ignore", invalid="ignore"):
             res = supervise(sup, [1e308, -1e308], [0.1])
-        assert res.admissible_empty and res.admissible.is_empty
+        assert res.admissible_empty and np.isnan(res.adm_lo) and np.isnan(res.adm_hi)
         assert res.u[0] == 0.1
 
     def test_no_input_channel_raises(self):
@@ -261,16 +261,18 @@ def reference_filter(sup, x, u_nom):
     """The safety filter from its definition: a fresh ``admissible_inputs``
     polytope at ``x``, its interval read row by row (m = 1) with the 1e-7
     snap, the input box when it is empty.  Returns ``(u, supervised,
-    admissible_empty, admissible)``."""
+    admissible_empty, lo, hi)`` with the interval's float endpoints, NaN for
+    an empty set or several inputs."""
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
     adm = admissible_inputs(sup.sys, sup.invariant, x)
     clamped = np.minimum(np.maximum(u_nom, sup.input_box.lo), sup.input_box.hi)
+    nan = float("nan")
     if sup.sys.m > 1:
         if adm.is_empty:
-            return clamped, True, True, None
+            return clamped, True, True, nan, nan
         if adm.contains(u_nom, tol=1e-9):
-            return u_nom, False, False, None
-        return _closest_point(adm, u_nom), True, False, None
+            return u_nom, False, False, nan, nan
+        return _closest_point(adm, u_nom), True, False, nan, nan
     lo, hi = -np.inf, np.inf
     for a, b in zip(adm.H[:, 0], adm.h):
         if a > 0.5:
@@ -282,10 +284,10 @@ def reference_filter(sup, x, u_nom):
             break
     if lo > hi:
         if lo - hi > 1e-7:
-            return clamped, True, True, Interval.EMPTY
+            return clamped, True, True, nan, nan
         lo = hi = 0.5 * (lo + hi)
     u = float(np.clip(u_nom[0], lo, hi))
-    return np.array([u]), abs(u - u_nom[0]) > 0.0, False, Interval(lo, hi)
+    return np.array([u]), abs(u - u_nom[0]) > 0.0, False, float(lo), float(hi)
 
 
 def bits(*values) -> bytes:
@@ -296,10 +298,10 @@ def assert_same_as_reference(sup, x, u_nom):
     """``supervise`` matches :func:`reference_filter` bit for bit; returns
     the result."""
     res = supervise(sup, x, u_nom)
-    u, supervised, empty, adm = reference_filter(sup, x, u_nom)
+    u, supervised, empty, lo, hi = reference_filter(sup, x, u_nom)
     assert bits(*res.u) == bits(*u)
     assert (res.supervised, res.admissible_empty) == (supervised, empty)
-    assert bits(res.admissible.lo, res.admissible.hi) == bits(adm.lo, adm.hi)
+    assert bits(res.adm_lo, res.adm_hi) == bits(lo, hi)
     return res
 
 
@@ -336,8 +338,9 @@ class TestHoistedFilter:
             x = rng.uniform(box.lo, box.hi)
             x = x + t * (center - x)
             # nominal inputs around the admissible interval, when there is one
-            adm = reference_filter(sup, x, [0.0])[3]
-            lo, hi = (-steer, steer) if adm.is_empty else (adm.lo, adm.hi)
+            _, _, empty, lo, hi = reference_filter(sup, x, [0.0])
+            if empty:
+                lo, hi = -steer, steer
             u_nom = rng.uniform(2 * lo - hi, 2 * hi - lo, size=1)
             res = assert_same_as_reference(sup, x, u_nom)
             outcomes.add((res.supervised, res.admissible_empty))
@@ -349,7 +352,7 @@ class TestHoistedFilter:
         x = 10.0 * np.abs(sup.invariant.bounding_box().hi)
         assert not sup.sys.safe.contains(np.append(x, 0.0))
         res = assert_same_as_reference(sup, x, [0.01])
-        assert res.admissible_empty and res.admissible.is_empty
+        assert res.admissible_empty and np.isnan(res.adm_lo) and np.isnan(res.adm_hi)
         assert res.u[0] == pytest.approx(0.01)
 
     @pytest.mark.parametrize("invariant", [
@@ -383,7 +386,7 @@ class TestHoistedFilter:
         for u_nom in (0.3, -1.0, 1.0):
             res = assert_same_as_reference(sup, [0.7], [u_nom])
             assert not res.admissible_empty
-            assert res.admissible.width == 0.0
+            assert res.adm_hi - res.adm_lo == 0.0
             assert 0.3 <= res.u[0] <= 0.1 + 0.2
         # bounds crossing by more than 1e-7 are empty, not snapped
         wide = HPolytope([[1.0], [-1.0]], [0.3, -0.3 - 2e-7])
@@ -486,10 +489,10 @@ class TestHoistedFilter:
             x = rng.uniform(-1.3, 1.3, size=2)
             u_nom = rng.uniform(-1.0, 1.0, size=2)
             res = supervise(sup, x, u_nom)
-            u, supervised, empty, _ = reference_filter(sup, x, u_nom)
+            u, supervised, empty, _, _ = reference_filter(sup, x, u_nom)
             assert np.max(np.abs(res.u - u)) <= 1e-9
             assert (res.supervised, res.admissible_empty) == (supervised, empty)
-            assert res.admissible is None
+            assert np.isnan(res.adm_lo) and np.isnan(res.adm_hi)
             outcomes.add((supervised, empty))
         assert outcomes == {(False, False), (True, False), (True, True)}
 
@@ -572,7 +575,7 @@ def assert_filter_sound(sup, states):
         res = supervise(sup, x, [0.0])
         # C is controlled invariant, so no state of it falls back
         assert not res.admissible_empty, x.tolist()
-        for u in (res.admissible.lo, res.admissible.hi):
+        for u in (res.adm_lo, res.adm_hi):
             assert sys.safe.contains(np.append(x, u), tol=1e-7), (x.tolist(), u)
             successors = (sys.A @ x + sys.B[:, 0] * u)[:, None] + sys.E @ V.T
             assert (C.H @ successors <= C.h[:, None] + EPS_SET).all(), (x.tolist(), u)
@@ -642,15 +645,16 @@ def reference_rollout(sys, p, controller, supervisor, x0, d_script, T):
                 else x
             )
             res = supervise(supervisor, state_for_sup, u_nom)
-            u, supervised, empty, adm = res.u, res.supervised, res.admissible_empty, res.admissible
+            u, supervised, empty = res.u, res.supervised, res.admissible_empty
+            bound = (res.adm_lo, res.adm_hi)
         else:
-            u, supervised, empty, adm = u_nom, False, False, None
+            u, supervised, empty, bound = u_nom, False, False, (np.nan, np.nan)
         safe = sys.safe.contains(np.concatenate([x, u]), tol=1e-7)
         xs.append(x.copy())
         u_noms.append(u_nom.copy())
         us.append(np.atleast_1d(u).copy())
         ds.append(script[t].copy())
-        bounds.append((np.nan, np.nan) if adm is None or adm.is_empty else (adm.lo, adm.hi))
+        bounds.append(bound)
         flags.append((bool(supervised), bool(empty), bool(safe)))
         x = step(sys, x, u, script[t])
 
@@ -1103,10 +1107,10 @@ class TestLaneKeeping:
         assert t_a.supervision_count() == 0 and t_b.supervision_count() == 0
 
     def test_non_finite_model_is_a_config_error(self):
-        # a NaN axle distance makes the discretized A non-finite
+        # a NaN axle distance is refused before it reaches the discretized A
         data = json.loads((importlib.resources.files("previewsafe") / "configs" / "lane_keeping.json").read_text())
         data["model"]["lf"] = float("nan")
-        with pytest.raises(ConfigError, match="A must be finite"):
+        with pytest.raises(ConfigError, match="lf must be finite"):
             load_simulation_config(data)
 
     def test_config_must_be_parsed(self):
