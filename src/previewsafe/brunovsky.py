@@ -69,7 +69,6 @@ __all__ = [
     "closed_form",
     "membership",
     "to_hpolytope",
-    "safe_input_interval",
     "preview_stack",
     "vertex_interval",
     "controller_g",
@@ -290,12 +289,6 @@ def to_hpolytope(inv: BrunovskyInvariant) -> HPolytope:
         rows.append(np.vstack([row, -row]))
         rhs.append(np.array([rec.hi, -rec.lo]))
     return HPolytope(np.vstack(rows), np.concatenate(rhs))
-
-
-def safe_input_interval(problem: BrunovskyProblem, d_list: Sequence) -> tuple:
-    """Inputs safe against all futures, given the previewed steps, as
-    ``(lo, hi)``; empty iff ``lo > hi``."""
-    return vertex_interval(problem, preview_stack(problem, d_list))
 
 
 def controller_g(problem: BrunovskyProblem, d_list: Sequence) -> float:

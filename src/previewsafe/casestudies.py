@@ -33,7 +33,6 @@ __all__ = [
     "example1_config",
     "example4_config",
     "example5_config",
-    "default_scalar_problem",
 ]
 
 _VALIDITY_TOL = 1e-12
@@ -76,11 +75,6 @@ class ScalarPreviewProblem:
 
     def with_preview(self, p: int) -> "ScalarPreviewProblem":
         return replace(self, p=p)
-
-
-def default_scalar_problem(p: int = 1) -> ScalarPreviewProblem:
-    # validity inequalities hold with slack >= 0.1 to avoid boundary flakiness
-    return ScalarPreviewProblem(a=2.0, beta=1.0, gamma=0.8, r=2.2, p=p)
 
 
 @dataclass(frozen=True)
@@ -194,7 +188,7 @@ def example4_config() -> LinearSystem:
     )
 
 
-def example5_config(prob: ScalarPreviewProblem):
+def example5_config(prob: ScalarPreviewProblem) -> LinearSystem:
     """Feedback transform u = -a x + v of the scalar family.
 
     The transformed dynamics x+ = v + d are a one-dimensional shift register,
@@ -212,11 +206,10 @@ def example5_config(prob: ScalarPreviewProblem):
         ],
         [r, r, beta, beta],
     )
-    sys = LinearSystem(
+    return LinearSystem(
         A=[[0.0]],
         B=[[1.0]],
         E=[[1.0]],
         dist_set=Hyperbox.from_bounds([-prob.gamma], [prob.gamma]),
         safe=safe,
     )
-    return sys, safe

@@ -100,7 +100,7 @@ def _case_system(name: str, preview: int):
         return cs.example4_config(), None
     if name == "example5":
         prob = cs.ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, max(preview, 1))
-        return cs.example5_config(prob)[0], None
+        return cs.example5_config(prob), None
     raise ConfigError(f"unknown case {name!r} (try example1/example2/example4/example5)")
 
 

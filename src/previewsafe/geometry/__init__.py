@@ -9,7 +9,6 @@ from .polytope import (
     lift,
     pontryagin_diff,
     project,
-    reduce_rows,
     set_equal,
     volume,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "lift",
     "pontryagin_diff",
     "project",
-    "reduce_rows",
     "contains_set",
     "set_equal",
     "volume",

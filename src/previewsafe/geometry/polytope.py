@@ -57,7 +57,6 @@ __all__ = [
     "lift",
     "pontryagin_diff",
     "project",
-    "reduce_rows",
     "contains_set",
     "set_equal",
     "volume",
@@ -67,6 +66,10 @@ EPS_SET = 1e-6
 
 # coefficients below this (on unit-norm rows) are treated as exact zeros
 _ZERO_TOL = 1e-9
+# a row of norm at most this is a zero row (dropped, or empty if offset < 0)
+_ZERO_ROW_TOL = 1e-12
+# a Chebyshev radius below minus this certifies an empty set
+_EMPTY_RADIUS_TOL = 1e-9
 # LP slack above which a relaxed facet is considered irredundant
 _RED_TOL = 1e-9
 # margin by which a ray from an interior point must cross a facet before the
@@ -94,7 +97,7 @@ def _clean_rows(H: np.ndarray, h: np.ndarray):
     emptiness.  Returns ``(H, h, empty_flag)``.
     """
     norms = np.linalg.norm(H, axis=1)
-    zero = norms <= 1e-12
+    zero = norms <= _ZERO_ROW_TOL
     if np.any(h[zero] < -_ZERO_TOL):
         return None, None, True
     keep = ~zero & (h != np.inf)
@@ -182,7 +185,7 @@ class HPolytope:
     def is_empty(self) -> bool:
         if self._empty is None:
             rho, point = chebyshev_center(self._H, self._h)
-            self._empty = rho < -1e-9
+            self._empty = rho < -_EMPTY_RADIUS_TOL
             self._inner_point = None if self._empty else point
         return self._empty
 
@@ -229,15 +232,6 @@ class HPolytope:
         """Raw LP access: maximize ``direction @ z`` over the set."""
         direction = np.asarray(direction, dtype=float).ravel()
         return linprog_max(direction, self._H, self._h)
-
-    def intersect(self, other) -> "HPolytope":
-        """Intersection; ``other`` may be an HPolytope or a Hyperbox."""
-        other = _as_polytope(other)
-        if other.dim != self._dim:
-            raise ValueError("dimension mismatch in intersection")
-        return HPolytope(
-            np.vstack([self._H, other.H]), np.concatenate([self._h, other.h])
-        )
 
     def bounding_box(self) -> Hyperbox:
         """Smallest enclosing hyperbox, via 2*dim support calls; the empty
@@ -564,17 +558,6 @@ def _log_reduction(rows_in, deduped, certified, carried, boxed, by_certificate, 
         )
 
 
-def reduce_rows(P: HPolytope) -> HPolytope:
-    """Remove every row whose deletion leaves the set unchanged.
-
-    Certified row by row with an LP (maximize the facet function subject to
-    the remaining rows and a relaxed copy of the row itself), except rows
-    that the ray test or the box certificate of ``_reduce_arrays`` settles.
-    Idempotent; the projection onto every coordinate.
-    """
-    return project(P, range(P.dim))
-
-
 def _fm_eliminate(H: np.ndarray, h: np.ndarray, col: int):
     """One Fourier-Motzkin step: eliminate column ``col``."""
     a = H[:, col]
@@ -663,7 +646,7 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
                 point = center
             else:
                 rho, point = chebyshev_center(H, h)
-                if rho < -1e-9:
+                if rho < -_EMPTY_RADIUS_TOL:
                     return HPolytope.empty(nkeep)
             reduced = _reduce_arrays(H, h, point, carry if last else None)
             if reduced is None:

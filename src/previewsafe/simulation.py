@@ -26,7 +26,7 @@ from .errors import (
     ScriptExhaustedError,
 )
 from .geometry import HPolytope, Hyperbox, LPStatus, lift, linprog_max
-from .geometry.polytope import _ZERO_TOL
+from .geometry.polytope import _ZERO_ROW_TOL, _ZERO_TOL
 from .invariance import input_constraints, method1, method2
 from .systems import LinearSystem, PreviewSystem, augment, system_from_config
 
@@ -111,26 +111,8 @@ class Supervisor:
     function, ``_step(state, u_nom) -> (u, supervised, fallback, lo, hi)``,
     which :func:`supervise` and :func:`rollout` both call; the float
     interval ``[lo, hi]`` is NaN for a fallback or several inputs.  The build
-    erodes the invariant by ``E D`` and tests the erosion for emptiness once,
-    and the step keeps the arrays ``(G_x, G_u, h0)`` of
-    ``invariance.input_constraints``, so a step only evaluates ``rhs = h0 -
-    G_x @ x``.  For one input the build orders the rows once as the zero rows
-    of ``g = G_u[:, 0]`` (``|g_i| <= 1e-12``, as :class:`HPolytope` finds
-    them), then those that bound the input from below (``g_i < 0``) and above
-    (``g_i > 0``), each block led by a sentinel row with zero coefficients
-    and offset ``+inf``, and stores ``w``: 1 on the zero rows, ``|g_i|`` on
-    the bounding ones.  A step then takes one division ``rhs / w`` and one
-    ``np.minimum.reduceat`` over the three blocks: the least zero-row
-    offset, minus the lower bound and the upper bound (``+-inf`` for an empty
-    block).  A row's bound ``rhs_i / g_i`` is ``HPolytope``'s ``(rhs_i /
-    |g_i|) / (g_i / |g_i|)`` bit for bit, since the norm of a one-entry row
-    is ``|g_i|`` and its unit coefficient ``+-1`` exactly, and for ``g_i <
-    0`` it is ``-(rhs_i / |g_i|)``, so the largest lower bound is minus the
-    least quotient.  This holds for ``|g_i|`` up to about 1.3e154; above it
-    ``g_i ** 2`` overflows, ``HPolytope`` scales the row to zero and drops
-    it, and the filter keeps it.
-    The step checks nothing: its state and nominal input must be finite and
-    of lengths ``sys.n`` and ``sys.m``.
+    erodes the invariant by ``E D`` and tests the erosion for emptiness once;
+    :func:`_compile_step` describes the step.
     """
 
     sys: LinearSystem
@@ -175,14 +157,32 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     """The safety filter of :class:`Supervisor` as one function of the state
     and the nominal input, with everything that depends on neither bound
     here: ``rows`` are ``input_constraints``' ``(G_x, G_u, h0)``, or ``None``
-    when the eroded invariant is empty and every step falls back, and the
-    input box has one coordinate per input.
+    when the eroded invariant is empty and every step falls back (clamps the
+    nominal input into the input box, which has one coordinate per input).
+    A step evaluates ``rhs = h0 - G_x @ x``; with two or more inputs it then
+    solves LPs (emptiness, and the closest point when ``u_nom`` is not
+    admissible), since those depend on the state.
 
-    A one-input step is one mat-vec, one division and one reduction (see
-    :class:`Supervisor`).  A NaN offset (the mat-vec overflowed) gives the
-    verdicts of a row-by-row reading: a zero row's NaN is skipped, so the
-    least zero-row offset is taken again with ``np.fmin`` when the reduction
-    returns NaN, and a NaN bound falls back."""
+    For one input the build orders the rows once as the zero rows of ``g =
+    G_u[:, 0]`` (``|g_i| <= _ZERO_ROW_TOL``, as :class:`HPolytope` finds
+    them), then those that bound the input from below (``g_i < 0``) and above
+    (``g_i > 0``), each block led by a sentinel row with zero coefficients
+    and offset ``+inf``, and stores ``w``: 1 on the zero rows, ``|g_i|`` on
+    the bounding ones.  A step then takes one division ``rhs / w`` and one
+    ``np.minimum.reduceat`` over the three blocks: the least zero-row offset,
+    minus the lower bound and the upper bound (``+-inf`` for an empty block),
+    and clips ``u_nom`` onto ``[lo, hi]``, with no LP.  A row's bound ``rhs_i
+    / g_i`` is ``HPolytope``'s ``(rhs_i / |g_i|) / (g_i / |g_i|)`` bit for
+    bit, since the norm of a one-entry row is ``|g_i|`` and its unit
+    coefficient ``+-1`` exactly, and for ``g_i < 0`` it is ``-(rhs_i /
+    |g_i|)``, so the largest lower bound is minus the least quotient.  This
+    holds for ``|g_i|`` up to about 1.3e154; above it ``g_i ** 2`` overflows,
+    ``HPolytope`` scales the row to zero and drops it, and the filter keeps
+    it.  A NaN offset (the mat-vec overflowed) gives the verdicts of a
+    row-by-row reading: a zero row's NaN is skipped, so the least zero-row
+    offset is taken again with ``np.fmin`` when the reduction returns NaN,
+    and a NaN bound falls back.  The step checks nothing: its state and
+    nominal input must be finite and of lengths ``sys.n`` and ``sys.m``."""
     m, box_lo, box_hi = input_box.dim, input_box.lo, input_box.hi
     nan = math.nan
 
@@ -207,7 +207,7 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     # rows reordered once into zero | lower | upper blocks, each led by a
     # sentinel row (index -1: zero coefficients, offset +inf) so that no block
     # is empty and one reduceat reads all three minima
-    zero, lower, upper = np.abs(g) <= 1e-12, g < -1e-12, g > 1e-12
+    zero, lower, upper = np.abs(g) <= _ZERO_ROW_TOL, g < -_ZERO_ROW_TOL, g > _ZERO_ROW_TOL
     sentinel = [-1]
     order = np.concatenate([
         sentinel, np.flatnonzero(zero), sentinel, np.flatnonzero(lower), sentinel, np.flatnonzero(upper),
@@ -249,16 +249,9 @@ def supervise(sup: Supervisor, state, u_nom) -> SuperviseResult:
     (for one input, the clip onto the admissible interval) at ``state``.
 
     ``state`` needs ``sup.sys.n`` entries and ``u_nom`` ``sup.sys.m``, all
-    finite (``ValueError`` otherwise); then the supervisor's compiled step
-    runs.  A one-input step is one mat-vec for the right-hand side, one
-    division by the magnitudes of ``G_u`` stored at build time and one
-    reduction for the least zero-row offset and the interval's endpoints,
-    then a clip onto the interval, with no LP; the result carries the step's
-    float endpoints as they are.  A step with two or more inputs still solves
-    LPs (emptiness, and the closest point when ``u_nom`` is not admissible),
-    since those depend on the state.  When the admissible set is empty the
-    nominal input is clamped to the fallback input box and the result is
-    annotated ``admissible_empty``.
+    finite (``ValueError`` otherwise); then the compiled step
+    (:func:`_compile_step`) runs, and the result carries its float endpoints
+    as they are, or ``admissible_empty`` for a fallback to the input box.
     """
     u_nom = np.asarray(u_nom, dtype=float).ravel()
     state = np.asarray(state, dtype=float).ravel()
@@ -352,11 +345,11 @@ def rollout(
     These checks run once, before the loop, except the controller's output,
     which each step checks for its length and finiteness, and the state,
     which each step checks for finiteness (it can overflow).  A supervised
-    step calls the supervisor's compiled step directly, not :func:`supervise`,
-    with a lifted state in one reused buffer.  Each step writes its row of the
-    preallocated :class:`Trace` columns in place; safety, which does not feed
-    back, is judged after the loop in one product with the safe set's rows
-    (tolerance 1e-7, as ``HPolytope.contains``).
+    step calls the compiled step (:func:`_compile_step`), not
+    :func:`supervise`, with a lifted state in one reused buffer.  Each step
+    writes its row of the preallocated :class:`Trace` columns in place;
+    safety, which does not feed back, is judged after the loop in one product
+    with the safe set's rows (tolerance 1e-7, as ``HPolytope.contains``).
 
     Each step where the filter changed the input writes one DEBUG record on
     the ``previewsafe.simulation`` logger: ``t``, the nominal and applied
@@ -448,9 +441,11 @@ def bicycle_system(model: dict, bounds: dict) -> LinearSystem:
     rate.  The disturbance is the road-curvature yaw-rate term entering the
     yaw-angle equation; the input is the steering angle.
 
-    Every number must be finite, mass, yaw inertia, speed and sample time
-    positive and the bounds nonnegative (:class:`ConfigError` otherwise),
-    before any arithmetic on them.
+    Every number must be finite, mass, yaw inertia, axle distances, cornering
+    stiffnesses, speed and sample time positive and the bounds nonnegative
+    (:class:`ConfigError` otherwise), before any arithmetic on them; finite
+    numbers whose model overflows, or whose discretization overflows or
+    takes an invalid value, raise :class:`ConfigError` too.
     """
     try:
         m = {key: float(model[key]) for key in ("mass", "yaw_inertia", "lf", "lr", "cf", "cr", "speed")}
@@ -461,23 +456,27 @@ def bicycle_system(model: dict, bounds: dict) -> LinearSystem:
     for name, value in {**m, **b}.items():
         if not math.isfinite(value):
             raise ConfigError(f"inconsistent bicycle config: {name} must be finite, got {value}")
-        if value < 0 and name in b or value <= 0 and name in ("mass", "yaw_inertia", "speed", "dt"):
+        if value < 0 and name in b or value <= 0 and name not in b:
             need = "nonnegative" if name in b else "positive"
             raise ConfigError(f"inconsistent bicycle config: {name} must be {need}, got {value}")
     mass, inertia, lf, lr, cf, cr, speed, dt = m.values()
     y_max, v_max, yaw_max, rate_max, steer_max, rd_max = b.values()
 
-    Ac = np.array(
-        [
-            [0.0, 1.0, speed, 0.0],
-            [0.0, -(cf + cr) / (mass * speed), 0.0, (cr * lr - cf * lf) / (mass * speed) - speed],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, (cr * lr - cf * lf) / (inertia * speed), 0.0, -(cf * lf**2 + cr * lr**2) / (inertia * speed)],
-        ]
-    )
-    Bc = np.array([[0.0], [cf / mass], [0.0], [cf * lf / inertia]])
-    Ec = np.array([[0.0], [0.0], [-1.0], [0.0]])
-    Ad, Bd, Ed = zoh_discretize(Ac, Bc, Ec, dt)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            Ac = np.array(
+                [
+                    [0.0, 1.0, speed, 0.0],
+                    [0.0, -(cf + cr) / (mass * speed), 0.0, (cr * lr - cf * lf) / (mass * speed) - speed],
+                    [0.0, 0.0, 0.0, 1.0],
+                    [0.0, (cr * lr - cf * lf) / (inertia * speed), 0.0, -(cf * lf**2 + cr * lr**2) / (inertia * speed)],
+                ]
+            )
+            Bc = np.array([[0.0], [cf / mass], [0.0], [cf * lf / inertia]])
+            Ec = np.array([[0.0], [0.0], [-1.0], [0.0]])
+            Ad, Bd, Ed = zoh_discretize(Ac, Bc, Ec, dt)
+    except (OverflowError, FloatingPointError) as exc:
+        raise ConfigError(f"inconsistent bicycle config: the model leaves the float range ({exc})") from exc
 
     state_bounds = np.array([y_max, v_max, yaw_max, rate_max])
     H = np.vstack(

@@ -12,7 +12,7 @@ projections treat them as genuinely free variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "augment",
     "collaborative",
     "evariant",
-    "step",
     "system_to_config",
     "system_from_config",
 ]
@@ -90,16 +89,6 @@ class LinearSystem:
     @property
     def l(self) -> int:
         return self.E.shape[1]
-
-
-def step(sys: LinearSystem, x, u, d) -> np.ndarray:
-    """One step of the dynamics: ``A x + B u + E d``."""
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
-    if x.shape[0] != sys.n or u.shape[0] != sys.m or d.shape[0] != sys.l:
-        raise ValueError("state/input/disturbance dimension mismatch")
-    return sys.A @ x + sys.B @ u + sys.E @ d
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,36 +175,40 @@ def make_brunovsky(n: int, dist: DisturbanceSet, box: Hyperbox) -> LinearSystem:
 class BrunovskyProblem:
     """Shift-register invariance problem: state box, disturbance set, preview.
 
-    ``dist_box`` is always recomputed from ``dist`` (the smallest enclosing
-    hyperbox, every face touched); it is never taken from user input because
-    the closed-form constraints depend on its minimality.
+    ``n`` (the box's dimension) and ``dist_box`` (the smallest box enclosing
+    ``dist``, every face touched, which the closed form depends on) are
+    derived on every construction, ``dataclasses.replace`` included.
     """
 
-    n: int
     box: Hyperbox
     dist: DisturbanceSet
-    dist_box: Hyperbox
     p: int
     ebar: Optional[np.ndarray] = None
     dist_v: Optional[DisturbanceSet] = None
+    n: int = field(init=False)
+    dist_box: Hyperbox = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = self.box.dim
+        if n < 1 or self.p < 0:
+            raise InvalidParametersError("need n >= 1 and p >= 0")
+        if self.dist.dim != n:
+            raise InvalidParametersError("box and disturbance set must be n-dimensional")
+        if self.dist.is_empty:
+            raise EmptySetError("the disturbance set must be nonempty")
+        if self.box.is_empty:
+            raise EmptySetError("the state box must be nonempty")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dist_box", self.dist.bounding_box())
 
     @classmethod
     def create(cls, n: int, box: Hyperbox, dist: DisturbanceSet, p: int) -> "BrunovskyProblem":
-        if n < 1 or p < 0:
-            raise InvalidParametersError("need n >= 1 and p >= 0")
-        if box.dim != n or dist.dim != n:
+        if box.dim != n:
             raise InvalidParametersError("box and disturbance set must be n-dimensional")
-        if dist.is_empty:
-            raise EmptySetError("the disturbance set must be nonempty")
-        if box.is_empty:
-            raise EmptySetError("the state box must be nonempty")
-        return cls(n=n, box=box, dist=dist, dist_box=dist.bounding_box(), p=p)
+        return cls(box=box, dist=dist, p=p)
 
     def system(self) -> LinearSystem:
         return make_brunovsky(self.n, self.dist, self.box)
-
-    def augmented(self) -> PreviewSystem:
-        return augment(self.system(), self.p)
 
     def with_preview(self, p: int) -> "BrunovskyProblem":
         return replace(self, p=p)

@@ -5,6 +5,7 @@ import pytest
 
 from previewsafe import simulation
 from previewsafe.brunovsky import nonempty_ineq
+from previewsafe.casestudies import ScalarPreviewProblem
 from previewsafe.geometry import HPolytope, Hyperbox, lp, polytope
 from previewsafe.systems import BrunovskyProblem
 
@@ -19,6 +20,11 @@ def cross_polytope(scales: np.ndarray) -> HPolytope:
     for signs in itertools.product((-1.0, 1.0), repeat=n):
         rows.append(np.asarray(signs) / scales)
     return HPolytope(np.vstack(rows), np.ones(2**n))
+
+
+def default_scalar_problem(p: int = 1) -> ScalarPreviewProblem:
+    # validity inequalities hold with slack >= 0.1 to avoid boundary flakiness
+    return ScalarPreviewProblem(a=2.0, beta=1.0, gamma=0.8, r=2.2, p=p)
 
 
 def count_lps(monkeypatch) -> list:

@@ -62,10 +62,10 @@ def cases() -> list:
     out = [
         ("example1_p1", lambda: method1(augment(cs.example1_config(p=1)[0], 1).aug)),
         ("example2_p2", lambda: method1(augment(scalar.system(), 2).aug)),
-        ("example5_p2", lambda: method1(augment(cs.example5_config(scalar)[0], 2).aug)),
+        ("example5_p2", lambda: method1(augment(cs.example5_config(scalar), 2).aug)),
     ]
     for name, problem in shift_register_problems():
-        out.append((name, lambda problem=problem: method1(problem.augmented().aug)))
+        out.append((name, lambda problem=problem: method1(augment(problem.system(), problem.p).aug)))
     for p in LANE_KEEPING_PREVIEWS:
         out.append((f"lane_keeping_method2_p{p}", lambda p=p: _lane_keeping(p)))
     return out

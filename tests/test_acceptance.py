@@ -92,7 +92,7 @@ def test_criterion_3_closed_form_equals_method1():
         rng = np.random.default_rng(314159)
         for trial in range(50):
             prob = random_valid_problem(rng, n_choices=(1, 2, 3), p_choices=(0, 1, 2, 3))
-            rep = method1(prob.augmented().aug, max_iter=50)
+            rep = method1(augment(prob.system(), prob.p).aug, max_iter=50)
             assert rep.converged, f"trial {trial}: no convergence within 50 iterations"
             assert set_equal(to_hpolytope(closed_form(prob)), rep.result, tol=1e-6), (
                 f"trial {trial}: set mismatch (n={prob.n}, p={prob.p})"
@@ -230,7 +230,7 @@ def test_criterion_10_property_suites():
             # Method 1 nonincreasing / Method 2 nondecreasing with invariance
             prob0 = random_valid_problem(rng, n_choices=(2,), p_choices=(0,))
             prob1 = prob0.with_preview(1)
-            aug = prob1.augmented().aug
+            aug = augment(prob1.system(), prob1.p).aug
             X = project(aug.safe, list(range(aug.n)))
             for _ in range(3):
                 Xn = pre(aug, X)
@@ -246,7 +246,7 @@ def test_criterion_10_property_suites():
 
             # lifted invariants remain invariant one preview step up
             lifted = lift(to_hpolytope(closed_form(prob1)), prob1.dist, 1)
-            assert is_invariant(prob1.with_preview(2).augmented().aug, lifted)
+            assert is_invariant(augment(prob1.with_preview(2).system(), 2).aug, lifted)
 
             # state projection sits inside the collaborative maximal set
             co = method1(collaborative(prob1.system())).result

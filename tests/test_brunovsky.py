@@ -17,7 +17,6 @@ from previewsafe.brunovsky import (
     nonempty_vertex,
     preview_stack,
     projection_identity,
-    safe_input_interval,
     tail_box,
     to_hpolytope,
     vertex_interval,
@@ -31,7 +30,7 @@ from previewsafe.geometry import (
     set_equal,
 )
 from previewsafe.invariance import admissible_inputs, is_invariant, method1
-from previewsafe.systems import BrunovskyProblem, augment, evariant, step
+from previewsafe.systems import BrunovskyProblem, augment, evariant
 
 
 def cube_problem(n, c, p, halfwidth=1.0):
@@ -148,7 +147,7 @@ class TestToHPolytope:
     )
     def test_matches_method1(self, n, c, p):
         prob = cube_problem(n, c, p)
-        rep = method1(prob.augmented().aug, max_iter=50)
+        rep = method1(augment(prob.system(), prob.p).aug, max_iter=50)
         assert rep.converged
         assert set_equal(to_hpolytope(closed_form(prob)), rep.result)
 
@@ -173,18 +172,19 @@ class TestToHPolytope:
         rng = np.random.default_rng(master_seed)
         prob = random_valid_problem(rng, n_choices=(2, 3), p_choices=(0, 1, 2))
         poly = to_hpolytope(closed_form(prob))
-        assert is_invariant(prob.augmented().aug, poly)
+        assert is_invariant(augment(prob.system(), prob.p).aug, poly)
 
 
 class TestSafeInputInterval:
     def test_n2_p0(self):
-        lo, hi = safe_input_interval(cube_problem(2, 0.2, 0), [])
+        prob = cube_problem(2, 0.2, 0)
+        lo, hi = vertex_interval(prob, preview_stack(prob, []))
         assert lo == pytest.approx(-0.6)
         assert hi == pytest.approx(0.6)
 
     def test_symmetric_zero_preview(self):
         prob = cube_problem(3, 0.1, 2)
-        lo, hi = safe_input_interval(prob, [np.zeros(3), np.zeros(3)])
+        lo, hi = vertex_interval(prob, preview_stack(prob, [np.zeros(3), np.zeros(3)]))
         assert lo == pytest.approx(-hi)
 
     def test_nonempty_for_all_previews(self, master_seed):
@@ -195,7 +195,7 @@ class TestSafeInputInterval:
                 rng.uniform(prob.dist_box.lo, prob.dist_box.hi)
                 for _ in range(prob.p)
             ]
-            lo, hi = safe_input_interval(prob, ds)
+            lo, hi = vertex_interval(prob, preview_stack(prob, ds))
             assert lo <= hi
 
 
@@ -223,7 +223,7 @@ class TestControllerG:
                 for _ in range(prob.p)
             ]
             u = controller_g(prob, ds)
-            lo, hi = safe_input_interval(prob, ds)
+            lo, hi = vertex_interval(prob, preview_stack(prob, ds))
             assert lo - 1e-9 <= u <= hi + 1e-9
 
     def test_closed_loop_reaches_invariant(self, master_seed):
@@ -237,7 +237,7 @@ class TestControllerG:
             script = [sample_dist(rng, prob) for _ in range(n + p + 1)]
             for t in range(n):
                 u = controller_g(prob, script[t : t + p])
-                x = step(sys, x, [u], script[t])
+                x = sys.A @ x + sys.B @ [u] + sys.E @ script[t]
             assert membership(inv, x, script[n : n + p], tol=1e-7)
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from conftest import default_scalar_problem
 
 from previewsafe.casestudies import (
     ScalarPreviewProblem,
-    default_scalar_problem,
     example1_config,
     example4_config,
     example5_config,
@@ -156,7 +156,7 @@ class TestConfigExport:
         cases = [
             example1_config(p=1)[0],
             example4_config(),
-            example5_config(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1))[0],
+            example5_config(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1)),
             default_scalar_problem().system(),
         ]
         for sys in cases:
@@ -168,15 +168,15 @@ class TestConfigExport:
 class TestExample5:
     def test_transform_preserves_invariant(self):
         prob = ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1)
-        sys5, safe5 = example5_config(prob)
+        sys5 = example5_config(prob)
         rep = method1(augment(sys5, 1).aug)
         assert rep.converged
         assert set_equal(rep.result, scalar_cmax(prob).to_hpolytope())
-        assert safe5.contains([0.0, 0.0])
+        assert sys5.safe.contains([0.0, 0.0])
 
     def test_strict_growth_persists_under_transform(self):
         prob = ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1)
-        sys5, _ = example5_config(prob)
+        sys5 = example5_config(prob)
         small = method1(augment(sys5, 1).aug).result
         big = method1(augment(sys5, 2).aug).result
         lifted = lift(small, sys5.dist_set, 1)

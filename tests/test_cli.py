@@ -182,11 +182,16 @@ def test_non_finite_system_matrix_exits_two(name, tmp_path, capsys):
     ("model", "dt", -0.1, "dt must be positive"),
     ("bounds", "steer", -1.0, "steer must be nonnegative"),
     ("bounds", "rd", float("nan"), "rd must be finite"),
+    ("model", "lf", 1e200, "the model leaves the float range"),
+    ("model", "cf", 1e308, "the model leaves the float range"),
+    ("model", "mass", 1e-320, "the model leaves the float range"),
+    ("model", "cf", -98389.0, "cf must be positive"),
 ], ids=["mass_zero", "speed_zero", "cf_inf", "inertia_negative", "dt_zero", "dt_negative",
-        "steer_negative", "rd_nan"])
+        "steer_negative", "rd_nan", "lf_huge", "cf_huge", "mass_subnormal", "cf_negative"])
 def test_bad_bicycle_config_exits_two(section, key, value, message, tmp_path, capsys):
     # the bundled model with one number edited; these used to raise
-    # ZeroDivisionError, a RuntimeWarning or EmptySetError, or were accepted
+    # ZeroDivisionError, OverflowError, a RuntimeWarning or EmptySetError,
+    # or were accepted
     data = cli._bundled_config("lane_keeping")
     data[section][key] = value
     with pytest.raises(ConfigError, match=message):

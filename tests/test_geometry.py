@@ -20,7 +20,6 @@ from previewsafe.geometry import (
     convex_weights,
     pontryagin_diff,
     project,
-    reduce_rows,
     set_equal,
     volume,
 )
@@ -236,11 +235,15 @@ class TestSetProtocol:
     )
     def test_intersect_takes_either_twin(self, box):
         P = HPolytope([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 1.0, 1.0]], [1.0, 1.0, 2.0])
-        mine, twin = P.intersect(box), P.intersect(HPolytope.from_box(box))
+        mine, twin = (
+            HPolytope(np.vstack([P.H, Q.H]), np.concatenate([P.h, Q.h]))
+            for Q in (polytope._as_polytope(box), HPolytope.from_box(box))
+        )
         assert mine.H.tobytes() == twin.H.tobytes() and mine.h.tobytes() == twin.h.tobytes()
         assert mine.is_empty == box.is_empty
         with pytest.raises(ValueError):
-            P.intersect(Hyperbox.cube(2, 1.0))
+            Q = polytope._as_polytope(Hyperbox.cube(2, 1.0))
+            HPolytope(np.vstack([P.H, Q.H]), np.concatenate([P.h, Q.h]))
 
     def test_twins_with_infinite_bounds_agree(self):
         box = Hyperbox.from_bounds([-1.0, -np.inf], [1.0, np.inf])
@@ -494,21 +497,21 @@ class TestProject:
 class TestReduce:
     def test_drops_dominated(self):
         P = HPolytope([[1.0], [1.0]], [1.0, 2.0])
-        R = reduce_rows(P)
+        R = project(P, range(P.dim))
         assert R.nrows == 1
         assert set_equal(P, R)
 
     def test_square_duplicates(self):
         sq = HPolytope.from_box(Hyperbox.cube(2, 1.0))
         dup = HPolytope(np.vstack([sq.H, sq.H]), np.concatenate([sq.h, sq.h]))
-        assert reduce_rows(dup).nrows == 4
+        assert project(dup, range(dup.dim)).nrows == 4
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(20, 3))
         b = rng.random(20) + 0.2
-        P = reduce_rows(HPolytope(A, b))
-        Q = reduce_rows(P)
+        P = project(HPolytope(A, b), range(3))
+        Q = project(P, range(P.dim))
         assert P.nrows == Q.nrows
         assert set_equal(P, Q)
 
@@ -525,7 +528,7 @@ class TestReduce:
             extra_A = lam @ P.H
             extra_b = lam @ P.h + rng.random(4) + 0.05
             Q = HPolytope(np.vstack([P.H, extra_A]), np.concatenate([P.h, extra_b]))
-            R = reduce_rows(Q)
+            R = project(Q, range(Q.dim))
             assert R.nrows <= Q.nrows
             assert set_equal(R, P)
 
@@ -750,7 +753,7 @@ class TestRayShotReduction:
         rng = np.random.default_rng(7)
         A = rng.normal(size=(30, 4))
         P = HPolytope(A, rng.random(30) + 0.3)
-        for got, H in ((reduce_rows(P), P.H), (project(P, [2, 0, 3, 1]), P.H[:, [2, 0, 3, 1]])):
+        for got, H in ((project(P, range(P.dim)), P.H), (project(P, [2, 0, 3, 1]), P.H[:, [2, 0, 3, 1]])):
             expected = HPolytope(*reference_reduce(np.array(H), np.array(P.h), monkeypatch)[:2])
             assert np.array_equal(got.H, expected.H) and np.array_equal(got.h, expected.h)
 
@@ -849,9 +852,10 @@ class TestBoxReduction:
         def run(patch):
             rng = np.random.default_rng(seed)
             P = HPolytope(rng.normal(size=(12, 4)), rng.random(12) + 1.0)
-            P = P.intersect(HPolytope.from_box(Hyperbox.cube(4, 1.0)))
+            box = HPolytope.from_box(Hyperbox.cube(4, 1.0))
+            P = HPolytope(np.vstack([P.H, box.H]), np.concatenate([P.h, box.h]))
             calls = count_lps(patch)
-            return reduce_rows(P), project(P, [2, 0]), calls[0]
+            return project(P, range(P.dim)), project(P, [2, 0]), calls[0]
 
         with monkeypatch.context() as patch:
             patch.setattr(polytope, "_box_implied", lambda *args: False)
@@ -1288,16 +1292,16 @@ def test_reduction_record_counts_add_up(seed, caplog):
     # every deduplicated row is settled once, by a ray (carried or not), the
     # box, a carried certificate or an LP, in every reduction that returns
     # rows (an infeasible one stops early): the random families above
-    # through reduce_rows and project, each projection again with the first
-    # as its prior (whose rays and certificates it carries), and box-heavy
-    # systems directly
+    # projected onto every coordinate and onto two coordinates, each
+    # projection again with the first as its prior (whose rays and
+    # certificates it carries), and box-heavy systems directly
     rng = np.random.default_rng(seed)
     with caplog.at_level(logging.DEBUG, logger="previewsafe.geometry"):
         for _ in range(8):
             for family in (random_near_parallel_polytope, random_tilted_polytope):
                 Q = family(rng)
                 if not Q.is_empty:
-                    reduce_rows(Q)
+                    project(Q, range(Q.dim))
                     project(Q, [1, 0], project(Q, [1, 0]))
             d = int(rng.integers(1, 5))
             H, h = box_heavy_system(rng, d)

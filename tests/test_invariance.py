@@ -21,7 +21,6 @@ from previewsafe.geometry import (
     lp,
     polytope,
     project,
-    reduce_rows,
     set_equal,
 )
 from previewsafe.invariance import (
@@ -199,11 +198,11 @@ class TestReductionPrecondition:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda P: reduce_rows(P),
+            lambda P: project(P, range(P.dim)),
             lambda P: project(P, [3, 1, 0, 2]),
             lambda P: project(P, [0, 2]),
             lambda P: method1(augment(scalar_sys(), 2).aug),
-            lambda P: method1(augment(example5_config(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1))[0], 1).aug),
+            lambda P: method1(augment(example5_config(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1)), 1).aug),
             lambda P: method2(augment(example1_config(2)[0], 2).aug, example1_config(2)[1], 5),
             lambda P: method1(lane_keeping_model()[0]),
             lambda P: method1(augment(make_brunovsky(
@@ -313,7 +312,7 @@ class TestMethod1LPBudget:
     def test_lp_count(self, dist, budget, certificates_save, monkeypatch):
         # one system per run, each with its own disturbance set, so that each
         # run pays for its own memoized erosion supports
-        systems = [BrunovskyProblem.create(4, Hyperbox.cube(4, 1.0), dist(), 3).augmented().aug for _ in range(3)]
+        systems = [augment(BrunovskyProblem.create(4, Hyperbox.cube(4, 1.0), dist(), 3).system(), 3).aug for _ in range(3)]
         rep, lps, lps_rays_only, lps_without = lps_with_and_without_carrying(
             lambda: method1(systems.pop()), monkeypatch
         )
@@ -376,7 +375,7 @@ class TestMethod2:
         prob1 = prob0.with_preview(1)
         c0 = to_hpolytope(closed_form(prob0))
         seed = lift(c0, prob0.dist, 1)
-        rep = method2(prob1.augmented().aug, seed, 5)
+        rep = method2(augment(prob1.system(), prob1.p).aug, seed, 5)
         assert set_equal(rep.result, to_hpolytope(closed_form(prob1)))
 
     def test_rejects_non_invariant_seed(self):
@@ -387,7 +386,7 @@ class TestMethod2:
 
     def test_iterates_nondecreasing_and_invariant(self):
         prob0 = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.2), 0)
-        aug = prob0.with_preview(1).augmented().aug
+        aug = augment(prob0.with_preview(1).system(), 1).aug
         X = lift(to_hpolytope(closed_form(prob0)), prob0.dist, 1)
         for _ in range(4):
             Xn = pre(aug, X)
@@ -541,7 +540,7 @@ class TestCrossTheorems:
             scalar_sys(),
             example4_config(),
             example1_config(p=1)[0],
-            example5_config(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1))[0],
+            example5_config(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1)),
         ]
         for sys in case_systems:
             rep = method1(augment(sys, p).aug)

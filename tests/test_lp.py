@@ -630,7 +630,7 @@ def test_method1_matches_reference_kernel(n, p, diamond, monkeypatch):
     rng = np.random.default_rng(100 * n + 10 * p + diamond)
     prob = random_valid_problem(rng, n_choices=(n,), p_choices=(p,), diamond_prob=float(diamond))
     assert isinstance(prob.dist, polytope.HPolytope) is diamond
-    aug = prob.augmented().aug
+    aug = augment(prob.system(), prob.p).aug
     mine = invariance.method1(aug)
     for module in (lp, polytope, simulation):
         monkeypatch.setattr(module, "linprog_max", reference_linprog_max)

@@ -26,7 +26,7 @@ from previewsafe.simulation import (
     supervise,
     zoh_discretize,
 )
-from previewsafe.systems import BrunovskyProblem, LinearSystem, augment, step
+from previewsafe.systems import BrunovskyProblem, LinearSystem, augment
 
 # the canonical fixture's sets (tests/make_canonical_sets.py), and the ones
 # the filter audit walks
@@ -169,7 +169,8 @@ class TestSupervise:
         )
         s, c = np.sin(1e-3), np.cos(1e-3)
         wedge = HPolytope([[s, c], [s, -c]], [0.0, 0.0])
-        invariant = wedge.intersect(HPolytope.from_bounds([-1, -1], [1, 1]))
+        box = HPolytope.from_bounds([-1, -1], [1, 1])
+        invariant = HPolytope(np.vstack([wedge.H, box.H]), np.concatenate([wedge.h, box.h]))
         return sys, Supervisor(sys=sys, invariant=invariant, input_box=Hyperbox.cube(2, 1.0))
 
     def test_two_inputs_closest_admissible(self):
@@ -591,7 +592,8 @@ def canonical_supervisor(name):
         sys = augment(base, int(name.rsplit("p", 1)[1])).aug
         box = _input_box_of(base)
     else:
-        sys = dict(shift_register_problems())[name].augmented().aug
+        problem = dict(shift_register_problems())[name]
+        sys = augment(problem.system(), problem.p).aug
         box = Hyperbox.from_bounds([-np.inf], [np.inf])
     return Supervisor(sys=sys, invariant=C, input_box=box)
 
@@ -626,7 +628,7 @@ class TestFilterAudit:
 
 def reference_rollout(sys, p, controller, supervisor, x0, d_script, T):
     """``rollout`` before its loop invariants were hoisted, body verbatim up
-    to collecting the rows: ``step`` and ``contains`` run, with their checks,
+    to collecting the rows: ``supervise`` and ``contains`` run, with their checks,
     at every step, and the rows are stacked into a :class:`Trace` at the end."""
     x = np.asarray(x0, dtype=float).ravel().copy()
     script = np.asarray(d_script, dtype=float).reshape(-1, sys.l)
@@ -656,7 +658,7 @@ def reference_rollout(sys, p, controller, supervisor, x0, d_script, T):
         ds.append(script[t].copy())
         bounds.append(bound)
         flags.append((bool(supervised), bool(empty), bool(safe)))
-        x = step(sys, x, u, script[t])
+        x = sys.A @ x + sys.B @ u + sys.E @ script[t]
 
     def stack(rows, width, dtype=float):
         return np.array(rows, dtype=dtype).reshape(T, width)
@@ -1015,7 +1017,7 @@ class TestSafetySoundness:
         aug5 = augment(lane_sys, 5).aug
         setups.append((lane_sys, 5, aug5, lane_result.cio))
         bprob = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.15), 1)
-        baug = bprob.augmented().aug
+        baug = augment(bprob.system(), bprob.p).aug
         from previewsafe.brunovsky import closed_form as cf, to_hpolytope as hp
 
         setups.append((bprob.system(), 1, baug, hp(cf(bprob))))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from previewsafe.systems import (
     collaborative,
     evariant,
     make_brunovsky,
-    step,
     system_from_config,
     system_to_config,
 )
@@ -56,12 +57,12 @@ class TestMakeBrunovsky:
 class TestStep:
     def test_shift(self):
         sys = make_brunovsky(2, Hyperbox.cube(2, 0.2), Hyperbox.cube(2, 1.0))
-        out = step(sys, [0.0, 1.0], [0.0], [0.0, 0.0])
+        out = sys.A @ [0.0, 1.0] + sys.B @ [0.0] + sys.E @ [0.0, 0.0]
         assert np.allclose(out, [1.0, 0.0])
 
     def test_scalar_arithmetic(self):
         sys = scalar_example_system()
-        assert step(sys, [1.0], [-1.0], [0.5]) == pytest.approx(np.array([1.5]))
+        assert sys.A @ [1.0] + sys.B @ [-1.0] + sys.E @ [0.5] == pytest.approx(np.array([1.5]))
 
     def test_zero_dynamics(self):
         from previewsafe.systems import LinearSystem
@@ -71,7 +72,7 @@ class TestStep:
             dist_set=Hyperbox.from_bounds([0.0], [0.0]),
             safe=HPolytope(np.zeros((0, 3)), np.zeros(0)),
         )
-        assert np.allclose(step(sys, [3.0, -1.0], [5.0], [2.0]), 0.0)
+        assert np.allclose(sys.A @ [3.0, -1.0] + sys.B @ [5.0] + sys.E @ [2.0], 0.0)
 
 
 class TestAugment:
@@ -95,7 +96,7 @@ class TestAugment:
         script = [rng.uniform(-0.3, 0.3, size=2) for _ in range(5)]
         xi = np.concatenate([[0.1, -0.2], script[0], script[1]])
         for t in range(3):
-            xi = step(ps.aug, xi, [0.0], script[t + 2])
+            xi = ps.aug.A @ xi + ps.aug.B @ [0.0] + ps.aug.E @ script[t + 2]
             # the d-blocks hold the next two scripted disturbances
             assert np.allclose(xi[2:4], script[t + 1])
             assert np.allclose(xi[4:6], script[t + 2])
@@ -112,8 +113,8 @@ class TestAugment:
             x = np.array([0.5])
             xi = np.concatenate([x] + script[:p])
             for t in range(T):
-                x = step(sys, x, inputs[t], script[t])
-                xi = step(ps.aug, xi, inputs[t], script[t + p])
+                x = sys.A @ x + sys.B @ inputs[t] + sys.E @ script[t]
+                xi = ps.aug.A @ xi + ps.aug.B @ inputs[t] + ps.aug.E @ script[t + p]
                 assert np.max(np.abs(xi[:1] - x)) <= 1e-12
 
     def test_nesting_of_augmentations(self):
@@ -138,7 +139,7 @@ class TestCollaborative:
         sys = scalar_example_system()
         co = collaborative(sys)
         x, u = [0.3], [0.2, -0.1]
-        assert np.allclose(step(co, x, u, [0.0]), step(co, x, u, [0.0]))
+        assert np.allclose(co.A @ x + co.B @ u + co.E @ [0.0], co.A @ x + co.B @ u + co.E @ [0.0])
         assert co.dist_set.lo == pytest.approx(0.0)
         assert co.dist_set.hi == pytest.approx(0.0)
 
@@ -166,6 +167,25 @@ class TestBrunovskyProblem:
 
         with pytest.raises(InvalidParametersError):
             BrunovskyProblem.create(0, Hyperbox.from_bounds([], []), Hyperbox.from_bounds([], []), 0)
+
+    def test_replace_recomputes_derived_fields(self):
+        # n and dist_box are derived on every construction, so a replaced
+        # disturbance set cannot keep the old box (the closed form would use it)
+        from previewsafe.errors import InvalidParametersError
+
+        prob = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.2), 1)
+        diamond = HPolytope([[1, 1], [1, -1], [-1, 1], [-1, -1]], [0.1] * 4)
+        other = replace(prob, dist=diamond)
+        assert np.allclose(other.dist_box.lo, [-0.1, -0.1])
+        assert np.allclose(other.dist_box.hi, [0.1, 0.1])
+        wider = replace(prob, box=Hyperbox.cube(3, 1.0), dist=Hyperbox.cube(3, 0.2))
+        assert wider.n == 3 and wider.dist_box.dim == 3
+        with pytest.raises(ValueError):
+            replace(prob, dist_box=Hyperbox.cube(2, 0.5))
+        with pytest.raises(InvalidParametersError):
+            replace(prob, dist=Hyperbox.cube(3, 0.2))
+        with pytest.raises(InvalidParametersError):
+            replace(prob, p=-1)
 
 
 class TestEvariant:
