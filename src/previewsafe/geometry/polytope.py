@@ -94,9 +94,20 @@ def _clean_rows(H: np.ndarray, h: np.ndarray):
     normalized once keep their bits however often a set is rebuilt from them;
     when every row is kept and of unit norm, ``H`` and ``h`` come back as
     they are, not copied.  A zero row with a negative offset certifies
-    emptiness.  Returns ``(H, h, empty_flag)``.
+    emptiness.  The norm is ``np.linalg.norm(H, axis=1)``'s arithmetic
+    without its Python wrapper.  A finite row whose squares overflow is
+    first divided, with its offset, by its largest ``|entry|``, which keeps
+    its halfspace; every other row keeps its bits.  Returns ``(H, h,
+    empty_flag)``.
     """
-    norms = np.linalg.norm(H, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(H * H, axis=1))
+    huge = norms == np.inf
+    if huge.any():
+        # x / 1.0 is x, so the other rows come through bit for bit
+        scale = np.where(huge, np.abs(H).max(axis=1), 1.0)
+        H, h = H / scale[:, None], h / scale
+        norms[huge] = np.sqrt(np.add.reduce(H[huge] * H[huge], axis=1))
     zero = norms <= _ZERO_ROW_TOL
     if np.any(h[zero] < -_ZERO_TOL):
         return None, None, True
@@ -204,7 +215,7 @@ class HPolytope:
             raise ValueError("point dimension mismatch")
         if self.nrows == 0:
             return True
-        return bool(np.all(self._H @ z <= self._h + tol))
+        return bool(np.all(self._H.dot(z) <= self._h + tol))
 
     def support(self, direction) -> float:
         """sup over the set of ``direction @ z``.
@@ -302,7 +313,7 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
         return HPolytope.empty(X.dim)
     if X.nrows == 0:
         return X
-    dirs = X.H @ M
+    dirs = X.H.dot(M)
     if isinstance(S, Hyperbox):
         # every row's Hyperbox.support at once; a zero direction sums to 0.0
         offsets = np.sum(dirs * np.where(dirs > 0, S.hi, np.where(dirs < 0, S.lo, 0.0)), axis=1)
@@ -359,7 +370,7 @@ def _first_hits(H: np.ndarray, s: np.ndarray, R: np.ndarray):
     t1, gap = np.zeros(k), np.zeros(k)
     for start in range(0, k, _GRAM_BLOCK):
         stop = min(start + _GRAM_BLOCK, k)
-        G = R[start:stop] @ H.T
+        G = R[start:stop].dot(H.T)
         T = np.full(G.shape, np.inf)
         rows = np.arange(stop - start)
         # a tiny rate meets its row at inf; no row met gives a NaN gap
@@ -413,7 +424,7 @@ def _box_implied(H: np.ndarray, h: np.ndarray, ub: np.ndarray, i: int) -> bool:
     nz = np.flatnonzero(H[i])
     coef = H[i, nz]
     slots = nz + H.shape[1] * (coef < 0.0)
-    return bool(np.abs(coef) @ ub[slots] <= h[i])
+    return bool(np.abs(coef).dot(ub[slots]) <= h[i])
 
 
 def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray, carry=None):
@@ -466,7 +477,7 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray, carry=None)
         # a lone row is irredundant: no other row blocks its ray
         _log_reduction(rows_in, m, m, 0, 0, 0, 0, m)
         return H, h, None if carry is None else (rays, certificates)
-    s = h - H @ center
+    s = h - H.dot(center)
     interior = s.min() > _RAY_MARGIN
     collect = interior and carry is not None
     # slot[i] is the box bound that axis row i sets (-1 for other rows): slot
@@ -510,7 +521,7 @@ def _reduce_arrays(H: np.ndarray, h: np.ndarray, center: np.ndarray, carry=None)
             # a row missing today stands in as row i, which fails the test
             rows = [index.get(key, i) for key in certificate[0]]
             if i not in rows and keep[rows].all() and (certificate[1] >= 0.0).all() \
-                    and certificate[1] @ h[rows] <= h[i] + _RED_TOL:
+                    and certificate[1].dot(h[rows]) <= h[i] + _RED_TOL:
                 keep[i] = False
                 if slot[i] >= 0:
                     ub[slot[i]] = np.inf
@@ -642,7 +653,7 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
         point = carried = None
         if H.shape[0]:
             last = H.shape[1] == nkeep
-            if last and center is not None and (h - H @ center).min() > _RAY_MARGIN:
+            if last and center is not None and (h - H.dot(center)).min() > _RAY_MARGIN:
                 point = center
             else:
                 rho, point = chebyshev_center(H, h)
@@ -660,7 +671,7 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
     R = HPolytope(H, h)
     if R._empty is None:
         R._empty, R._carry = False, carried
-        if point is not None and R.nrows and (R.h - R.H @ point).min() > _RAY_MARGIN:
+        if point is not None and R.nrows and (R.h - R.H.dot(point)).min() > _RAY_MARGIN:
             R._ray_center = point
     return R
 
@@ -693,8 +704,8 @@ def contains_set(outer, inner, tol: float = EPS_SET) -> bool:
     c = inner._ray_center
     if c is not None and rows:
         A = outer.H[rows]
-        t1 = _first_hits(inner.H, inner.h - inner.H @ c, A)[2]
-        if np.any(A @ c + t1 > outer.h[rows] + tol + _RAY_MARGIN):
+        t1 = _first_hits(inner.H, inner.h - inner.H.dot(c), A)[2]
+        if np.any(A.dot(c) + t1 > outer.h[rows] + tol + _RAY_MARGIN):
             return False
     for i in rows:
         try:

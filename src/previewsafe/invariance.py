@@ -90,8 +90,8 @@ def _pull_back(sys: LinearSystem, X: HPolytope):
     ``h0 = [e_r; s]``.  Returns ``(erosion, G_x, G_u, h0)``."""
     eroded = pontryagin_diff(X, sys.dist_set, sys.E)
     n = sys.n
-    G_x = np.vstack([eroded.H @ sys.A, sys.safe.H[:, :n]])
-    G_u = np.vstack([eroded.H @ sys.B, sys.safe.H[:, n:]])
+    G_x = np.vstack([eroded.H.dot(sys.A), sys.safe.H[:, :n]])
+    G_u = np.vstack([eroded.H.dot(sys.B), sys.safe.H[:, n:]])
     return eroded, G_x, G_u, np.concatenate([eroded.h, sys.safe.h])
 
 
@@ -180,7 +180,7 @@ def admissible_inputs(sys: LinearSystem, C: HPolytope, x) -> HPolytope:
     if rows is None:
         return HPolytope.empty(sys.m)
     G_x, G_u, h0 = rows
-    return HPolytope(G_u, h0 - G_x @ x)
+    return HPolytope(G_u, h0 - G_x.dot(x))
 
 
 def sandwich(

@@ -159,9 +159,12 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     here: ``rows`` are ``input_constraints``' ``(G_x, G_u, h0)``, or ``None``
     when the eroded invariant is empty and every step falls back (clamps the
     nominal input into the input box, which has one coordinate per input).
-    A step evaluates ``rhs = h0 - G_x @ x``; with two or more inputs it then
-    solves LPs (emptiness, and the closest point when ``u_nom`` is not
-    admissible), since those depend on the state.
+    A step evaluates ``rhs = h0 - G_x.dot(x)``; with two or more inputs it
+    then solves LPs (emptiness, and the closest point when ``u_nom`` is not
+    admissible), since those depend on the state.  ``ndarray.dot`` makes the
+    BLAS call of the ``@`` operator without its ufunc dispatch (measured at
+    0.4-0.6 against 0.8-1.0 µs a call on these shapes, one BLAS thread); on
+    the C-ordered arrays here its bits are those of ``@``.
 
     For one input the build orders the rows once as the zero rows of ``g =
     G_u[:, 0]`` (``|g_i| <= _ZERO_ROW_TOL``, as :class:`HPolytope` finds
@@ -176,12 +179,13 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     bit, since the norm of a one-entry row is ``|g_i|`` and its unit
     coefficient ``+-1`` exactly, and for ``g_i < 0`` it is ``-(rhs_i /
     |g_i|)``, so the largest lower bound is minus the least quotient.  This
-    holds for ``|g_i|`` up to about 1.3e154; above it ``g_i ** 2`` overflows,
-    ``HPolytope`` scales the row to zero and drops it, and the filter keeps
-    it.  A NaN offset (the mat-vec overflowed) gives the verdicts of a
-    row-by-row reading: a zero row's NaN is skipped, so the least zero-row
-    offset is taken again with ``np.fmin`` when the reduction returns NaN,
-    and a NaN bound falls back.  The step checks nothing: its state and
+    holds above ``|g_i|`` of about 1.3e154 as well, where ``g_i ** 2``
+    overflows: ``HPolytope`` first divides such a row by its largest
+    ``|entry|``, ``|g_i|``, which leaves the same ``+-1`` and quotient.  A
+    NaN offset (the mat-vec overflowed) gives the verdicts of a row-by-row
+    reading: a zero row's NaN is skipped, so the least zero-row offset is
+    taken again with ``np.fmin`` when the reduction returns NaN, and a NaN
+    bound falls back.  The step checks nothing: its state and
     nominal input must be finite and of lengths ``sys.n`` and ``sys.m``."""
     m, box_lo, box_hi = input_box.dim, input_box.lo, input_box.hi
     nan = math.nan
@@ -195,7 +199,7 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     if m > 1:
         def step(state, u_nom):
             # emptiness and the closest point depend on the state, so LPs stay
-            adm = HPolytope(G_u, h0 - G_x @ state)
+            adm = HPolytope(G_u, h0 - G_x.dot(state))
             if adm.is_empty:
                 return fallback(u_nom)
             if adm.contains(u_nom, tol=1e-9):
@@ -219,7 +223,7 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     w = np.append(np.where(zero, 1.0, np.abs(g)), 1.0)[order]
 
     def step(state, u_nom):
-        rhs = h0 - G_x @ state
+        rhs = h0 - G_x.dot(state)
         # a lower row's bound rhs_i / g_i is -(rhs_i / |g_i|) bit for bit, so
         # the largest lower bound is minus the least quotient of its block
         zmin, nlo, hi = np.minimum.reduceat(rhs / w, starts).tolist()
@@ -346,10 +350,15 @@ def rollout(
     which each step checks for its length and finiteness, and the state,
     which each step checks for finiteness (it can overflow).  A supervised
     step calls the compiled step (:func:`_compile_step`), not
-    :func:`supervise`, with a lifted state in one reused buffer.  Each step
-    writes its row of the preallocated :class:`Trace` columns in place;
-    safety, which does not feed back, is judged after the loop in one product
-    with the safe set's rows (tolerance 1e-7, as ``HPolytope.contains``).
+    :func:`supervise`, with a lifted state in one reused buffer.  The
+    dynamics are ``A.dot(x) + B.dot(u) + E.dot(d)``, summed left to right as
+    ``A @ x + B @ u + E @ d``: ``ndarray.dot`` makes the same BLAS call
+    without the ufunc dispatch of ``@`` (measured at 0.4-0.6 against 0.8-1.0
+    µs a product on the lane-keeping shapes), and on the C-ordered arrays that
+    :class:`LinearSystem` stores it gives the same bits.  Each step writes its
+    row of the preallocated :class:`Trace` columns in place; safety, which
+    does not feed back, is judged after the loop in one product with the safe
+    set's rows (tolerance 1e-7, as ``HPolytope.contains``).
 
     Each step where the filter changed the input writes one DEBUG record on
     the ``previewsafe.simulation`` logger: ``t``, the nominal and applied
@@ -408,9 +417,9 @@ def rollout(
                     "fallback" if empty else (lo, hi),
                 )
         X[t], U_nom[t], U[t] = x, u_nom, u
-        x = A @ x + B @ u + E @ script[t]
+        x = A.dot(x) + B.dot(u) + E.dot(script[t])
     H_safe, h_safe = sys.safe.H, sys.safe.h
-    safe = (np.hstack([X, U]) @ H_safe.T <= h_safe + 1e-7).all(axis=1)
+    safe = (np.hstack([X, U]).dot(H_safe.T) <= h_safe + 1e-7).all(axis=1)
     return Trace(X, U_nom, U, script[:T].copy(), adm_lo, adm_hi, supervised, fallback, safe)
 
 

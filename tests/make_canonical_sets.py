@@ -12,6 +12,13 @@ fixture stores each final set's rows with its iteration count, convergence
 flag and row counts; ``tests/test_canonical_sets.py`` recomputes every case
 and compares.  Regenerate it only on purpose, from a commit whose sets are
 the reference.
+
+The bytes are reproducible per host: two runs on one host write the same
+file, but another host's BLAS and libm can round the last bit differently
+(with numpy 2.4.6 and scipy-openblas 0.3.31 on 2 CPUs the first difference
+from the committed file is ``example1_p1``'s ``0.7071067811865475``, a row
+norm), so the tests compare sets within 1e-9 and CI compares two runs of
+this writer with ``cmp``.
 """
 
 from __future__ import annotations

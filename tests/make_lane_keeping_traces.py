@@ -12,6 +12,11 @@ count and every other cell of the trace CSV rounded to 12 significant digits
 (NaN as ``null``); ``tests/test_lane_keeping_traces.py`` reruns every case
 and compares.  Regenerate it only on purpose, from a commit whose traces are
 the reference.
+
+The bytes are reproducible per host: two runs on one host write the same
+file, but another host's BLAS and libm can round the last bit differently,
+so the tests compare every cell within 1e-9 and CI compares two runs of
+this writer with ``cmp``.
 """
 
 from __future__ import annotations

@@ -204,6 +204,25 @@ def test_bad_bicycle_config_exits_two(section, key, value, message, tmp_path, ca
     assert not out.exists()
 
 
+def test_huge_bicycle_speed_runs_without_a_warning(tmp_path):
+    # speed 1e300 gives a finite model whose set rows have entries whose
+    # squares overflow; their norms used to raise numpy's overflow warning,
+    # an error under -W error::RuntimeWarning, as a traceback with exit 1
+    data = cli._bundled_config("lane_keeping")
+    data["model"]["speed"] = 1e300
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(data))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    code = "import sys; from previewsafe.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+         "simulate", "--system", str(cfg), "--T", "5", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stderr == "", proc.stderr
+    assert json.loads((out / "summary.json").read_text())["gap_found"] is False
+
+
 class TestSweep:
     def test_values_and_determinism(self, tmp_path):
         out1 = tmp_path / "a.csv"

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -1526,6 +1527,23 @@ class TestNonFiniteData:
     def test_non_finite_normal_raises(self, bad):
         with pytest.raises(ValueError):
             HPolytope([[1.0, bad], [-1.0, 0.0]], [1.0, 1.0])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_row_whose_squares_overflow_keeps_its_halfspace(self, scale):
+        # the squares of these entries overflow (at 1e308 the norm itself
+        # does); the row describes the halfspace of the row scaled down by
+        # `scale`, and the other row keeps its bits
+        row, other = np.array([1.0, -1.5, 0.25]), np.array([0.3, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            P = HPolytope([row * scale, other], [0.5 * scale, 2.0])
+        Q = HPolytope([row, other], [0.5, 2.0])
+        assert np.allclose(P.H, Q.H, rtol=0, atol=1e-15) and np.allclose(P.h, Q.h, rtol=1e-15, atol=0)
+        assert np.abs(np.linalg.norm(P.H, axis=1) - 1.0).max() <= 1e-15
+        assert P.H[1].tobytes() == Q.H[1].tobytes() and P.h[1] == Q.h[1]
+        rng = np.random.default_rng(3)
+        for z in rng.uniform(-2.0, 2.0, size=(200, 3)):
+            assert P.contains(z, tol=0.0) == Q.contains(z, tol=0.0) == (row @ z <= 0.5 and other @ z <= 2.0)
 
 
 class TestIdempotentRows:

@@ -11,8 +11,8 @@ from make_canonical_sets import FIXTURE, shift_register_problems
 from previewsafe import simulation
 from previewsafe.brunovsky import closed_form, controller_g, membership
 from previewsafe.errors import ConfigError, NumericalError, RiccatiDivergedError, ScriptExhaustedError
-from previewsafe.geometry import EPS_SET, HPolytope, Hyperbox, box_vertices, polytope
-from previewsafe.invariance import admissible_inputs, lift, method1, method2
+from previewsafe.geometry import EPS_SET, HPolytope, Hyperbox, box_vertices, polytope, pontryagin_diff
+from previewsafe.invariance import admissible_inputs, input_constraints, lift, method1, method2
 from previewsafe.simulation import (
     LQRSpec,
     Supervisor,
@@ -259,19 +259,23 @@ class TestSupervise:
 
 
 def reference_filter(sup, x, u_nom):
-    """The safety filter from its definition: a fresh ``admissible_inputs``
-    polytope at ``x``, its interval read row by row (m = 1) with the 1e-7
-    snap, the input box when it is empty.  Returns ``(u, supervised,
-    admissible_empty, lo, hi)`` with the interval's float endpoints, NaN for
-    an empty set or several inputs."""
+    """The safety filter from its definition: a fresh admissible-input
+    polytope ``{u : G_u u <= h0 - G_x @ x}`` at ``x``, its interval read row
+    by row (m = 1) with the 1e-7 snap, the input box when it is empty.  Its
+    products are the ``@`` operator, so the filter's ``ndarray.dot`` is
+    checked against them.  Returns ``(u, supervised, admissible_empty, lo,
+    hi)`` with the interval's float endpoints, NaN for an empty set or several
+    inputs."""
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
-    adm = admissible_inputs(sup.sys, sup.invariant, x)
+    x = np.asarray(x, dtype=float).ravel()
+    rows = input_constraints(sup.sys, sup.invariant)
+    adm = HPolytope.empty(sup.sys.m) if rows is None else HPolytope(rows[1], rows[2] - rows[0] @ x)
     clamped = np.minimum(np.maximum(u_nom, sup.input_box.lo), sup.input_box.hi)
     nan = float("nan")
     if sup.sys.m > 1:
         if adm.is_empty:
             return clamped, True, True, nan, nan
-        if adm.contains(u_nom, tol=1e-9):
+        if (adm.H @ u_nom <= adm.h + 1e-9).all():
             return u_nom, False, False, nan, nan
         return _closest_point(adm, u_nom), True, False, nan, nan
     lo, hi = -np.inf, np.inf
@@ -394,7 +398,7 @@ class TestHoistedFilter:
         sup = Supervisor(sys=sys, invariant=wide, input_box=Hyperbox.cube(1, 2.0))
         assert assert_same_as_reference(sup, [0.7], [0.3]).admissible_empty
 
-    @pytest.mark.parametrize("c", [1e-11, 1e-3, 0.7, 3.0, 1e40, 1e150])
+    @pytest.mark.parametrize("c", [1e-11, 1e-3, 0.7, 3.0, 1e40, 1e150, 1e200])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_one_input_coefficient_magnitudes(self, c, sign, master_seed):
         # x+ = c u on |x| <= 1: the rows of G_u are +-c, far from the lane
@@ -496,6 +500,42 @@ class TestHoistedFilter:
             assert np.isnan(res.adm_lo) and np.isnan(res.adm_hi)
             outcomes.add((supervised, empty))
         assert outcomes == {(False, False), (True, False), (True, True)}
+
+    def test_two_input_right_hand_side_is_the_matmul_one(self, master_seed, monkeypatch):
+        # the two-input step builds {u : G_u u <= h0 - G_x state}; its
+        # right-hand side, and the admissible_inputs polytope, must be the
+        # bits of the rows pulled back with the @ operator
+        sys = LinearSystem(
+            A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.5, 0.0], [0.1, 1.0]], E=np.eye(2),
+            dist_set=Hyperbox.cube(2, 0.05),
+            safe=HPolytope.from_bounds([-1, -1, -0.5, -0.5], [1, 1, 0.5, 0.5]),
+        )
+        C = method1(sys).result
+        sup = Supervisor(sys=sys, invariant=C, input_box=Hyperbox.cube(2, 0.5))
+        eroded = pontryagin_diff(C, sys.dist_set, sys.E)
+        G_x = np.vstack([eroded.H @ sys.A, sys.safe.H[:, :2]])
+        G_u = np.vstack([eroded.H @ sys.B, sys.safe.H[:, 2:]])
+        h0 = np.concatenate([eroded.h, sys.safe.h])
+        seen = []
+
+        class Recorded(HPolytope):
+            __slots__ = ()
+
+            def __init__(self, H, h):
+                seen.append((H, h))
+                super().__init__(H, h)
+
+        monkeypatch.setattr(simulation, "HPolytope", Recorded)
+        rng = np.random.default_rng(master_seed)
+        for _ in range(40):
+            x = rng.uniform(-1.3, 1.3, size=2)
+            supervise(sup, x, rng.uniform(-1.0, 1.0, size=2))
+            H, h = seen.pop()
+            assert not seen and H.tobytes() == G_u.tobytes()
+            assert h.tobytes() == (h0 - G_x @ x).tobytes()
+            ref = HPolytope(G_u, h0 - G_x @ x)
+            adm = admissible_inputs(sys, C, x)
+            assert adm.H.tobytes() == ref.H.tobytes() and adm.h.tobytes() == ref.h.tobytes()
 
     def test_one_input_rollout_solves_no_lp(self, lane_supervisors, monkeypatch):
         sys, sups = lane_supervisors
@@ -608,6 +648,15 @@ class TestFilterAudit:
         sup = lane_supervisors[1][p]
         assert_filter_sound(sup, audit_states(sup.invariant, np.random.default_rng(master_seed)))
 
+    @pytest.mark.parametrize("p", [2, 5, 8])
+    def test_lane_keeping_seed_sets(self, p, lane_supervisors, master_seed):
+        # the set Method 2 grows from: the no-preview maximal set lifted by
+        # p copies of D, controlled invariant for the preview realization
+        sys, sups = lane_supervisors
+        seed_set = lift(sups[0].invariant, sys.dist_set, p)
+        sup = Supervisor(sys=augment(sys, p).aug, invariant=seed_set, input_box=_input_box_of(sys))
+        assert_filter_sound(sup, audit_states(seed_set, np.random.default_rng(master_seed)))
+
     @pytest.mark.parametrize("name", AUDITED_CANONICAL_SETS)
     def test_canonical_sets(self, name, master_seed):
         # the twelve seeded shift registers (n 2-4, p 0-3, half with a
@@ -628,10 +677,12 @@ class TestFilterAudit:
 
 def reference_rollout(sys, p, controller, supervisor, x0, d_script, T):
     """``rollout`` before its loop invariants were hoisted, body verbatim up
-    to collecting the rows: ``supervise`` and ``contains`` run, with their checks,
-    at every step, and the rows are stacked into a :class:`Trace` at the end."""
+    to collecting the rows: ``supervise`` and the safety test run, with their
+    checks, at every step, and the rows are stacked into a :class:`Trace` at
+    the end.  The dynamics and the safety test are ``@`` products."""
     x = np.asarray(x0, dtype=float).ravel().copy()
-    script = np.asarray(d_script, dtype=float).reshape(-1, sys.l)
+    script = np.asarray(d_script, dtype=float)
+    script = script.reshape(-1, sys.l) if sys.l else script.reshape(script.shape[0], 0)
     if script.shape[0] < T + p:
         raise ScriptExhaustedError(
             f"script holds {script.shape[0]} steps, need {T + p}"
@@ -651,7 +702,7 @@ def reference_rollout(sys, p, controller, supervisor, x0, d_script, T):
             bound = (res.adm_lo, res.adm_hi)
         else:
             u, supervised, empty, bound = u_nom, False, False, (np.nan, np.nan)
-        safe = sys.safe.contains(np.concatenate([x, u]), tol=1e-7)
+        safe = bool((sys.safe.H @ np.concatenate([x, u]) <= sys.safe.h + 1e-7).all())
         xs.append(x.copy())
         u_noms.append(u_nom.copy())
         us.append(np.atleast_1d(u).copy())
@@ -752,6 +803,61 @@ class TestHoistedRollout:
             assert_same_records(trace, reference_rollout(sys, 0, controller, sup, x0, script, 20))
             supervised.update(trace.supervised.tolist())
         assert supervised == {True, False}
+
+    def random_runs(self, sys, p, rng, runs=6, T=40):
+        """Starts inside and beyond the unit box, uniform scripts of T + p
+        steps and nominal inputs up to 1.5 times the input bound."""
+        for k in range(runs):
+            x0 = rng.uniform(-1.0, 1.0, size=sys.n) * (0.5 if k % 2 else 1.1)
+            script = rng.uniform(-1.0, 1.0, size=(T + p, sys.l))
+            nominal = rng.uniform(-1.5, 1.5, size=(T, sys.m))
+
+            def controller(t, x, window, nominal=nominal):
+                return nominal[t]
+
+            yield controller, x0, script, T
+
+    def assert_runs_bitwise(self, sys, p, sup, rng):
+        outcomes = set()
+        for controller, x0, script, T in self.random_runs(sys, p, rng):
+            for s in (sup, None):
+                trace = rollout(sys, p, controller, s, x0, script, T)
+                found = assert_same_records(trace, reference_rollout(sys, p, controller, s, x0, script, T))
+                if s is not None:
+                    outcomes.update(found)
+        assert outcomes == {"fallback", "clip", "pass"}
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_no_disturbance_channel_bitwise(self, p, master_seed):
+        # l = 0: the script is (T + p, 0), E @ d is a zero vector, and the
+        # preview realization is the base system
+        sys = LinearSystem(
+            A=[[0.9, 0.2, 0.0], [0.0, 0.8, 0.3], [0.1, 0.0, 0.7]], B=[[0.2], [0.5], [1.0]],
+            E=np.zeros((3, 0)), dist_set=Hyperbox.from_bounds(np.zeros(0), np.zeros(0)),
+            safe=HPolytope.from_bounds([-1.0] * 4, [1.0] * 4),
+        )
+        sup = Supervisor(sys=sys, invariant=HPolytope.from_bounds([-0.8] * 3, [0.8] * 3),
+                         input_box=Hyperbox.cube(1, 1.0))
+        self.assert_runs_bitwise(sys, p, sup, np.random.default_rng(master_seed))
+
+    @pytest.mark.parametrize("augmented", [False, True], ids=["base", "preview"])
+    def test_five_states_three_disturbances_bitwise(self, augmented, master_seed):
+        # n = 5, l = 3 at p = 3: a 5 x 3 disturbance product each step, and
+        # with the preview supervisor a 14-entry lifted state; the invariant
+        # is a box (bits, not invariance, are checked here)
+        rng = np.random.default_rng(7)
+        sys = LinearSystem(
+            A=np.diag([1.0, 0.9, 0.8, 0.7, 0.6]) + 0.1 * np.eye(5, k=1), B=[[0.1], [0.2], [0.3], [0.4], [1.0]],
+            E=0.05 * rng.uniform(-1.0, 1.0, size=(5, 3)), dist_set=Hyperbox.cube(3, 1.0),
+            safe=HPolytope.from_bounds([-1.0] * 6, [1.0] * 6),
+        )
+        C, p = HPolytope.from_bounds([-0.8] * 5, [0.8] * 5), 3
+        if augmented:
+            sup_sys, C = augment(sys, p).aug, lift(C, sys.dist_set, p)
+        else:
+            sup_sys = sys
+        sup = Supervisor(sys=sup_sys, invariant=C, input_box=Hyperbox.cube(1, 1.0))
+        self.assert_runs_bitwise(sys, p, sup, np.random.default_rng(master_seed))
 
     @pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "unsupervised"])
     def test_overflowing_state_raises_at_its_step(self, supervised):
