@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -20,6 +21,12 @@ def cross_polytope(scales: np.ndarray) -> HPolytope:
     for signs in itertools.product((-1.0, 1.0), repeat=n):
         rows.append(np.asarray(signs) / scales)
     return HPolytope(np.vstack(rows), np.ones(2**n))
+
+
+def set_digest(P: HPolytope) -> str:
+    """SHA-256 of the bytes of ``P.H`` then ``P.h``: pins every bit of a set,
+    signed zeros included."""
+    return hashlib.sha256(P.H.tobytes() + P.h.tobytes()).hexdigest()
 
 
 def default_scalar_problem(p: int = 1) -> ScalarPreviewProblem:

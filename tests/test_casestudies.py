@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import default_scalar_problem
+from conftest import default_scalar_problem, set_digest
 
 from previewsafe.casestudies import (
     ScalarPreviewProblem,
@@ -34,6 +34,19 @@ class TestScalarProblem:
         prob = default_scalar_problem()
         assert prob.r - (prob.beta + prob.gamma) / (prob.a - 1) >= 0.1
         assert prob.a ** (prob.p - 1) * prob.beta - prob.gamma >= 0.1
+
+
+@pytest.mark.parametrize("params, digest", [
+    ((2.0, 1.0, 1.0, 2.0, 1), "0708e6fffa630f4f1cfcb61cf7ce9936ad74ae15d325a446d4d2f159893b9d97"),
+    ((3.0, 0.5, 0.25, 1.7, 2), "05e0ebd48424dd2f336a9ab3d281b9a9e89a9559a7b66853fcdf5b48730fc655"),
+])
+def test_scalar_safe_set_golden(params, digest):
+    # the rows |x| <= r, |u| <= beta of the safe set, bit for bit
+    safe = ScalarPreviewProblem(*params).system().safe
+    a, beta, gamma, r, p = params
+    assert safe.H.tolist() == [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    assert safe.h.tolist() == [r, r, beta, beta]
+    assert set_digest(safe) == digest
 
 
 class TestScalarCmax:

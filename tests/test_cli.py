@@ -223,6 +223,24 @@ def test_huge_bicycle_speed_runs_without_a_warning(tmp_path):
     assert json.loads((out / "summary.json").read_text())["gap_found"] is False
 
 
+FLAT_CSV = [
+    (["check", "--n", "4", "--c", "0.1", "--preview", "2"], 0,
+     "key,value\nnonempty,true\nn,4\np,2\ntest,inequality\nvertex_test,true\nagreement,true\n"),
+    (["check", "--n", "4", "--c", "0.4", "--preview", "1"], 3,
+     "key,value\nnonempty,false\nn,4\np,1\ntest,inequality\nvertex_test,false\nagreement,true\n"),
+    (["bounds", "--case", "example2", "--p-low", "1", "--preview", "2", "--samples", "2000", "--seed", "3"], 0,
+     "key,value\ninner_vol,3.9920038070678712\nouter_vol,16\ngap,12.007996192932129\n"),
+]
+
+
+@pytest.mark.parametrize("args, code, text", FLAT_CSV, ids=["check_nonempty", "check_empty", "bounds"])
+def test_flat_csv_bytes(args, code, text, capsys):
+    # the CSV branch of the flat writer: booleans lower-case, floats at 17
+    # significant digits with integral values written as integers
+    assert run([*args, "--format", "csv"]) == code
+    assert capsys.readouterr().out == text
+
+
 class TestSweep:
     def test_values_and_determinism(self, tmp_path):
         out1 = tmp_path / "a.csv"

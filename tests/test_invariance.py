@@ -412,6 +412,48 @@ class TestIsInvariant:
         assert not is_invariant(sys, HPolytope.from_bounds([-1], [1]))
 
 
+def two_containment_invariant(sys, C):
+    """Reference verdict: ``C`` lies in the safe set's state projection and
+    in its own controlled predecessor."""
+    if C.is_empty:
+        return True
+    return contains_set(project(sys.safe, list(range(sys.n))), C) and contains_set(pre(sys, C), C)
+
+
+class TestIsInvariantReference:
+    """``is_invariant`` agrees with the two-containment definition on maximal
+    sets scaled about the origin, inside the safe set and out of it."""
+
+    SCALES = (0.9, 1.0, 1.02, 1.3)
+
+    def seeds(self):
+        box = Hyperbox.from_bounds([-1.0, -1.2, -0.9], [1.1, 1.0, 1.0])
+        cases = [augment(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1).system(), 1).aug]
+        for n, p, dist in [
+            (2, 0, Hyperbox.cube(2, 0.2)),
+            (2, 1, Hyperbox.cube(2, 0.2)),
+            (3, 1, cross_polytope(np.array([0.2, 0.15, 0.1]))),
+        ]:
+            cases.append(augment(make_brunovsky(n, dist, Hyperbox.from_bounds(box.lo[:n], box.hi[:n])), p).aug)
+        for sys in cases:
+            yield sys, method1(sys).result
+        base, _ = lane_keeping_model()
+        cmax0 = method1(base).result
+        for p in (2, 5, 8):
+            yield augment(base, p).aug, lift(cmax0, base.dist_set, p)
+
+    def test_agrees_with_reference(self):
+        verdicts = []
+        for sys, C in self.seeds():
+            for s in self.SCALES:
+                scaled = HPolytope(C.H, C.h * s)
+                verdict = is_invariant(sys, scaled)
+                assert verdict == two_containment_invariant(sys, scaled), (sys.n, s)
+                verdicts.append(verdict)
+        # both verdicts occur, so the agreement is not vacuous
+        assert True in verdicts and False in verdicts
+
+
 class TestAdmissibleInputs:
     def test_brunovsky_origin(self):
         sys = make_brunovsky(2, Hyperbox.cube(2, 0.2), Hyperbox.cube(2, 1.0))

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import count_lps, cross_polytope
+from conftest import count_lps, cross_polytope, set_digest
 from make_canonical_sets import FIXTURE, shift_register_problems
 from previewsafe import simulation
 from previewsafe.brunovsky import closed_form, controller_g, membership
@@ -50,6 +50,17 @@ def plain_scalar(a=1.0):
         dist_set=Hyperbox.from_bounds([0.0], [0.0]),
         safe=HPolytope(np.zeros((0, 2)), np.zeros(0)),
     )
+
+
+def test_bicycle_safe_set_golden():
+    # |state_k| <= its bound and |steer| <= its bound on the bundled model,
+    # bit for bit
+    safe = load_simulation_config(lane_config())[0].safe
+    bounds = lane_config()["bounds"]
+    states = [bounds[k] for k in ("y", "v", "yaw", "yaw_rate")]
+    assert safe.H.shape == (10, 5)
+    assert safe.h.tolist() == states + states + [bounds["steer"]] * 2
+    assert set_digest(safe) == "d9055755e9134664273699afb90dc415fbf90feaf268ceae121951f109c41332"
 
 
 class TestLQR:
