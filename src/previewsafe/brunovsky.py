@@ -42,7 +42,7 @@ endpoints ``(lo, hi)``, empty iff ``lo > hi``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -306,7 +306,7 @@ def controller_g(problem: BrunovskyProblem, d_list: Sequence) -> float:
     if any(lo > hi for lo, hi in ends):
         raise EmptyInvariantError("a tail-vertex safe-input interval is empty")
     u = 0.0
-    for (_, weight), (lo, hi) in zip(convex_weights(box, v), ends):
+    for weight, (lo, hi) in zip(convex_weights(box, v), ends):
         u += weight * (0.5 * (lo + hi))
     return float(u)
 
@@ -321,7 +321,7 @@ def collapse(problem: BrunovskyProblem) -> CollapseResult:
     """For p > n the invariant factors as C_n x D^(p-n); build and verify."""
     if problem.p <= problem.n:
         raise InvalidParametersError("collapse applies to p > n")
-    inv_n = closed_form(problem.with_preview(problem.n))
+    inv_n = closed_form(replace(problem, p=problem.n))
     inv_p = closed_form(problem)
     lifted = lift(to_hpolytope(inv_n), problem.dist, problem.p - problem.n)
     verified = set_equal(to_hpolytope(inv_p), lifted)
@@ -332,7 +332,7 @@ def projection_identity(problem: BrunovskyProblem, max_iter: int = 200) -> dict:
     """State projection of C_n equals the collaborative maximal set (p >= n)."""
     if problem.p < problem.n:
         raise InvalidParametersError("the projection identity applies to p >= n")
-    inv_n = closed_form(problem.with_preview(problem.n))
+    inv_n = closed_form(replace(problem, p=problem.n))
     rhs = project(to_hpolytope(inv_n), list(range(problem.n)))
     co = collaborative(problem.system())
     lhs = method1(co, max_iter).result

@@ -61,10 +61,8 @@ class ScalarPreviewProblem:
             raise InvalidParametersError("need a^(p-1) * beta >= gamma")
 
     def system(self) -> LinearSystem:
-        safe = HPolytope(
-            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
-            [self.r, self.r, self.beta, self.beta],
-        )
+        # |x| <= r and |u| <= beta
+        safe = lift(HPolytope.from_bounds([-self.r], [self.r]), Hyperbox.cube(1, self.beta), 1)
         return LinearSystem(
             A=[[self.a]],
             B=[[1.0]],
@@ -72,9 +70,6 @@ class ScalarPreviewProblem:
             dist_set=Hyperbox.from_bounds([-self.gamma], [self.gamma]),
             safe=safe,
         )
-
-    def with_preview(self, p: int) -> "ScalarPreviewProblem":
-        return replace(self, p=p)
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,7 @@ def scalar_strict_growth(prob: ScalarPreviewProblem) -> bool:
         Hyperbox.from_bounds([-prob.gamma], [prob.gamma]),
         1,
     )
-    bigger = scalar_cmax(prob.with_preview(prob.p + 1)).to_hpolytope()
+    bigger = scalar_cmax(replace(prob, p=prob.p + 1)).to_hpolytope()
     return contains_set(bigger, lifted) and not contains_set(lifted, bigger)
 
 

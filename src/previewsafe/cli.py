@@ -36,7 +36,7 @@ from .geometry import HPolytope, Hyperbox, lift
 from .invariance import method1, method2, preview_gain
 from .jsonio import dumps_17g, format_float
 from .simulation import lane_keeping
-from .systems import BrunovskyProblem, augment, system_from_config
+from .systems import BrunovskyProblem, augment, config_count, system_from_config
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -108,11 +108,11 @@ def _brunovsky_problem(data: dict, preview) -> BrunovskyProblem:
     """The problem of a parsed shift-register config; ``preview``, unless None,
     overrides the config's own."""
     try:
-        n = int(data["n"])
+        n = config_count(data["n"], "n")
         box = Hyperbox.from_json(data["box"])
         dist_data = data["disturbance"]
         dist = HPolytope.from_json(dist_data) if "H" in dist_data else Hyperbox.from_json(dist_data)
-        p = int(preview if preview is not None else data.get("preview", 0))
+        p = preview if preview is not None else config_count(data.get("preview", 0), "preview")
         return BrunovskyProblem.create(n, box, dist, p)
     except (KeyError, TypeError, ValueError, InvalidParametersError, EmptySetError) as exc:
         raise ConfigError(f"bad shift-register config (n, box, disturbance): {exc!r}") from exc
@@ -190,14 +190,18 @@ def cmd_sweep_c(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    preview = 1 if args.preview is None else args.preview
+    preview = args.preview
+    if args.system and not args.case:
+        data = _load_json(args.system)
+        sys_, cfg_preview = system_from_config(data)
+        if preview is None and "preview" in data:
+            preview = cfg_preview
+    preview = 1 if preview is None else preview
     if not 0 <= args.p_low < preview:
         raise ConfigError(f"bounds needs 0 <= --p-low < --preview (got {args.p_low}, {preview})")
     if args.case:
         sys_, _ = _case_system(args.case, preview)
-    elif args.system:
-        sys_, _ = system_from_config(_load_json(args.system))
-    else:
+    elif not args.system:
         raise ConfigError("bounds needs --case NAME or --system FILE")
     result = preview_gain(
         sys_, int(args.p_low), preview, seed=args.seed, samples=args.samples,

@@ -177,7 +177,8 @@ def box_vertices(box: Hyperbox) -> list:
 
 
 def convex_weights(box: Hyperbox, point: Sequence[float]) -> list:
-    """Multilinear barycentric weights of ``point`` over ``box_vertices(box)``.
+    """Multilinear barycentric weights of ``point``, one per vertex of
+    ``box_vertices(box)`` and in its order.
 
     Coordinate k contributes factor ``(hi-v)/(hi-lo)`` when the vertex sits at
     ``lo`` and ``(v-lo)/(hi-lo)`` when it sits at ``hi``; degenerate
@@ -195,13 +196,8 @@ def convex_weights(box: Hyperbox, point: Sequence[float]) -> list:
     per_coord = []
     for vk, lo, hi in zip(v, box.lo.tolist(), box.hi.tolist()):
         if lo == hi:
-            per_coord.append(((lo, 1.0),))
+            per_coord.append((1.0,))
         else:
             t = (vk - lo) / (hi - lo)
-            per_coord.append(((lo, 1.0 - t), (hi, t)))
-
-    out = []
-    for combo in itertools.product(*per_coord):
-        vertex = np.array([c[0] for c in combo], dtype=float)
-        out.append((vertex, float(math.prod(c[1] for c in combo))))
-    return out
+            per_coord.append((1.0 - t, t))
+    return [float(math.prod(combo)) for combo in itertools.product(*per_coord)]

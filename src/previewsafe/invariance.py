@@ -38,7 +38,6 @@ from .systems import LinearSystem, augment, collaborative
 __all__ = [
     "IterationReport",
     "pre",
-    "safe_state_projection",
     "method1",
     "method2",
     "is_invariant",
@@ -95,11 +94,6 @@ def _pull_back(sys: LinearSystem, X: HPolytope):
     return eroded, G_x, G_u, np.concatenate([eroded.h, sys.safe.h])
 
 
-def safe_state_projection(sys: LinearSystem) -> HPolytope:
-    """Projection of the safe set onto the state coordinates."""
-    return project(sys.safe, list(range(sys.n)))
-
-
 def _iterate(sys: LinearSystem, X: HPolytope, budget: int) -> IterationReport:
     """Apply pre to ``X`` at most ``budget`` times, stopping at a fixed point
     (mutual containment within ``EPS_SET``)."""
@@ -122,17 +116,18 @@ def method1(sys: LinearSystem, max_iter: int = 200) -> IterationReport:
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    return _iterate(sys, safe_state_projection(sys), max_iter)
+    return _iterate(sys, project(sys.safe, list(range(sys.n))), max_iter)
 
 
 def is_invariant(sys: LinearSystem, C: HPolytope) -> bool:
-    """True iff ``C`` is controlled invariant for ``sys`` within its safe set."""
+    """True iff ``C`` is controlled invariant for ``sys`` within its safe set,
+    that is iff ``C`` lies in ``pre(C)``: ``pre``'s rows include the safe
+    set's, so that one containment also puts ``C`` in the safe set's state
+    projection."""
     if C.dim != sys.n:
         raise ValueError("candidate set must live in the state space")
     if C.is_empty:
         return True
-    if not contains_set(safe_state_projection(sys), C):
-        return False
     return contains_set(pre(sys, C), C)
 
 

@@ -488,20 +488,11 @@ def bicycle_system(model: dict, bounds: dict) -> LinearSystem:
         raise ConfigError(f"inconsistent bicycle config: the model leaves the float range ({exc})") from exc
 
     state_bounds = np.array([y_max, v_max, yaw_max, rate_max])
-    H = np.vstack(
-        [
-            np.hstack([np.eye(4), np.zeros((4, 1))]),
-            np.hstack([-np.eye(4), np.zeros((4, 1))]),
-            [[0.0, 0.0, 0.0, 0.0, 1.0]],
-            [[0.0, 0.0, 0.0, 0.0, -1.0]],
-        ]
-    )
-    h = np.concatenate([state_bounds, state_bounds, [steer_max, steer_max]])
     try:
         return LinearSystem(
             A=Ad, B=Bd, E=Ed,
             dist_set=Hyperbox.from_bounds([-rd_max], [rd_max]),
-            safe=HPolytope(H, h),
+            safe=lift(HPolytope.from_bounds(-state_bounds, state_bounds), Hyperbox.cube(1, steer_max), 1),
         )
     except ValueError as exc:
         raise ConfigError(f"inconsistent bicycle config: {exc}") from exc
@@ -509,18 +500,33 @@ def bicycle_system(model: dict, bounds: dict) -> LinearSystem:
 
 def load_simulation_config(data: dict):
     """Read a parsed config: the generic system schema or the bicycle-model
-    schema.  Returns ``(LinearSystem, lqr_options: dict)``; anything but a
-    dict raises :class:`ConfigError`.
+    schema.  Returns ``(LinearSystem, lqr_options: dict)``, the config's
+    ``lqr`` object as it is; anything but a dict, or an ``lqr`` block whose
+    ``q_state`` is not ``n`` finite nonnegative numbers or whose ``r`` is not
+    one finite positive number, raises :class:`ConfigError`.
     """
     if not isinstance(data, dict):
         raise ConfigError("simulation config must be a JSON object")
-    lqr_opts = data.get("lqr", {})
     if "A" in data:
         sys, _ = system_from_config(data)
-        return sys, lqr_opts
-    if "model" in data and "bounds" in data:
-        return bicycle_system(data["model"], data["bounds"]), lqr_opts
-    raise ConfigError("config must provide either matrices or a bicycle model")
+    elif "model" in data and "bounds" in data:
+        sys = bicycle_system(data["model"], data["bounds"])
+    else:
+        raise ConfigError("config must provide either matrices or a bicycle model")
+    lqr_opts = data.get("lqr", {})
+    if not isinstance(lqr_opts, dict):
+        raise ConfigError("lqr must be a JSON object")
+    q_state = lqr_opts.get("q_state", [1.0] * sys.n)
+    try:
+        q = np.asarray(q_state, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        q = np.empty(0)
+    if q.shape != (sys.n,) or not (np.isfinite(q) & (q >= 0)).all():
+        raise ConfigError(f"lqr q_state must be {sys.n} finite nonnegative numbers, got {q_state!r}")
+    r = lqr_opts.get("r", 1.0)
+    if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0 < r <= np.finfo(float).max:
+        raise ConfigError(f"lqr r must be one finite positive number, got {r!r}")
+    return sys, lqr_opts
 
 
 @dataclass
@@ -537,17 +543,11 @@ class LaneKeepingResult:
 
 
 def _augmented_lqr(preview: PreviewSystem, lqr_opts: dict) -> np.ndarray:
+    # the options were checked by load_simulation_config
     aug = preview.aug
-    n_base = preview.base.n
-    q_diag = np.zeros(aug.n)
-    q_state = lqr_opts.get("q_state")
-    if q_state is None:
-        q_diag[:n_base] = 1.0
-    else:
-        q_diag[:n_base] = np.asarray(q_state, dtype=float)
-    Q = np.diag(q_diag)
-    R = np.atleast_2d(np.asarray(lqr_opts.get("r", 1.0), dtype=float)) * np.eye(aug.m)
-    return lqr_gain(aug, LQRSpec(Q=Q, R=R))
+    q_state = np.asarray(lqr_opts.get("q_state", np.ones(preview.base.n)), dtype=float)
+    Q = np.diag(np.concatenate([q_state, np.zeros(aug.n - q_state.size)]))
+    return lqr_gain(aug, LQRSpec(Q=Q, R=float(lqr_opts.get("r", 1.0)) * np.eye(aug.m)))
 
 
 def _find_gap_state(seed: HPolytope, grown: HPolytope):

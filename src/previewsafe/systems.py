@@ -40,6 +40,7 @@ __all__ = [
     "evariant",
     "system_to_config",
     "system_from_config",
+    "config_count",
 ]
 
 
@@ -210,9 +211,6 @@ class BrunovskyProblem:
     def system(self) -> LinearSystem:
         return make_brunovsky(self.n, self.dist, self.box)
 
-    def with_preview(self, p: int) -> "BrunovskyProblem":
-        return replace(self, p=p)
-
 
 def evariant(
     n: int,
@@ -290,6 +288,14 @@ def system_to_config(sys: LinearSystem, preview: int = 0) -> dict:
     }
 
 
+def config_count(value, name: str) -> int:
+    """A config's ``n`` or ``preview``: a nonnegative integer, and a bool is
+    not one (:class:`ConfigError` otherwise)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def system_from_config(data: dict):
     """Parse the system-config schema; returns (LinearSystem, preview)."""
     try:
@@ -298,7 +304,7 @@ def system_from_config(data: dict):
         E = np.asarray(data["E"], dtype=float)
         dist = _set_from_config(data["disturbance"])
         safe = _set_from_config(data["safe"])
-        preview = int(data.get("preview", 0))
+        preview = config_count(data.get("preview", 0), "preview")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed system config: {exc}") from exc
     try:

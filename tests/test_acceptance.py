@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -229,7 +230,7 @@ def test_criterion_10_property_suites():
 
             # Method 1 nonincreasing / Method 2 nondecreasing with invariance
             prob0 = random_valid_problem(rng, n_choices=(2,), p_choices=(0,))
-            prob1 = prob0.with_preview(1)
+            prob1 = replace(prob0, p=1)
             aug = augment(prob1.system(), prob1.p).aug
             X = project(aug.safe, list(range(aug.n)))
             for _ in range(3):
@@ -246,7 +247,7 @@ def test_criterion_10_property_suites():
 
             # lifted invariants remain invariant one preview step up
             lifted = lift(to_hpolytope(closed_form(prob1)), prob1.dist, 1)
-            assert is_invariant(augment(prob1.with_preview(2).system(), 2).aug, lifted)
+            assert is_invariant(augment(replace(prob1, p=2).system(), 2).aug, lifted)
 
             # state projection sits inside the collaborative maximal set
             co = method1(collaborative(prob1.system())).result
@@ -269,7 +270,7 @@ def test_criterion_10_property_suites():
                 hi = lo + rng.random(dim)
                 box = Hyperbox.from_bounds(lo, hi)
                 v = lo + rng.random(dim) * (hi - lo)
-                pairs = convex_weights(box, v)
+                pairs = list(zip(box_vertices(box), convex_weights(box, v)))
                 weights = np.array([w for _, w in pairs])
                 assert np.all(weights >= -1e-12)
                 assert abs(weights.sum() - 1.0) <= 1e-9

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -349,7 +351,7 @@ class TestCriticalPreviewTime:
         sys = prob_n.system()
 
         def admissible_interval(p, x, ds):
-            prob_p = prob_n.with_preview(p)
+            prob_p = replace(prob_n, p=p)
             cpoly = to_hpolytope(closed_form(prob_p))
             aug = augment(sys, p).aug
             state = np.concatenate([x] + [np.asarray(d) for d in ds])
@@ -537,7 +539,7 @@ def reference_controller_g(problem, d_list):
             raise EmptyInvariantError("a tail-vertex safe-input interval is empty")
         mids[tuple(e)] = 0.5 * (iv[0] + iv[1])
     u = 0.0
-    for vertex, weight in convex_weights(box, v):
+    for vertex, weight in zip(box_vertices(box), convex_weights(box, v)):
         u += weight * mids[tuple(vertex)]
     return float(u)
 

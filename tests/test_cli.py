@@ -11,10 +11,11 @@ import previewsafe
 from previewsafe import cli
 from previewsafe.cli import EXIT_USAGE, build_parser, main
 from previewsafe.errors import ConfigError
-from previewsafe.geometry import HPolytope, set_equal
+from previewsafe.casestudies import ScalarPreviewProblem
+from previewsafe.geometry import HPolytope, Hyperbox, set_equal
 from previewsafe.jsonio import dumps_17g
 from previewsafe.simulation import load_simulation_config
-from previewsafe.systems import system_to_config
+from previewsafe.systems import BrunovskyProblem, system_to_config
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +71,42 @@ class TestCheck:
             "preview": 1,
         }))
         assert run(["check", "--system", str(cfg)]) == 0
+
+
+SHIFT_REGISTER = {
+    "n": 2,
+    "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+    "disturbance": {"lo": [-0.2, -0.2], "hi": [0.2, 0.2]},
+}
+
+
+BAD_INTEGERS = [("preview", -1), ("preview", 1.7), ("preview", True), ("n", 2.9), ("n", True)]
+# check reads the shift-register schema only; the matrix schema has no n
+CONFIG_INTEGER_CASES = [
+    (command, "shift_register", key, value)
+    for command in ("check", "invariant")
+    for key, value in BAD_INTEGERS
+] + [("invariant", "matrix", key, value) for key, value in BAD_INTEGERS if key == "preview"]
+
+
+@pytest.mark.parametrize(
+    "command, schema, key, value", CONFIG_INTEGER_CASES,
+    ids=[f"{c}-{s}-{k}={v}" for c, s, k, v in CONFIG_INTEGER_CASES],
+)
+def test_config_integers_are_checked(command, schema, key, value, tmp_path, capsys):
+    # a negative preview used to end in a ValueError traceback (exit 1), and
+    # 1.7, true or n = 2.9 were read as integers without a word
+    if schema == "matrix":
+        prob = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.2), 0)
+        data = system_to_config(prob.system())
+    else:
+        data = dict(SHIFT_REGISTER)
+    data[key] = value
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg.write_text(json.dumps(data))
+    assert run([command, "--system", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {key} must be a nonnegative integer, got {value!r}")
+    assert not out.exists()
 
 
 class TestInvariant:
@@ -202,6 +239,38 @@ def test_bad_bicycle_config_exits_two(section, key, value, message, tmp_path, ca
     assert run(["simulate", "--system", str(cfg), "--T", "5", "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: inconsistent bicycle config: {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lqr, message", [
+    ({"q_state": [1, 2]}, "q_state must be 4 finite nonnegative numbers"),
+    ({"q_state": [1.0, float("nan"), 1.0, 1.0]}, "q_state must be 4 finite nonnegative numbers"),
+    ({"q_state": [1.0, -1.0, 1.0, 1.0]}, "q_state must be 4 finite nonnegative numbers"),
+    ({"r": "abc"}, "r must be one finite positive number"),
+    ({"r": 0}, "r must be one finite positive number"),
+    ({"r": -1}, "r must be one finite positive number"),
+    ({"r": [1.0]}, "r must be one finite positive number"),
+    ([1.0], "lqr must be a JSON object"),
+], ids=["q_short", "q_nan", "q_negative", "r_string", "r_zero", "r_negative", "r_list", "not_an_object"])
+def test_bad_lqr_block_exits_two(lqr, message, tmp_path, capsys):
+    # a short or NaN q_state and a string r used to end in a ValueError or
+    # LinAlgError traceback (exit 1); r = 0 and r = -1 were accepted
+    data = cli._bundled_config("lane_keeping")
+    data["lqr"] = lqr
+    with pytest.raises(ConfigError, match=message):
+        load_simulation_config(data)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(data))
+    assert run(["simulate", "--system", str(cfg), "--T", "5", "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lqr_block_is_returned_as_written():
+    # the options keep their keys and values; readers supply the defaults
+    data = cli._bundled_config("lane_keeping")
+    assert load_simulation_config(data)[1] == {"q_state": [1.0, 1.0, 1.0, 1.0], "r": 1.0}
+    del data["lqr"]
+    assert load_simulation_config(data)[1] == {}
 
 
 def test_huge_bicycle_speed_runs_without_a_warning(tmp_path):
@@ -491,6 +560,22 @@ class TestBounds:
         implicit = capsys.readouterr().out
         assert run([*args, "--preview", "1"]) == 0
         assert capsys.readouterr().out == implicit
+
+
+    def test_preview_from_the_config(self, tmp_path, capsys):
+        # without --preview the config's "preview" sets p, as for invariant;
+        # it used to run at p = 1 or refuse --p-low 2 ("got 2, 1")
+        data = system_to_config(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1).system(), preview=3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        args = ["bounds", "--system", str(cfg), "--p-low", "2", "--samples", "2000"]
+        assert run(args) == 0
+        implicit = capsys.readouterr().out
+        assert run([*args, "--preview", "3"]) == 0
+        assert capsys.readouterr().out == implicit
+        # the flag still wins over the config
+        assert run([*args, "--preview", "2"]) == EXIT_USAGE
+        assert "(got 2, 2)" in capsys.readouterr().err
 
 
 class TestSimulate:

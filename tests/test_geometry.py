@@ -108,18 +108,23 @@ class TestBoxVertices:
             box_vertices(Hyperbox.cube(25, 1.0))
 
 
+def weight_pairs(box, point):
+    """``(vertex, weight)`` pairs: ``convex_weights`` in ``box_vertices`` order."""
+    return list(zip(box_vertices(box), convex_weights(box, point)))
+
+
 class TestConvexWeights:
     def test_1d_interpolation(self):
-        w = convex_weights(Hyperbox.from_bounds([0], [1]), [0.25])
+        w = weight_pairs(Hyperbox.from_bounds([0], [1]), [0.25])
         assert {(v[0], round(a, 12)) for v, a in w} == {(0.0, 0.75), (1.0, 0.25)}
 
     def test_vertex_gets_weight_one(self):
-        w = convex_weights(Hyperbox.from_bounds([0, 0], [1, 1]), [1.0, 0.0])
+        w = weight_pairs(Hyperbox.from_bounds([0, 0], [1, 1]), [1.0, 0.0])
         weights = {tuple(v): a for v, a in w}
         assert weights[(1.0, 0.0)] == pytest.approx(1.0)
 
     def test_center_symmetry(self):
-        w = convex_weights(Hyperbox.from_bounds([0, 0], [1, 1]), [0.5, 0.5])
+        w = weight_pairs(Hyperbox.from_bounds([0, 0], [1, 1]), [0.5, 0.5])
         assert all(a == pytest.approx(0.25) for _, a in w)
 
     def test_outside_raises(self):
@@ -135,7 +140,7 @@ class TestConvexWeights:
             hi = lo + rng.random(size=dim) * (rng.random(size=dim) > 0.2)
             box = Hyperbox.from_bounds(lo, hi)
             v = lo + rng.random(size=dim) * (hi - lo)
-            pairs = convex_weights(box, v)
+            pairs = weight_pairs(box, v)
             weights = np.array([a for _, a in pairs])
             assert np.all(weights >= -1e-12)
             assert abs(weights.sum() - 1.0) <= 1e-9

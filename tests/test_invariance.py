@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from previewsafe.invariance import (
     method2,
     pre,
     preview_gain,
-    safe_state_projection,
     sandwich,
 )
 from previewsafe.simulation import load_simulation_config
@@ -107,7 +107,7 @@ class TestPreLPs:
         box = Hyperbox.from_bounds([-1.0, -1.2, -0.9], [1.1, 1.0, 1.0])
         dist = cross_polytope(np.array([0.2, 0.15, 0.1]))
         sys = augment(make_brunovsky(3, dist, box), 2).aug
-        X = safe_state_projection(sys)
+        X = project(sys.safe, list(range(sys.n)))
         calls = [0]
         solve = lp.linprog_max
 
@@ -252,7 +252,7 @@ class TestMethod1:
 
     def test_iterates_nonincreasing(self):
         sys = augment(scalar_sys(), 1).aug
-        X = safe_state_projection(sys)
+        X = project(sys.safe, list(range(sys.n)))
         for _ in range(6):
             Xn = pre(sys, X)
             assert contains_set(X, Xn)
@@ -372,7 +372,7 @@ class TestMethod2:
 
     def test_brunovsky_seed_grows_to_closed_form(self):
         prob0 = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.2), 0)
-        prob1 = prob0.with_preview(1)
+        prob1 = replace(prob0, p=1)
         c0 = to_hpolytope(closed_form(prob0))
         seed = lift(c0, prob0.dist, 1)
         rep = method2(augment(prob1.system(), prob1.p).aug, seed, 5)
@@ -386,7 +386,7 @@ class TestMethod2:
 
     def test_iterates_nondecreasing_and_invariant(self):
         prob0 = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.2), 0)
-        aug = augment(prob0.with_preview(1).system(), 1).aug
+        aug = augment(replace(prob0, p=1).system(), 1).aug
         X = lift(to_hpolytope(closed_form(prob0)), prob0.dist, 1)
         for _ in range(4):
             Xn = pre(aug, X)

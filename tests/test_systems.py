@@ -264,6 +264,14 @@ class TestConfigRoundtrip:
         with pytest.raises(ConfigError):
             system_from_config({"A": [[1.0]]})
 
+    @pytest.mark.parametrize("preview", [-1, 1.7, True, "2"], ids=["negative", "fraction", "bool", "string"])
+    def test_preview_must_be_a_nonnegative_integer(self, preview):
+        # -1 used to fail untyped in augment; 1.7 and true were read as 1
+        cfg = system_to_config(scalar_example_system())
+        cfg["preview"] = preview
+        with pytest.raises(ConfigError, match="preview must be a nonnegative integer"):
+            system_from_config(cfg)
+
     def test_inconsistent_dims(self):
         cfg = system_to_config(scalar_example_system())
         cfg["B"] = [[1.0], [1.0]]
