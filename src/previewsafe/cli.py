@@ -63,9 +63,12 @@ def _write_output(text: str, out: Optional[str]) -> None:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return data
 
 
 def _emit_flat(data: dict, args) -> None:
@@ -74,11 +77,10 @@ def _emit_flat(data: dict, args) -> None:
         lines = ["key,value"]
         for key, val in data.items():
             if isinstance(val, bool):
-                lines.append(f"{key},{'true' if val else 'false'}")
+                val = "true" if val else "false"
             elif isinstance(val, float):
-                lines.append(f"{key},{format_float(val)}")
-            else:
-                lines.append(f"{key},{val}")
+                val = format_float(val)
+            lines.append(f"{key},{val}")
         _write_output("\n".join(lines) + "\n", args.out)
     else:
         _write_output(dumps_17g(data), args.out)
@@ -92,42 +94,49 @@ def _bundled_config(name: str) -> dict:
 def _case_system(name: str, preview: int):
     """Canned systems runnable by name; returns (system, method2 seed or None)."""
     if name == "example1":
-        sys_, seed = cs.example1_config(p=preview)
-        return sys_, seed
-    if name == "example2":
-        return cs.ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, max(preview, 1)).system(), None
+        return cs.example1_config(p=preview)
     if name == "example4":
         return cs.example4_config(), None
-    if name == "example5":
-        prob = cs.ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, max(preview, 1))
-        return cs.example5_config(prob), None
-    raise ConfigError(f"unknown case {name!r} (try example1/example2/example4/example5)")
+    prob = cs.ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, max(preview, 1))
+    return (prob.system() if name == "example2" else cs.example5_config(prob)), None
 
 
-def _brunovsky_problem(data: dict, preview) -> BrunovskyProblem:
-    """The problem of a parsed shift-register config; ``preview``, unless None,
-    overrides the config's own."""
+def _source(args, default_preview: int):
+    """The input that --case or --system names: ``(system, preview, method2
+    seed or None, BrunovskyProblem or None)``.  The preview is --preview, else
+    the config's own ``preview``, else ``default_preview``; a config with an
+    ``A`` is a system config and any other a shift-register problem."""
+    data = _load_json(args.system) if args.system else {}
+    preview = args.preview
+    if preview is None:
+        preview = config_count(data.get("preview", default_preview), "preview")
+    if not args.system:
+        sys_, seed_set = _case_system(args.case, preview)
+        return sys_, preview, seed_set, None
+    if "A" in data:
+        return system_from_config(data)[0], preview, None, None
     try:
         n = config_count(data["n"], "n")
         box = Hyperbox.from_json(data["box"])
-        dist_data = data["disturbance"]
-        dist = HPolytope.from_json(dist_data) if "H" in dist_data else Hyperbox.from_json(dist_data)
-        p = preview if preview is not None else config_count(data.get("preview", 0), "preview")
-        return BrunovskyProblem.create(n, box, dist, p)
+        dist = data["disturbance"]
+        dist = HPolytope.from_json(dist) if "H" in dist else Hyperbox.from_json(dist)
+        problem = BrunovskyProblem.create(n, box, dist, preview)
     except (KeyError, TypeError, ValueError, InvalidParametersError, EmptySetError) as exc:
         raise ConfigError(f"bad shift-register config (n, box, disturbance): {exc!r}") from exc
+    return problem.system(), preview, None, problem
 
 
 def cmd_check(args) -> int:
     if args.system:
-        problem = _brunovsky_problem(_load_json(args.system), args.preview)
+        problem = _source(args, 0)[3]
+        if problem is None:
+            raise ConfigError("check reads only the shift-register schema (n, box, disturbance)")
     elif args.n is None or args.c is None:
         raise ConfigError("check needs either --system FILE or --n and --c")
     else:
-        n = int(args.n)
-        p = int(args.preview or 0)
-        box = Hyperbox.cube(n, float(args.box_halfwidth))
-        problem = BrunovskyProblem.create(n, box, Hyperbox.cube(n, float(args.c)), p)
+        box = Hyperbox.cube(args.n, args.box_halfwidth)
+        dist = Hyperbox.cube(args.n, args.c)
+        problem = BrunovskyProblem.create(args.n, box, dist, args.preview or 0)
     ineq = bk.nonempty_ineq(problem)
     verdict = {"nonempty": ineq, "n": problem.n, "p": problem.p, "test": "inequality"}
     try:
@@ -140,37 +149,23 @@ def cmd_check(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    preview = int(args.preview or 0)
-    seed_set = None
-    if args.case:
-        sys_, seed_set = _case_system(args.case, preview)
-    elif args.system:
-        data = _load_json(args.system)
-        if "n" in data and "box" in data and "A" not in data:
-            problem = _brunovsky_problem(data, args.preview)
-            sys_, preview = problem.system(), problem.p
-            if args.closed_form:
-                inv = bk.closed_form(problem)
-                _write_output(dumps_17g(inv.to_json()), args.out)
-                return EXIT_OK
-        else:
-            sys_, cfg_preview = system_from_config(data)
-            if args.preview is None:
-                preview = cfg_preview
-    else:
-        raise ConfigError("invariant needs --case NAME or --system FILE")
-
+    sys_, preview, seed_set, problem = _source(args, 0)
     if args.closed_form:
-        raise ConfigError("--closed-form applies to shift-register configs only")
-
+        if problem is None:
+            raise ConfigError("--closed-form applies to shift-register configs only")
+        _write_output(dumps_17g(bk.closed_form(problem).to_json()), args.out)
+        return EXIT_OK
     aug = augment(sys_, preview).aug
     if args.method == 2:
-        if seed_set is None:
-            if args.seed_set:
+        if seed_set is None and args.seed_set:
+            try:
                 seed_set = HPolytope.from_json(_load_json(args.seed_set))
-            else:
-                base_max = method1(sys_, args.max_iter).result
-                seed_set = lift(base_max, sys_.dist_set, preview)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad --seed-set polytope (H, h): {exc!r}") from exc
+            if seed_set.dim != aug.n:
+                raise ConfigError(f"--seed-set needs dimension {aug.n}, got {seed_set.dim}")
+        elif seed_set is None:
+            seed_set = lift(method1(sys_, args.max_iter).result, sys_.dist_set, preview)
         report = method2(aug, seed_set, args.K)
     else:
         report = method1(aug, args.max_iter)
@@ -179,46 +174,28 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_sweep_c(args) -> int:
-    n = int(args.n)
-    box = Hyperbox.cube(n, float(args.box_halfwidth))
+    box = Hyperbox.cube(args.n, args.box_halfwidth)
     lines = ["p,largest_c"]
-    for p in range(int(args.p_max) + 1):
-        c = bk.largest_c(n, p, box)
-        lines.append(f"{p},{format_float(c)}")
+    for p in range(args.p_max + 1):
+        lines.append(f"{p},{format_float(bk.largest_c(args.n, p, box))}")
     _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    preview = args.preview
-    if args.system and not args.case:
-        data = _load_json(args.system)
-        sys_, cfg_preview = system_from_config(data)
-        if preview is None and "preview" in data:
-            preview = cfg_preview
-    preview = 1 if preview is None else preview
+    sys_, preview, _, _ = _source(args, 1)
     if not 0 <= args.p_low < preview:
         raise ConfigError(f"bounds needs 0 <= --p-low < --preview (got {args.p_low}, {preview})")
-    if args.case:
-        sys_, _ = _case_system(args.case, preview)
-    elif not args.system:
-        raise ConfigError("bounds needs --case NAME or --system FILE")
     result = preview_gain(
-        sys_, int(args.p_low), preview, seed=args.seed, samples=args.samples,
-        max_iter=args.max_iter,
+        sys_, args.p_low, preview, seed=args.seed, samples=args.samples, max_iter=args.max_iter,
     )
     _emit_flat(result, args)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    if args.case and args.case != "lane_keeping":
-        raise ConfigError("simulate supports --case lane_keeping or --system FILE")
-    if args.system:
-        config = _load_json(args.system)
-    else:
-        config = _bundled_config("lane_keeping")
-    preview = int(args.preview if args.preview is not None else 5)
+    config = _load_json(args.system) if args.system else _bundled_config("lane_keeping")
+    preview = 5 if args.preview is None else args.preview
     res = lane_keeping(config, p=preview, T=args.T, seed=args.seed, K=args.K,
                        max_iter=args.max_iter)
     outdir = args.out or "."
@@ -230,20 +207,16 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
     }
     if res.gap_found:
-        preview_path = os.path.join(outdir, "trace_preview.csv")
-        plain_path = os.path.join(outdir, "trace_no_preview.csv")
-        _write_output(res.trace_preview.to_csv(), preview_path)
-        _write_output(res.trace_no_preview.to_csv(), plain_path)
+        _write_output(res.trace_preview.to_csv(), os.path.join(outdir, "trace_preview.csv"))
+        _write_output(res.trace_no_preview.to_csv(), os.path.join(outdir, "trace_no_preview.csv"))
         summary.update(
-            {
-                "trace_preview": os.path.basename(preview_path),
-                "trace_no_preview": os.path.basename(plain_path),
-                "first_unsafe_preview": res.trace_preview.first_unsafe_step(),
-                "first_unsafe_no_preview": res.trace_no_preview.first_unsafe_step(),
-                "supervision_count_preview": res.trace_preview.supervision_count(),
-                "supervision_count_no_preview": res.trace_no_preview.supervision_count(),
-                "gap_state": [float(v) for v in res.gap_state],
-            }
+            trace_preview="trace_preview.csv",
+            trace_no_preview="trace_no_preview.csv",
+            first_unsafe_preview=res.trace_preview.first_unsafe_step(),
+            first_unsafe_no_preview=res.trace_no_preview.first_unsafe_step(),
+            supervision_count_preview=res.trace_preview.supervision_count(),
+            supervision_count_no_preview=res.trace_no_preview.supervision_count(),
+            gap_state=[float(v) for v in res.gap_state],
         )
     _write_output(dumps_17g(summary), os.path.join(outdir, "summary.json"))
     return EXIT_OK if res.gap_found else EXIT_EMPTY
@@ -265,7 +238,6 @@ def _at_least(low, kind):
 
 # Shared flag specs; each subcommand declares only the flags it reads.
 _FLAGS = {
-    "--case": {"help": "canned case name (example1/2/4/5, lane_keeping)"},
     "--system": {"help": "system or problem config file (JSON)"},
     "--preview": {"type": _at_least(0, int), "help": "preview time p"},
     "--max-iter": {"type": _at_least(1, int), "default": 200},
@@ -284,9 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, *flags):
+    def command(name, func, summary, *flags, cases=(), required=True):
         # exact flag names only, so that --seed is not read as --seed-set
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if cases:  # argparse cannot write the usage line of an empty group
+            source = p.add_mutually_exclusive_group(required=required)
+            source.add_argument("--case", choices=cases, help="canned case name")
+            source.add_argument("--system", **_FLAGS["--system"])
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
@@ -297,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1, int), help="state dimension for --c parametrization")
     p.add_argument("--c", type=_at_least(0.0, float), help="symmetric disturbance halfwidth")
 
+    examples = ["example1", "example2", "example4", "example5"]
     p = command("invariant", cmd_invariant, "compute an invariant set",
-                "--case", "--system", "--preview", "--max-iter", "--out", "--K")
+                "--preview", "--max-iter", "--out", "--K", cases=examples)
     p.add_argument("--method", type=int, choices=[1, 2], default=1)
     p.add_argument("--closed-form", action="store_true")
     p.add_argument("--seed-set", help="method 2 seed polytope (JSON)")
@@ -309,12 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=_at_least(0, int), required=True)
 
     p = command("bounds", cmd_bounds, "inner/outer preview volume bounds",
-                "--case", "--system", "--preview", "--max-iter", "--seed", "--out", "--format")
+                "--preview", "--max-iter", "--seed", "--out", "--format", cases=examples)
     p.add_argument("--p-low", type=int, required=True)
     p.add_argument("--samples", type=_at_least(1, int), default=200_000)
 
     p = command("simulate", cmd_simulate, "supervised rollouts with/without preview",
-                "--case", "--system", "--preview", "--max-iter", "--seed", "--out", "--K")
+                "--preview", "--max-iter", "--seed", "--out", "--K",
+                cases=["lane_keeping"], required=False)
     p.add_argument("--T", type=_at_least(0, int), default=100)
 
     return parser

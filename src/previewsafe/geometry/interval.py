@@ -136,7 +136,10 @@ class Hyperbox:
     @classmethod
     def from_json(cls, data: dict) -> "Hyperbox":
         if data.get("empty"):
-            return cls.empty(int(data.get("dim", 1)))
+            dim = data.get("dim", 1)
+            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+                raise ValueError(f"an empty box's dim must be a positive integer, got {dim!r}")
+            return cls.empty(dim)
         return cls(data["lo"], data["hi"])
 
     def __eq__(self, other: object) -> bool:

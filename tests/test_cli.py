@@ -109,6 +109,76 @@ def test_config_integers_are_checked(command, schema, key, value, tmp_path, caps
     assert not out.exists()
 
 
+def test_check_empty_box_dim_must_be_a_positive_integer(tmp_path, capsys):
+    # an empty box's dim of 2.9 used to be read as 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SHIFT_REGISTER, box={"empty": True, "dim": 2.9})))
+    assert run(["check", "--system", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "dim must be a positive integer" in captured.err and captured.out == ""
+
+
+def test_check_refuses_a_matrix_config_by_schema(tmp_path, capsys):
+    # check reads the shift-register schema only; a matrix config used to be
+    # reported as KeyError('n')
+    prob = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.2), 1)
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(dumps_17g(system_to_config(prob.system(), preview=1)))
+    assert run(["check", "--system", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "shift-register schema" in captured.err and captured.out == ""
+
+
+SOURCE_ARGS = {
+    "invariant": ["--method", "1"],
+    "bounds": ["--p-low", "0", "--samples", "2000"],
+    "simulate": ["--T", "5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SOURCE_ARGS))
+def test_case_and_system_together_exit_two(command, tmp_path, capsys):
+    # --case and --system are one exclusive group; bounds used to print the
+    # case's result and ignore the file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dumps_17g(system_to_config(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1).system())))
+    case = "lane_keeping" if command == "simulate" else "example2"
+    out = tmp_path / "out"
+    args = [command, "--case", case, "--system", str(cfg), *SOURCE_ARGS[command], "--out", str(out)]
+    assert run(args) == EXIT_USAGE
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["invariant", "bounds"])
+def test_no_case_or_system_exit_two(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([command, *SOURCE_ARGS[command], "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "invariant", "sweep-c", "bounds", "simulate"])
+def test_help_exits_zero(command, capsys):
+    # argparse cannot write the usage line of an empty exclusive group
+    assert run([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
+@pytest.mark.parametrize("seed_set", [
+    {"h": [1.0]},
+    {"H": [[1.0], [-1.0]], "h": [1.0]},
+    {"H": [[1.0]], "h": [1.0]},
+], ids=["no_H", "rows_mismatch", "wrong_dimension"])
+def test_bad_seed_set_exits_two(seed_set, tmp_path, capsys):
+    # these used to end in a KeyError or ValueError traceback (exit 1)
+    seed, out = tmp_path / "seed.json", tmp_path / "rep.json"
+    seed.write_text(json.dumps(seed_set))
+    args = ["invariant", "--case", "example2", "--preview", "2", "--method", "2"]
+    assert run([*args, "--seed-set", str(seed), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed-set" in err
+    assert not out.exists()
+
+
 class TestInvariant:
     def test_example4_empty(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -576,6 +646,19 @@ class TestBounds:
         # the flag still wins over the config
         assert run([*args, "--preview", "2"]) == EXIT_USAGE
         assert "(got 2, 2)" in capsys.readouterr().err
+
+    def test_shift_register_config_matches_its_matrix_twin(self, tmp_path, capsys):
+        # bounds reads a shift-register config as invariant does; it used to
+        # fail with "malformed system config: 'A'"
+        prob = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.2), 2)
+        shift, twin = tmp_path / "shift.json", tmp_path / "twin.json"
+        shift.write_text(json.dumps(dict(SHIFT_REGISTER, preview=2)))
+        twin.write_text(dumps_17g(system_to_config(prob.system(), preview=2)))
+        outputs = []
+        for cfg in (shift, twin):
+            assert run(["bounds", "--system", str(cfg), "--p-low", "1", "--samples", "2000"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].startswith("{")
 
 
 class TestSimulate:

@@ -1630,3 +1630,9 @@ class TestSerialization:
         assert B == C
         empty = HPolytope.empty(3).bounding_box()
         assert Hyperbox.from_json(empty.to_json()) == empty
+
+    @pytest.mark.parametrize("dim", [True, 2.9, 0, "2"])
+    def test_empty_box_dim_must_be_a_positive_integer(self, dim):
+        # 2.9 used to be read as 2 and true as 1
+        with pytest.raises(ValueError, match="positive integer"):
+            Hyperbox.from_json({"empty": True, "dim": dim})
