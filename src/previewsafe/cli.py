@@ -128,13 +128,15 @@ def _source(args, default_preview: int):
 
 def cmd_check(args) -> int:
     if args.system:
+        if args.n is not None or args.c is not None or args.box_halfwidth is not None:
+            raise ConfigError("--n, --c and --box-halfwidth do not apply with --system")
         problem = _source(args, 0)[3]
         if problem is None:
             raise ConfigError("check reads only the shift-register schema (n, box, disturbance)")
     elif args.n is None or args.c is None:
         raise ConfigError("check needs either --system FILE or --n and --c")
     else:
-        box = Hyperbox.cube(args.n, args.box_halfwidth)
+        box = Hyperbox.cube(args.n, 1.0 if args.box_halfwidth is None else args.box_halfwidth)
         dist = Hyperbox.cube(args.n, args.c)
         problem = BrunovskyProblem.create(args.n, box, dist, args.preview or 0)
     ineq = bk.nonempty_ineq(problem)
@@ -149,7 +151,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_invariant(args) -> int:
+    if args.seed_set and args.method != 2:
+        raise ConfigError("--seed-set is read only with --method 2")
     sys_, preview, seed_set, problem = _source(args, 0)
+    if args.seed_set and seed_set is not None:
+        raise ConfigError(f"--case {args.case} brings its own method 2 seed; drop --seed-set")
     if args.closed_form:
         if problem is None:
             raise ConfigError("--closed-form applies to shift-register configs only")
@@ -157,7 +163,7 @@ def cmd_invariant(args) -> int:
         return EXIT_OK
     aug = augment(sys_, preview).aug
     if args.method == 2:
-        if seed_set is None and args.seed_set:
+        if args.seed_set:
             try:
                 seed_set = HPolytope.from_json(_load_json(args.seed_set))
             except (KeyError, TypeError, ValueError) as exc:
@@ -272,6 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--system", "--preview", "--out", "--format", "--box-halfwidth")
     p.add_argument("--n", type=_at_least(1, int), help="state dimension for --c parametrization")
     p.add_argument("--c", type=_at_least(0.0, float), help="symmetric disturbance halfwidth")
+    # None tells an unset flag from its 1.0, which --system would not read
+    p.set_defaults(box_halfwidth=None)
 
     examples = ["example1", "example2", "example4", "example5"]
     p = command("invariant", cmd_invariant, "compute an invariant set",

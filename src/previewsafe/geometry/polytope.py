@@ -87,21 +87,29 @@ _UNIT_TOL = 1e-15
 _log = logging.getLogger("previewsafe.geometry")
 
 
-def _clean_rows(H: np.ndarray, h: np.ndarray):
+def _row_norms(H: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of ``H``: ``np.linalg.norm(H, axis=1)``'s
+    arithmetic without its Python wrapper, ``inf`` where the squares
+    overflow."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.add.reduce(H * H, axis=1))
+
+
+def _clean_rows(H: np.ndarray, h: np.ndarray, norms=None):
     """Normalize rows to unit norm; drop zero rows and rows with offset +inf.
 
     A row whose norm is within ``_UNIT_TOL`` of 1 is left as it is, so rows
     normalized once keep their bits however often a set is rebuilt from them;
     when every row is kept and of unit norm, ``H`` and ``h`` come back as
     they are, not copied.  A zero row with a negative offset certifies
-    emptiness.  The norm is ``np.linalg.norm(H, axis=1)``'s arithmetic
-    without its Python wrapper.  A finite row whose squares overflow is
-    first divided, with its offset, by its largest ``|entry|``, which keeps
-    its halfspace; every other row keeps its bits.  Returns ``(H, h,
+    emptiness.  ``norms``, when given, is a writable copy of
+    ``_row_norms(H)``.  A finite row whose squares overflow is first
+    divided, with its offset, by its largest ``|entry|``, which keeps its
+    halfspace; every other row keeps its bits.  Returns ``(H, h,
     empty_flag)``.
     """
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.add.reduce(H * H, axis=1))
+    if norms is None:
+        norms = _row_norms(H)
     huge = norms == np.inf
     if huge.any():
         # x / 1.0 is x, so the other rows come through bit for bit
@@ -131,7 +139,9 @@ class HPolytope:
     offset of ``+inf`` drops its row and one of ``-inf`` makes the set empty.
     """
 
-    __slots__ = ("_H", "_h", "_dim", "_empty", "_inner_point", "_supports", "_ray_center", "_carry")
+    __slots__ = (
+        "_H", "_h", "_dim", "_empty", "_inner_point", "_supports", "_ray_center", "_carry", "_table",
+    )
 
     def __init__(self, H, h):
         # copies: _clean_rows may hand them back as they are
@@ -158,8 +168,25 @@ class HPolytope:
         self._supports: dict = {}
         self._ray_center = None  # an interior point kept by project
         self._carry = None  # (rays, certificates) of project's last reduction
+        self._table = None  # _row_table, made on first use
         self._H.setflags(write=False)
         self._h.setflags(write=False)
+
+    @classmethod
+    def _of_unit_rows(cls, H: np.ndarray, h: np.ndarray, empty=None) -> "HPolytope":
+        """The set of rows that are already finite and of unit norm, as
+        ``_clean_rows`` leaves them, kept as they are: no copy, no scan of
+        ``H`` and no renormalization.  ``h`` gets the constructor unless it is
+        finite.  ``empty`` is the emptiness verdict when the caller knows it."""
+        if not np.isfinite(h).all():
+            return cls(H, h)
+        P = cls.__new__(cls)
+        P._H, P._h, P._dim, P._empty = H, h, H.shape[1], empty
+        P._inner_point = P._ray_center = P._carry = P._table = None
+        P._supports = {}
+        H.setflags(write=False)
+        h.setflags(write=False)
+        return P
 
     @classmethod
     def empty(cls, dim: int) -> "HPolytope":
@@ -302,7 +329,8 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
     empty, which is a valid polytope rather than an error.  ``S`` must be
     nonempty, so a row whose direction ``H_i M`` is zero keeps its offset
     without a support call.  A Hyperbox ``S`` takes every row's support in
-    one array expression, the bits of :meth:`Hyperbox.support`.
+    one array expression, the bits of :meth:`Hyperbox.support`.  The result
+    keeps ``X``'s rows, which are of unit norm already.
     """
     M = np.asarray(M, dtype=float)
     if S.is_empty:
@@ -328,7 +356,67 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
                 offsets[i] = S.support(dirs[i])
             except UnboundedError:
                 return HPolytope.empty(X.dim)
-    return HPolytope(X.H, X.h - offsets)
+    return HPolytope._of_unit_rows(X.H, X.h - offsets)
+
+
+def _preimage(X: HPolytope, S, M: np.ndarray, G: np.ndarray, extra: HPolytope) -> HPolytope:
+    """The points ``v`` of ``extra`` whose image lies in the erosion of ``X``
+    by ``M S``: ``G`` holds one row ``G_i = H_i F`` per row ``H_i z <= h_i``
+    of the nonempty ``X``, for the map ``F``, and the result has the rows of
+    ``HPolytope(vstack([G, extra.H]), concatenate([e, extra.h]))``, where
+    ``e`` is :func:`pontryagin_diff`'s ``h_i - sup_S (H_i M) s``.  When
+    zero rows are dropped, ``e`` comes from the product of fewer rows of
+    ``X`` with ``M``, which has the same bits when that product is exact, as
+    with the 0/1 embedding ``E`` of a preview realization.
+
+    A row whose ``G_i`` is a zero row (norm at most ``_ZERO_ROW_TOL``, as
+    ``_clean_rows`` finds them) reads ``0 <= e_i``: a yes/no check that ``M
+    S`` fits, after which the row is dropped.  Such a row needs no support
+    LP when ``H_i M`` is zero (then ``e_i = h_i``) or when ``S`` is an
+    HPolytope with a row of the same bytes whose offset is at most ``h_i``,
+    since a set's support along its own row is at most that row's offset.
+    Only the other rows are eroded, in one :func:`pontryagin_diff` call.
+    Returns the empty set when some zero row fails its check.
+    """
+    if not np.isfinite(G).all():
+        raise ValueError("H must be finite and h must not be NaN")
+    norms = _row_norms(G)
+    zero = norms <= _ZERO_ROW_TOL
+    erode = ~zero
+    if zero.any():
+        dirs, h = X.H[zero].dot(M), X.h[zero]
+        flat = ~dirs.any(axis=1)
+        if (h[flat] < -_ZERO_TOL).any():
+            return HPolytope.empty(G.shape[1])
+        table = _row_table(S) if isinstance(S, HPolytope) else {}
+        fits = [table.get(key, (np.inf,))[0] <= offset for key, offset in zip(_row_keys(dirs), h.tolist())]
+        erode[zero] = ~(flat | fits)
+    # a superset of the nonempty X, so asking its emptiness would waste an LP
+    rows = X if erode.all() else HPolytope._of_unit_rows(X.H[erode], X.h[erode], empty=False)
+    eroded = pontryagin_diff(rows, S, M)
+    if eroded._empty:
+        return HPolytope.empty(G.shape[1])
+    live = erode & ~zero
+    h = eroded.h
+    if not live.all():
+        if (h[zero[erode]] < -_ZERO_TOL).any():
+            return HPolytope.empty(G.shape[1])
+        h = h[live[erode]]
+    H, h, _ = _clean_rows(G[live], h, norms[live])
+    return HPolytope._of_unit_rows(np.vstack([H, extra.H]), np.concatenate([h, extra.h]))
+
+
+def _row_table(P: HPolytope) -> dict:
+    """``P``'s row bytes (:func:`_row_keys`) mapped to ``(least offset, its
+    row)`` over the rows with those bytes, the first such row on a tie;
+    made once per set."""
+    if P._table is None:
+        table: dict = {}
+        for i, (key, offset) in enumerate(zip(_row_keys(P.H), P.h.tolist())):
+            if offset < table.get(key, (np.inf,))[0]:
+                table[key] = (offset, i)
+        P._table = table
+    return P._table
 
 
 def _dedupe(H: np.ndarray, h: np.ndarray):
@@ -626,8 +714,10 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
         return HPolytope.empty(nkeep)
     center = None if prior is None else prior._ray_center
     carry = (np.empty((0, nkeep)), {}) if prior is None or prior._carry is None else prior._carry
-    H = np.array(P.H[:, keep + drop])
-    h = np.array(P.h)
+    order = keep + drop
+    # nothing below writes into H or h, so P's own rows serve when in order
+    H = P.H if order == list(range(P.dim)) else P.H[:, order]
+    h = P.h
     point = carried = None
     if not drop and H.shape[0]:
         point = P.feasible_point()[keep]
@@ -667,8 +757,9 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
             raise RowBlowupError(
                 f"projection iterate has {H.shape[0]} rows (cap {_ROW_CAP})"
             )
-    # the rows passed an emptiness test, and reduction keeps the set
-    R = HPolytope(H, h)
+    # the rows passed an emptiness test, and reduction keeps the set; they
+    # are P's rows or _clean_rows' output, finite and of unit norm
+    R = HPolytope._of_unit_rows(H, h)
     if R._empty is None:
         R._empty, R._carry = False, carried
         if point is not None and R.nrows and (R.h - R.H.dot(point)).min() > _RAY_MARGIN:
@@ -694,12 +785,11 @@ def contains_set(outer, inner, tol: float = EPS_SET) -> bool:
         raise ValueError("dimension mismatch in containment test")
     if inner.is_empty:
         return True
-    shared: dict = {}
-    for key, offset in zip(_row_keys(inner.H), inner.h.tolist()):
-        shared[key] = min(offset, shared.get(key, np.inf))
+    # rows of outer with the same bytes need only the least offset checked
+    shared = _row_table(inner)
     rows = [
-        i for i, (key, offset) in enumerate(zip(_row_keys(outer.H), outer.h.tolist()))
-        if not shared.get(key, np.inf) <= offset + tol
+        i for key, (offset, i) in _row_table(outer).items()
+        if not shared.get(key, (np.inf,))[0] <= offset + tol
     ]
     c = inner._ray_center
     if c is not None and rows:

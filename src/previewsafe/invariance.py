@@ -7,9 +7,12 @@ The controlled predecessor of a target set X is
 
 computed as: erode X by the disturbance image E D, pull the eroded set back
 through the affine map (x, u) -> A x + B u, intersect with S_xu, project out
-u, reduce.  The robust quantifier over d costs one support evaluation per row
-of X; for preview-augmented systems E is nonzero only on the freshest
-disturbance block, so those supports see only that block.
+u, reduce.  The robust quantifier over d costs at most one support
+evaluation per row of X; for preview-augmented systems E is nonzero only on
+the freshest disturbance block, so those supports see only that block.  The
+rows of X on that block alone pull back to zero rows: each only checks that
+E D fits, which takes no LP when the row is one of D's own rows, and is then
+dropped.
 
 Method 1 iterates pre downward from the state projection of the safe set and
 returns the maximal controlled invariant set when it converges (which is not
@@ -33,6 +36,7 @@ from .geometry import (
     set_equal,
     volume,
 )
+from .geometry.polytope import _preimage
 from .systems import LinearSystem, augment, collaborative
 
 __all__ = [
@@ -78,20 +82,8 @@ def pre(sys: LinearSystem, X: HPolytope) -> HPolytope:
     # project's Chebyshev test decides whether the erosion left anything,
     # unless the interior point X kept from its own projection settles it;
     # X's rays, which kept rows of earlier iterates, are shot from there too
-    _, G_x, G_u, h0 = _pull_back(sys, X)
-    return project(HPolytope(np.hstack([G_x, G_u]), h0), list(range(n)), X)
-
-
-def _pull_back(sys: LinearSystem, X: HPolytope):
-    """The rows ``G_x x + G_u u <= h0`` of the pairs ``(x, u)`` in the safe
-    set whose successor lies in the erosion ``E_r z <= e_r`` of ``X`` by
-    ``E D``: ``G_x = [E_r A; S_x]``, ``G_u = [E_r B; S_u]`` and
-    ``h0 = [e_r; s]``.  Returns ``(erosion, G_x, G_u, h0)``."""
-    eroded = pontryagin_diff(X, sys.dist_set, sys.E)
-    n = sys.n
-    G_x = np.vstack([eroded.H.dot(sys.A), sys.safe.H[:, :n]])
-    G_u = np.vstack([eroded.H.dot(sys.B), sys.safe.H[:, n:]])
-    return eroded, G_x, G_u, np.concatenate([eroded.h, sys.safe.h])
+    G = np.hstack([X.H.dot(sys.A), X.H.dot(sys.B)])
+    return project(_preimage(X, sys.dist_set, sys.E, G, sys.safe), list(range(n)), X)
 
 
 def _iterate(sys: LinearSystem, X: HPolytope, budget: int) -> IterationReport:
@@ -149,18 +141,23 @@ def input_constraints(sys: LinearSystem, C: HPolytope):
     """The state-independent part of :func:`admissible_inputs`: the arrays
     ``(G_x, G_u, h0)`` with the inputs admissible at ``x`` equal to
     ``{u : G_u u <= h0 - G_x @ x}``, or ``None`` when ``C`` or its erosion by
-    ``E D`` is empty.  The erosion does not depend on the state, so a caller
-    that keeps ``C`` erodes it once, and the right-hand side at ``x`` is one
-    mat-vec on the rows that :func:`pre` projects.
+    ``E D`` is empty.  With ``E_r z <= e_r`` the erosion, ``G_x = [E_r A;
+    S_x]``, ``G_u = [E_r B; S_u]`` and ``h0 = [e_r; s]``: every row of the
+    erosion and of the safe set, zero rows included.  The erosion does not
+    depend on the state, so a caller that keeps ``C`` erodes it once, and the
+    right-hand side at ``x`` is one mat-vec.
     """
     if sys.m == 0:
         raise ValueError("admissible input set requires an input channel")
     if C.is_empty:
         return None
-    eroded, G_x, G_u, h0 = _pull_back(sys, C)
+    eroded = pontryagin_diff(C, sys.dist_set, sys.E)
     if eroded.is_empty:
         return None
-    return G_x, G_u, h0
+    n = sys.n
+    G_x = np.vstack([eroded.H.dot(sys.A), sys.safe.H[:, :n]])
+    G_u = np.vstack([eroded.H.dot(sys.B), sys.safe.H[:, n:]])
+    return G_x, G_u, np.concatenate([eroded.h, sys.safe.h])
 
 
 def admissible_inputs(sys: LinearSystem, C: HPolytope, x) -> HPolytope:

@@ -26,7 +26,7 @@ from .errors import (
     ScriptExhaustedError,
 )
 from .geometry import HPolytope, Hyperbox, LPStatus, lift, linprog_max
-from .geometry.polytope import _ZERO_ROW_TOL, _ZERO_TOL
+from .geometry.polytope import _ZERO_ROW_TOL, _ZERO_TOL, _row_norms
 from .invariance import input_constraints, method1, method2
 from .systems import LinearSystem, PreviewSystem, augment, system_from_config
 
@@ -159,9 +159,13 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     here: ``rows`` are ``input_constraints``' ``(G_x, G_u, h0)``, or ``None``
     when the eroded invariant is empty and every step falls back (clamps the
     nominal input into the input box, which has one coordinate per input).
-    A step evaluates ``rhs = h0 - G_x.dot(x)``; with two or more inputs it
-    then solves LPs (emptiness, and the closest point when ``u_nom`` is not
-    admissible), since those depend on the state.  ``ndarray.dot`` makes the
+    The build drops the rows with an all-zero ``G_x`` row and a zero
+    ``G_u`` row (norm at most ``_ZERO_ROW_TOL``, as :class:`HPolytope`
+    finds them): each reads ``0 <= h0_i`` at every state, so its verdict is
+    taken once, and an offset below ``-_ZERO_TOL`` makes every step fall
+    back.  A step evaluates ``rhs = h0 - G_x.dot(x)``; with two or more
+    inputs it then solves LPs (emptiness, and the closest point when
+    ``u_nom`` is not admissible), since those depend on the state.  ``ndarray.dot`` makes the
     BLAS call of the ``@`` operator without its ufunc dispatch (measured at
     0.4-0.6 against 0.8-1.0 µs a call on these shapes, one BLAS thread); on
     the C-ordered arrays here its bits are those of ``@``.
@@ -193,6 +197,11 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     def fallback(u_nom):
         return np.minimum(np.maximum(u_nom, box_lo), box_hi), True, True, nan, nan
 
+    if rows is not None:
+        G_x, G_u, h0 = rows
+        # rows that read 0 <= h0_i at every state
+        fixed = ~G_x.any(axis=1) & (_row_norms(G_u) <= _ZERO_ROW_TOL)
+        rows = None if (h0[fixed] < -_ZERO_TOL).any() else (G_x[~fixed], G_u[~fixed], h0[~fixed])
     if rows is None:
         return lambda state, u_nom: fallback(u_nom)
     G_x, G_u, h0 = rows
@@ -218,6 +227,11 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     ])
     starts = np.flatnonzero(order < 0)
     z_end = int(starts[1])
+    # more sentinel rows, in the upper block, up to a multiple of 4 rows:
+    # OpenBLAS's dgemv sums rows in groups of 4 and the rows left over in
+    # another kernel that can round them differently (measured on x86-64,
+    # OpenBLAS 0.3.31), so every row gets the grouped kernel's bits
+    order = np.append(order, np.full(-len(order) % 4, -1))
     G_x = np.vstack([G_x, np.zeros(G_x.shape[1])])[order]
     h0 = np.append(h0, np.inf)[order]
     w = np.append(np.where(zero, 1.0, np.abs(g)), 1.0)[order]

@@ -179,6 +179,35 @@ def test_bad_seed_set_exits_two(seed_set, tmp_path, capsys):
     assert not out.exists()
 
 
+IGNORED_FLAGS = {
+    "check_n_c_with_system": ["check", "--system", "{cfg}", "--n", "10", "--c", "0.9"],
+    "check_box_halfwidth_with_system": ["check", "--system", "{cfg}", "--box-halfwidth", "2"],
+    "seed_set_with_a_seeded_case": ["invariant", "--case", "example1", "--method", "2", "--seed-set", "{seed}"],
+    "seed_set_with_method_1": ["invariant", "--case", "example1", "--method", "1", "--seed-set", "{missing}"],
+}
+
+
+@pytest.mark.parametrize("args", IGNORED_FLAGS.values(), ids=IGNORED_FLAGS.keys())
+def test_ignored_flag_exits_two(args, tmp_path, capsys):
+    # each used to exit 0 without reading the flag: the seed file is one
+    # that the command would refuse, and the missing one is never opened
+    cfg, seed = tmp_path / "sr.json", tmp_path / "seed.json"
+    cfg.write_text(json.dumps(SHIFT_REGISTER))
+    seed.write_text(json.dumps({"H": [[1.0]], "h": [1.0]}))
+    paths = {"cfg": cfg, "seed": seed, "missing": tmp_path / "missing.json"}
+    assert run([a.format(**paths) for a in args]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_check_box_halfwidth_default_is_one(capsys):
+    # the default is resolved in cmd_check, so unset and 1.0 agree
+    assert run(["check", "--n", "3", "--c", "0.2"]) == 0
+    unset = capsys.readouterr().out
+    assert run(["check", "--n", "3", "--c", "0.2", "--box-halfwidth", "1.0"]) == 0
+    assert capsys.readouterr().out == unset
+
+
 class TestInvariant:
     def test_example4_empty(self, tmp_path):
         out = tmp_path / "rep.json"

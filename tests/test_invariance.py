@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import count_lps, cross_polytope
+from conftest import count_lps, cross_polytope, random_valid_problem, set_digest
 
 from previewsafe.brunovsky import closed_form, to_hpolytope
 from previewsafe.casestudies import (
@@ -21,6 +21,7 @@ from previewsafe.geometry import (
     contains_set,
     lp,
     polytope,
+    pontryagin_diff,
     project,
     set_equal,
 )
@@ -97,8 +98,9 @@ class TestPre:
 
 
 class TestPreLPs:
-    """``pre`` pays for no emptiness LP that ``project`` settles and for no
-    erosion support it already solved."""
+    """``pre`` pays for no emptiness LP that ``project`` settles, for no
+    erosion support it already solved and for no support of a row that only
+    checks that the disturbance set fits under one of its own rows."""
 
     def test_pinned_lp_count(self, monkeypatch):
         # a shift register with a cross-polytope disturbance at preview 2.
@@ -118,11 +120,13 @@ class TestPreLPs:
         monkeypatch.setattr(lp, "linprog_max", counted)
         monkeypatch.setattr(polytope, "linprog_max", counted)
         X1 = pre(sys, X)
-        assert calls[0] == 8
-        # X1's erosion supports are memoized, and the interior point X1 kept
-        # from its projection replaces the Chebyshev LP
+        # X's 8 rows on the newest preview block pull back to zero rows and
+        # each is one of D's own rows, so they need no support LP; every
+        # other row's direction through E is zero, and the interior point X
+        # kept from its projection replaces the Chebyshev LP
+        assert calls[0] == 0
         pre(sys, X1)
-        assert calls[0] == 8 + 0
+        assert calls[0] == 0
 
     def scalar(self, gamma, gain=1.0):
         """x+ = gain u + d with |x|, |u| <= 1 and |d| <= gamma."""
@@ -151,6 +155,120 @@ class TestPreLPs:
         # every state to within 5e-9 of X, far inside EPS_SET
         X = HPolytope.from_bounds([-1.0], [1.0])
         assert pre(self.scalar(1.0 + 5e-9, gain=100.0), X).h.tolist() == [1.0, 1.0]
+
+
+def pre_reference(sys, X):
+    """``pre`` by its formula with every row of ``X`` eroded: the pulled-back
+    rows stacked on the safe set's, one ``HPolytope`` and one projection."""
+    n = sys.n
+    eroded = pontryagin_diff(X, sys.dist_set, sys.E)
+    G_x = np.vstack([eroded.H.dot(sys.A), sys.safe.H[:, :n]])
+    G_u = np.vstack([eroded.H.dot(sys.B), sys.safe.H[:, n:]])
+    h0 = np.concatenate([eroded.h, sys.safe.h])
+    return project(HPolytope(np.hstack([G_x, G_u]), h0), list(range(n)), X)
+
+
+class TestPreZeroRows:
+    """The rows of ``X`` on the newest previewed disturbance pull back to zero
+    rows: ``pre`` checks that ``E D`` fits under each and drops it, and only
+    solves a support LP for it when ``D`` has no row with its bytes and an
+    offset at most its own."""
+
+    def system(self, dist):
+        # n = 2, p = 1: state (x1, x2, d1), and E feeds d1's block only
+        box = Hyperbox.from_bounds([-1.0, -1.0], [1.0, 1.0])
+        return augment(make_brunovsky(2, dist, box), 1).aug
+
+    def target(self, sys, rows, offsets):
+        """X = S's state rows and the given rows on the newest block."""
+        X = project(sys.safe, list(range(sys.n)))
+        H = np.vstack([X.H, np.hstack([np.zeros((len(rows), 2)), rows])])
+        return HPolytope(H, np.concatenate([X.h, offsets]))
+
+    def test_tighter_than_d_is_empty(self):
+        D = cross_polytope(np.array([0.2, 0.1]))
+        sys = self.system(D)
+        # D's own rows at half D's offsets: D does not fit
+        X = self.target(sys, D.H, 0.5 * D.h)
+        assert not X.is_empty
+        assert pre(sys, X).is_empty
+        assert pre_reference(sys, X).is_empty
+        # at D's offsets it fits, and the result is the reference's bits
+        X = self.target(sys, D.H, D.h)
+        assert set_digest(pre(sys, X)) == set_digest(pre_reference(sys, X))
+
+    @pytest.mark.parametrize("offset, empty", [(0.3, False), (0.1, True)])
+    def test_other_direction_solves_its_lp(self, offset, empty, monkeypatch):
+        # e1 on the newest block is not a row of the diamond, whose support
+        # along it is 0.2
+        D = cross_polytope(np.array([0.2, 0.1]))
+        sys = self.system(D)
+        X = self.target(sys, np.array([[1.0, 0.0]]), [offset])
+        calls = count_lps(monkeypatch)
+        out = pre(sys, X)
+        assert calls[0] >= 1
+        assert out.is_empty is empty
+        assert set_digest(out) == set_digest(pre_reference(sys, X))
+
+    def test_redundant_d_row_solves_its_lp(self, monkeypatch):
+        # D's last row is redundant: its offset 5 is above h_i = 0.5, so the
+        # byte match settles nothing, and the LP finds the support 0.2
+        D = HPolytope(np.vstack([np.eye(2), -np.eye(2), [[1.0, 0.0]]]), [0.2, 0.1, 0.2, 0.1, 5.0])
+        sys = self.system(D)
+        X = self.target(sys, np.array([[1.0, 0.0]]), [0.5])
+        calls = count_lps(monkeypatch)
+        out = pre(sys, X)
+        assert calls[0] >= 1 and not out.is_empty
+        assert set_digest(out) == set_digest(pre_reference(sys, X))
+
+    @pytest.mark.parametrize("scale, empty", [(1.0, False), (0.5, True)])
+    def test_hyperbox_d(self, scale, empty, monkeypatch):
+        D = Hyperbox.from_bounds([-0.2, -0.1], [0.2, 0.1])
+        sys = self.system(D)
+        box = HPolytope.from_box(D)
+        X = self.target(sys, box.H, scale * box.h)
+        assert not X.is_empty
+        calls = count_lps(monkeypatch)
+        out = pre(sys, X)
+        assert out.is_empty is empty
+        if empty:
+            # the box's supports are one array expression, never an LP
+            assert calls[0] == 0
+        assert set_digest(out) == set_digest(pre_reference(sys, X))
+
+    @pytest.mark.parametrize("top, empty", [(-0.5, True), (0.5, False)])
+    def test_zero_direction(self, top, empty, monkeypatch):
+        # x2+ = 0: the row x2 <= top pulls back to a zero row and its
+        # direction through E is zero too, so only top's sign decides
+        sys = LinearSystem(
+            A=[[1.0, 1.0], [0.0, 0.0]], B=[[1.0], [0.0]], E=[[1.0], [0.0]],
+            dist_set=cross_polytope(np.array([0.1])),
+            safe=HPolytope.from_bounds([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
+        )
+        X = HPolytope.from_bounds([-1.0, -1.0], [1.0, top])
+        assert not X.is_empty
+        calls = count_lps(monkeypatch)
+        out = pre(sys, X)
+        assert out.is_empty is empty
+        if empty:
+            assert calls[0] == 0
+        assert set_digest(out) == set_digest(pre_reference(sys, X))
+
+    def test_bitwise_against_the_reference(self, master_seed):
+        # seeded shift registers at p 0-3, box and cross-polytope: every
+        # pre of a Method 1 run has the reference's bits
+        rng = np.random.default_rng(master_seed)
+        for _ in range(4):
+            prob = random_valid_problem(rng, n_choices=(2, 3), diamond_prob=0.0)
+            # the diamond with the box's scales lies inside it, so the
+            # problem stays nonempty
+            for dist in (prob.dist, cross_polytope(prob.dist.hi)):
+                sys = augment(make_brunovsky(prob.n, dist, prob.box), prob.p).aug
+                X = project(sys.safe, list(range(sys.n)))
+                for _ in range(4):
+                    out = pre(sys, X)
+                    assert set_digest(out) == set_digest(pre_reference(sys, X))
+                    X = out
 
 
 def lane_keeping_model():
@@ -297,9 +415,9 @@ def lps_with_and_without_carrying(run, monkeypatch):
 
 class TestMethod1LPBudget:
     """Method 1 on a preview-augmented shift register (n=4, p=3) stays within
-    an LP budget: it solves 19 LPs with a box disturbance and 37 with a
-    cross-polytope one, against 19 and 45 without carried certificates and
-    51 and 65 without carried rays either, with the same result bit for bit
+    an LP budget: it solves 19 LPs with a box disturbance and 21 with a
+    cross-polytope one, against 19 and 29 without carried certificates and
+    51 and 49 without carried rays either, with the same result bit for bit
     (building the cross-polytope system, not counted here, takes 9 more).
     With the box every LP keeps its row (the box drops the rows that go),
     so there is no certificate to carry."""
@@ -324,8 +442,8 @@ class TestMethod1LPBudget:
 
 class TestLaneKeepingLPBudget:
     """Method 1 on the bundled bicycle model and Method 2 at p = 5 from its
-    lifted result stay within an LP budget: they solve 16 and 59 LPs,
-    against 30 and 73 without carried certificates and 40 and 91 without
+    lifted result stay within an LP budget: they solve 16 and 58 LPs,
+    against 30 and 72 without carried certificates and 40 and 90 without
     carried rays either, with the same result bit for bit."""
 
     @pytest.fixture(scope="class")

@@ -389,6 +389,32 @@ class TestHoistedFilter:
         with pytest.raises(ValueError, match="state dimension"):
             supervise(sup, [0.0, 0.0], [0.0])
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_state_independent_rows_are_decided_at_build(self, m, master_seed):
+        # a row with zero G_x and G_u reads 0 <= h0_i at every state: within
+        # the 1e-9 tolerance the step is the one without the row, bit for
+        # bit, and beyond it every step falls back to the input box
+        rng = np.random.default_rng(master_seed)
+        G_x, G_u, h0 = rng.normal(size=(6, 3)), rng.normal(size=(6, m)), rng.uniform(1.0, 2.0, 6)
+        box = Hyperbox.cube(m, 5.0)
+        with_row = lambda h: simulation._compile_step(
+            (np.vstack([np.zeros((1, 3)), G_x]), np.vstack([np.full((1, m), 1e-13), G_u]),
+             np.append(h, h0)), box,
+        )
+        base, holds, fails = simulation._compile_step((G_x, G_u, h0), box), with_row(-5e-10), with_row(-2e-9)
+        outcomes = set()
+        for _ in range(20):
+            x, u_nom = rng.normal(size=3), rng.normal(size=m) * 3.0
+            ref = base(x, u_nom)
+            got = holds(x, u_nom)
+            assert np.asarray(got[0]).tobytes() == np.asarray(ref[0]).tobytes()
+            assert got[1:3] == ref[1:3] and np.array(got[3:]).tobytes() == np.array(ref[3:]).tobytes()
+            outcomes.add(ref[1:3])
+            u, supervised, empty, lo, hi = fails(x, u_nom)
+            assert supervised and empty and np.isnan(lo) and np.isnan(hi)
+            assert u.tolist() == np.clip(u_nom, -5.0, 5.0).tolist()
+        assert (True, False) in outcomes
+
     def test_width_zero_interval_snaps(self):
         # the invariant {0.1 + 0.2 <= z <= 0.3} is a point whose bounds cross
         # by one rounding step, so every admissible interval crosses too
