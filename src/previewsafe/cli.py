@@ -151,11 +151,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    if args.seed_set and args.method != 2:
-        raise ConfigError("--seed-set is read only with --method 2")
+    # the flags this mode does not read, refused before any file opens
+    if args.closed_form:
+        unread = ["--method", "--K", "--max-iter", "--seed-set"]
+    elif args.method != 2:
+        unread = ["--K", "--seed-set"]
+    elif args.case == "example1":  # it brings its own seed
+        unread = ["--max-iter", "--seed-set"]
+    else:  # Method 1 computes the seed that no --seed-set gives
+        unread = ["--max-iter"] if args.seed_set else []
+    given = [flag for flag in unread if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if given:
+        raise ConfigError(f"{', '.join(given)} not read in this mode")
+    max_iter = 200 if args.max_iter is None else args.max_iter
     sys_, preview, seed_set, problem = _source(args, 0)
-    if args.seed_set and seed_set is not None:
-        raise ConfigError(f"--case {args.case} brings its own method 2 seed; drop --seed-set")
     if args.closed_form:
         if problem is None:
             raise ConfigError("--closed-form applies to shift-register configs only")
@@ -171,10 +180,10 @@ def cmd_invariant(args) -> int:
             if seed_set.dim != aug.n:
                 raise ConfigError(f"--seed-set needs dimension {aug.n}, got {seed_set.dim}")
         elif seed_set is None:
-            seed_set = lift(method1(sys_, args.max_iter).result, sys_.dist_set, preview)
-        report = method2(aug, seed_set, args.K)
+            seed_set = lift(method1(sys_, max_iter).result, sys_.dist_set, preview)
+        report = method2(aug, seed_set, 10 if args.K is None else args.K)
     else:
-        report = method1(aug, args.max_iter)
+        report = method1(aug, max_iter)
     _write_output(dumps_17g(report.to_json()), args.out)
     return EXIT_EMPTY if report.result.is_empty else EXIT_OK
 
@@ -284,9 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     examples = ["example1", "example2", "example4", "example5"]
     p = command("invariant", cmd_invariant, "compute an invariant set",
                 "--preview", "--max-iter", "--out", "--K", cases=examples)
-    p.add_argument("--method", type=int, choices=[1, 2], default=1)
+    p.add_argument("--method", type=int, choices=[1, 2])
     p.add_argument("--closed-form", action="store_true")
     p.add_argument("--seed-set", help="method 2 seed polytope (JSON)")
+    p.set_defaults(K=None, max_iter=None)  # None tells unset from 10 or 200, which some modes do not read
 
     p = command("sweep-c", cmd_sweep_c, "largest disturbance bound per preview time",
                 "--out", "--box-halfwidth")

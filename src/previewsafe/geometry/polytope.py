@@ -23,22 +23,17 @@ its side); a shared row or a point of the inner set found along a ray settles
 a containment row.  A row the rays and the box leave open gets its
 redundancy LP, started from the row itself.  Support values are memoized per
 set, and a projection's emptiness is decided by the Chebyshev test after its
-elimination steps, so neither is solved twice.  A projection keeps the
-interior point its last reduction shot rays from; the next projection can
-take it in place of a Chebyshev LP, and containment shoots rays from it.
-It also keeps the rays that kept rows there: each carried ray that kept a
-row and, for each row a redundancy LP kept, the direction from the centre to
-the LP's maximizer, which leaves the set through that row alone.
-Consecutive iterates of a fixed-point run are nearly the same polytope, so
-the next projection shoots these rays before any LP, and most rows that an
-LP would only confirm are kept without one (Clarkson's output-sensitive
-redundancy removal, FOCS 1994, shoots rays from an interior point the same
-way).  For the rows it drops it keeps the certificates: the dual of each
-LP that dropped a row, a nonnegative combination of other rows that
-implies it (Farkas).  Consecutive iterates share most of their rows bit
-for bit, so the next projection drops a row with the same bytes without an
-LP when its certificate still holds on today's offsets, and most rows that
-an LP would only drop again are dropped without one.
+elimination steps, so neither is solved twice.
+
+A set holds only facts about itself.  A fixed-point loop's
+:class:`_LoopState` carries from one iterate to the next the interior point
+its projection's last reduction shot rays from, which the next projection
+takes in place of a Chebyshev LP and containment shoots rays from, and that
+reduction's rays and drop certificates (:func:`_reduce_arrays`).
+Consecutive iterates are nearly the same polytope and share most rows bit
+for bit, so most rows that an LP would only confirm or drop again are
+settled without one (Clarkson's output-sensitive redundancy removal, FOCS
+1994, spread over the run).
 """
 
 from __future__ import annotations
@@ -139,9 +134,7 @@ class HPolytope:
     offset of ``+inf`` drops its row and one of ``-inf`` makes the set empty.
     """
 
-    __slots__ = (
-        "_H", "_h", "_dim", "_empty", "_inner_point", "_supports", "_ray_center", "_carry", "_table",
-    )
+    __slots__ = ("_H", "_h", "_dim", "_empty", "_inner_point", "_supports")
 
     def __init__(self, H, h):
         # copies: _clean_rows may hand them back as they are
@@ -156,19 +149,11 @@ class HPolytope:
         self._dim = H.shape[1]
         cleaned = _clean_rows(H, h)
         if cleaned[2] or (h == -np.inf).any():
-            self._H = np.zeros((1, self._dim))
-            self._h = np.array([-1.0])
-            self._empty = True
-            self._inner_point = None
+            self._H, self._h, self._empty = np.zeros((1, self._dim)), np.array([-1.0]), True
         else:
-            self._H = cleaned[0]
-            self._h = cleaned[1]
-            self._empty = None
-            self._inner_point = None
+            self._H, self._h, self._empty = cleaned[0], cleaned[1], None
+        self._inner_point = None
         self._supports: dict = {}
-        self._ray_center = None  # an interior point kept by project
-        self._carry = None  # (rays, certificates) of project's last reduction
-        self._table = None  # _row_table, made on first use
         self._H.setflags(write=False)
         self._h.setflags(write=False)
 
@@ -182,8 +167,7 @@ class HPolytope:
             return cls(H, h)
         P = cls.__new__(cls)
         P._H, P._h, P._dim, P._empty = H, h, H.shape[1], empty
-        P._inner_point = P._ray_center = P._carry = P._table = None
-        P._supports = {}
+        P._inner_point, P._supports = None, {}
         H.setflags(write=False)
         h.setflags(write=False)
         return P
@@ -359,7 +343,7 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
     return HPolytope._of_unit_rows(X.H, X.h - offsets)
 
 
-def _preimage(X: HPolytope, S, M: np.ndarray, G: np.ndarray, extra: HPolytope) -> HPolytope:
+def _preimage(X: HPolytope, S, M: np.ndarray, G: np.ndarray, extra: HPolytope, table: dict) -> HPolytope:
     """The points ``v`` of ``extra`` whose image lies in the erosion of ``X``
     by ``M S``: ``G`` holds one row ``G_i = H_i F`` per row ``H_i z <= h_i``
     of the nonempty ``X``, for the map ``F``, and the result has the rows of
@@ -374,9 +358,10 @@ def _preimage(X: HPolytope, S, M: np.ndarray, G: np.ndarray, extra: HPolytope) -
     S`` fits, after which the row is dropped.  Such a row needs no support
     LP when ``H_i M`` is zero (then ``e_i = h_i``) or when ``S`` is an
     HPolytope with a row of the same bytes whose offset is at most ``h_i``,
-    since a set's support along its own row is at most that row's offset.
-    Only the other rows are eroded, in one :func:`pontryagin_diff` call.
-    Returns the empty set when some zero row fails its check.
+    since a set's support along its own row is at most that row's offset
+    (``table`` is :class:`_LoopState`'s ``dist_table`` for ``S``).  Only the
+    other rows are eroded, in one :func:`pontryagin_diff` call.  Returns the
+    empty set when some zero row fails its check.
     """
     if not np.isfinite(G).all():
         raise ValueError("H must be finite and h must not be NaN")
@@ -388,7 +373,6 @@ def _preimage(X: HPolytope, S, M: np.ndarray, G: np.ndarray, extra: HPolytope) -
         flat = ~dirs.any(axis=1)
         if (h[flat] < -_ZERO_TOL).any():
             return HPolytope.empty(G.shape[1])
-        table = _row_table(S) if isinstance(S, HPolytope) else {}
         fits = [table.get(key, (np.inf,))[0] <= offset for key, offset in zip(_row_keys(dirs), h.tolist())]
         erode[zero] = ~(flat | fits)
     # a superset of the nonempty X, so asking its emptiness would waste an LP
@@ -408,15 +392,26 @@ def _preimage(X: HPolytope, S, M: np.ndarray, G: np.ndarray, extra: HPolytope) -
 
 def _row_table(P: HPolytope) -> dict:
     """``P``'s row bytes (:func:`_row_keys`) mapped to ``(least offset, its
-    row)`` over the rows with those bytes, the first such row on a tie;
-    made once per set."""
-    if P._table is None:
-        table: dict = {}
-        for i, (key, offset) in enumerate(zip(_row_keys(P.H), P.h.tolist())):
-            if offset < table.get(key, (np.inf,))[0]:
-                table[key] = (offset, i)
-        P._table = table
-    return P._table
+    row)`` over the rows with those bytes, the first such row on a tie."""
+    table: dict = {}
+    for i, (key, offset) in enumerate(zip(_row_keys(P.H), P.h.tolist())):
+        if offset < table.get(key, (np.inf,))[0]:
+            table[key] = (offset, i)
+    return table
+
+
+class _LoopState:
+    """What one iterate of a fixed-point run hands the next: ``center``, a
+    point interior to it by more than ``_RAY_MARGIN`` (or None), ``rays``
+    and ``drops``, what its projection's last reduction returned to carry on
+    (or None), ``table``, its :func:`_row_table`, and ``dist_table``, that of
+    the disturbance set ``dist`` (empty for a Hyperbox)."""
+
+    __slots__ = ("center", "rays", "drops", "table", "dist_table")
+
+    def __init__(self, dist=None):
+        self.center = self.rays = self.drops = self.table = None
+        self.dist_table = _row_table(dist) if isinstance(dist, HPolytope) else {}
 
 
 def _dedupe(H: np.ndarray, h: np.ndarray):
@@ -677,7 +672,7 @@ def _fm_eliminate(H: np.ndarray, h: np.ndarray, col: int):
     return np.vstack(blocks), np.concatenate(rhs)
 
 
-def project(P: HPolytope, keep, prior=None) -> HPolytope:
+def project(P: HPolytope, keep, state=None) -> HPolytope:
     """Exact shadow of ``P`` onto the coordinates in ``keep``.
 
     Fourier-Motzkin elimination of the dropped coordinates (cheapest-fill
@@ -685,21 +680,18 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
     :class:`RowBlowupError` if an intermediate iterate exceeds ``_ROW_CAP``
     rows after reduction.  FM keeps emptiness, so when a coordinate is
     eliminated the Chebyshev test after each step decides it and ``P`` gets
-    no emptiness LP of its own.  ``prior``, a set in the ``keep`` coordinates
-    (the previous iterate of a fixed-point run), lends the step that leaves
-    only those coordinates its kept interior point and its rays.  When that
-    point has more than ``_RAY_MARGIN`` of slack on every row, it proves the
-    step nonempty and the reduction shoots its rays from it, and that step
-    solves no Chebyshev LP; the reduction shoots the prior's rays and checks
-    the prior's drop certificates too.  The result is marked nonempty; its
-    feasible point is solved for on first use.  The result keeps the centre
-    of its last reduction as ``_ray_center`` when that centre is interior by
-    more than ``_RAY_MARGIN`` to the result's rows (else ``None``), and, as
-    ``_carry``, what that reduction returned to carry on: the rays (the
-    carried rays that settled a row and its new LP witnesses, at most one
-    per row and one per LP) and the drop certificates (the carried ones
-    that dropped a row again and those of its LPs that dropped one, at most
-    one per dropped row).
+    no emptiness LP of its own.  The result is marked nonempty; its
+    feasible point is solved for on first use.
+
+    ``state``, a :class:`_LoopState` in the ``keep`` coordinates, lends the
+    step that leaves only those coordinates the previous iterate's centre,
+    rays and drop certificates.  When that point has more than
+    ``_RAY_MARGIN`` of slack on every row, it proves the step nonempty and
+    centres the reduction's rays, and that step solves no Chebyshev LP.
+    ``project`` then puts the result's into ``state``: the centre of its
+    last reduction when interior by more than ``_RAY_MARGIN`` to the
+    result's rows, and the rays and certificates that reduction returned
+    to carry on; each is None if there is none.
     """
     keep = list(keep)
     if len(set(keep)) != len(keep):
@@ -710,10 +702,12 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
     if nkeep == 0:
         raise ValueError("cannot project onto zero coordinates")
     drop = [j for j in range(P.dim) if j not in keep]
+    center = carry = None
+    if state is not None:  # from here on it describes the result
+        center, carry = state.center, (np.empty((0, nkeep)), {}) if state.rays is None else (state.rays, state.drops)
+        state.center = state.rays = state.drops = None
     if P._empty or (not drop and P.is_empty):
         return HPolytope.empty(nkeep)
-    center = None if prior is None else prior._ray_center
-    carry = (np.empty((0, nkeep)), {}) if prior is None or prior._carry is None else prior._carry
     order = keep + drop
     # nothing below writes into H or h, so P's own rows serve when in order
     H = P.H if order == list(range(P.dim)) else P.H[:, order]
@@ -759,24 +753,26 @@ def project(P: HPolytope, keep, prior=None) -> HPolytope:
             )
     # the rows passed an emptiness test, and reduction keeps the set; they
     # are P's rows or _clean_rows' output, finite and of unit norm
-    R = HPolytope._of_unit_rows(H, h)
-    if R._empty is None:
-        R._empty, R._carry = False, carried
+    R = HPolytope._of_unit_rows(H, h, empty=False)
+    if state is not None and not R.is_empty:
+        if carried is not None:
+            state.rays, state.drops = carried
         if point is not None and R.nrows and (R.h - R.H.dot(point)).min() > _RAY_MARGIN:
-            R._ray_center = point
+            state.center = point
     return R
 
 
-def contains_set(outer, inner, tol: float = EPS_SET) -> bool:
+def contains_set(outer, inner, tol: float = EPS_SET, center=None, tables=(None, None)) -> bool:
     """True iff ``inner`` is contained in ``outer`` within tolerance.
 
     One support LP per facet of ``outer`` over ``inner``; an empty inner set
     is contained in everything.  A facet ``a @ z <= b`` of ``outer`` needs no
     LP when ``inner`` has the identical row ``a`` with an offset at most
     ``b + tol``, since that offset bounds the support of ``inner`` along
-    ``a``.  When ``inner`` keeps an interior point ``c`` (``_ray_center``),
-    the ray ``c + t a`` stays in ``inner`` up to its first row, at ``t1``, so
-    ``a @ c + t1`` bounds that support from below: a facet where it exceeds
+    ``a``; ``tables`` are the :func:`_row_table` of each set, a None built
+    here.  Given an interior point ``center`` of ``inner``, the ray ``center
+    + t a`` stays in ``inner`` up to its first row, at ``t1``, so ``a @
+    center + t1`` bounds that support from below: a facet where it exceeds
     ``b + tol + _RAY_MARGIN`` makes the answer ``False`` before any LP.
     """
     outer = _as_polytope(outer)
@@ -786,16 +782,12 @@ def contains_set(outer, inner, tol: float = EPS_SET) -> bool:
     if inner.is_empty:
         return True
     # rows of outer with the same bytes need only the least offset checked
-    shared = _row_table(inner)
-    rows = [
-        i for key, (offset, i) in _row_table(outer).items()
-        if not shared.get(key, (np.inf,))[0] <= offset + tol
-    ]
-    c = inner._ray_center
-    if c is not None and rows:
+    table, shared = (_row_table(P) if t is None else t for P, t in zip((outer, inner), tables))
+    rows = [i for key, (offset, i) in table.items() if not shared.get(key, (np.inf,))[0] <= offset + tol]
+    if center is not None and rows:
         A = outer.H[rows]
-        t1 = _first_hits(inner.H, inner.h - inner.H.dot(c), A)[2]
-        if np.any(A.dot(c) + t1 > outer.h[rows] + tol + _RAY_MARGIN):
+        t1 = _first_hits(inner.H, inner.h - inner.H.dot(center), A)[2]
+        if np.any(A.dot(center) + t1 > outer.h[rows] + tol + _RAY_MARGIN):
             return False
     for i in rows:
         try:
@@ -807,9 +799,10 @@ def contains_set(outer, inner, tol: float = EPS_SET) -> bool:
     return True
 
 
-def set_equal(A, B, tol: float = EPS_SET) -> bool:
-    """Mutual containment within tolerance."""
-    return contains_set(A, B, tol) and contains_set(B, A, tol)
+def set_equal(A, B, tol: float = EPS_SET, centers=(None, None), tables=(None, None)) -> bool:
+    """Mutual containment within tolerance; ``centers`` and ``tables`` hold
+    :func:`contains_set`'s for ``A`` and for ``B``."""
+    return contains_set(A, B, tol, centers[1], tables) and contains_set(B, A, tol, centers[0], tables[::-1])
 
 
 def volume(P, seed: int = 0, samples: int = 100_000) -> float:

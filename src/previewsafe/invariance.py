@@ -36,7 +36,7 @@ from .geometry import (
     set_equal,
     volume,
 )
-from .geometry.polytope import _preimage
+from .geometry.polytope import _LoopState, _preimage, _row_table
 from .systems import LinearSystem, augment, collaborative
 
 __all__ = [
@@ -72,28 +72,30 @@ class IterationReport:
         }
 
 
-def pre(sys: LinearSystem, X: HPolytope) -> HPolytope:
-    """Controlled predecessor of ``X`` under ``sys`` (safe set included)."""
+def pre(sys: LinearSystem, X: HPolytope, state=None) -> HPolytope:
+    """Controlled predecessor of ``X`` under ``sys`` (safe set included).
+    ``state``, the loop's :class:`_LoopState` for ``X``, goes to ``project``
+    and its ``dist_table`` to the zero-row check; without one, none is carried."""
     n, m = sys.n, sys.m
     if X.dim != n:
         raise ValueError("target set must live in the state space")
     if X.is_empty:
         return HPolytope.empty(n)
-    # project's Chebyshev test decides whether the erosion left anything,
-    # unless the interior point X kept from its own projection settles it;
-    # X's rays, which kept rows of earlier iterates, are shot from there too
     G = np.hstack([X.H.dot(sys.A), X.H.dot(sys.B)])
-    return project(_preimage(X, sys.dist_set, sys.E, G, sys.safe), list(range(n)), X)
+    table = _LoopState(sys.dist_set).dist_table if state is None else state.dist_table
+    return project(_preimage(X, sys.dist_set, sys.E, G, sys.safe, table), list(range(n)), state)
 
 
-def _iterate(sys: LinearSystem, X: HPolytope, budget: int) -> IterationReport:
-    """Apply pre to ``X`` at most ``budget`` times, stopping at a fixed point
-    (mutual containment within ``EPS_SET``)."""
-    rows = [X.nrows]
+def _iterate(sys: LinearSystem, X: HPolytope, budget: int, state: _LoopState) -> IterationReport:
+    """Apply pre to ``X``, described by ``state``, at most ``budget`` times,
+    stopping at a fixed point (mutual containment within ``EPS_SET``)."""
+    rows, state.table = [X.nrows], _row_table(X)
     for k in range(1, budget + 1):
-        Xn = pre(sys, X)
+        center, table = state.center, state.table
+        Xn = pre(sys, X, state)
         rows.append(Xn.nrows)
-        converged = set_equal(Xn, X)
+        state.table = _row_table(Xn)
+        converged = set_equal(Xn, X, centers=(state.center, center), tables=(state.table, table))
         X = Xn
         if converged:
             return IterationReport(X, k, True, tuple(rows))
@@ -108,7 +110,8 @@ def method1(sys: LinearSystem, max_iter: int = 200) -> IterationReport:
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    return _iterate(sys, project(sys.safe, list(range(sys.n))), max_iter)
+    state = _LoopState(sys.dist_set)
+    return _iterate(sys, project(sys.safe, list(range(sys.n)), state), max_iter, state)
 
 
 def is_invariant(sys: LinearSystem, C: HPolytope) -> bool:
@@ -134,7 +137,7 @@ def method2(sys: LinearSystem, seed: HPolytope, K: int) -> IterationReport:
         raise ValueError("iteration budget must be nonnegative")
     if not is_invariant(sys, seed):
         raise SeedNotInvariantError("seed set failed the invariance check")
-    return _iterate(sys, seed, K)
+    return _iterate(sys, seed, K, _LoopState(sys.dist_set))
 
 
 def input_constraints(sys: LinearSystem, C: HPolytope):

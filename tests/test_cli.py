@@ -184,6 +184,14 @@ IGNORED_FLAGS = {
     "check_box_halfwidth_with_system": ["check", "--system", "{cfg}", "--box-halfwidth", "2"],
     "seed_set_with_a_seeded_case": ["invariant", "--case", "example1", "--method", "2", "--seed-set", "{seed}"],
     "seed_set_with_method_1": ["invariant", "--case", "example1", "--method", "1", "--seed-set", "{missing}"],
+    "method_with_closed_form": ["invariant", "--system", "{cfg}", "--closed-form", "--method", "1"],
+    "K_with_closed_form": ["invariant", "--system", "{cfg}", "--closed-form", "--K", "3"],
+    "max_iter_with_closed_form": ["invariant", "--system", "{cfg}", "--closed-form", "--max-iter", "5"],
+    "seed_set_with_closed_form": ["invariant", "--system", "{cfg}", "--closed-form", "--method", "2", "--seed-set", "{missing}"],
+    "K_with_method_1": ["invariant", "--case", "example1", "--method", "1", "--K", "3"],
+    "K_with_the_default_method": ["invariant", "--case", "example2", "--K", "3"],
+    "max_iter_with_a_seed_set": ["invariant", "--system", "{cfg}", "--method", "2", "--seed-set", "{missing}", "--max-iter", "5"],
+    "max_iter_with_a_seeded_case": ["invariant", "--case", "example1", "--method", "2", "--max-iter", "5"],
 }
 
 
@@ -205,6 +213,18 @@ def test_check_box_halfwidth_default_is_one(capsys):
     assert run(["check", "--n", "3", "--c", "0.2"]) == 0
     unset = capsys.readouterr().out
     assert run(["check", "--n", "3", "--c", "0.2", "--box-halfwidth", "1.0"]) == 0
+    assert capsys.readouterr().out == unset
+
+
+@pytest.mark.parametrize("method, defaults", [("1", ["--max-iter", "200"]), ("2", ["--max-iter", "200", "--K", "10"])])
+def test_invariant_defaults_apply_where_read(method, defaults, tmp_path, capsys):
+    # --max-iter and --K are unset for invariant and resolved in each mode
+    cfg = tmp_path / "sr.json"
+    cfg.write_text(json.dumps(SHIFT_REGISTER))
+    args = ["invariant", "--system", str(cfg), "--preview", "1", "--method", method]
+    assert run(args) == 0
+    unset = capsys.readouterr().out
+    assert run([*args, *defaults]) == 0
     assert capsys.readouterr().out == unset
 
 

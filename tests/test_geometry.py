@@ -357,10 +357,10 @@ class TestPontryaginDiff:
 
 
 def prior_with(center):
-    """The whole space around ``center``: a prior that lends ``project`` the
-    interior point ``center`` and no rays."""
-    prior = HPolytope(np.zeros((0, center.size)), np.zeros(0))
-    prior._ray_center = center
+    """A loop state that lends ``project`` the interior point ``center`` and
+    no rays."""
+    prior = polytope._LoopState()
+    prior.center = center
     return prior
 
 
@@ -428,16 +428,18 @@ class TestProject:
         # either way
         rng = np.random.default_rng(8)
         P = HPolytope(rng.normal(size=(14, 3)), rng.random(14) + 0.5)
-        R = project(P, [0, 2])
-        a, c = R.H[0], R._ray_center
+        state = polytope._LoopState()
+        R = project(P, [0, 2], state)
+        a, c = R.H[0], state.center
         on_face = c + (R.h[0] - a @ c) * a
         for center, lps in ((c + 0.1 * (on_face - c), 0), (on_face, 1), (2 * on_face - c, 1)):
+            prior = prior_with(center)
             with monkeypatch.context() as patch:
                 calls = self.chebyshev_calls(patch)
-                got = project(P, [0, 2], prior_with(center))
+                got = project(P, [0, 2], prior)
             assert got.H.tobytes() == R.H.tobytes() and got.h.tobytes() == R.h.tobytes()
             assert calls[0] == lps
-            assert (got._ray_center is center) == (lps == 0)
+            assert (prior.center is center) == (lps == 0)
         # the shadow x <= -1, x >= 1 of an empty set: no centre settles it
         P = HPolytope([[1, 1], [0, -1], [-1, 0]], [-1, 0, -1])
         ref = project(P, [0])
@@ -450,11 +452,14 @@ class TestProject:
         rng = np.random.default_rng(9)
         P = HPolytope(rng.normal(size=(16, 4)), rng.random(16) + 0.5)
         for keep in ([0, 2, 3], [1], [3, 1, 0, 2]):
-            R = project(P, keep)
-            assert (R.h - R.H @ R._ray_center).min() > polytope._RAY_MARGIN
+            state = polytope._LoopState()
+            R = project(P, keep, state)
+            assert (R.h - R.H @ state.center).min() > polytope._RAY_MARGIN
         # the segment x0 = 0 has no interior point
         seg = HPolytope([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], [0, 0, 1, 1, 1, 1])
-        assert project(seg, [0, 1])._ray_center is None
+        state = polytope._LoopState()
+        project(seg, [0, 1], state)
+        assert state.center is None
 
     def test_projection_with_free_variable(self):
         # u unconstrained: the x-shadow of {|x|<=1} x R is [-1,1]
@@ -1078,25 +1083,29 @@ class TestCarriedRays:
         # no interior centre keeps no ray (its certificates still go on)
         rng = np.random.default_rng(10)
         P = HPolytope(rng.normal(size=(18, 4)), rng.random(18) + 0.5)
-        R = project(P, [0, 2, 3])
-        rays = R._carry[0]
-        assert R._ray_center is not None and rays.shape[1] == 3 and rays.shape[0] <= R.nrows
+        state = polytope._LoopState()
+        R = project(P, [0, 2, 3], state)
+        rays = state.rays
+        assert state.center is not None and rays.shape[1] == 3 and rays.shape[0] <= R.nrows
         assert np.all(np.abs(np.linalg.norm(rays, axis=1) - 1.0) <= 1e-12)
         seg = HPolytope([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], [0, 0, 1, 1, 1, 1])
-        assert project(seg, [0, 1])._carry[0].shape == (0, 2)
+        state = polytope._LoopState()
+        project(seg, [0, 1], state)
+        assert state.rays.shape == (0, 2)
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_prior_rays_change_no_projection_bit(self, seed, monkeypatch):
-        # a prior lends its centre, rays and drop certificates to the last
-        # elimination step: the rows are those of the projection without
-        # the prior
+        # a loop state lends the previous projection's centre, rays and drop
+        # certificates to the last elimination step: the rows are those of
+        # the projection without it
         rng = np.random.default_rng(seed)
         for _ in range(6):
             P = HPolytope(rng.normal(size=(16, 4)), rng.random(16) + 0.5)
-            R = project(P, [1, 3])
+            state = polytope._LoopState()
+            project(P, [1, 3], state)
             Q = HPolytope(P.H + rng.normal(scale=0.05, size=P.H.shape), P.h)
             expected = project(Q, [1, 3])
-            got = project(Q, [1, 3], R)
+            got = project(Q, [1, 3], state)
             assert got.H.tobytes() == expected.H.tobytes() and got.h.tobytes() == expected.h.tobytes()
 
 
@@ -1228,22 +1237,24 @@ class TestCarriedCertificates:
         assert again[2][1].keys() == first[2][1].keys()
 
     def test_projection_hands_its_certificates_on(self, monkeypatch):
-        # a projection keeps the certificates of its last reduction, and the
-        # same projection with it as the prior drops those rows without LPs
+        # a projection puts the certificates of its last reduction into the
+        # loop state, and the same projection with that state drops those
+        # rows without LPs
         rng = np.random.default_rng(3)
         P = HPolytope(rng.normal(size=(16, 4)), rng.random(16) + 0.5)
+        state = polytope._LoopState()
         with monkeypatch.context() as patch:
             calls = count_lps(patch)
-            R = project(P, [1, 3])
+            R = project(P, [1, 3], state)
             lps = calls[0]
-        certificates = R._carry[1]
+        certificates = state.drops
         assert len(certificates) > 0
         with monkeypatch.context() as patch:
             calls = count_lps(patch)
-            again = project(P, [1, 3], R)
+            again = project(P, [1, 3], state)
         assert again.H.tobytes() == R.H.tobytes() and again.h.tobytes() == R.h.tobytes()
         assert calls[0] <= lps - len(certificates)
-        assert again._carry[1].keys() == certificates.keys()
+        assert state.drops.keys() == certificates.keys()
 
 
 def test_reduction_logs_one_debug_record_per_call(caplog):
@@ -1299,7 +1310,7 @@ def test_reduction_record_counts_add_up(seed, caplog):
     # box, a carried certificate or an LP, in every reduction that returns
     # rows (an infeasible one stops early): the random families above
     # projected onto every coordinate and onto two coordinates, each
-    # projection again with the first as its prior (whose rays and
+    # projection again with the loop state of the first (whose rays and
     # certificates it carries), and box-heavy systems directly
     rng = np.random.default_rng(seed)
     with caplog.at_level(logging.DEBUG, logger="previewsafe.geometry"):
@@ -1308,7 +1319,9 @@ def test_reduction_record_counts_add_up(seed, caplog):
                 Q = family(rng)
                 if not Q.is_empty:
                     project(Q, range(Q.dim))
-                    project(Q, [1, 0], project(Q, [1, 0]))
+                    state = polytope._LoopState()
+                    project(Q, [1, 0], state)
+                    project(Q, [1, 0], state)
             d = int(rng.integers(1, 5))
             H, h = box_heavy_system(rng, d)
             polytope._reduce_arrays(H, h, np.zeros(d))
@@ -1378,7 +1391,7 @@ class TestContainment:
                 assert set_equal(A, B)  # antisymmetry under set_equal
 
 
-def reference_contains_set(outer, inner, tol=polytope.EPS_SET):
+def reference_contains_set(outer, inner, tol=polytope.EPS_SET, center=None):
     """``contains_set`` with its shared-row keys built one row at a time:
     each row's own ``tobytes()`` and each offset read as a numpy scalar."""
     if inner.is_empty:
@@ -1391,7 +1404,7 @@ def reference_contains_set(outer, inner, tol=polytope.EPS_SET):
         i for i in range(outer.nrows)
         if not shared.get((outer.H[i] + 0.0).tobytes(), np.inf) <= outer.h[i] + tol
     ]
-    c = inner._ray_center
+    c = center
     if c is not None and rows:
         A = outer.H[rows]
         t1 = polytope._first_hits(inner.H, inner.h - inner.H @ c, A)[2]
@@ -1466,19 +1479,22 @@ class TestContainmentSharedRows:
 
 def projected_pair(seed, shift, scale):
     """Two projections of one random polytope onto its first two
-    coordinates, the second scaled by ``scale`` and moved by ``shift``;
-    built afresh on each call, so that no support is memoized."""
+    coordinates, the second scaled by ``scale`` and moved by ``shift``, and
+    the interior point each one's loop state kept; built afresh on each
+    call, so that no support is memoized."""
     rng = np.random.default_rng(seed)
     H, h = rng.normal(size=(12, 3)), rng.random(12) + 0.5
     P = HPolytope(H, h)
     Q = HPolytope(H, scale * h + H[:, :2] @ shift)
-    return project(P, [0, 1]), project(Q, [0, 1])
+    states = polytope._LoopState(), polytope._LoopState()
+    pair = project(P, [0, 1], states[0]), project(Q, [0, 1], states[1])
+    return pair, (states[0].center, states[1].center)
 
 
 class TestContainmentRay:
     """The ray from the inner set's interior point only skips LPs whose
-    answer it proves: the verdict is the one with ``_ray_center`` cleared,
-    with no more LPs."""
+    answer it proves: the verdict is the one without ``center``, with no
+    more LPs."""
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_verdict_matches_lps_only(self, seed, monkeypatch):
@@ -1492,14 +1508,15 @@ class TestContainmentRay:
             for order in (0, 1):
                 verdicts = []
                 for cleared in (False, True):
-                    pair = projected_pair(seed, shift, scale)
+                    pair, centers = projected_pair(seed, shift, scale)
                     outer, inner = pair if order == 0 else pair[::-1]
-                    assert inner._ray_center is not None
+                    center = centers[1 - order]
+                    assert center is not None
                     if cleared:
-                        inner._ray_center = None
+                        center = None
                     with monkeypatch.context() as patch:
                         calls = count_lps(patch)
-                        verdicts.append((contains_set(outer, inner), calls[0]))
+                        verdicts.append((contains_set(outer, inner, center=center), calls[0]))
                 (got, lps), (expected, lps_without) = verdicts
                 assert got == expected and lps <= lps_without
                 fewer += lps < lps_without
@@ -1509,10 +1526,11 @@ class TestContainmentRay:
 
     def test_unbounded_inner_fails_without_an_lp(self, monkeypatch):
         # the half-plane x <= 1 leaves the box through y without a row
-        inner = project(HPolytope([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1.0, 1.0, 1.0]), [0, 1])
-        assert inner._ray_center is not None
+        state = polytope._LoopState()
+        inner = project(HPolytope([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1.0, 1.0, 1.0]), [0, 1], state)
+        assert state.center is not None
         calls = count_lps(monkeypatch)
-        assert not contains_set(HPolytope.from_bounds([-5.0, -5.0], [5.0, 5.0]), inner)
+        assert not contains_set(HPolytope.from_bounds([-5.0, -5.0], [5.0, 5.0]), inner, center=state.center)
         assert calls[0] == 0
 
 

@@ -1,3 +1,4 @@
+import copy
 import importlib.resources
 import json
 from dataclasses import replace
@@ -14,6 +15,7 @@ from previewsafe.casestudies import (
     example5_config,
     scalar_cmax,
 )
+from previewsafe import invariance
 from previewsafe.errors import SeedNotInvariantError
 from previewsafe.geometry import (
     HPolytope,
@@ -109,7 +111,8 @@ class TestPreLPs:
         box = Hyperbox.from_bounds([-1.0, -1.2, -0.9], [1.1, 1.0, 1.0])
         dist = cross_polytope(np.array([0.2, 0.15, 0.1]))
         sys = augment(make_brunovsky(3, dist, box), 2).aug
-        X = project(sys.safe, list(range(sys.n)))
+        state = polytope._LoopState(sys.dist_set)
+        X = project(sys.safe, list(range(sys.n)), state)
         calls = [0]
         solve = lp.linprog_max
 
@@ -119,13 +122,13 @@ class TestPreLPs:
 
         monkeypatch.setattr(lp, "linprog_max", counted)
         monkeypatch.setattr(polytope, "linprog_max", counted)
-        X1 = pre(sys, X)
+        X1 = pre(sys, X, state)
         # X's 8 rows on the newest preview block pull back to zero rows and
         # each is one of D's own rows, so they need no support LP; every
-        # other row's direction through E is zero, and the interior point X
-        # kept from its projection replaces the Chebyshev LP
+        # other row's direction through E is zero, and the interior point the
+        # loop state kept from X's projection replaces the Chebyshev LP
         assert calls[0] == 0
-        pre(sys, X1)
+        pre(sys, X1, state)
         assert calls[0] == 0
 
     def scalar(self, gamma, gain=1.0):
@@ -157,15 +160,16 @@ class TestPreLPs:
         assert pre(self.scalar(1.0 + 5e-9, gain=100.0), X).h.tolist() == [1.0, 1.0]
 
 
-def pre_reference(sys, X):
+def pre_reference(sys, X, state=None):
     """``pre`` by its formula with every row of ``X`` eroded: the pulled-back
-    rows stacked on the safe set's, one ``HPolytope`` and one projection."""
+    rows stacked on the safe set's, one ``HPolytope`` and one projection
+    (with ``pre``'s loop state, when given)."""
     n = sys.n
     eroded = pontryagin_diff(X, sys.dist_set, sys.E)
     G_x = np.vstack([eroded.H.dot(sys.A), sys.safe.H[:, :n]])
     G_u = np.vstack([eroded.H.dot(sys.B), sys.safe.H[:, n:]])
     h0 = np.concatenate([eroded.h, sys.safe.h])
-    return project(HPolytope(np.hstack([G_x, G_u]), h0), list(range(n)), X)
+    return project(HPolytope(np.hstack([G_x, G_u]), h0), list(range(n)), state)
 
 
 class TestPreZeroRows:
@@ -264,10 +268,12 @@ class TestPreZeroRows:
             # problem stays nonempty
             for dist in (prob.dist, cross_polytope(prob.dist.hi)):
                 sys = augment(make_brunovsky(prob.n, dist, prob.box), prob.p).aug
-                X = project(sys.safe, list(range(sys.n)))
+                state = polytope._LoopState(sys.dist_set)
+                X = project(sys.safe, list(range(sys.n)), state)
                 for _ in range(4):
-                    out = pre(sys, X)
-                    assert set_digest(out) == set_digest(pre_reference(sys, X))
+                    reference = pre_reference(sys, X, copy.copy(state))
+                    out = pre(sys, X, state)
+                    assert set_digest(out) == set_digest(reference)
                     X = out
 
 
@@ -367,6 +373,25 @@ class TestMethod1:
         rep = method1(sys)
         assert rep.converged
         assert set_equal(rep.result, HPolytope.from_bounds([-1, -0.8], [1, 0.8]))
+
+    def test_each_row_table_is_built_once(self, monkeypatch):
+        # the loop keeps each iterate's row table for the next convergence
+        # test: one table per iterate, one for the first set and one for D
+        dist = cross_polytope(np.array([0.2, 0.15, 0.1]))
+        box = Hyperbox.from_bounds([-1.0, -1.2, -0.9], [1.1, 1.0, 1.0])
+        sys = augment(make_brunovsky(3, dist, box), 2).aug
+        built = []
+        build = polytope._row_table
+
+        def counted(P):
+            built.append(P)
+            return build(P)
+
+        monkeypatch.setattr(polytope, "_row_table", counted)
+        monkeypatch.setattr(invariance, "_row_table", counted)
+        rep = method1(sys)
+        assert rep.converged and rep.iterations >= 2
+        assert len(built) <= rep.iterations + 2
 
     def test_iterates_nonincreasing(self):
         sys = augment(scalar_sys(), 1).aug
@@ -521,6 +546,24 @@ class TestIsInvariant:
         prob = ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 1)
         aug = augment(prob.system(), 1).aug
         assert is_invariant(aug, scalar_cmax(prob).to_hpolytope())
+
+    def test_verdict_does_not_depend_on_where_the_set_came_from(self, monkeypatch):
+        # a Method 1 result and the same rows rebuilt get the same verdict,
+        # the same pre bits and the same LPs: nothing rides on the set
+        box = Hyperbox.from_bounds([-1.0, -1.2, -0.9], [1.1, 1.0, 1.0])
+        sys = augment(make_brunovsky(3, Hyperbox.from_bounds([-0.2, -0.15, -0.1], [0.2, 0.15, 0.1]), box), 2).aug
+        C = method1(sys).result
+        rebuilt = HPolytope(C.H, C.h)
+        # the emptiness LP that C's projection settled is not counted
+        assert not rebuilt.is_empty
+        runs = []
+        for X in (C, rebuilt):
+            with monkeypatch.context() as patch:
+                calls = count_lps(patch)
+                verdict = is_invariant(sys, X)
+                runs.append((verdict, calls[0], set_digest(pre(sys, X))))
+        assert runs[0] == runs[1]
+        assert runs[0][0] and runs[0][1] > 0
 
     def test_expanding_map_not_invariant(self):
         sys = LinearSystem(
