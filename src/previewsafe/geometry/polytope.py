@@ -390,46 +390,44 @@ def _preimage(X: HPolytope, S, M: np.ndarray, G: np.ndarray, extra: HPolytope, t
     return HPolytope._of_unit_rows(np.vstack([H, extra.H]), np.concatenate([h, extra.h]))
 
 
+def _least_offsets(keys: list, offsets: list) -> dict:
+    """Each key mapped to ``(least offset, its position)``, the first on a
+    tie; a key is claimed where first seen, so a NaN or ``+inf`` offset too."""
+    best: dict = {}
+    for i, (key, offset) in enumerate(zip(keys, offsets)):
+        prior = best.get(key)
+        if prior is None or offset < prior[0]:
+            best[key] = (offset, i)
+    return best
+
+
 def _row_table(P: HPolytope) -> dict:
     """``P``'s row bytes (:func:`_row_keys`) mapped to ``(least offset, its
     row)`` over the rows with those bytes, the first such row on a tie."""
-    table: dict = {}
-    for i, (key, offset) in enumerate(zip(_row_keys(P.H), P.h.tolist())):
-        if offset < table.get(key, (np.inf,))[0]:
-            table[key] = (offset, i)
-    return table
+    return _least_offsets(_row_keys(P.H), P.h.tolist())
 
 
 class _LoopState:
     """What one iterate of a fixed-point run hands the next: ``center``, a
     point interior to it by more than ``_RAY_MARGIN`` (or None), ``rays``
     and ``drops``, what its projection's last reduction returned to carry on
-    (or None), ``table``, its :func:`_row_table`, and ``dist_table``, that of
-    the disturbance set ``dist`` (empty for a Hyperbox)."""
+    (or None), and ``dist_table``, the :func:`_row_table` of the disturbance
+    set ``dist`` (empty for a Hyperbox)."""
 
-    __slots__ = ("center", "rays", "drops", "table", "dist_table")
+    __slots__ = ("center", "rays", "drops", "dist_table")
 
     def __init__(self, dist=None):
-        self.center = self.rays = self.drops = self.table = None
+        self.center = self.rays = self.drops = None
         self.dist_table = _row_table(dist) if isinstance(dist, HPolytope) else {}
 
 
 def _dedupe(H: np.ndarray, h: np.ndarray):
-    """Drop exact-duplicate rows and dominated rows with equal normals.
-
-    Rows match when their byte keys (:func:`_row_keys`, which fold ``-0.0``
-    into ``0.0``) agree after rounding to 10 decimals; the smallest offset
-    wins.
-    """
+    """Drop exact-duplicate rows and dominated rows with equal normals: rows
+    whose :func:`_row_keys` agree after rounding to 10 decimals keep the
+    least offset."""
     if H.shape[0] <= 1:
         return H, h
-    offsets = h.tolist()
-    best: dict = {}
-    for i, key in enumerate(_row_keys(np.round(H, 10))):
-        j = best.get(key)
-        if j is None or offsets[i] < offsets[j]:
-            best[key] = i
-    idx = list(best.values())
+    idx = [i for _, i in _least_offsets(_row_keys(np.round(H, 10)), h.tolist()).values()]
     return H[idx], h[idx]
 
 
@@ -799,10 +797,9 @@ def contains_set(outer, inner, tol: float = EPS_SET, center=None, tables=(None, 
     return True
 
 
-def set_equal(A, B, tol: float = EPS_SET, centers=(None, None), tables=(None, None)) -> bool:
-    """Mutual containment within tolerance; ``centers`` and ``tables`` hold
-    :func:`contains_set`'s for ``A`` and for ``B``."""
-    return contains_set(A, B, tol, centers[1], tables) and contains_set(B, A, tol, centers[0], tables[::-1])
+def set_equal(A, B, tol: float = EPS_SET) -> bool:
+    """Mutual containment within tolerance."""
+    return contains_set(A, B, tol) and contains_set(B, A, tol)
 
 
 def volume(P, seed: int = 0, samples: int = 100_000) -> float:

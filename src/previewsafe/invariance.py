@@ -33,7 +33,6 @@ from .geometry import (
     lift,
     pontryagin_diff,
     project,
-    set_equal,
     volume,
 )
 from .geometry.polytope import _LoopState, _preimage, _row_table
@@ -86,17 +85,21 @@ def pre(sys: LinearSystem, X: HPolytope, state=None) -> HPolytope:
     return project(_preimage(X, sys.dist_set, sys.E, G, sys.safe, table), list(range(n)), state)
 
 
-def _iterate(sys: LinearSystem, X: HPolytope, budget: int, state: _LoopState) -> IterationReport:
+def _iterate(sys: LinearSystem, X: HPolytope, budget: int, state: _LoopState, seeded=False) -> IterationReport:
     """Apply pre to ``X``, described by ``state``, at most ``budget`` times,
-    stopping at a fixed point (mutual containment within ``EPS_SET``)."""
-    rows, state.table = [X.nrows], _row_table(X)
+    stopping when ``X`` and ``pre(X)`` contain each other; when ``seeded``,
+    the first test's ``X`` in ``pre(X)`` is :func:`is_invariant` of the seed."""
+    rows, table = [X.nrows], _row_table(X)
     for k in range(1, budget + 1):
-        center, table = state.center, state.table
+        center = state.center
         Xn = pre(sys, X, state)
         rows.append(Xn.nrows)
-        state.table = _row_table(Xn)
-        converged = set_equal(Xn, X, centers=(state.center, center), tables=(state.table, table))
-        X = Xn
+        new = _row_table(Xn)
+        inside = contains_set(Xn, X, center=center, tables=(new, table))
+        if seeded and k == 1 and not inside:
+            raise SeedNotInvariantError("seed set failed the invariance check")
+        converged = inside and contains_set(X, Xn, center=state.center, tables=(table, new))
+        X, table = Xn, new
         if converged:
             return IterationReport(X, k, True, tuple(rows))
     return IterationReport(X, budget, False, tuple(rows))
@@ -129,15 +132,14 @@ def is_invariant(sys: LinearSystem, C: HPolytope) -> bool:
 def method2(sys: LinearSystem, seed: HPolytope, K: int) -> IterationReport:
     """Grow a controlled invariant seed by iterating pre at most ``K`` times.
 
-    The seed must itself be controlled invariant (checked; raises
-    :class:`SeedNotInvariantError` otherwise), which makes every iterate
-    controlled invariant and the sequence nondecreasing.
-    """
+    An invariant seed makes every iterate invariant and the sequence
+    nondecreasing; any other raises :class:`SeedNotInvariantError` at the
+    first iterate's first containment, or at ``is_invariant`` when ``K = 0``."""
     if K < 0:
         raise ValueError("iteration budget must be nonnegative")
-    if not is_invariant(sys, seed):
+    if K == 0 and not is_invariant(sys, seed):
         raise SeedNotInvariantError("seed set failed the invariance check")
-    return _iterate(sys, seed, K, _LoopState(sys.dist_set))
+    return _iterate(sys, seed, K, _LoopState(sys.dist_set), seeded=True)
 
 
 def input_constraints(sys: LinearSystem, C: HPolytope):

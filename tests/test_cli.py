@@ -208,6 +208,23 @@ def test_ignored_flag_exits_two(args, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize("content", [None, "{\"n\": 3,", "[1, 2]"], ids=["missing", "malformed", "array"])
+def test_unreadable_system_file_exits_two(content, tmp_path, capsys):
+    cfg = tmp_path / "sr.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert run(["invariant", "--system", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_check_above_the_vertex_cap_gives_the_inequality_verdict(capsys):
+    # pbar = 24 is above the vertex test's cap of 20
+    assert run(["check", "--n", "24", "--c", "0.001", "--preview", "24"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict == {"nonempty": True, "n": 24, "p": 24, "test": "inequality"}
+
+
 def test_check_box_halfwidth_default_is_one(capsys):
     # the default is resolved in cmd_check, so unset and 1.0 agree
     assert run(["check", "--n", "3", "--c", "0.2"]) == 0
@@ -229,6 +246,15 @@ def test_invariant_defaults_apply_where_read(method, defaults, tmp_path, capsys)
 
 
 class TestInvariant:
+    def test_budget_exit_is_reported(self, capsys):
+        assert run(["invariant", "--case", "example2", "--preview", "2", "--max-iter", "1"]) == 0
+        assert '"converged": false' in capsys.readouterr().out
+
+    def test_closed_form_refuses_a_case(self, capsys):
+        assert run(["invariant", "--case", "example2", "--closed-form"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "applies to shift-register configs only" in captured.err and captured.out == ""
+
     def test_example4_empty(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run(["invariant", "--case", "example4", "--method", "1", "--preview", "0", "--out", str(out)])
@@ -440,6 +466,11 @@ class TestSweep:
         assert rows[0] == "p,largest_c"
         values = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_unbounded_c_is_infinity(self, capsys):
+        # at n = 1 any c is tolerable once previewed; the flat writer spells inf Infinity
+        assert run(["sweep-c", "--n", "1", "--p-max", "2"]) == 0
+        assert capsys.readouterr().out == "p,largest_c\n0,1\n1,Infinity\n2,Infinity\n"
 
     def test_paper_sweep_golden(self, capsys):
         assert run(["sweep-c", "--n", "10", "--p-max", "12"]) == 0

@@ -393,6 +393,13 @@ class TestMethod1:
         assert rep.converged and rep.iterations >= 2
         assert len(built) <= rep.iterations + 2
 
+    def test_budget_exit_reports_no_convergence(self):
+        # example2 at p = 2 needs more than one step: the budget ends the
+        # run, which is reported, not raised
+        sys = augment(ScalarPreviewProblem(2.0, 1.0, 1.0, 2.0, 2).system(), 2).aug
+        rep = method1(sys, max_iter=1)
+        assert (rep.converged, rep.iterations, rep.per_step_rows) == (False, 1, (6, 6))
+
     def test_iterates_nonincreasing(self):
         sys = augment(scalar_sys(), 1).aug
         X = project(sys.safe, list(range(sys.n)))
@@ -526,6 +533,48 @@ class TestMethod2:
         bad_seed = HPolytope.from_bounds([1.5], [2.0])  # drifts out under a=2
         with pytest.raises(SeedNotInvariantError):
             method2(sys, bad_seed, 3)
+
+    @pytest.mark.parametrize("K", [0, 1])
+    def test_rejects_non_invariant_seed_at_every_budget(self, K):
+        # K = 0 checks the seed with is_invariant, K >= 1 with the first
+        # iterate's first containment
+        with pytest.raises(SeedNotInvariantError):
+            method2(scalar_sys(), HPolytope.from_bounds([1.5], [2.0]), K)
+
+    def test_seed_check_computes_no_pre_twice(self, monkeypatch):
+        # the check seed in pre(seed) is the first half of the first
+        # iterate's convergence test, so a run takes one pre per iteration
+        box = Hyperbox.from_bounds([-1.0, -1.2, -0.9], [1.1, 1.0, 1.0])
+        base = make_brunovsky(3, Hyperbox.from_bounds([-0.2, -0.15, -0.1], [0.2, 0.15, 0.1]), box)
+        seed = lift(method1(base).result, base.dist_set, 2)
+        calls = []
+        step = invariance.pre
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(invariance, "pre", counted)
+        for K in (1, 3):
+            calls.clear()
+            rep = method2(augment(base, 2).aug, seed, K)
+            assert rep.iterations == K and len(calls) == K
+        assert rep.converged
+
+    def test_three_state_shift_register_digest(self):
+        # `invariant --system` on box +-1, disturbance +-0.2, preview 2 with
+        # --method 2: the seed is Method 1's set at p = 0, lifted
+        sys = BrunovskyProblem.create(3, Hyperbox.cube(3, 1.0), Hyperbox.cube(3, 0.2), 2).system()
+        rep = method2(augment(sys, 2).aug, lift(method1(sys).result, sys.dist_set, 2), 10)
+        assert (set_digest(rep.result), rep.iterations, rep.converged, rep.per_step_rows) == (
+            "35ffa895b7346928cbe55d49c2528d949f707aac4d14539d2a98f3cc614a9115", 3, True, (18, 20, 24, 24)
+        )
+
+    def test_budget_exit_reports_no_convergence(self):
+        # lane keeping at p = 2 converges at the third iterate
+        sys, _ = lane_keeping_model()
+        rep = method2(augment(sys, 2).aug, lift(method1(sys).result, sys.dist_set, 2), 1)
+        assert (rep.converged, rep.iterations) == (False, 1)
 
     def test_iterates_nondecreasing_and_invariant(self):
         prob0 = BrunovskyProblem.create(2, Hyperbox.cube(2, 1.0), Hyperbox.cube(2, 0.2), 0)
