@@ -25,6 +25,12 @@ redundancy LP, started from the row itself.  Support values are memoized per
 set, and a projection's emptiness is decided by the Chebyshev test after its
 elimination steps, so neither is solved twice.
 
+:func:`_preimage` is the one pull-back of a set's erosion through a linear
+map, which the controlled predecessor and the safety filter both take: the
+rows that the map sends to zero rows do not depend on the point pulled back,
+and it settles them once, with no LP when the eroding set has the row
+itself, and erodes the rest.
+
 A set holds only facts about itself.  A fixed-point loop's
 :class:`_LoopState` carries from one iterate to the next the interior point
 its projection's last reduction shot rays from, which the next projection
@@ -224,8 +230,6 @@ class HPolytope:
         z = np.asarray(z, dtype=float).ravel()
         if z.shape[0] != self._dim:
             raise ValueError("point dimension mismatch")
-        if self.nrows == 0:
-            return True
         return bool(np.all(self._H.dot(z) <= self._h + tol))
 
     def support(self, direction) -> float:
@@ -323,8 +327,6 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
         raise ValueError("map shape must be (dim X, dim S)")
     if X.is_empty:
         return HPolytope.empty(X.dim)
-    if X.nrows == 0:
-        return X
     dirs = X.H.dot(M)
     if isinstance(S, Hyperbox):
         # every row's Hyperbox.support at once; a zero direction sums to 0.0
@@ -343,51 +345,48 @@ def pontryagin_diff(X: HPolytope, S, M: np.ndarray) -> HPolytope:
     return HPolytope._of_unit_rows(X.H, X.h - offsets)
 
 
-def _preimage(X: HPolytope, S, M: np.ndarray, G: np.ndarray, extra: HPolytope, table: dict) -> HPolytope:
-    """The points ``v`` of ``extra`` whose image lies in the erosion of ``X``
-    by ``M S``: ``G`` holds one row ``G_i = H_i F`` per row ``H_i z <= h_i``
-    of the nonempty ``X``, for the map ``F``, and the result has the rows of
-    ``HPolytope(vstack([G, extra.H]), concatenate([e, extra.h]))``, where
-    ``e`` is :func:`pontryagin_diff`'s ``h_i - sup_S (H_i M) s``.  When
-    zero rows are dropped, ``e`` comes from the product of fewer rows of
+def _preimage(X: HPolytope, S, M: np.ndarray, G: np.ndarray):
+    """The rows ``(G', e)`` of the points ``v`` whose image lies in the
+    erosion of the nonempty ``X`` by ``M S``, as they come, not normalized,
+    and that erosion: ``G`` holds one row ``G_i = H_i F`` per row ``H_i z <=
+    h_i`` of ``X``, for the map ``F``, and ``v`` must meet ``G_i v <= e_i``,
+    with ``e_i`` :func:`pontryagin_diff`'s ``h_i - sup_S (H_i M) s``.  When
+    zero rows are left out, ``e`` comes from the product of fewer rows of
     ``X`` with ``M``, which has the same bits when that product is exact, as
     with the 0/1 embedding ``E`` of a preview realization.
 
     A row whose ``G_i`` is a zero row (norm at most ``_ZERO_ROW_TOL``, as
-    ``_clean_rows`` finds them) reads ``0 <= e_i``: a yes/no check that ``M
-    S`` fits, after which the row is dropped.  Such a row needs no support
-    LP when ``H_i M`` is zero (then ``e_i = h_i``) or when ``S`` is an
-    HPolytope with a row of the same bytes whose offset is at most ``h_i``,
-    since a set's support along its own row is at most that row's offset
-    (``table`` is :class:`_LoopState`'s ``dist_table`` for ``S``).  Only the
-    other rows are eroded, in one :func:`pontryagin_diff` call.  Returns the
-    empty set when some zero row fails its check.
+    ``_clean_rows`` finds them) reads ``0 <= e_i`` for every ``v``: a yes/no
+    check that ``M S`` fits, settled here once and then left out of ``G'``.
+    It needs no support LP when ``H_i M`` is zero (then ``e_i = h_i``) or
+    when ``S`` is an HPolytope with a row equal to ``H_i M`` whose offset is
+    at most ``h_i``, since a set's support along its own row is at most that
+    row's offset.  Only the other rows are eroded, in one
+    :func:`pontryagin_diff` call, whose result leaves the settled rows out.
+    Returns ``(G', e, erosion)``, or None when some zero row fails its check
+    or the erosion is empty.
     """
-    if not np.isfinite(G).all():
-        raise ValueError("H must be finite and h must not be NaN")
-    norms = _row_norms(G)
-    zero = norms <= _ZERO_ROW_TOL
+    zero = _row_norms(G) <= _ZERO_ROW_TOL
     erode = ~zero
     if zero.any():
         dirs, h = X.H[zero].dot(M), X.h[zero]
-        flat = ~dirs.any(axis=1)
-        if (h[flat] < -_ZERO_TOL).any():
-            return HPolytope.empty(G.shape[1])
-        fits = [table.get(key, (np.inf,))[0] <= offset for key, offset in zip(_row_keys(dirs), h.tolist())]
-        erode[zero] = ~(flat | fits)
+        settled = ~dirs.any(axis=1)
+        if (h[settled] < -_ZERO_TOL).any():
+            return None
+        if isinstance(S, HPolytope):
+            # == compares values, so -0.0 matches 0.0
+            same = (dirs[:, None, :] == S.H).all(axis=2)
+            settled |= (same & (S.h <= h[:, None])).any(axis=1)
+        erode[zero] = ~settled
     # a superset of the nonempty X, so asking its emptiness would waste an LP
     rows = X if erode.all() else HPolytope._of_unit_rows(X.H[erode], X.h[erode], empty=False)
     eroded = pontryagin_diff(rows, S, M)
     if eroded._empty:
-        return HPolytope.empty(G.shape[1])
-    live = erode & ~zero
-    h = eroded.h
-    if not live.all():
-        if (h[zero[erode]] < -_ZERO_TOL).any():
-            return HPolytope.empty(G.shape[1])
-        h = h[live[erode]]
-    H, h, _ = _clean_rows(G[live], h, norms[live])
-    return HPolytope._of_unit_rows(np.vstack([H, extra.H]), np.concatenate([h, extra.h]))
+        return None
+    live = ~zero[erode]
+    if (eroded.h[~live] < -_ZERO_TOL).any():
+        return None
+    return G[~zero], eroded.h[live], eroded
 
 
 def _least_offsets(keys: list, offsets: list) -> dict:
@@ -409,16 +408,14 @@ def _row_table(P: HPolytope) -> dict:
 
 class _LoopState:
     """What one iterate of a fixed-point run hands the next: ``center``, a
-    point interior to it by more than ``_RAY_MARGIN`` (or None), ``rays``
+    point interior to it by more than ``_RAY_MARGIN`` (or None), and ``rays``
     and ``drops``, what its projection's last reduction returned to carry on
-    (or None), and ``dist_table``, the :func:`_row_table` of the disturbance
-    set ``dist`` (empty for a Hyperbox)."""
+    (or None)."""
 
-    __slots__ = ("center", "rays", "drops", "dist_table")
+    __slots__ = ("center", "rays", "drops")
 
-    def __init__(self, dist=None):
+    def __init__(self):
         self.center = self.rays = self.drops = None
-        self.dist_table = _row_table(dist) if isinstance(dist, HPolytope) else {}
 
 
 def _dedupe(H: np.ndarray, h: np.ndarray):
@@ -718,16 +715,10 @@ def project(P: HPolytope, keep, state=None) -> HPolytope:
             return HPolytope.empty(nkeep)
         H, h, carried = reduced
     while H.shape[1] > nkeep:
-        # cheapest-fill heuristic over the remaining eliminable columns
-        best_col, best_cost = None, None
-        for col in range(nkeep, H.shape[1]):
-            a = H[:, col]
-            npos = int(np.sum(a > _ZERO_TOL))
-            nneg = int(np.sum(a < -_ZERO_TOL))
-            cost = npos * nneg - (npos + nneg)
-            if best_cost is None or cost < best_cost:
-                best_col, best_cost = col, cost
-        H, h = _fm_eliminate(H, h, best_col)
+        # cheapest fill over the remaining eliminable columns, the first on a tie
+        npos = np.count_nonzero(H[:, nkeep:] > _ZERO_TOL, axis=0)
+        nneg = np.count_nonzero(H[:, nkeep:] < -_ZERO_TOL, axis=0)
+        H, h = _fm_eliminate(H, h, nkeep + int(np.argmin(npos * nneg - (npos + nneg))))
         cleaned = _clean_rows(H, h)
         if cleaned[2]:
             return HPolytope.empty(nkeep)

@@ -12,7 +12,9 @@ evaluation per row of X; for preview-augmented systems E is nonzero only on
 the freshest disturbance block, so those supports see only that block.  The
 rows of X on that block alone pull back to zero rows: each only checks that
 E D fits, which takes no LP when the row is one of D's own rows, and is then
-dropped.
+dropped.  The safety filter's admissible inputs at x are the u-slice at x of
+the same pulled-back set, so :func:`input_constraints` takes the same pull-back
+(``geometry.polytope._preimage``) and keeps its rows as they come.
 
 Method 1 iterates pre downward from the state projection of the safe set and
 returns the maximal controlled invariant set when it converges (which is not
@@ -27,15 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SeedNotInvariantError
-from .geometry import (
-    HPolytope,
-    contains_set,
-    lift,
-    pontryagin_diff,
-    project,
-    volume,
-)
-from .geometry.polytope import _LoopState, _preimage, _row_table
+from .geometry import HPolytope, contains_set, lift, project, volume
+from .geometry.polytope import _clean_rows, _LoopState, _preimage, _row_table
 from .systems import LinearSystem, augment, collaborative
 
 __all__ = [
@@ -72,17 +67,25 @@ class IterationReport:
 
 
 def pre(sys: LinearSystem, X: HPolytope, state=None) -> HPolytope:
-    """Controlled predecessor of ``X`` under ``sys`` (safe set included).
-    ``state``, the loop's :class:`_LoopState` for ``X``, goes to ``project``
-    and its ``dist_table`` to the zero-row check; without one, none is carried."""
-    n, m = sys.n, sys.m
+    """Controlled predecessor of ``X`` under ``sys`` (safe set included): the
+    pulled-back rows of ``_preimage``, normalized and stacked on the safe
+    set's, projected onto the state.  ``state``, the loop's
+    :class:`_LoopState` for ``X``, goes to ``project``; without one, none is
+    carried."""
+    n = sys.n
     if X.dim != n:
         raise ValueError("target set must live in the state space")
     if X.is_empty:
         return HPolytope.empty(n)
     G = np.hstack([X.H.dot(sys.A), X.H.dot(sys.B)])
-    table = _LoopState(sys.dist_set).dist_table if state is None else state.dist_table
-    return project(_preimage(X, sys.dist_set, sys.E, G, sys.safe, table), list(range(n)), state)
+    if not np.isfinite(G).all():
+        raise ValueError("H must be finite and h must not be NaN")
+    pulled = _preimage(X, sys.dist_set, sys.E, G)
+    if pulled is None:
+        return HPolytope.empty(n)
+    H, h, _ = _clean_rows(pulled[0], pulled[1])
+    rows = HPolytope._of_unit_rows(np.vstack([H, sys.safe.H]), np.concatenate([h, sys.safe.h]))
+    return project(rows, list(range(n)), state)
 
 
 def _iterate(sys: LinearSystem, X: HPolytope, budget: int, state: _LoopState, seeded=False) -> IterationReport:
@@ -113,7 +116,7 @@ def method1(sys: LinearSystem, max_iter: int = 200) -> IterationReport:
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    state = _LoopState(sys.dist_set)
+    state = _LoopState()
     return _iterate(sys, project(sys.safe, list(range(sys.n)), state), max_iter, state)
 
 
@@ -139,16 +142,19 @@ def method2(sys: LinearSystem, seed: HPolytope, K: int) -> IterationReport:
         raise ValueError("iteration budget must be nonnegative")
     if K == 0 and not is_invariant(sys, seed):
         raise SeedNotInvariantError("seed set failed the invariance check")
-    return _iterate(sys, seed, K, _LoopState(sys.dist_set), seeded=True)
+    return _iterate(sys, seed, K, _LoopState(), seeded=True)
 
 
 def input_constraints(sys: LinearSystem, C: HPolytope):
     """The state-independent part of :func:`admissible_inputs`: the arrays
     ``(G_x, G_u, h0)`` with the inputs admissible at ``x`` equal to
     ``{u : G_u u <= h0 - G_x @ x}``, or ``None`` when ``C`` or its erosion by
-    ``E D`` is empty.  With ``E_r z <= e_r`` the erosion, ``G_x = [E_r A;
-    S_x]``, ``G_u = [E_r B; S_u]`` and ``h0 = [e_r; s]``: every row of the
-    erosion and of the safe set, zero rows included.  The erosion does not
+    ``E D`` is empty, or when a row that does not depend on ``(x, u)`` fails.
+    The rows are :func:`pre`'s pull-back (``_preimage``), not normalized, so
+    a row of ``C`` whose ``[C_i A, C_i B]`` is a zero row is settled there
+    once and is not among them; with ``C_r z <= e_r`` the other rows of the
+    erosion, ``G_x = [C_r A; S_x]``, ``G_u = [C_r B; S_u]`` and ``h0 = [e_r;
+    s]``, the safe set's rows included as they are.  The erosion does not
     depend on the state, so a caller that keeps ``C`` erodes it once, and the
     right-hand side at ``x`` is one mat-vec.
     """
@@ -156,13 +162,13 @@ def input_constraints(sys: LinearSystem, C: HPolytope):
         raise ValueError("admissible input set requires an input channel")
     if C.is_empty:
         return None
-    eroded = pontryagin_diff(C, sys.dist_set, sys.E)
-    if eroded.is_empty:
+    pulled = _preimage(C, sys.dist_set, sys.E, np.hstack([C.H.dot(sys.A), C.H.dot(sys.B)]))
+    if pulled is None or pulled[2].is_empty:
         return None
+    G, e, _ = pulled
     n = sys.n
-    G_x = np.vstack([eroded.H.dot(sys.A), sys.safe.H[:, :n]])
-    G_u = np.vstack([eroded.H.dot(sys.B), sys.safe.H[:, n:]])
-    return G_x, G_u, np.concatenate([eroded.h, sys.safe.h])
+    return (np.vstack([G[:, :n], sys.safe.H[:, :n]]), np.vstack([G[:, n:], sys.safe.H[:, n:]]),
+            np.concatenate([e, sys.safe.h]))
 
 
 def admissible_inputs(sys: LinearSystem, C: HPolytope, x) -> HPolytope:

@@ -26,7 +26,7 @@ from .errors import (
     ScriptExhaustedError,
 )
 from .geometry import HPolytope, Hyperbox, LPStatus, lift, linprog_max
-from .geometry.polytope import _ZERO_ROW_TOL, _ZERO_TOL, _row_norms
+from .geometry.polytope import _ZERO_ROW_TOL, _ZERO_TOL
 from .invariance import input_constraints, method1, method2
 from .systems import LinearSystem, PreviewSystem, augment, system_from_config
 
@@ -157,18 +157,17 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     """The safety filter of :class:`Supervisor` as one function of the state
     and the nominal input, with everything that depends on neither bound
     here: ``rows`` are ``input_constraints``' ``(G_x, G_u, h0)``, or ``None``
-    when the eroded invariant is empty and every step falls back (clamps the
-    nominal input into the input box, which has one coordinate per input).
-    The build drops the rows with an all-zero ``G_x`` row and a zero
-    ``G_u`` row (norm at most ``_ZERO_ROW_TOL``, as :class:`HPolytope`
-    finds them): each reads ``0 <= h0_i`` at every state, so its verdict is
-    taken once, and an offset below ``-_ZERO_TOL`` makes every step fall
-    back.  A step evaluates ``rhs = h0 - G_x.dot(x)``; with two or more
-    inputs it then solves LPs (emptiness, and the closest point when
-    ``u_nom`` is not admissible), since those depend on the state.  ``ndarray.dot`` makes the
-    BLAS call of the ``@`` operator without its ufunc dispatch (measured at
-    0.4-0.6 against 0.8-1.0 µs a call on these shapes, one BLAS thread); on
-    the C-ordered arrays here its bits are those of ``@``.
+    when the eroded invariant is empty or a state-independent row fails, and
+    every step falls back (clamps the nominal input into the input box, which
+    has one coordinate per input).  ``input_constraints`` has settled the
+    rows that read ``0 <= h0_i`` at every state; a step reads any such row
+    it is given as any other.  A step evaluates ``rhs = h0 - G_x.dot(x)``;
+    with two or more inputs it then solves LPs (emptiness, and the closest
+    point when ``u_nom`` is not admissible), since those depend on the
+    state.  ``ndarray.dot`` makes the BLAS call of the ``@`` operator without
+    its ufunc dispatch (measured at 0.4-0.6 against 0.8-1.0 µs a call on
+    these shapes, one BLAS thread); on the C-ordered arrays here its bits are
+    those of ``@``.
 
     For one input the build orders the rows once as the zero rows of ``g =
     G_u[:, 0]`` (``|g_i| <= _ZERO_ROW_TOL``, as :class:`HPolytope` finds
@@ -197,11 +196,6 @@ def _compile_step(rows: Optional[tuple], input_box: Hyperbox) -> Callable:
     def fallback(u_nom):
         return np.minimum(np.maximum(u_nom, box_lo), box_hi), True, True, nan, nan
 
-    if rows is not None:
-        G_x, G_u, h0 = rows
-        # rows that read 0 <= h0_i at every state
-        fixed = ~G_x.any(axis=1) & (_row_norms(G_u) <= _ZERO_ROW_TOL)
-        rows = None if (h0[fixed] < -_ZERO_TOL).any() else (G_x[~fixed], G_u[~fixed], h0[~fixed])
     if rows is None:
         return lambda state, u_nom: fallback(u_nom)
     G_x, G_u, h0 = rows

@@ -283,6 +283,17 @@ class TestPontryaginDiff:
         out = pontryagin_diff(X, S, np.zeros((2, 2)))
         assert set_equal(out, X)
 
+    def test_set_without_rows(self):
+        # the whole plane: every point lies in it, and eroding it by any
+        # nonempty set leaves a set with no rows, for a box and a polytope
+        whole = HPolytope(np.zeros((0, 2)), np.zeros(0))
+        assert whole.contains([1e300, -1e300])
+        box = Hyperbox.cube(2, 0.2)
+        for S in (box, HPolytope.from_box(box), cross_polytope(np.array([0.2, 0.1]))):
+            out = pontryagin_diff(whole, S, np.eye(2))
+            assert out.nrows == 0 and not out.is_empty
+            assert out.contains([3.0, -4.0])
+
     def test_zero_directions_skip_support(self):
         # E touches only the first coordinate, as the freshest preview block
         # does in an augmented system: the other rows keep their offsets
@@ -525,6 +536,21 @@ class TestReduce:
         Q = project(P, range(P.dim))
         assert P.nrows == Q.nrows
         assert set_equal(P, Q)
+
+    def test_exact_infeasibility_empties_the_projection(self):
+        # x <= 0 and x >= 1.2e-9 cross by less than the emptiness tolerance:
+        # the Chebyshev radius is -6e-10, so the set counts as nonempty, but a
+        # redundancy LP finds the rows infeasible and the reduction gives up
+        r = np.sqrt(0.5)
+        H = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [r, r]])
+        h = np.array([0.0, -1.2e-9, 1.0, 1.0, 5.0])
+        P = HPolytope(H, h)
+        rho, center = lp.chebyshev_center(P.H, P.h)
+        assert -polytope._EMPTY_RADIUS_TOL < rho < 0.0 and not P.is_empty
+        assert polytope._reduce_arrays(P.H, P.h, center) is None
+        # with nothing to eliminate, and after eliminating an all-zero column
+        assert project(P, [0, 1]).is_empty
+        assert project(HPolytope(np.hstack([H, np.zeros((5, 1))]), h), [0, 1]).is_empty
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_random_injected_redundancy(self, seed):

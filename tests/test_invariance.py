@@ -111,7 +111,7 @@ class TestPreLPs:
         box = Hyperbox.from_bounds([-1.0, -1.2, -0.9], [1.1, 1.0, 1.0])
         dist = cross_polytope(np.array([0.2, 0.15, 0.1]))
         sys = augment(make_brunovsky(3, dist, box), 2).aug
-        state = polytope._LoopState(sys.dist_set)
+        state = polytope._LoopState()
         X = project(sys.safe, list(range(sys.n)), state)
         calls = [0]
         solve = lp.linprog_max
@@ -225,6 +225,49 @@ class TestPreZeroRows:
         assert calls[0] >= 1 and not out.is_empty
         assert set_digest(out) == set_digest(pre_reference(sys, X))
 
+    def pull_back(self, D, offset, monkeypatch):
+        """``_preimage`` of X with one row e1 on the newest block at
+        ``offset``, and the LPs it solved."""
+        sys = self.system(D)
+        X = self.target(sys, np.array([[1.0, 0.0]]), [offset])
+        G = np.hstack([X.H.dot(sys.A), X.H.dot(sys.B)])
+        calls = count_lps(monkeypatch)
+        pulled = polytope._preimage(X, sys.dist_set, sys.E, G)
+        return X, pulled, calls[0]
+
+    def test_d_row_with_negative_zeros_matches(self, monkeypatch):
+        # the direction e1 through E is [1.0, 0.0], and D's row is [1.0,
+        # -0.0]: other bytes, the same values, so the row is settled
+        D = HPolytope([[1.0, -0.0], [-1.0, -0.0], [-0.0, 1.0], [-0.0, -1.0]], [0.2, 0.2, 0.1, 0.1])
+        assert np.signbit(D.H[0, 1])
+        X, (G, e, eroded), calls = self.pull_back(D, 0.2, monkeypatch)
+        assert calls == 0
+        # only the 4 rows on the state are left, with their offsets; the
+        # rows on the newest block, D's own and e1, are settled
+        assert G.shape[0] == e.shape[0] == eroded.nrows == 4
+        assert e.tobytes() == X.h[:4].tobytes()
+
+    def test_d_row_above_the_offset_solves_its_lp(self, monkeypatch):
+        # D's row e1 at offset 5 lies above h_i = 0.5, so it settles
+        # nothing, and the erosion LP finds the diamond's support 0.2
+        diamond = cross_polytope(np.array([0.2, 0.1]))
+        D = HPolytope(np.vstack([diamond.H, [[1.0, 0.0]]]), np.append(diamond.h, 5.0))
+        _, pulled, calls = self.pull_back(D, 0.5, monkeypatch)
+        assert calls == 1
+        assert pulled[2].h[-1] == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("first", [0.3, 5.0])
+    @pytest.mark.parametrize("offset, settled", [(0.4, True), (0.25, False)])
+    def test_smallest_of_equal_d_rows_decides(self, first, offset, settled, monkeypatch):
+        # two rows e1 of D, at 0.3 and 5 in either order: the smaller one
+        # settles h_i = 0.4 and leaves h_i = 0.25 to its LP
+        diamond = cross_polytope(np.array([0.2, 0.1]))
+        rows = np.vstack([diamond.H, [[1.0, 0.0]], [[1.0, 0.0]]])
+        D = HPolytope(rows, np.append(diamond.h, [first, 5.3 - first]))
+        _, pulled, calls = self.pull_back(D, offset, monkeypatch)
+        assert calls == (0 if settled else 1)
+        assert pulled[2].nrows == (4 if settled else 5)
+
     @pytest.mark.parametrize("scale, empty", [(1.0, False), (0.5, True)])
     def test_hyperbox_d(self, scale, empty, monkeypatch):
         D = Hyperbox.from_bounds([-0.2, -0.1], [0.2, 0.1])
@@ -268,7 +311,7 @@ class TestPreZeroRows:
             # problem stays nonempty
             for dist in (prob.dist, cross_polytope(prob.dist.hi)):
                 sys = augment(make_brunovsky(prob.n, dist, prob.box), prob.p).aug
-                state = polytope._LoopState(sys.dist_set)
+                state = polytope._LoopState()
                 X = project(sys.safe, list(range(sys.n)), state)
                 for _ in range(4):
                     reference = pre_reference(sys, X, copy.copy(state))
@@ -376,7 +419,7 @@ class TestMethod1:
 
     def test_each_row_table_is_built_once(self, monkeypatch):
         # the loop keeps each iterate's row table for the next convergence
-        # test: one table per iterate, one for the first set and one for D
+        # test: one table per iterate and one for the first set
         dist = cross_polytope(np.array([0.2, 0.15, 0.1]))
         box = Hyperbox.from_bounds([-1.0, -1.2, -0.9], [1.1, 1.0, 1.0])
         sys = augment(make_brunovsky(3, dist, box), 2).aug
@@ -391,7 +434,7 @@ class TestMethod1:
         monkeypatch.setattr(invariance, "_row_table", counted)
         rep = method1(sys)
         assert rep.converged and rep.iterations >= 2
-        assert len(built) <= rep.iterations + 2
+        assert len(built) <= rep.iterations + 1
 
     def test_budget_exit_reports_no_convergence(self):
         # example2 at p = 2 needs more than one step: the budget ends the

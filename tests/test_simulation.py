@@ -391,9 +391,11 @@ class TestHoistedFilter:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_state_independent_rows_are_decided_at_build(self, m, master_seed):
-        # a row with zero G_x and G_u reads 0 <= h0_i at every state: within
-        # the 1e-9 tolerance the step is the one without the row, bit for
-        # bit, and beyond it every step falls back to the input box
+        # a row with zero G_x and G_u reads 0 <= h0_i at every state; the
+        # pull-back settles such rows before the build, and a step given one
+        # reads it with the others: within the 1e-9 tolerance the step is the
+        # one without the row, bit for bit, and beyond it every step falls
+        # back to the input box
         rng = np.random.default_rng(master_seed)
         G_x, G_u, h0 = rng.normal(size=(6, 3)), rng.normal(size=(6, m)), rng.uniform(1.0, 2.0, 6)
         box = Hyperbox.cube(m, 5.0)
@@ -673,6 +675,77 @@ def canonical_supervisor(name):
         sys = augment(problem.system(), problem.p).aug
         box = Hyperbox.from_bounds([-np.inf], [np.inf])
     return Supervisor(sys=sys, invariant=C, input_box=box)
+
+
+def erode_every_row(sys, C):
+    """``input_constraints`` built without its pull-back: every row of ``C``
+    eroded by ``E D``, the safe set's rows stacked under them, and then the
+    rows with an all-zero ``G_x`` and a zero ``G_u`` dropped, which read ``0
+    <= h0_i`` at every state (``None`` when the erosion is empty)."""
+    eroded = pontryagin_diff(C, sys.dist_set, sys.E)
+    if eroded.is_empty:
+        return None
+    n = sys.n
+    G_x = np.vstack([eroded.H.dot(sys.A), sys.safe.H[:, :n]])
+    G_u = np.vstack([eroded.H.dot(sys.B), sys.safe.H[:, n:]])
+    h0 = np.concatenate([eroded.h, sys.safe.h])
+    fixed = ~G_x.any(axis=1) & (np.linalg.norm(G_u, axis=1) <= 1e-12)
+    assert (h0[fixed] >= -1e-9).all()
+    return G_x[~fixed], G_u[~fixed], h0[~fixed]
+
+
+class TestInputConstraints:
+    """The filter's rows are ``pre``'s pull-back, kept as they come: the rows
+    of eroding every row of the invariant, less those that do not depend on
+    the state or the input."""
+
+    def assert_same_rows(self, sys, C):
+        rows, reference = input_constraints(sys, C), erode_every_row(sys, C)
+        assert rows is not None and reference is not None
+        for got, want in zip(rows, reference):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return rows
+
+    def test_lane_keeping_supervisors(self, lane_supervisors):
+        # p = 0 leaves no row out; at p = 2 and 5 the rows on the newest
+        # previewed disturbance pull back to zero rows and are left out
+        sys, sups = lane_supervisors
+        for p, sup in sups.items():
+            G_x = self.assert_same_rows(sup.sys, sup.invariant)[0]
+            assert (G_x.shape[0] < sup.invariant.nrows + sup.sys.safe.nrows) is (p > 0)
+
+    @pytest.mark.parametrize("name", AUDITED_CANONICAL_SETS)
+    def test_canonical_sets(self, name):
+        # half the shift registers have a cross-polytope disturbance, whose
+        # rows the pull-back matches; the last set is lane keeping's at p = 8
+        sup = canonical_supervisor(name)
+        self.assert_same_rows(sup.sys, sup.invariant)
+
+    def test_cross_polytope_shift_register(self):
+        box = Hyperbox.from_bounds([-1.0, -1.2, -0.9], [1.1, 1.0, 1.0])
+        problem = BrunovskyProblem.create(3, box, cross_polytope(np.array([0.3, 0.25, 0.2])), 2)
+        sys = augment(problem.system(), 2).aug
+        self.assert_same_rows(sys, method1(sys).result)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_failed_state_independent_row_falls_back(self, m):
+        # state (x, w) with w+ = d and |d| <= 0.1: the invariant's row w <=
+        # top pulls back to a zero row, which holds when 0.1 fits under top
+        sys = LinearSystem(
+            A=[[1.0, 1.0], [0.0, 0.0]], B=np.vstack([np.ones((1, m)), np.zeros((1, m))]), E=[[0.0], [1.0]],
+            dist_set=Hyperbox.from_bounds([-0.1], [0.1]),
+            safe=HPolytope(np.zeros((0, 2 + m)), np.zeros(0)),
+        )
+        fits = HPolytope.from_bounds([-1.0, -0.5], [1.0, 0.5])
+        assert self.assert_same_rows(sys, fits)[0].shape[0] == 2
+        # at top = 0.05 the row fails, though the erosion itself is not empty
+        tight = HPolytope.from_bounds([-1.0, -0.5], [1.0, 0.05])
+        assert not pontryagin_diff(tight, sys.dist_set, sys.E).is_empty
+        assert input_constraints(sys, tight) is None
+        sup = Supervisor(sys=sys, invariant=tight, input_box=Hyperbox.cube(m, 2.0))
+        for x in ([0.0, 0.0], [0.5, -0.2]):
+            res = supervise(sup, x, np.full(m, 3.0))
+            assert res.admissible_empty and res.u.tolist() == [2.0] * m
 
 
 class TestFilterAudit:
