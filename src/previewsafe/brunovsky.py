@@ -328,14 +328,14 @@ def collapse(problem: BrunovskyProblem) -> CollapseResult:
     return CollapseResult(c_n=inv_n, verified=verified)
 
 
-def projection_identity(problem: BrunovskyProblem, max_iter: int = 200) -> dict:
+def projection_identity(problem: BrunovskyProblem) -> dict:
     """State projection of C_n equals the collaborative maximal set (p >= n)."""
     if problem.p < problem.n:
         raise InvalidParametersError("the projection identity applies to p >= n")
     inv_n = closed_form(replace(problem, p=problem.n))
     rhs = project(to_hpolytope(inv_n), list(range(problem.n)))
     co = collaborative(problem.system())
-    lhs = method1(co, max_iter).result
+    lhs = method1(co).result
     return {"lhs": lhs, "rhs": rhs, "equal": set_equal(lhs, rhs)}
 
 

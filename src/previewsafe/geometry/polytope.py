@@ -96,21 +96,18 @@ def _row_norms(H: np.ndarray) -> np.ndarray:
         return np.sqrt(np.add.reduce(H * H, axis=1))
 
 
-def _clean_rows(H: np.ndarray, h: np.ndarray, norms=None):
+def _clean_rows(H: np.ndarray, h: np.ndarray):
     """Normalize rows to unit norm; drop zero rows and rows with offset +inf.
 
     A row whose norm is within ``_UNIT_TOL`` of 1 is left as it is, so rows
     normalized once keep their bits however often a set is rebuilt from them;
     when every row is kept and of unit norm, ``H`` and ``h`` come back as
     they are, not copied.  A zero row with a negative offset certifies
-    emptiness.  ``norms``, when given, is a writable copy of
-    ``_row_norms(H)``.  A finite row whose squares overflow is first
-    divided, with its offset, by its largest ``|entry|``, which keeps its
-    halfspace; every other row keeps its bits.  Returns ``(H, h,
-    empty_flag)``.
+    emptiness.  A finite row whose squares overflow is first divided, with
+    its offset, by its largest ``|entry|``, which keeps its halfspace; every
+    other row keeps its bits.  Returns ``(H, h, empty_flag)``.
     """
-    if norms is None:
-        norms = _row_norms(H)
+    norms = _row_norms(H)
     huge = norms == np.inf
     if huge.any():
         # x / 1.0 is x, so the other rows come through bit for bit
@@ -671,12 +668,13 @@ def project(P: HPolytope, keep, state=None) -> HPolytope:
     """Exact shadow of ``P`` onto the coordinates in ``keep``.
 
     Fourier-Motzkin elimination of the dropped coordinates (cheapest-fill
-    first) with interleaved redundancy removal; raises
-    :class:`RowBlowupError` if an intermediate iterate exceeds ``_ROW_CAP``
-    rows after reduction.  FM keeps emptiness, so when a coordinate is
-    eliminated the Chebyshev test after each step decides it and ``P`` gets
-    no emptiness LP of its own.  The result is marked nonempty; its
-    feasible point is solved for on first use.
+    first) with interleaved redundancy removal, or, with none to drop, one
+    reduction of ``P``'s rows about its feasible point; raises
+    :class:`RowBlowupError` if an iterate exceeds ``_ROW_CAP`` rows after
+    reduction.  FM keeps emptiness, so when a coordinate is eliminated the
+    Chebyshev test after each step decides it and ``P`` gets no emptiness
+    LP of its own.  The result is marked nonempty; its feasible point is
+    solved for on first use.
 
     ``state``, a :class:`_LoopState` in the ``keep`` coordinates, lends the
     step that leaves only those coordinates the previous iterate's centre,
@@ -707,26 +705,21 @@ def project(P: HPolytope, keep, state=None) -> HPolytope:
     # nothing below writes into H or h, so P's own rows serve when in order
     H = P.H if order == list(range(P.dim)) else P.H[:, order]
     h = P.h
-    point = carried = None
-    if not drop and H.shape[0]:
-        point = P.feasible_point()[keep]
-        reduced = _reduce_arrays(H, h, point, carry)
-        if reduced is None:
-            return HPolytope.empty(nkeep)
-        H, h, carried = reduced
-    while H.shape[1] > nkeep:
-        # cheapest fill over the remaining eliminable columns, the first on a tie
-        npos = np.count_nonzero(H[:, nkeep:] > _ZERO_TOL, axis=0)
-        nneg = np.count_nonzero(H[:, nkeep:] < -_ZERO_TOL, axis=0)
-        H, h = _fm_eliminate(H, h, nkeep + int(np.argmin(npos * nneg - (npos + nneg))))
-        cleaned = _clean_rows(H, h)
-        if cleaned[2]:
-            return HPolytope.empty(nkeep)
-        H, h = cleaned[0], cleaned[1]
+    last = False
+    while not last:
+        if H.shape[1] > nkeep:
+            # cheapest fill over the remaining eliminable columns, the first on a tie
+            npos = np.count_nonzero(H[:, nkeep:] > _ZERO_TOL, axis=0)
+            nneg = np.count_nonzero(H[:, nkeep:] < -_ZERO_TOL, axis=0)
+            H, h, empty = _clean_rows(*_fm_eliminate(H, h, nkeep + int(np.argmin(npos * nneg - (npos + nneg)))))
+            if empty:
+                return HPolytope.empty(nkeep)
+        last = H.shape[1] == nkeep
         point = carried = None
         if H.shape[0]:
-            last = H.shape[1] == nkeep
-            if last and center is not None and (h - H.dot(center)).min() > _RAY_MARGIN:
+            if not drop:
+                point = P.feasible_point()[keep]
+            elif last and center is not None and (h - H.dot(center)).min() > _RAY_MARGIN:
                 point = center
             else:
                 rho, point = chebyshev_center(H, h)
@@ -737,9 +730,7 @@ def project(P: HPolytope, keep, state=None) -> HPolytope:
                 return HPolytope.empty(nkeep)
             H, h, carried = reduced
         if H.shape[0] > _ROW_CAP:
-            raise RowBlowupError(
-                f"projection iterate has {H.shape[0]} rows (cap {_ROW_CAP})"
-            )
+            raise RowBlowupError(f"projection iterate has {H.shape[0]} rows (cap {_ROW_CAP})")
     # the rows passed an emptiness test, and reduction keeps the set; they
     # are P's rows or _clean_rows' output, finite and of unit norm
     R = HPolytope._of_unit_rows(H, h, empty=False)

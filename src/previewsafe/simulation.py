@@ -28,7 +28,7 @@ from .errors import (
 from .geometry import HPolytope, Hyperbox, LPStatus, lift, linprog_max
 from .geometry.polytope import _ZERO_ROW_TOL, _ZERO_TOL
 from .invariance import input_constraints, method1, method2
-from .systems import LinearSystem, PreviewSystem, augment, system_from_config
+from .systems import LinearSystem, augment, system_from_config
 
 __all__ = [
     "LQRSpec",
@@ -544,18 +544,10 @@ class LaneKeepingResult:
     cmax0: HPolytope
     cio: HPolytope
     gap_found: bool
-    gap_state: Optional[np.ndarray]
-    trace_preview: Optional[Trace]
-    trace_no_preview: Optional[Trace]
-    script: Optional[np.ndarray]
-
-
-def _augmented_lqr(preview: PreviewSystem, lqr_opts: dict) -> np.ndarray:
-    # the options were checked by load_simulation_config
-    aug = preview.aug
-    q_state = np.asarray(lqr_opts.get("q_state", np.ones(preview.base.n)), dtype=float)
-    Q = np.diag(np.concatenate([q_state, np.zeros(aug.n - q_state.size)]))
-    return lqr_gain(aug, LQRSpec(Q=Q, R=float(lqr_opts.get("r", 1.0)) * np.eye(aug.m)))
+    gap_state: Optional[np.ndarray] = None
+    trace_preview: Optional[Trace] = None
+    trace_no_preview: Optional[Trace] = None
+    script: Optional[np.ndarray] = None
 
 
 def _find_gap_state(seed: HPolytope, grown: HPolytope):
@@ -590,42 +582,40 @@ def _find_gap_state(seed: HPolytope, grown: HPolytope):
     return point, normal
 
 
-def _candidate_scripts(
-    preview_d: np.ndarray,
-    dist: Hyperbox,
-    push_dir: Optional[np.ndarray],
-    E: np.ndarray,
-    total: int,
-    seed: int,
-) -> list:
-    """Deterministic disturbance scripts: extreme-value candidates first
-    (constant vertex aligned with / against the violated facet), then an
-    alternating pattern, then seeded random vertices."""
-    l = dist.dim
-    p = preview_d.shape[0]
+def _candidate_scripts(preview_d: np.ndarray, dist: Hyperbox, push_dir: np.ndarray, E: np.ndarray, total: int,
+                       seed: int) -> list:
+    """Disturbance scripts of ``total`` steps, each ``preview_d`` and then a
+    tail of vertices of ``dist``: the vertex aligned with the violated
+    facet's normal ``push_dir`` (the upper end where the impact ``E.T @
+    push_dir`` is >= 0), the opposed one, the two alternating in pairs of
+    steps, and the vertices of one seeded draw."""
     lo, hi = dist.lo, dist.hi
-    if push_dir is not None and E.size:
-        impact = E.T @ push_dir[: E.shape[0]]
-        aligned = np.where(impact >= 0, hi, lo)
-    else:
-        aligned = hi
+    picks = np.random.default_rng(seed).integers(0, 2, size=(total - preview_d.shape[0], dist.dim))
+    aligned = np.where(E.T @ push_dir[: E.shape[0]] >= 0, hi, lo)
     opposed = lo + hi - aligned
+    pairs = np.arange(picks.shape[0])[:, None] // 2 % 2 == 0
+    tails = (np.broadcast_to(aligned, picks.shape), np.broadcast_to(opposed, picks.shape),
+             np.where(pairs, aligned, opposed), np.where(picks == 1, hi, lo))
+    return [np.vstack([preview_d, tail]) for tail in tails]
 
-    def tail(pattern: Callable[[int], np.ndarray]) -> np.ndarray:
-        rows = [pattern(t) for t in range(total - p)]
-        return np.vstack([preview_d, np.array(rows).reshape(-1, l)])
 
-    rng = np.random.default_rng(seed)
-    candidates = [
-        tail(lambda t: aligned),
-        tail(lambda t: opposed),
-        tail(lambda t: aligned if (t // 2) % 2 == 0 else opposed),
-    ]
-    picks = rng.integers(0, 2, size=(total - p, l))
-    candidates.append(
-        np.vstack([preview_d, np.where(picks == 1, hi, lo)])
+def _input_box_of(sys: LinearSystem) -> Hyperbox:
+    """The filter's fallback box, read off the safe set's rows with a zero
+    state part and one input entry above 1e-12, the others summing to at
+    most 1e-12 (in magnitude); an input that no such row bounds gets +-1e6."""
+    H, h, n = sys.safe.H, sys.safe.h, sys.n
+    Hu = H[:, n:]
+    big = np.abs(Hu) > 1e-12
+    alone = (
+        ~(np.abs(H[:, :n]) > 1e-12).any(axis=1)
+        & (big.sum(axis=1) == 1)
+        & (np.where(big, 0.0, np.abs(Hu)).sum(axis=1) <= 1e-12)
     )
-    return candidates
+    cut = big & alone[:, None]
+    bound = np.divide(h[:, None], Hu, out=np.zeros(Hu.shape), where=cut)
+    lo = np.max(bound, axis=0, initial=-np.inf, where=cut & (Hu < 0))
+    hi = np.min(bound, axis=0, initial=np.inf, where=cut & (Hu > 0))
+    return Hyperbox.from_bounds(np.where(np.isfinite(lo), lo, -1e6), np.where(np.isfinite(hi), hi, 1e6))
 
 
 def lane_keeping(
@@ -641,77 +631,53 @@ def lane_keeping(
     p-step preview, pick a start in the grown set but outside the lifted
     no-preview set, and roll out both supervisors on one disturbance script.
 
-    The script is chosen adversarially for the no-preview supervisor among a
-    deterministic family of extreme-disturbance candidates (the study only
-    fixes the start state, not the disturbances); the preview-supervised
-    trace is safe for any script by invariance.  When the grown set does not
-    strictly contain the lifted seed the result reports ``gap_found=False``
-    instead of failing.
+    The script is chosen adversarially for the no-preview supervisor among
+    :func:`_candidate_scripts` (the study only fixes the start state, not the
+    disturbances): the first that the no-preview supervisor fails, else the
+    first; the preview-supervised trace is safe for any script by
+    invariance.  The candidates are vertices of a box, so a disturbance set
+    that is not a :class:`Hyperbox` raises :class:`ConfigError` before any
+    set computation.  When the grown set does not strictly contain the
+    lifted seed the result reports ``gap_found=False`` instead of failing.
     """
     sys, lqr_opts = load_simulation_config(config)
+    if not isinstance(sys.dist_set, Hyperbox):
+        raise ConfigError("simulate needs a box disturbance: its candidate scripts are vertices of a box")
     cmax0 = method1(sys, max_iter).result
-    preview = augment(sys, p)
+    aug = augment(sys, p).aug
     seed_set = lift(cmax0, sys.dist_set, p)
-    grown = method2(preview.aug, seed_set, K).result
+    grown = method2(aug, seed_set, K).result
 
     gap_state, push_dir = _find_gap_state(seed_set, grown)
     if gap_state is None:
-        return LaneKeepingResult(
-            sys=sys, p=p, cmax0=cmax0, cio=grown, gap_found=False,
-            gap_state=None, trace_preview=None, trace_no_preview=None, script=None,
-        )
+        return LaneKeepingResult(sys=sys, p=p, cmax0=cmax0, cio=grown, gap_found=False)
 
     n, l = sys.n, sys.l
     x0 = gap_state[:n]
-    preview_d = gap_state[n:].reshape(p, l)
-
-    gain = _augmented_lqr(preview, lqr_opts)
+    # the options were checked by load_simulation_config; the cost weighs
+    # the state alone, not the previewed disturbances
+    q_state = np.asarray(lqr_opts.get("q_state", np.ones(n)), dtype=float)
+    Q = np.diag(np.concatenate([q_state, np.zeros(aug.n - n)]))
+    gain = lqr_gain(aug, LQRSpec(Q=Q, R=float(lqr_opts.get("r", 1.0)) * np.eye(aug.m)))
 
     def controller(t: int, x: np.ndarray, window: np.ndarray) -> np.ndarray:
         xi = np.concatenate([x, window.ravel()])
         return -gain @ xi
 
     input_box = _input_box_of(sys)
-    sup_preview = Supervisor(sys=preview.aug, invariant=grown, input_box=input_box)
+    sup_preview = Supervisor(sys=aug, invariant=grown, input_box=input_box)
     sup_plain = Supervisor(sys=sys, invariant=cmax0, input_box=input_box)
 
     chosen = None
-    chosen_trace = None
-    for script in _candidate_scripts(
-        preview_d, sys.dist_set, push_dir, sys.E, T + p, seed
-    ):
+    for script in _candidate_scripts(gap_state[n:].reshape(p, l), sys.dist_set, push_dir, sys.E, T + p, seed):
         trace = rollout(sys, p, controller, sup_plain, x0, script, T)
-        if chosen is None:
-            chosen, chosen_trace = script, trace
+        if chosen is None or not trace.all_safe:
+            chosen = script, trace
         if not trace.all_safe:
-            chosen, chosen_trace = script, trace
             break
-    trace_preview = rollout(sys, p, controller, sup_preview, x0, chosen, T)
+    script, trace_no_preview = chosen
     return LaneKeepingResult(
-        sys=sys, p=p, cmax0=cmax0, cio=grown, gap_found=True,
-        gap_state=gap_state, trace_preview=trace_preview,
-        trace_no_preview=chosen_trace, script=chosen,
+        sys=sys, p=p, cmax0=cmax0, cio=grown, gap_found=True, gap_state=gap_state,
+        trace_preview=rollout(sys, p, controller, sup_preview, x0, script, T),
+        trace_no_preview=trace_no_preview, script=script,
     )
-
-
-def _input_box_of(sys: LinearSystem) -> Hyperbox:
-    """Input bounds read off the safe set (fallback for empty admissibility)."""
-    lo = np.full(sys.m, -np.inf)
-    hi = np.full(sys.m, np.inf)
-    Hu = sys.safe.H[:, sys.n :]
-    Hx = sys.safe.H[:, : sys.n]
-    for i in range(sys.safe.nrows):
-        if np.any(np.abs(Hx[i]) > 1e-12):
-            continue
-        for j in range(sys.m):
-            a = Hu[i, j]
-            others = np.abs(np.delete(Hu[i], j)).sum() if sys.m > 1 else 0.0
-            if abs(a) > 1e-12 and others <= 1e-12:
-                bound = sys.safe.h[i] / a
-                if a > 0:
-                    hi[j] = min(hi[j], bound)
-                else:
-                    lo[j] = max(lo[j], bound)
-    lo = np.where(np.isfinite(lo), lo, -1e6)
-    hi = np.where(np.isfinite(hi), hi, 1e6)
-    return Hyperbox.from_bounds(lo, hi)

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import previewsafe
-from previewsafe import cli
+from previewsafe import cli, simulation
 from previewsafe.cli import EXIT_USAGE, build_parser, main
 from previewsafe.errors import ConfigError
 from previewsafe.casestudies import ScalarPreviewProblem
@@ -800,6 +801,40 @@ class TestSimulate:
         ]) == 3
         assert sorted(os.listdir(outdir)) == ["summary.json"]
         assert json.loads((outdir / "summary.json").read_text())["gap_found"] is False
+
+    def test_polytope_disturbance_exits_two_before_any_set(self, tmp_path, capsys, monkeypatch):
+        # the candidate scripts are vertices of a box; the bicycle's
+        # disturbance as an hpoly used to crash after Method 1 and 2
+        sys_, _ = load_simulation_config(cli._bundled_config("lane_keeping"))
+        data = system_to_config(sys_)
+        rd = float(sys_.dist_set.hi[0])
+        data["disturbance"] = {"type": "hpoly", "H": [[1.0], [-1.0]], "h": [rd, rd]}
+        config = tmp_path / "hpoly.json"
+        config.write_text(dumps_17g(data))
+
+        def no_set_computation(*args):
+            raise AssertionError("Method 1 ran")
+
+        monkeypatch.setattr(simulation, "method1", no_set_computation)
+        outdir = tmp_path / "sim"
+        args = ["simulate", "--system", str(config), "--preview", "2", "--T", "30", "--out", str(outdir)]
+        assert run(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "box" in captured.err
+        assert not outdir.exists()
+
+
+@pytest.mark.parametrize("value, text", [
+    (float("nan"), "NaN"), ({}, "{}"), ([], "[]"), (np.int64(3), "3"),
+    ({"a": [1, 2.5, float("-inf")], "b": [[]]}, '{\n  "a": [1, 2.5, -Infinity],\n  "b": [\n    []\n  ]\n}'),
+])
+def test_dumps_17g_values(value, text):
+    assert dumps_17g(value) == text + "\n"
+
+
+def test_dumps_17g_refuses_an_unknown_object():
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dumps_17g({"x": object()})
 
 
 def run_console_script(args, log=None):

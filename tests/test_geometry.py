@@ -283,6 +283,15 @@ class TestPontryaginDiff:
         out = pontryagin_diff(X, S, np.zeros((2, 2)))
         assert set_equal(out, X)
 
+    @pytest.mark.parametrize("X", [
+        HPolytope.empty(2),
+        HPolytope([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0]),  # x <= -1 and x >= 1, not yet tested
+    ], ids=["marked", "infeasible_rows"])
+    def test_empty_set_erodes_to_empty(self, X):
+        for S in (Hyperbox.cube(1, 0.2), cross_polytope(np.array([0.2]))):
+            out = pontryagin_diff(X, S, np.ones((2, 1)))
+            assert out.is_empty and out.dim == 2
+
     def test_set_without_rows(self):
         # the whole plane: every point lies in it, and eroding it by any
         # nonempty set leaves a set with no rows, for a box and a polytope

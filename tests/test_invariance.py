@@ -215,14 +215,25 @@ class TestPreZeroRows:
         assert set_digest(out) == set_digest(pre_reference(sys, X))
 
     def test_redundant_d_row_solves_its_lp(self, monkeypatch):
-        # D's last row is redundant: its offset 5 is above h_i = 0.5, so the
-        # byte match settles nothing, and the LP finds the support 0.2
-        D = HPolytope(np.vstack([np.eye(2), -np.eye(2), [[1.0, 0.0]]]), [0.2, 0.1, 0.2, 0.1, 5.0])
+        # D's only row e1 is redundant: its offset 5 is above h_i = 0.5, so
+        # the row match settles nothing, and the pull-back's one erosion LP
+        # finds the diamond's support 0.2
+        diamond = cross_polytope(np.array([0.2, 0.1]))
+        D = HPolytope(np.vstack([diamond.H, [[1.0, 0.0]]]), np.append(diamond.h, 5.0))
         sys = self.system(D)
         X = self.target(sys, np.array([[1.0, 0.0]]), [0.5])
         calls = count_lps(monkeypatch)
+        inside = []
+
+        def counted(*args):
+            before = calls[0]
+            pulled = polytope._preimage(*args)
+            inside.append(calls[0] - before)
+            return pulled
+
+        monkeypatch.setattr(invariance, "_preimage", counted)
         out = pre(sys, X)
-        assert calls[0] >= 1 and not out.is_empty
+        assert inside == [1] and not out.is_empty
         assert set_digest(out) == set_digest(pre_reference(sys, X))
 
     def pull_back(self, D, offset, monkeypatch):

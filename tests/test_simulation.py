@@ -12,7 +12,7 @@ from previewsafe import simulation
 from previewsafe.brunovsky import closed_form, controller_g, membership
 from previewsafe.errors import ConfigError, NumericalError, RiccatiDivergedError, ScriptExhaustedError
 from previewsafe.geometry import EPS_SET, HPolytope, Hyperbox, box_vertices, polytope, pontryagin_diff
-from previewsafe.invariance import admissible_inputs, input_constraints, lift, method1, method2
+from previewsafe.invariance import admissible_inputs, input_constraints, lift, method1, method2, pre
 from previewsafe.simulation import (
     LQRSpec,
     Supervisor,
@@ -747,6 +747,24 @@ class TestInputConstraints:
             res = supervise(sup, x, np.full(m, 3.0))
             assert res.admissible_empty and res.u.tolist() == [2.0] * m
 
+    @pytest.mark.parametrize("dist", [
+        Hyperbox.from_bounds([-np.inf], [0.1]), HPolytope([[1.0]], [0.1]),
+    ], ids=["box_with_infinite_end", "half_line"])
+    def test_unbounded_disturbance_empties_the_erosion(self, dist):
+        # E D reaches every x below 0.1, so no bounded set absorbs it: pre
+        # is empty, the filter has no rows and every step falls back
+        sys = LinearSystem(
+            A=[[1.0]], B=[[1.0]], E=[[1.0]], dist_set=dist,
+            safe=HPolytope.from_bounds([-1.0, -1.0], [1.0, 1.0]),
+        )
+        C = HPolytope.from_bounds([-0.5], [0.5])
+        assert pre(sys, C).is_empty
+        assert input_constraints(sys, C) is None
+        sup = Supervisor(sys=sys, invariant=C, input_box=Hyperbox.cube(1, 1.0))
+        for x, u_nom in [(0.0, 0.0), (0.2, 3.0)]:
+            res = supervise(sup, [x], [u_nom])
+            assert res.admissible_empty and res.u.tolist() == [min(u_nom, 1.0)]
+
 
 class TestFilterAudit:
     """Both ends of the one-input interval keep ``(x, u)`` in the safe set and
@@ -1285,6 +1303,120 @@ class TestGapState:
 
     def test_clearly_deeper_later_facet_wins(self):
         assert self.gap_normal(1.0 - 1e-6) == [0.0, 1.0]
+
+
+def reference_candidate_scripts(preview_d, dist, push_dir, E, total, seed):
+    """The lane-keeping scripts built step by step from per-step patterns."""
+    l, p = dist.dim, preview_d.shape[0]
+    lo, hi = dist.lo, dist.hi
+    aligned = np.where(E.T @ push_dir[: E.shape[0]] >= 0, hi, lo)
+    opposed = lo + hi - aligned
+
+    def tail(pattern):
+        rows = [pattern(t) for t in range(total - p)]
+        return np.vstack([preview_d, np.array(rows).reshape(-1, l)])
+
+    rng = np.random.default_rng(seed)
+    scripts = [
+        tail(lambda t: aligned),
+        tail(lambda t: opposed),
+        tail(lambda t: aligned if (t // 2) % 2 == 0 else opposed),
+    ]
+    picks = rng.integers(0, 2, size=(total - p, l))
+    return scripts + [np.vstack([preview_d, np.where(picks == 1, hi, lo)])]
+
+
+def reference_input_box(sys):
+    """The fallback input box read row by row and input by input."""
+    lo, hi = np.full(sys.m, -np.inf), np.full(sys.m, np.inf)
+    Hx, Hu = sys.safe.H[:, : sys.n], sys.safe.H[:, sys.n :]
+    for i in range(sys.safe.nrows):
+        if np.any(np.abs(Hx[i]) > 1e-12):
+            continue
+        for j in range(sys.m):
+            a = Hu[i, j]
+            others = np.abs(np.delete(Hu[i], j)).sum() if sys.m > 1 else 0.0
+            if abs(a) > 1e-12 and others <= 1e-12:
+                bound = sys.safe.h[i] / a
+                if a > 0:
+                    hi[j] = min(hi[j], bound)
+                else:
+                    lo[j] = max(lo[j], bound)
+    return np.where(np.isfinite(lo), lo, -1e6), np.where(np.isfinite(hi), hi, 1e6)
+
+
+class TestStudyBuilders:
+    """The scripts and the input box of ``lane_keeping`` equal, bit for bit,
+    the step-by-step and row-by-row builds they replace."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 5, 8])
+    def test_candidate_scripts(self, steps, master_seed):
+        rng = np.random.default_rng(master_seed)
+        for l in (1, 2, 3):
+            half = rng.uniform(0.01, 0.5, l)
+            dist = Hyperbox.from_bounds(-half * rng.uniform(0.2, 1.0, l), half)
+            n, p = 4, int(rng.integers(0, 4))
+            E = rng.normal(size=(n, l))
+            E[:, 0] = 0.0  # the first disturbance's impact is exactly 0
+            push_dir = rng.normal(size=n + p * l)
+            preview_d = rng.uniform(dist.lo, dist.hi, (p, l))
+            seed = int(rng.integers(0, 100))
+            got = simulation._candidate_scripts(preview_d, dist, push_dir, E, p + steps, seed)
+            want = reference_candidate_scripts(preview_d, dist, push_dir, E, p + steps, seed)
+            assert len(got) == len(want) == 4
+            for a, b in zip(got, want):
+                assert a.shape == b.shape == (p + steps, l) and a.tobytes() == b.tobytes()
+
+    def test_lane_keeping_scripts(self, lane_result):
+        res = lane_result
+        seed_set = lift(res.cmax0, res.sys.dist_set, res.p)
+        _, push_dir = _find_gap_state(seed_set, res.cio)
+        args = (res.gap_state[4:].reshape(res.p, 1), res.sys.dist_set, push_dir, res.sys.E, 100 + res.p, 0)
+        got, want = simulation._candidate_scripts(*args), reference_candidate_scripts(*args)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert any(a.tobytes() == res.script.tobytes() for a in got)
+
+    def assert_same_box(self, sys):
+        box = _input_box_of(sys)
+        lo, hi = reference_input_box(sys)
+        assert box.lo.tobytes() == lo.tobytes() and box.hi.tobytes() == hi.tobytes()
+        return box
+
+    def test_input_box_rows(self):
+        # n = 2, m = 3: a row coupled to the state, a row over two inputs,
+        # rows with a small second input entry (alone at 1e-13, not at 1e-11),
+        # a state part below 1e-12, and no row at all on the third input
+        H = [
+            [0.5, 0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0, 1e-13, 0.0],
+            [0.0, 0.0, 2.0, 0.0, 0.0],
+            [1e-13, 0.0, -1.0, 0.0, 0.0],
+            [0.0, 0.0, 1e-11, -1.0, 0.0],
+            [0.0, 0.0, 0.0, -3.0, 0.0],
+        ]
+        h = [0.1, 0.2, 0.9, 1.6, 0.7, 0.4, 1.5]
+        sys = LinearSystem(A=np.eye(2), B=np.ones((2, 3)), E=np.zeros((2, 1)),
+                           dist_set=Hyperbox.cube(1, 0.1), safe=HPolytope(H, h))
+        box = self.assert_same_box(sys)
+        assert box.lo.tolist() == [-0.7, -0.5, -1e6] and box.hi.tolist() == [0.8, 1e6, 1e6]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_input_box_seeded_rows(self, m, master_seed):
+        rng = np.random.default_rng(master_seed)
+        n = 2
+        for _ in range(20):
+            choices = np.array([0.0, 0.0, 0.0, 1e-13, -1e-13, 1e-12, 0.7, -1.3])
+            H = rng.choice(choices, size=(12, n + m))
+            H[:, n:] += rng.choice([0.0, 0.0, 1.0], size=(12, m)) * rng.normal(size=(12, m))
+            sys = LinearSystem(A=np.eye(n), B=np.ones((n, m)), E=np.zeros((n, 1)),
+                               dist_set=Hyperbox.cube(1, 0.1), safe=HPolytope(H, rng.uniform(0.1, 2.0, 12)))
+            self.assert_same_box(sys)
+
+    def test_input_box_lane_keeping(self):
+        sys, _ = load_simulation_config(lane_config())
+        steer = lane_config()["bounds"]["steer"]
+        assert self.assert_same_box(sys).hi.tolist() == [steer]
 
 
 class TestLaneKeeping:
